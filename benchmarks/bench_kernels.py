@@ -18,9 +18,14 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from qfish.backend import available_backends  # noqa: E402
+
+# pure always; compiled only when the extension is importable, so a pure
+# timing is never printed under the compiled heading
+LABELS = ["pure"] + (["compiled"] if "compiled" in available_backends() else [])
 
 
 def time_call(fn, *args, repeat=5):
@@ -32,11 +37,21 @@ def time_call(fn, *args, repeat=5):
     return best
 
 
+def header(first: str) -> None:
+    cols = "".join(f"{label + ' (s)':>14}" for label in LABELS)
+    print(f"{first:<28}{cols}" + (f"{'speedup':>9}" if len(LABELS) == 2 else ""))
+
+
+def row(name: str, timings: dict) -> None:
+    cols = "".join(f"{timings[label]:>14.4f}" for label in LABELS)
+    speedup = f"{timings['pure'] / timings['compiled']:>8.1f}x" if len(LABELS) == 2 else ""
+    print(f"{name:<28}{cols}{speedup}")
+
+
 def kernel_bench(quick: bool) -> None:
     backends = available_backends()
-    if "compiled" not in backends:
-        print("compiled extension not built; kernel table skipped")
-        return
+    if len(LABELS) == 1:
+        print("compiled extension not built; pure timings only")
     rng = random.Random(7)
     sizes = [(100, 100), (400, 400)] if quick else [(100, 100), (400, 400), (1000, 1000)]
     cases = []
@@ -47,11 +62,9 @@ def kernel_bench(quick: bool) -> None:
     big = [rng.randint(-10**40, 10**40) for _ in range(300)]
     cases.append(("bigint path 300x300", big, list(reversed(big))))
 
-    print(f"{'kernel case':<28}{'pure (s)':>12}{'compiled (s)':>14}{'speedup':>9}")
+    header("kernel case")
     for name, a, b in cases:
-        tp = time_call(backends["pure"].mul, a, b, repeat=3)
-        tc = time_call(backends["compiled"].mul, a, b, repeat=3)
-        print(f"{name:<28}{tp:>12.4f}{tc:>14.4f}{tp / tc:>8.1f}x")
+        row(name, {label: time_call(backends[label].mul, a, b, repeat=3) for label in LABELS})
 
 
 WORKLOADS = {
@@ -64,19 +77,22 @@ WORKLOADS = {
 
 def workload_bench(quick: bool) -> None:
     print()
-    print(f"{'end-to-end workload':<28}{'pure (s)':>12}{'compiled (s)':>14}{'speedup':>9}")
+    header("end-to-end workload")
     items = list(WORKLOADS.items())
     if quick:
         items = items[:2]
     for name, snippet in items:
         timings = {}
-        for label, env_extra in (("pure", {"QFISH_PURE": "1"}), ("compiled", {})):
+        for label in LABELS:
             env = dict(os.environ)
             env.pop("QFISH_PURE", None)
-            env.update(env_extra)
+            if label == "pure":
+                env["QFISH_PURE"] = "1"
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
             # time inside the interpreter so startup cost is excluded
             code = (
                 "import time, qfish\n"
+                f"assert qfish.backend_name() == {label!r}\n"
                 f"t0 = time.perf_counter(); {snippet}\n"
                 "print(time.perf_counter() - t0)"
             )
@@ -85,10 +101,7 @@ def workload_bench(quick: bool) -> None:
                 capture_output=True, text=True,
             )
             timings[label] = float(out.stdout.strip())
-        print(
-            f"{name:<28}{timings['pure']:>12.2f}{timings['compiled']:>14.2f}"
-            f"{timings['pure'] / timings['compiled']:>8.1f}x"
-        )
+        row(name, timings)
 
 
 def main() -> None:

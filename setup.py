@@ -1,18 +1,14 @@
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
+# A plain C extension: building needs only a C compiler and the Python
+# headers.  optional=True turns a failed build (no compiler, no headers)
+# into a warning, and qfish then runs on the pure-Python kernels.
 ext_modules = []
 if not os.environ.get("QFISH_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/qfish/_speedups.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # No Cython available: install pure-Python only, kernels fall back.
-        ext_modules = []
+    ext_modules = [
+        Extension("qfish._speedups", ["src/qfish/_speedups.c"], optional=True),
+    ]
 
 setup(ext_modules=ext_modules)

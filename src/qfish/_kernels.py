@@ -4,8 +4,9 @@ A coefficient vector is a plain list of ints indexed from exponent 0.
 Everything is exact (arbitrary precision); schoolbook multiplication is
 deliberate, the series this package handles are dense and desk-sized.
 
-``qfish._speedups`` implements the same two functions in Cython with an
-int64 fast path; ``qfish.backend`` picks one of the twins at import time.
+``qfish._speedups`` (``_speedups.c``, a small C extension) implements the
+same two functions with an int64 fast path; ``qfish.backend`` picks one of
+the twins at import time.
 """
 
 from __future__ import annotations

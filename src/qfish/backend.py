@@ -1,5 +1,8 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
+The extension ``qfish._speedups`` is built from ``_speedups.c`` by
+``python setup.py build_ext --inplace`` (or ``pip install .``); without a C
+compiler the build is skipped and the pure kernels are used.
 Set ``QFISH_PURE=1`` in the environment to force the pure backend (useful
 for benchmarking and for debugging suspected kernel issues).
 """

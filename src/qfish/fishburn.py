@@ -160,16 +160,16 @@ def xi_series(t: int, n_top: int, count: int) -> list:
         if n:
             u = [(-1 if i & 1 else 1) * math.comb(n, i + 1) for i in range(count - n)]
             poch_tail = mul_trunc(poch_tail, u, count - n)
-        row_next = _sub_pascal_row(row, n + 1, tab)
         if p.m == 1:
             inner = [1]  # empty vector; its (1-q)^(-1) cancels the global prefactor
         else:
+            row_next = _sub_pascal_row(row, n + 1, tab)
             inner = _sub_inner(p, n, count - n, row, row_next, tab)
+            row = row_next
         contrib = mul_trunc(poch_tail, inner, count - n)
         for i, c in enumerate(contrib):
             if c:
                 total[n + i] += c
-        row = row_next
     if p.m > 1:
         pref = invert_unit(one_minus_q_power(p.h_d, count), count)
         total = mul_trunc(total, list(pref.coeffs), count)

@@ -1,4 +1,19 @@
-"""The compiled and pure kernels must agree bit-for-bit."""
+"""The compiled and pure kernels must agree bit-for-bit.
+
+The compiled module is the one the package imported; when it is not
+importable and a C compiler is present, it is built from ``setup.py`` into a
+temporary directory, so these tests skip only on a machine without a
+compiler.
+"""
+
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,39 +22,160 @@ from hypothesis import strategies as st
 from qfish.backend import available_backends
 
 BACKENDS = available_backends()
+PURE = BACKENDS["pure"]
+ROOT = Path(__file__).resolve().parents[1]
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in BACKENDS, reason="compiled extension not built"
-)
+INT64_MAX = 2**63 - 1
+LLONG_MIN = -(2**63)
 
 small_ints = st.lists(st.integers(-(10**3), 10**3), max_size=12)
 big_ints = st.lists(st.integers(-(10**25), 10**25), max_size=8)
 mixed = st.one_of(small_ints, big_ints)
 
 
-@needs_compiled
+def _have_compiler() -> bool:
+    # the compiler setuptools would use: $CC, else the one Python was built with
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
+    return bool(cc) and shutil.which(cc[0]) is not None
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    if "compiled" in BACKENDS:
+        return BACKENDS["compiled"]
+    if not _have_compiler() or not (ROOT / "setup.py").exists():
+        pytest.skip("compiled extension not built and no C compiler to build it")
+    out = tmp_path_factory.mktemp("ext")
+    env = {k: v for k, v in os.environ.items() if k != "QFISH_NO_EXT"}
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             for p in (out / "qfish").glob("_speedups" + suffix)]
+    if not built:
+        pytest.fail("a C compiler is present but the extension did not build:\n"
+                    + proc.stdout[-2000:] + proc.stderr[-2000:])
+    spec = importlib.util.spec_from_file_location("qfish._speedups", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _agree(compiled, a, b, n=None):
+    if n is None:
+        assert compiled.mul(a, b) == PURE.mul(a, b)
+    else:
+        assert compiled.mul_trunc(a, b, n) == PURE.mul_trunc(a, b, n)
+
+
 class TestKernelAgreement:
     @given(mixed, mixed)
     @settings(max_examples=300, deadline=None)
-    def test_mul(self, a, b):
-        assert BACKENDS["compiled"].mul(a, b) == BACKENDS["pure"].mul(a, b)
+    def test_mul(self, compiled, a, b):
+        _agree(compiled, a, b)
 
-    @given(mixed, mixed, st.integers(0, 20))
+    @given(mixed, mixed, st.integers(-3, 30))
     @settings(max_examples=300, deadline=None)
-    def test_mul_trunc(self, a, b, n):
-        assert BACKENDS["compiled"].mul_trunc(a, b, n) == BACKENDS["pure"].mul_trunc(a, b, n)
+    def test_mul_trunc(self, compiled, a, b, n):
+        _agree(compiled, a, b, n)
 
-    def test_int64_boundary(self):
+    def test_int64_boundary(self, compiled):
         # values straddling the fast-path overflow bound
         near = 2**31
-        a = [near, -near, near - 1]
-        b = [near, near, -near]
-        assert BACKENDS["compiled"].mul(a, b) == BACKENDS["pure"].mul(a, b)
+        _agree(compiled, [near, -near, near - 1], [near, near, -near])
         huge = [2**63 - 1, -(2**63), 2**64]
-        assert BACKENDS["compiled"].mul(huge, huge) == BACKENDS["pure"].mul(huge, huge)
+        _agree(compiled, huge, huge)
 
-    def test_empty_and_zero(self):
-        for impl in BACKENDS.values():
+    def test_fast_limit_edges(self, compiled):
+        # max|a| * max|b| * overlap == 2^62 - 1 = 3 * 715827883 * 2147483647
+        a = [715827883, -715827883, 715827883]
+        b = [2147483647, 2147483647, -2147483647]
+        assert 715827883 * 2147483647 * 3 == 2**62 - 1
+        _agree(compiled, a, b)
+        _agree(compiled, [2147483649], [-2147483647])
+        # exactly 2^62, just outside the int64 lane
+        _agree(compiled, [2**31, -(2**31)], [2**30, 2**30])
+        _agree(compiled, [2**31], [2**31])
+        # sums that would overflow int64 if the lane were taken wrongly
+        _agree(compiled, [2**32] * 4, [2**31] * 4)
+        _agree(compiled, [INT64_MAX] * 3, [INT64_MAX] * 3)
+
+    def test_extreme_operands(self, compiled):
+        for a in ([LLONG_MIN], [INT64_MAX], [-INT64_MAX], [LLONG_MIN, INT64_MAX, 1]):
+            for b in ([1], [-1], [0, 1], [LLONG_MIN], [INT64_MAX, -INT64_MAX]):
+                _agree(compiled, a, b)
+                _agree(compiled, a, b, 1)
+
+    def test_truncation_lengths(self, compiled):
+        a, b = [1, -2, 3], [4, 5]
+        for n in (0, -1, -(10**30), 1, 3, 4, 5, 100, 2**63, 10**30):
+            _agree(compiled, a, b, n)
+            _agree(compiled, [10**30, 1], b, n)
+
+    def test_all_zero_operands(self, compiled):
+        for a, b in (([0, 0, 0], [5, 6]), ([0] * 3, [10**30]),
+                     ([10**30, 0], [0, 0]), ([0], [0])):
+            _agree(compiled, a, b)
+            _agree(compiled, a, b, 2)
+
+    def test_sequence_operands(self, compiled):
+        assert compiled.mul((1, 2), (3, 10**30)) == PURE.mul((1, 2), (3, 10**30))
+        assert compiled.mul_trunc((1, 2), [3, 4], 2) == PURE.mul_trunc((1, 2), [3, 4], 2)
+
+    def test_empty_and_zero(self, compiled):
+        for impl in (PURE, compiled):
             assert impl.mul([], [1, 2]) == []
             assert impl.mul_trunc([1], [1], 0) == []
             assert impl.mul([0, 0], [0]) == [0, 0]
+
+
+class TestCompiledContract:
+    def test_refcounts_unchanged(self, compiled):
+        big = 10**30
+        mid = 2**40  # not a cached small int, stays in the int64 lane
+        before = sys.getrefcount(big), sys.getrefcount(mid)
+        for _ in range(1000):
+            compiled.mul([big, 0, 1], [big, 2])
+            compiled.mul_trunc([mid, 3], [mid, 0, 5], 2)
+        assert (sys.getrefcount(big), sys.getrefcount(mid)) == before
+        # each result element is owned by the result list alone
+        res = compiled.mul([big], [big])
+        refs = sys.getrefcount(res[0])  # outside the assert, which holds one more
+        assert refs == 2
+
+    def test_non_int_raises_type_error(self, compiled):
+        for bad in (1.5, None, "x"):
+            with pytest.raises(TypeError):
+                compiled.mul([1, bad], [2, 3])  # int64 lane
+            with pytest.raises(TypeError):
+                compiled.mul([10**30, bad], [2, 3])  # PyObject lane
+            with pytest.raises(TypeError):
+                compiled.mul_trunc([1], [bad], 1)
+        with pytest.raises(TypeError):
+            compiled.mul_trunc([1], [1], 1.0)
+
+    def test_number_protocol_errors_propagate(self, compiled):
+        class Boom(int):
+            def __mul__(self, other):
+                raise ArithmeticError("boom")
+
+        big = 10**30
+        before = sys.getrefcount(big)
+        for impl in (PURE, compiled):
+            for _ in range(100):
+                with pytest.raises(ArithmeticError, match="boom"):
+                    impl.mul([big, Boom(big)], [big, 1])
+        assert sys.getrefcount(big) == before
+
+    def test_operand_mutated_during_product(self, compiled):
+        a = []
+
+        class Clearing(int):
+            def __mul__(self, other):
+                a.clear()
+                return int(self) * other
+
+        a.extend([Clearing(10**30), 10**30, 7])
+        assert compiled.mul(a, [1, 2]) == PURE.mul([10**30, 10**30, 7], [1, 2])
