@@ -15,7 +15,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import identities
 from .backend import backend_name
@@ -117,8 +116,6 @@ def main(argv=None) -> int:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent checks")
     common.add_argument("--deep", action="store_true",
                         help="allow the heavy t=4 workloads")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -208,15 +205,8 @@ def main(argv=None) -> int:
         if args.t == 1 and args.identity not in ("root", "slater"):
             parser.error(f"identity {args.identity!r} needs --t >= 2")
         names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
-
-        def run(name):
-            return _run_identity(name, args.t, args.order, args.x_bound, args.n_max)
-
-        if args.threads > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                reports = list(pool.map(run, names))
-        else:
-            reports = [run(n) for n in names]
+        reports = [_run_identity(n, args.t, args.order, args.x_bound, args.n_max)
+                   for n in names]
         results = [r.as_dict() for r in reports]
         passed = all(r.passed for r in reports)
         return _finish(args, "verify",

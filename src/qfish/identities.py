@@ -4,6 +4,11 @@ Every checker computes its two sides by independent routes (no shared
 subexpressions beyond the base ring), compares them exactly on an honest
 truncation window, and returns an IdentityReport carrying the window, the
 verdict, and the first discrepancy if any.
+
+The two sides of the root-of-unity match run through the same inner-sum
+dynamic program (``torus._jk_inner_dp``) but share no values: J_N uses it
+with the weight q^(-N (sum j + k)) and F_t without, so they are different
+polynomials that meet only after evaluation at zeta_N.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _reduce
 from .series import IntSeries, progression_product
 
 
@@ -63,6 +63,28 @@ def binom_row(n: int) -> list:
     if n < 0:
         return []
     return [list(_binom_cache(n, j)) for j in range(n + 1)]
+
+
+@lru_cache(maxsize=128)
+def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
+    """[n, j] for j = 0..min(jmax, n), each cut below q^length (length >= 1).
+
+    Built along the row by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j),
+    so no other row is touched; the division is exact on any prefix.
+    """
+    cur = [1]
+    rows = [(1,)]
+    for j in range(1, min(jmax, n) + 1):
+        e = n - j + 1
+        out = cur + [0] * (min(length, len(cur) + e) - len(cur))
+        for i in range(len(out) - 1, e - 1, -1):
+            out[i] -= out[i - e]
+        for i in range(j, len(out)):
+            out[i] += out[i - j]
+        del out[j * (n - j) + 1:]
+        cur = out
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,13 +194,7 @@ def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
         c = spec.char(n)
         if c:
             acc[spec.exponent(n) % m] += c
-    return CycInt(m, _cyc_reduce(acc, m)).is_zero()
-
-
-def _cyc_reduce(acc: list, m: int) -> tuple:
-    from .cyclotomic import _reduce
-
-    return _reduce(acc, m)
+    return CycInt(m, _reduce(acc, m)).is_zero()
 
 
 def torus_product_pairs(t: int) -> list:

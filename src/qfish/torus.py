@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 
 from .backend import mul, mul_trunc
 from .biseries import BiAccumulator, BiSeries
-from .cyclotomic import CycInt
-from .qseries import binom_row, chi_t, pochhammer, q_binomial
+from .cyclotomic import CycInt, cyc_eval
+from .qseries import binom_row, binom_row_trunc, chi_t, q_binomial
 from .series import IntSeries
 
 
@@ -134,55 +134,89 @@ def admissible_jvectors(
 # One level step costs two truncated multiplications per (state, j), and the
 # congruence filter plus the q^((T-a)/m) shift are applied once at the end.
 # The aggregation is valid because both pools are linear in the summands.
+#
+# The colored Jones polynomial needs the same sum with the extra weight
+# q^(-N (sum j + k)): q^(-N j) joins the per-coordinate shift, and q^(-N k)
+# is paid where k is fixed, on the A -> S step at level l (k = l - 1) and
+# on the final A pool (k = m - 1).  Those shifts are negative, so each pool
+# is a list [lo, coeffs] carrying its own low exponent.
 
 
-def _acc_mul(dst, a: list, b: list, shift: int, sign: int, lim) -> list:
-    prod = mul(a, b) if lim is None else mul_trunc(a, b, lim - shift)
+def _acc_mul(dst, src, b, shift: int, sign: int, lim):
+    """dst + sign * q^shift * src * b, products cut below q^lim (None = exact)."""
+    lo = src[0] + shift
+    if lim is None:
+        prod = mul(src[1], b)
+    else:
+        prod = mul_trunc(src[1], b, lim - lo)
     if not prod:
         return dst
-    need = shift + len(prod)
     if dst is None:
-        dst = [0] * need
-    elif len(dst) < need:
-        dst.extend([0] * (need - len(dst)))
+        return [lo, prod if sign > 0 else [-c for c in prod]]
+    coeffs = dst[1]
+    if lo < dst[0]:
+        coeffs[:0] = [0] * (dst[0] - lo)
+        dst[0] = lo
+    off = lo - dst[0]
+    need = off + len(prod)
+    if len(coeffs) < need:
+        coeffs.extend([0] * (need - len(coeffs)))
     if sign > 0:
-        for i, c in enumerate(prod):
+        for i, c in enumerate(prod, off):
             if c:
-                dst[shift + i] += c
+                coeffs[i] += c
     else:
-        for i, c in enumerate(prod):
+        for i, c in enumerate(prod, off):
             if c:
-                dst[shift + i] -= c
+                coeffs[i] -= c
     return dst
 
 
-def _ladd(a, b):
-    if a is None:
-        return b
+def _ladd(a, b, b_shift: int = 0):
+    """a + q^b_shift * b for pools [lo, coeffs] (None is zero)."""
     if b is None:
         return a
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
+    blo = b[0] + b_shift
+    if a is None:
+        return [blo, b[1]]
+    alo, ac = a
+    bc = b[1]
+    lo = min(alo, blo)
+    out = [0] * (max(alo + len(ac), blo + len(bc)) - lo)
+    out[alo - lo: alo - lo + len(ac)] = ac
+    for i, c in enumerate(bc, blo - lo):
         if c:
             out[i] += c
-    return out
+    return [lo, out]
 
 
-def _jk_inner_dp(p: TorusParams, n: int, order, j_cap=None):
-    """(min_exp, coeffs) of G_n(q), truncated below ``order`` (None = exact)."""
+def _jk_inner_dp(p: TorusParams, n: int, order, weight: int = 0):
+    """(min_exp, coeffs) of G_n(q), truncated below ``order`` (None = exact).
+
+    ``weight`` N > 0 multiplies each summand by q^(-N (sum j + k)), giving
+    the inner sum of the colored Jones polynomial J_N; exact mode only,
+    because the truncation cuts assume nonnegative shifts.
+    """
     m = p.m
-    jmax = n + 1 if j_cap is None else min(j_cap, n + 1)
-    rows_n = binom_row(n)
-    rows_np1 = binom_row(n + 1)
-    bn = [rows_n[j] if j < len(rows_n) else [] for j in range(jmax + 1)]
-    bp = [rows_np1[j] if j < len(rows_np1) else [] for j in range(jmax + 1)]
-    states = {0: (None, [1])}
+    if order is None:
+        rows_n = binom_row(n)
+        rows_np1 = binom_row(n + 1)
+        jmax = n + 1
+    else:
+        # every cut lim below is <= order (a < m for t >= 2, and t = 1 has
+        # no levels), so only j(j-1)/2 < order and q^i, i < order, are read
+        jmax = 0
+        while jmax < n + 1 and (jmax + 1) * jmax // 2 < order:
+            jmax += 1
+        rows_n = binom_row_trunc(n, jmax, order)
+        rows_np1 = binom_row_trunc(n + 1, jmax, order)
+    bn = [rows_n[j] if j < len(rows_n) else () for j in range(jmax + 1)]
+    bp = [rows_np1[j] if j < len(rows_np1) else () for j in range(jmax + 1)]
+    states = {0: (None, [0, [1]])}
     for level in range(1, m):
         nxt: dict = {}
         for total, (s_pool, a_pool) in states.items():
-            sa = _ladd(s_pool, a_pool)
+            sa = _ladd(s_pool, a_pool, -weight * (level - 1))
             for j in range(jmax + 1):
                 if not bn[j] and not bp[j]:
                     continue
@@ -196,6 +230,7 @@ def _jk_inner_dp(p: TorusParams, n: int, order, j_cap=None):
                 w = j * (j - 1) // 2
                 if lim is not None and w >= lim:
                     break  # larger j only shifts content further out
+                w -= weight * j
                 sign = -1 if j & 1 else 1
                 ent = nxt.get(t2)
                 if ent is None:
@@ -210,9 +245,9 @@ def _jk_inner_dp(p: TorusParams, n: int, order, j_cap=None):
     for total, (s_pool, a_pool) in states.items():
         if (total - p.a) % m:
             continue
-        val = _ladd(s_pool, a_pool)
-        if val:
-            pieces.append(((total - p.a) // m, val))
+        val = _ladd(s_pool, a_pool, -weight * (m - 1))
+        if val is not None:
+            pieces.append(((total - p.a) // m + val[0], val[1]))
     if not pieces:
         return 0, []
     lo = min(sh for sh, _ in pieces)
@@ -227,9 +262,9 @@ def _jk_inner_dp(p: TorusParams, n: int, order, j_cap=None):
     return lo, out
 
 
-def kz_inner_sum(p: TorusParams, n: int, order, j_cap=None) -> IntSeries:
+def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None)."""
-    lo, out = _jk_inner_dp(p, n, order, j_cap)
+    lo, out = _jk_inner_dp(p, n, order)
     return IntSeries.make(lo, out, order)
 
 
@@ -270,44 +305,25 @@ def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
     return total.shift(-p.h_d).scale(p.sign)
 
 
-def _ksum(p: TorusParams, n: int, jv: tuple, k_step: int = 0) -> IntSeries:
-    """sum_k q^(k * k_step) prod_l [n + I(l<=k), j_l] as an exact series."""
-    m = p.m
-    pre = [IntSeries.one()]
-    for l in range(1, m):
-        pre.append(pre[-1] * q_binomial(n + 1, jv[l - 1]))
-    sufs = [IntSeries.one() for _ in range(m)]
-    for k in range(m - 2, -1, -1):
-        sufs[k] = sufs[k + 1] * q_binomial(n, jv[k])
-    acc = IntSeries.zero()
-    for k in range(m):
-        term = pre[k] * sufs[k]
-        if term:
-            acc = acc + term.shift(k * k_step)
-    return acc
-
-
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     """J_N(T(3, 2^t); q) as an exact Laurent polynomial, J_N(unknot) = 1.
 
-    For t = 1 this is the trefoil formula q^(1-N) sum_n q^(-nN) (q^(1-N))_n;
-    the general multisum reduces to it through the empty index vector.
+    J_N = sign q^(2^t - 1 - h' - N) sum_{n<N} (q^(1-N))_n q^(-nmN) G_n^(N)(q),
+    where G_n^(N) is the inner sum with the weight q^(-N (sum j + k)); the
+    n-sum stops at N-1 because (q^(1-N))_n vanishes from n = N on.  For
+    t = 1 this is the trefoil formula q^(1-N) sum_n q^(-nN) (q^(1-N))_n.
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
     total = IntSeries.zero()
-    for n in range(big_n):  # (q^(1-N))_n vanishes for n >= N
-        poch = pochhammer(1 - big_n, n)
-        if not poch:
-            break
-        inner = IntSeries.zero()
-        for jv, v in admissible_jvectors(p, j_cap=n + 1):
-            sj = sum(jv)
-            term = _ksum(p, n, jv, k_step=-big_n)
-            if term:
-                inner = inner + term.shift(v - big_n * sj).scale(-1 if sj & 1 else 1)
+    poch = IntSeries.one()
+    for n in range(big_n):
+        if n:
+            poch = poch - poch.shift(n - big_n)
+        lo, out = _jk_inner_dp(p, n, None, big_n)
+        inner = IntSeries.make(lo - big_n * n * p.m, out)
         if inner:
-            total = total + (poch * inner).shift(-big_n * n * p.m)
+            total = total + poch * inner
     pref_exp = 2**p.t - 1 - p.h_d - big_n
     return total.shift(pref_exp).scale(p.sign)
 
@@ -315,54 +331,12 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
 def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
     """F_t(zeta_N) evaluated exactly in Z[zeta_N].
 
-    The n-sum stops at N-1 because (q)_n vanishes at zeta_N from n = N on;
-    each j_l is capped at n+1 by the binomial tops, so the whole value is a
-    finite exact sum.
+    (q)_n vanishes at zeta_N from n = N on, so the exact partial sum
+    F_t(q; N-1) evaluated at zeta_N is the whole value.
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    lvl = big_n
-    one = CycInt.integer(lvl, 1)
-
-    evals: dict = {}
-
-    def ev(top: int, j: int) -> CycInt:
-        key = (top, j)
-        got = evals.get(key)
-        if got is None:
-            got = _cyc_eval_poly(q_binomial(top, j), lvl)
-            evals[key] = got
-        return got
-
-    total = CycInt.zero(lvl)
-    poch = one
-    for n in range(big_n):
-        if n:
-            poch = poch * (one - CycInt.root_power(lvl, n))
-        inner = CycInt.zero(lvl)
-        for jv, v in admissible_jvectors(p, j_cap=n + 1):
-            sj = sum(jv)
-            pre = [one]
-            for l in range(1, p.m):
-                pre.append(pre[-1] * ev(n + 1, jv[l - 1]))
-            sufs = [one for _ in range(p.m)]
-            for k in range(p.m - 2, -1, -1):
-                sufs[k] = sufs[k + 1] * ev(n, jv[k])
-            ks = CycInt.zero(lvl)
-            for k in range(p.m):
-                ks = ks + pre[k] * sufs[k]
-            term = ks.mul_root_power(v)
-            inner = inner + (-term if sj & 1 else term)
-        total = total + poch * inner
-    if p.sign < 0:
-        total = -total
-    return total.mul_root_power(-p.h_d)
-
-
-def _cyc_eval_poly(poly: IntSeries, m: int) -> CycInt:
-    from .cyclotomic import cyc_eval
-
-    return cyc_eval(poly, m)
+    return cyc_eval(kz_full_polynomial(p, big_n - 1), big_n)
 
 
 # -- the two-variable series -------------------------------------------------

@@ -47,6 +47,11 @@ class TestPositive:
     def test_root_match(self, t):
         assert verify_root_match(t, 6).passed
 
+    def test_root_match_t4(self):
+        rep = verify_root_match(4, 6)
+        assert rep.passed
+        assert list(rep.details) == [f"N={n}" for n in range(1, 7)]
+
     def test_report_shape(self):
         d = verify_rewrite2(2, 6, 10).as_dict()
         assert d["identity"] == "m_series_rewrite"

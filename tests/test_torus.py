@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from qfish.biseries import BiSeries, bi_first_difference
-from qfish.cyclotomic import cyc_eval
+from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.qseries import pochhammer, q_binomial
 from qfish.series import IntSeries, first_difference, substitute_one_minus_q
 from qfish.torus import (
@@ -42,6 +42,57 @@ def brute_force_jvectors(p, j_cap, v_cap):
         if v_cap is None or v < v_cap:
             out.append((jv, v))
     return out
+
+
+def _ksum_walk(p, n, jv, k_step):
+    """sum_k q^(k * k_step) prod_l [n + I(l<=k), j_l] for one index vector."""
+    pre = [IntSeries.one()]
+    for l in range(1, p.m):
+        pre.append(pre[-1] * q_binomial(n + 1, jv[l - 1]))
+    sufs = [IntSeries.one() for _ in range(p.m)]
+    for k in range(p.m - 2, -1, -1):
+        sufs[k] = sufs[k + 1] * q_binomial(n, jv[k])
+    acc = IntSeries.zero()
+    for k in range(p.m):
+        acc = acc + (pre[k] * sufs[k]).shift(k * k_step)
+    return acc
+
+
+# (t, N) pairs where the DP results are compared with the per-vector walks
+WALK_CASES = [(t, big_n) for t in (1, 2, 3) for big_n in range(1, 7)] + [
+    (4, big_n) for big_n in (1, 2, 3)
+]
+
+
+def colored_jones_walk(p, big_n):
+    """Oracle: J_N(T(3, 2^t); q) summed one admissible index vector at a time."""
+    total = IntSeries.zero()
+    for n in range(big_n):
+        inner = IntSeries.zero()
+        for jv, v in admissible_jvectors(p, j_cap=n + 1):
+            sj = sum(jv)
+            term = _ksum_walk(p, n, jv, -big_n)
+            inner = inner + term.shift(v - big_n * sj).scale(-1 if sj & 1 else 1)
+        total = total + (pochhammer(1 - big_n, n) * inner).shift(-big_n * n * p.m)
+    return total.shift(2**p.t - 1 - p.h_d - big_n).scale(p.sign)
+
+
+def kz_at_root_walk(p, big_n):
+    """Oracle: F_t(zeta_N) summed in Z[zeta_N] one index vector at a time."""
+    one = CycInt.integer(big_n, 1)
+    total = CycInt.zero(big_n)
+    poch = one
+    for n in range(big_n):
+        if n:
+            poch = poch * (one - CycInt.root_power(big_n, n))
+        inner = CycInt.zero(big_n)
+        for jv, v in admissible_jvectors(p, j_cap=n + 1):
+            ks = cyc_eval(_ksum_walk(p, n, jv, 0), big_n).mul_root_power(v)
+            inner = inner + (-ks if sum(jv) & 1 else ks)
+        total = total + poch * inner
+    if p.sign < 0:
+        total = -total
+    return total.mul_root_power(-p.h_d)
 
 
 class TestParams:
@@ -131,7 +182,8 @@ class TestInnerSum:
                 term = term + prod
             acc = acc + term.shift(v).scale(-1 if sum(jv) & 1 else 1)
         assert first_difference(kz_inner_sum(p, n, None), acc) is None
-        assert first_difference(kz_inner_sum(p, n, 12), acc) is None
+        for order in (1, 2, 3, 5, 12):
+            assert first_difference(kz_inner_sum(p, n, order), acc) is None
 
 
 class TestKZSeries:
@@ -184,6 +236,11 @@ class TestColoredJones:
             expect = expect.shift(1 - big_n)
             assert colored_jones(torus_params(1), big_n) == expect
 
+    @pytest.mark.parametrize("t,big_n", WALK_CASES)
+    def test_against_per_vector_walk(self, t, big_n):
+        p = torus_params(t)
+        assert colored_jones(p, big_n) == colored_jones_walk(p, big_n)
+
     @pytest.mark.parametrize("t,big_n", [(2, 2), (2, 5), (3, 4)])
     def test_matches_kz_at_root(self, t, big_n):
         p = torus_params(t)
@@ -193,6 +250,11 @@ class TestColoredJones:
 
 
 class TestRootEvaluation:
+    @pytest.mark.parametrize("t,big_n", WALK_CASES)
+    def test_against_per_vector_walk(self, t, big_n):
+        p = torus_params(t)
+        assert kz_at_root_of_unity(p, big_n) == kz_at_root_walk(p, big_n)
+
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("big_n", [1, 2, 3, 5, 6])
     def test_against_polynomial_evaluation(self, t, big_n):
