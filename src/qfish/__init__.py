@@ -53,7 +53,6 @@ from .series import (
     euler_product,
     invert_unit,
     poly_divides,
-    series_arith,
     substitute_one_minus_q,
 )
 from .torus import (
@@ -116,7 +115,6 @@ __all__ = [
     "poly_divides",
     "q_binomial",
     "quintiple_sides",
-    "series_arith",
     "straub_order_bound",
     "substitute_one_minus_q",
     "theta_spec_t",

@@ -7,6 +7,10 @@ the exact partial-sum polynomial instead, factor by factor: the image of
 the n-th summand is divisible by q^n because 1 - (1-q)^k = kq + O(q^2),
 which both truncates the computation at `count` coefficients and makes the
 result independent of the summation bound once it reaches count - 1.
+The inner sum of the n-th summand runs through the (S, A)-pool dynamic
+program of qfish.torus, fed with substituted factors
+(-1)^j (1-q)^C(j,2) [n(+1), j] built from the Gaussian binomial rows at
+q -> 1-q; its end pools are multiplied by (1-q)^e instead of q^e.
 
 Also here: s-dissections, the S-sets of exponent residues, the
 (q)_lambda-divisibility checker for dissection pieces, the prime-power
@@ -30,7 +34,7 @@ from .series import (
     one_minus_q_power,
     poly_divides,
 )
-from .torus import TorusParams, kz_full_polynomial, torus_params
+from .torus import _acc_mul, _pool_dp, kz_full_polynomial, torus_params
 
 
 def is_prime(n: int) -> bool:
@@ -54,89 +58,38 @@ class _SubTables:
 
     def __init__(self, count: int):
         self.count = count
-        self.pw = [[1]]  # pw[e] = (1-q)^e
+        self.pw: dict = {}  # pw[e] = (1-q)^e, for the e that are asked for
 
     def power(self, e: int) -> list:
-        while len(self.pw) <= e:
-            prev = self.pw[-1]
-            nxt = [0] * min(len(prev) + 1, self.count)
-            for i, c in enumerate(prev):
-                if c:
-                    if i < len(nxt):
-                        nxt[i] += c
-                    if i + 1 < len(nxt):
-                        nxt[i + 1] -= c
-            self.pw.append(nxt)
-        return self.pw[e]
+        got = self.pw.get(e)
+        if got is None:
+            got = list(one_minus_q_power(e, min(e + 1, self.count)).coeffs)
+            self.pw[e] = got
+        return got
 
 
 def _sub_pascal_row(prev: Optional[list], n: int, tab: _SubTables) -> list:
-    """Row n of the Gaussian binomial table, evaluated at q -> 1-q."""
+    """Row n of the Gaussian binomial table at q -> 1-q, as pools [0, coeffs]:
+    [n, k] = [n-1, k-1] + q^k [n-1, k], and q^k maps to (1-q)^k."""
     if n == 0:
-        return [[1]]
-    row = [[1]]
+        return [[0, [1]]]
+    row = [[0, [1]]]
     for k in range(1, n):
-        row.append(_ladd(prev[k - 1], mul_trunc(tab.power(k), prev[k], tab.count)))
-    row.append([1])
+        row.append(_acc_mul([0, list(prev[k - 1][1])], [0, tab.power(k)], prev[k], tab.count))
+    row.append([0, [1]])
     return row
 
 
-def _ladd(a: Optional[list], b: Optional[list]):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        if c:
-            out[i] += c
-    return out
-
-
-def _sub_inner(p: TorusParams, n: int, order: int, row_n: list, row_np1: list,
-               tab: _SubTables) -> list:
-    """Image of the inner admissible-vector sum under q -> 1-q, trunc at order.
-
-    Same (S, A)-pool dynamic program as the q-domain engine in
-    qfish.torus, with q-power weights replaced by products with powers of
-    (1-q); no pruning is possible here since (1-q)^v has constant term 1.
-    """
-    m = p.m
-    jmax = n + 1
-    fn = []
-    fp = []
+def _sub_factors(row: list, jmax: int, order: int, tab: _SubTables) -> list:
+    """(-1)^j (1-q)^C(j,2) row[j] for j = 0..jmax cut below q^order, None
+    past the row: the DP factors of the substituted domain."""
+    out = []
     for j in range(jmax + 1):
-        w = tab.power(j * (j - 1) // 2)
-        sgn = -1 if j & 1 else 1
-        bn = row_n[j] if j < len(row_n) else None
-        bp = row_np1[j] if j < len(row_np1) else None
-        fn.append([sgn * c for c in mul_trunc(w, bn, order)] if bn else None)
-        fp.append([sgn * c for c in mul_trunc(w, bp, order)] if bp else None)
-    states = {0: (None, [1])}
-    for level in range(1, m):
-        nxt: dict = {}
-        for total, (s_pool, a_pool) in states.items():
-            sa = _ladd(s_pool, a_pool)
-            for j in range(jmax + 1):
-                t2 = total + j * level
-                ent = nxt.get(t2)
-                if ent is None:
-                    ent = [None, None]
-                    nxt[t2] = ent
-                if sa is not None and fn[j] is not None:
-                    ent[0] = _ladd(ent[0], mul_trunc(sa, fn[j], order))
-                if a_pool is not None and fp[j] is not None:
-                    ent[1] = _ladd(ent[1], mul_trunc(a_pool, fp[j], order))
-        states = {t: (e[0], e[1]) for t, e in nxt.items()}
-    out: list = []
-    for total, (s_pool, a_pool) in states.items():
-        if (total - p.a) % m:
+        if j >= len(row):
+            out.append(None)
             continue
-        val = _ladd(s_pool, a_pool)
-        if val:
-            out = _ladd(out, mul_trunc(tab.power((total - p.a) // m), val, order))
+        prod = mul_trunc(tab.power(j * (j - 1) // 2), row[j][1], order)
+        out.append([0, [-c for c in prod] if j & 1 else prod])
     return out
 
 
@@ -163,8 +116,17 @@ def xi_series(t: int, n_top: int, count: int) -> list:
         if p.m == 1:
             inner = [1]  # empty vector; its (1-q)^(-1) cancels the global prefactor
         else:
+            # the inner sum at q -> 1-q: the q-domain DP with substituted
+            # factors, end pools times (1-q)^e
+            order = count - n
             row_next = _sub_pascal_row(row, n + 1, tab)
-            inner = _sub_inner(p, n, count - n, row, row_next, tab)
+            ends = _pool_dp(p, _sub_factors(row, n + 1, order, tab),
+                            _sub_factors(row_next, n + 1, order, tab),
+                            [order] * ((n + 1) * p.m * (p.m - 1) // 2 + 1))
+            acc = None
+            for e, pool in ends.items():
+                acc = _acc_mul(acc, [0, tab.power(e)], pool, order)
+            inner = acc[1] if acc else []
             row = row_next
         contrib = mul_trunc(poch_tail, inner, count - n)
         for i, c in enumerate(contrib):

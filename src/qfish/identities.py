@@ -6,7 +6,7 @@ truncation window, and returns an IdentityReport carrying the window, the
 verdict, and the first discrepancy if any.
 
 The two sides of the root-of-unity match run through the same inner-sum
-dynamic program (``torus._jk_inner_dp``) but share no values: J_N uses it
+dynamic program (``torus._pool_dp``) but share no values: J_N uses it
 with the weight q^(-N (sum j + k)) and F_t without, so they are different
 polynomials that meet only after evaluation at zeta_N.
 """
@@ -39,8 +39,8 @@ from .torus import (
     colored_jones,
     H_multisum,
     H_theta,
-    kz_at_root_of_unity,
     kz_inner_sum,
+    kz_partial_polynomials,
     torus_params,
 )
 
@@ -305,15 +305,19 @@ def verify_slater(q_order: int, gen_q_order: Optional[int] = None) -> IdentityRe
 
 def verify_root_match(t: int, n_max: int) -> IdentityReport:
     """zeta_N^(2^t - 1) F_t(zeta_N) = J_N(T(3, 2^t); zeta_N) exactly in
-    Z[zeta_N] for N = 1 .. n_max (for t = 1: zeta_N F(zeta_N))."""
+    Z[zeta_N] for N = 1 .. n_max (for t = 1: zeta_N F(zeta_N)).
+
+    F_t(zeta_N) is F_t(q; N-1) at zeta_N (see kz_at_root_of_unity); the
+    partial sums for every N come from one pass over n.
+    """
     if n_max < 1:
         raise ValueError("N_max must be >= 1")
     p = torus_params(t)
     window = {"t": t, "N_max": n_max}
     results = {}
     first = None
-    for big_n in range(1, n_max + 1):
-        lhs = kz_at_root_of_unity(p, big_n).mul_root_power(2**t - 1)
+    for big_n, poly in enumerate(kz_partial_polynomials(p, n_max - 1), start=1):
+        lhs = cyc_eval(poly, big_n).mul_root_power(2**t - 1)
         rhs = cyc_eval(colored_jones(p, big_n), big_n)
         same = (lhs - rhs).is_zero()
         results[f"N={big_n}"] = "pass" if same else "fail"

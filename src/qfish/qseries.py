@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Optional
 
 from .cyclotomic import CycInt, _reduce
@@ -34,35 +36,15 @@ def pochhammer(base_exp: int, n: int, out_order: Optional[int] = None) -> IntSer
     return acc
 
 
-@lru_cache(maxsize=None)
-def _binom_cache(n: int, k: int) -> tuple:
-    """Gaussian binomial [n, k] as a coefficient tuple (q-Pascal recursion)."""
-    if k < 0 or k > n:
-        return ()
-    if k == 0 or k == n:
-        return (1,)
-    a = list(_binom_cache(n - 1, k - 1))
-    b = _binom_cache(n - 1, k)
-    out = a + [0] * (k + len(b) - len(a))
-    for i, c in enumerate(b):
-        out[k + i] += c
-    return tuple(out)
-
-
 def q_binomial(n: int, k: int) -> IntSeries:
     """The Gaussian binomial coefficient as an exact polynomial.
 
     Zero when k < 0 or k > n (in particular for any k >= 0 when n < 0),
     matching the vanishing conventions the multisum engines rely on.
     """
-    return IntSeries.make(0, _binom_cache(n, k), None)
-
-
-def binom_row(n: int) -> list:
-    """[n, j] for j = 0..max(n, 0) as raw coefficient lists."""
-    if n < 0:
-        return []
-    return [list(_binom_cache(n, j)) for j in range(n + 1)]
+    if k < 0 or k > n:
+        return IntSeries.zero()
+    return IntSeries.make(0, binom_row_trunc(n, n, n * n // 4 + 1)[k], None)
 
 
 @lru_cache(maxsize=128)
@@ -70,17 +52,22 @@ def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     """[n, j] for j = 0..min(jmax, n), each cut below q^length (length >= 1).
 
     Built along the row by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j),
-    so no other row is touched; the division is exact on any prefix.
+    so no other row is touched; the division is exact on any prefix, and
+    the second half of the row mirrors the first.  This is the package's
+    one Gaussian-binomial builder: since deg [n, j] = j(n-j) <= n^2/4, a
+    length of n^2//4 + 1 gives the exact rows.
     """
     cur = [1]
     rows = [(1,)]
     for j in range(1, min(jmax, n) + 1):
+        if 2 * j > n:
+            rows.append(rows[n - j])  # [n, j] = [n, n-j]
+            continue
         e = n - j + 1
         out = cur + [0] * (min(length, len(cur) + e) - len(cur))
-        for i in range(len(out) - 1, e - 1, -1):
-            out[i] -= out[i - e]
-        for i in range(j, len(out)):
-            out[i] += out[i - j]
+        out[e:] = map(sub, out[e:], out[: len(out) - e])  # times 1 - q^e
+        for r in range(j):  # over 1 - q^j: prefix sums along each class mod j
+            out[r::j] = accumulate(out[r::j])
         del out[j * (n - j) + 1:]
         cur = out
         rows.append(tuple(out))

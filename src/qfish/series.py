@@ -245,22 +245,6 @@ class IntSeries:
         return self - self.shift(k)
 
 
-def series_arith(a: IntSeries, b: IntSeries, op: str, k: int = 0) -> IntSeries:
-    """Dispatch wrapper: op in {'add', 'sub', 'mul', 'shift'}.
-
-    'shift' translates ``a`` by ``k`` and ignores ``b``.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "shift":
-        return a.shift(k)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def invert_unit(a: IntSeries, out_order: Optional[int] = None) -> IntSeries:
     """Multiplicative inverse on the truncation window.
 

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 from .backend import mul, mul_trunc
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
-from .qseries import binom_row, binom_row_trunc, chi_t, q_binomial
+from .qseries import binom_row_trunc, chi_t
 from .series import IntSeries
 
 
@@ -124,148 +124,159 @@ def admissible_jvectors(
 # Every term of the Kontsevich-Zagier multisum needs, for fixed n,
 #
 #     G_n(q) = sum'_{jv} (-1)^(sum j) q^(v(jv)) sum_{k=0}^{m-1}
-#                  prod_l [n + I(l<=k), j_l]_q.
+#                  prod_l [n + I(l<=k), j_l]_q,
 #
-# Rather than walking index vectors one at a time, the engine runs a dynamic
-# program over (level l, exact weighted sum T), keeping per state the pair
+# with v(jv) = (T - a)/m + sum_l C(j_l, 2) and T = sum_l l j_l.  Rather than
+# walking index vectors one at a time, _pool_dp runs a dynamic program over
+# (level l, exact weighted sum T), keeping per state the pair
 #   A = contribution of completions whose k lies at or beyond the level
 #       (all binomial tops n+1 so far),
 #   S = contribution already committed to some k below the level.
-# One level step costs two truncated multiplications per (state, j), and the
-# congruence filter plus the q^((T-a)/m) shift are applied once at the end.
-# The aggregation is valid because both pools are linear in the summands.
-#
-# The colored Jones polynomial needs the same sum with the extra weight
-# q^(-N (sum j + k)): q^(-N j) joins the per-coordinate shift, and q^(-N k)
-# is paid where k is fixed, on the A -> S step at level l (k = l - 1) and
-# on the final A pool (k = m - 1).  Those shifts are negative, so each pool
-# is a list [lo, coeffs] carrying its own low exponent.
+# A level step costs two cut multiplications per (state, j): S + A times
+# the factor f_n[j], and A times f_np1[j].  On the last level j runs only
+# through the residue class that makes T = a (mod m), so every end state is
+# admissible.  The aggregation is valid because both pools are linear in
+# the summands.  Pools and factors are lists [lo, coeffs] carrying their own
+# low exponent, and the factors arrive as data, so the one program serves
+# both domains:
+#   - q-series (kz_inner_sum, colored_jones): f[j] = (-1)^j q^(C(j,2) - N j)
+#     [n(+1), j]_q.  The colored Jones polynomial needs the extra weight
+#     q^(-N (sum j + k)); its q^(-N k) is the k_shift, paid where k is fixed,
+#     on the A -> S step at level l (k = l - 1) and on the final A pool
+#     (k = m - 1).  N = 0 gives G_n itself.
+#   - the image of q -> 1-q (qfish.fishburn.xi_series): f[j] =
+#     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q; every low exponent is 0
+#     and there is no k_shift.
+# A product landing at total T is cut below q^cuts[T] (cuts None = exact).
+# The q-series cut order - ceil((T - a)/m) leaves room for the final
+# q^((T-a)/m), since T only grows; the substituted cut is the order itself,
+# because (1-q)^e has constant term 1.  The DP returns the admissible end
+# pools S + q^((m-1) k_shift) A keyed by e = (T - a)/m, and the caller
+# multiplies each by q^e or (1-q)^e.
 
 
-def _acc_mul(dst, src, b, shift: int, sign: int, lim):
-    """dst + sign * q^shift * src * b, products cut below q^lim (None = exact)."""
-    lo = src[0] + shift
+def _acc_mul(dst, src, f, lim):
+    """dst + src * f for pools [lo, coeffs] (None is zero), the product cut
+    below q^lim (None = exact).  dst is updated in place."""
+    lo = src[0] + f[0]
     if lim is None:
-        prod = mul(src[1], b)
+        prod = mul(src[1], f[1])
     else:
-        prod = mul_trunc(src[1], b, lim - lo)
+        prod = mul_trunc(src[1], f[1], lim - lo)
     if not prod:
         return dst
     if dst is None:
-        return [lo, prod if sign > 0 else [-c for c in prod]]
+        return [lo, prod]
     coeffs = dst[1]
     if lo < dst[0]:
         coeffs[:0] = [0] * (dst[0] - lo)
         dst[0] = lo
     off = lo - dst[0]
-    need = off + len(prod)
-    if len(coeffs) < need:
-        coeffs.extend([0] * (need - len(coeffs)))
-    if sign > 0:
-        for i, c in enumerate(prod, off):
-            if c:
-                coeffs[i] += c
-    else:
-        for i, c in enumerate(prod, off):
-            if c:
-                coeffs[i] -= c
+    end = off + len(prod)
+    if len(coeffs) < end:
+        coeffs.extend([0] * (end - len(coeffs)))
+    for i, c in enumerate(prod, off):
+        if c:
+            coeffs[i] += c
     return dst
 
 
 def _ladd(a, b, b_shift: int = 0):
-    """a + q^b_shift * b for pools [lo, coeffs] (None is zero)."""
+    """a + q^b_shift * b for pools [lo, coeffs] (None is zero), as a new pool
+    unless one side is zero."""
     if b is None:
         return a
-    blo = b[0] + b_shift
     if a is None:
-        return [blo, b[1]]
-    alo, ac = a
-    bc = b[1]
-    lo = min(alo, blo)
-    out = [0] * (max(alo + len(ac), blo + len(bc)) - lo)
-    out[alo - lo: alo - lo + len(ac)] = ac
-    for i, c in enumerate(bc, blo - lo):
-        if c:
-            out[i] += c
-    return [lo, out]
+        return [b[0] + b_shift, b[1]]
+    return _acc_mul([a[0], list(a[1])], b, [b_shift, [1]], None)
 
 
-def _jk_inner_dp(p: TorusParams, n: int, order, weight: int = 0):
-    """(min_exp, coeffs) of G_n(q), truncated below ``order`` (None = exact).
+def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, cuts, k_shift: int = 0) -> dict:
+    """{e: end pool} of the (S, A)-pool DP described above.
 
-    ``weight`` N > 0 multiplies each summand by q^(-N (sum j + k)), giving
-    the inner sum of the colored Jones polynomial J_N; exact mode only,
-    because the truncation cuts assume nonnegative shifts.
+    fac_np1[j] is the factor pool for [n+1, j], j = 0..jmax; fac_n[j] is the
+    one for [n, j] or None where [n, j] vanishes.  With cuts, the factor low
+    exponents must not decrease in j (a factor at or past the cut ends the
+    j-loop).
     """
     m = p.m
-    if order is None:
-        rows_n = binom_row(n)
-        rows_np1 = binom_row(n + 1)
-        jmax = n + 1
-    else:
-        # every cut lim below is <= order (a < m for t >= 2, and t = 1 has
-        # no levels), so only j(j-1)/2 < order and q^i, i < order, are read
-        jmax = 0
-        while jmax < n + 1 and (jmax + 1) * jmax // 2 < order:
-            jmax += 1
-        rows_n = binom_row_trunc(n, jmax, order)
-        rows_np1 = binom_row_trunc(n + 1, jmax, order)
-    bn = [rows_n[j] if j < len(rows_n) else () for j in range(jmax + 1)]
-    bp = [rows_np1[j] if j < len(rows_np1) else () for j in range(jmax + 1)]
-    states = {0: (None, [0, [1]])}
+    inv = pow(m - 1, -1, m)  # m - 1 is odd, hence invertible mod m = 2^(t-1)
+    states = {0: [None, [0, [1]]]}
     for level in range(1, m):
         nxt: dict = {}
         for total, (s_pool, a_pool) in states.items():
-            sa = _ladd(s_pool, a_pool, -weight * (level - 1))
-            for j in range(jmax + 1):
-                if not bn[j] and not bp[j]:
-                    continue
+            sa = _ladd(s_pool, a_pool, k_shift * (level - 1))
+            # on the last level only the admissible class T = a (mod m) is kept
+            j0, step = (((p.a - total) * inv) % m, m) if level == m - 1 else (0, 1)
+            for j in range(j0, len(fac_np1), step):
+                fp = fac_np1[j]
                 t2 = total + j * level
-                if order is None:
-                    lim = None
-                else:
-                    lim = order + ((p.a - t2) // m)  # order - ceil((t2-a)/m)
-                    if lim <= 0:
-                        continue
-                w = j * (j - 1) // 2
-                if lim is not None and w >= lim:
-                    break  # larger j only shifts content further out
-                w -= weight * j
-                sign = -1 if j & 1 else 1
+                lim = None if cuts is None else cuts[t2]
+                if lim is not None and fp[0] >= lim:
+                    break  # cuts fall with T and factor lows rise with j
                 ent = nxt.get(t2)
                 if ent is None:
-                    ent = [None, None]
-                    nxt[t2] = ent
-                if sa is not None and bn[j]:
-                    ent[0] = _acc_mul(ent[0], sa, bn[j], w, sign, lim)
-                if a_pool is not None and bp[j]:
-                    ent[1] = _acc_mul(ent[1], a_pool, bp[j], w, sign, lim)
-        states = {t: (e[0], e[1]) for t, e in nxt.items()}
-    pieces = []
+                    ent = nxt[t2] = [None, None]
+                fn = fac_n[j]
+                if sa is not None and fn is not None:
+                    ent[0] = _acc_mul(ent[0], sa, fn, lim)
+                if a_pool is not None:
+                    ent[1] = _acc_mul(ent[1], a_pool, fp, lim)
+        states = nxt
+    ends = {}
     for total, (s_pool, a_pool) in states.items():
-        if (total - p.a) % m:
-            continue
-        val = _ladd(s_pool, a_pool, -weight * (m - 1))
+        val = _ladd(s_pool, a_pool, k_shift * (m - 1))
         if val is not None:
-            pieces.append(((total - p.a) // m + val[0], val[1]))
-    if not pieces:
-        return 0, []
-    lo = min(sh for sh, _ in pieces)
-    hi = max(sh + len(v) for sh, v in pieces)
-    if order is not None:
-        hi = min(hi, order)
-    out = [0] * max(hi - lo, 0)
-    for sh, val in pieces:
-        for i, c in enumerate(val):
-            if c and sh + i < hi:
-                out[sh + i - lo] += c
-    return lo, out
+            ends[(total - p.a) // m] = val
+    return ends
+
+
+def _jmax(q_order: int) -> int:
+    """The largest j with C(j, 2) < q_order.  An admissible vector with
+    v < q_order has every j_l <= _jmax(q_order), because v >= C(j_l, 2)."""
+    j = 1
+    while (j + 1) * j // 2 < q_order:
+        j += 1
+    return j
+
+
+def _q_factors(rows: tuple, jmax: int, weight: int) -> list:
+    """(-1)^j q^(C(j,2) - weight j) rows[j] for j = 0..jmax, None past the row."""
+    return [
+        [j * (j - 1) // 2 - weight * j, [-c for c in rows[j]] if j & 1 else rows[j]]
+        if j < len(rows) else None
+        for j in range(jmax + 1)
+    ]
+
+
+def _q_inner(p: TorusParams, n: int, order, weight: int = 0) -> IntSeries:
+    """G_n(q) with each summand times q^(-weight (sum j + k)), truncated
+    below ``order`` (None = exact).  A nonzero weight needs exact mode,
+    because the cuts assume nonnegative shifts."""
+    if order is None:
+        jmax = n + 1
+        rows_n = binom_row_trunc(n, n, n * n // 4 + 1)
+        rows_np1 = binom_row_trunc(n + 1, n + 1, (n + 1) ** 2 // 4 + 1)
+        cuts = None
+    else:
+        # the cuts are <= order (a < m for t >= 2, and t = 1 has no levels),
+        # so only j(j-1)/2 < order and q^i, i < order, are read
+        jmax = min(n + 1, _jmax(order))
+        rows_n = binom_row_trunc(n, min(n, jmax), order)
+        rows_np1 = binom_row_trunc(n + 1, jmax, order)
+        top = jmax * p.m * (p.m - 1) // 2
+        cuts = [order + (p.a - t) // p.m for t in range(top + 1)]
+    ends = _pool_dp(p, _q_factors(rows_n, jmax, weight),
+                    _q_factors(rows_np1, jmax, weight), cuts, -weight)
+    acc = None
+    for e, pool in ends.items():
+        acc = _acc_mul(acc, pool, [e, [1]], order)
+    return IntSeries.make(*acc, order) if acc else IntSeries.zero(order)
 
 
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None)."""
-    lo, out = _jk_inner_dp(p, n, order)
-    return IntSeries.make(lo, out, order)
+    return _q_inner(p, n, order)
 
 
 def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
@@ -290,19 +301,27 @@ def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
     return total.shift(-p.h_d).scale(p.sign).truncate(out_order)
 
 
-def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
-    """F_t(q; N) as an exact Laurent polynomial (no truncation anywhere)."""
+def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
+    """F_t(q; N) for N = 0..n_top as exact Laurent polynomials, one inner
+    sum per N."""
     if n_top < 0:
         raise ValueError("N must be >= 0")
     total = IntSeries.zero()
-    poch = IntSeries.one()
+    poch = IntSeries.monomial(-p.h_d, p.sign)  # sign q^(-h') (q)_n
     for n in range(n_top + 1):
         if n:
             poch = poch.mul_one_minus_qk(n)
         inner = kz_inner_sum(p, n, None)
         if inner:
             total = total + poch * inner
-    return total.shift(-p.h_d).scale(p.sign)
+        yield total
+
+
+def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
+    """F_t(q; N) as an exact Laurent polynomial (no truncation anywhere)."""
+    for poly in kz_partial_polynomials(p, n_top):
+        pass
+    return poly
 
 
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
@@ -320,8 +339,7 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     for n in range(big_n):
         if n:
             poch = poch - poch.shift(n - big_n)
-        lo, out = _jk_inner_dp(p, n, None, big_n)
-        inner = IntSeries.make(lo - big_n * n * p.m, out)
+        inner = _q_inner(p, n, None, big_n).shift(-big_n * n * p.m)
         if inner:
             total = total + poch * inner
     pref_exp = 2**p.t - 1 - p.h_d - big_n
@@ -365,14 +383,48 @@ def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     return acc.finish()
 
 
+def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tuple]:
+    """(x-degree, q-series) terms of the n-th summand of M_t,
+
+        x^(nm) sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [n + I(l<=k), j_l],
+
+    with x-degree < x_stop and each series cut below q^q_order.  The k-sum
+    reads prefix products over tops n+1 and suffix products over tops n.
+    """
+    jmax = min(n + 1, _jmax(q_order))
+    b_n, b_np1 = (
+        [IntSeries.make(0, r, q_order) for r in binom_row_trunc(top, min(top, jmax), q_order)]
+        for top in (n, n + 1)
+    )
+    b_n.append(IntSeries.zero(q_order))  # [n, n+1], read only when jmax = n+1
+    one = IntSeries.one(q_order)
+    for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
+        sj = sum(jv)
+        sign = -1 if sj & 1 else 1
+        pre = [one]
+        for l in range(1, p.m):
+            pre.append(pre[-1] * b_np1[jv[l - 1]])
+        sufs = [one] * p.m
+        for k in range(p.m - 2, -1, -1):
+            sufs[k] = sufs[k + 1] * b_n[jv[k]]
+        for k in range(p.m):
+            x_deg = n * p.m + sj + k
+            if x_deg >= x_stop:
+                break
+            prod = pre[k] * sufs[k]
+            if not prod.is_zero():
+                yield x_deg, prod.shift(v).scale(sign)
+
+
 def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """The multisum side of H_t:
 
         sign * q^(-h') x^(-h) sum_n (x)_{n+1} x^(nm)
-            sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [n + I(l<=k), j_l].
+            sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [n + I(l<=k), j_l],
 
-    The x^(-h) prefactor must cancel, so negative x-degrees are accumulated
-    and verified to vanish rather than assumed away.
+    that is sign * q^(-h') x^(-h) times the n-th summand of M_t convolved
+    with (x)_{n+1}.  The x^(-h) prefactor must cancel, so negative x-degrees
+    are accumulated and verified to vanish rather than assumed away.
     """
     if p.t < 2:
         raise ValueError("the multisum form needs t >= 2")
@@ -389,26 +441,13 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
                 col = col - poch_x[d - 1].shift(n)
             nxt.append(col)
         poch_x = nxt[: x_bound + p.h + 1]
-        for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=work):
-            sj = sum(jv)
-            sign = -1 if (p.h_dd + sj) & 1 else 1
-            pre = [IntSeries.one(work)]
-            for l in range(1, p.m):
-                pre.append(pre[-1] * q_binomial(n + 1, jv[l - 1]).with_order(work))
-            sufs = [IntSeries.one(work) for _ in range(p.m)]
-            for k in range(p.m - 2, -1, -1):
-                sufs[k] = sufs[k + 1] * q_binomial(n, jv[k]).with_order(work)
-            for k in range(p.m):
-                prod = pre[k] * sufs[k]
-                if prod.is_zero():
-                    continue
-                piece = prod.shift(v).scale(sign)
-                base_x = n * p.m + sj + k - p.h
-                for d, col in enumerate(poch_x):
-                    if base_x + d >= x_bound:
-                        break
-                    if not col.is_zero():
-                        acc.add(base_x + d, col * piece)
+        for x_deg, term in _m_summand(p, n, x_bound + p.h, work):
+            piece = term.scale(p.sign)
+            for d, col in enumerate(poch_x):
+                if x_deg - p.h + d >= x_bound:
+                    break
+                if not col.is_zero():
+                    acc.add(x_deg - p.h + d, col * piece)
         n += 1
     bis = acc.finish()
     return BiSeries.make(x_bound, q_order, [c.shift(-p.h_d) for c in bis.cols[:x_bound]])
@@ -421,21 +460,8 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     acc = BiAccumulator(x_bound, q_order)
     n = 0
     while n * p.m < x_bound:
-        for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
-            sj = sum(jv)
-            sign = -1 if sj & 1 else 1
-            pre = [IntSeries.one(q_order)]
-            for l in range(1, p.m):
-                pre.append(pre[-1] * q_binomial(n + 1, jv[l - 1]).with_order(q_order))
-            sufs = [IntSeries.one(q_order) for _ in range(p.m)]
-            for k in range(p.m - 2, -1, -1):
-                sufs[k] = sufs[k + 1] * q_binomial(n, jv[k]).with_order(q_order)
-            for k in range(p.m):
-                if n * p.m + sj + k >= x_bound:
-                    break
-                prod = pre[k] * sufs[k]
-                if not prod.is_zero():
-                    acc.add(n * p.m + sj + k, prod.shift(v).scale(sign))
+        for x_deg, term in _m_summand(p, n, x_bound, q_order):
+            acc.add(x_deg, term)
         n += 1
     return acc.finish()
 
@@ -445,12 +471,15 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, in closed reindexed form.
 
     Binomial tops are (n - sum j - r)/m + I(l <= r) with r the reduction of
-    n - sum j mod m; vanishing binomials make the sum finite.
+    n - sum j mod m; vanishing binomials make the sum finite.  Only
+    q^i, i < q_order - v, of each product is read, so the binomials come
+    cut below q^q_order.
     """
     if p.t < 2:
         raise ValueError("a_{n,t} needs t >= 2")
     if n < 0:
         return IntSeries.zero(q_order)
+    jmax = _jmax(q_order)
     acc = IntSeries.zero(q_order)
     for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
         sj = sum(jv)
@@ -458,11 +487,13 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
         c = (n - sj - r) // p.m
         prod = IntSeries.one(q_order - v if q_order > v else 1)
         for l in range(1, p.m):
-            b = q_binomial(c + (1 if l <= r else 0), jv[l - 1])
-            if b.is_zero():
+            top = c + (1 if l <= r else 0)
+            j = jv[l - 1]
+            if j > top:
                 prod = None
                 break
-            prod = prod * b
+            row = binom_row_trunc(top, min(top, jmax), q_order)
+            prod = prod * IntSeries.make(0, row[j], q_order)
         if prod is not None and not prod.is_zero():
             acc = acc + prod.shift(v).scale(-1 if sj & 1 else 1).truncate(q_order)
     return acc.truncate(q_order)

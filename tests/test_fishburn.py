@@ -20,7 +20,7 @@ from qfish.fishburn import (
 )
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, substitute_one_minus_q
-from qfish.torus import kz_full_polynomial, torus_params
+from qfish.torus import kz_partial_polynomials, torus_params
 
 
 class TestXi:
@@ -35,12 +35,14 @@ class TestXi:
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_against_full_polynomial_substitution(self, t):
-        # dual route: engine vs direct q -> 1-q on the exact partial sum
-        count = 9
-        p = torus_params(t)
-        full = kz_full_polynomial(p, count + 4)
-        direct = substitute_one_minus_q(full, count)
-        assert list(direct.coeffs) == xi_series(t, count + 4, count)
+        # dual route: engine vs direct q -> 1-q on the exact partial sum;
+        # n_top below count - 1 exercises the per-n cut at count - n before
+        # the result has stabilised in N
+        polys = list(kz_partial_polynomials(torus_params(t), 20 + 4))
+        for count in (9, 20):
+            for n_top in sorted({0, 3, count - 2, count + 4}):
+                direct = substitute_one_minus_q(polys[n_top], count)
+                assert list(direct.coeffs) == xi_series(t, n_top, count)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_guard_stability(self, t):

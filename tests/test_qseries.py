@@ -3,6 +3,7 @@
 import pytest
 
 from qfish.qseries import (
+    binom_row_trunc,
     chi_t,
     mean_value_zero,
     partial_theta,
@@ -76,6 +77,36 @@ class TestQBinomial:
         wit = poly_divides(pochhammer(1, n - k) * pochhammer(1, k), pochhammer(1, n))
         assert wit.divides
         assert q_binomial(n, k) == wit.quotient
+
+
+def _pascal_oracle(n):
+    """Exact rows [n, 0..n] by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    rows = [[1]]
+    for top in range(1, n + 1):
+        nxt = []
+        for k in range(top + 1):
+            left = rows[k - 1] if k >= 1 else []
+            right = rows[k] if k < top else []
+            out = [0] * max(len(left), k + len(right) if right else 0)
+            for i, c in enumerate(left):
+                out[i] += c
+            for i, c in enumerate(right):
+                out[k + i] += c
+            nxt.append(out)
+        rows = nxt
+    return rows
+
+
+class TestBinomRowTrunc:
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_against_pascal_oracle(self, n):
+        exact = _pascal_oracle(n)
+        for jmax in sorted({0, 1, n // 2, n, n + 3}):
+            for length in sorted({1, 2, 5, n * n // 4 + 1}):
+                got = binom_row_trunc(n, jmax, length)
+                assert len(got) == min(jmax, n) + 1
+                for j, row in enumerate(got):
+                    assert list(row) == exact[j][:length]
 
 
 class TestChi:

@@ -19,6 +19,7 @@ from qfish.torus import (
     kz_at_root_of_unity,
     kz_full_polynomial,
     kz_inner_sum,
+    kz_partial_polynomials,
     kz_partial_sum,
     torus_params,
     v_exponent,
@@ -204,6 +205,17 @@ class TestKZSeries:
             part = kz_partial_sum(p, n_top, 15)
             assert first_difference(full, part) is None
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_partial_polynomials_add_one_summand_each(self, t):
+        # F_t(q; N) - F_t(q; N-1) = sign q^(-h') (q)_N G_N(q)
+        p = torus_params(t)
+        prev = IntSeries.zero()
+        for n, poly in enumerate(kz_partial_polynomials(p, 6)):
+            summand = pochhammer(1, n) * kz_inner_sum(p, n, None)
+            assert poly == prev + summand.shift(-p.h_d).scale(p.sign)
+            prev = poly
+        assert prev == kz_full_polynomial(p, 6)
+
     def test_odd_t_is_laurent(self):
         p = torus_params(3)
         assert kz_full_polynomial(p, 3).min_exp == -1
@@ -310,6 +322,14 @@ class TestMSeries:
         for t in (2, 3):
             p = torus_params(t)
             assert first_difference(M_series(p, 3, 15).cols[0], a_n_t(p, 0, 15)) is None
+
+    @pytest.mark.parametrize("t,xb", [(2, 12), (3, 10)])
+    @pytest.mark.parametrize("qo", [3, 20])
+    def test_every_column_is_a_n(self, t, xb, qo):
+        p = torus_params(t)
+        m = M_series(p, xb, qo)
+        for n in range(xb):
+            assert first_difference(m.cols[n], a_n_t(p, n, qo)) is None
 
     def test_b0_equals_a0(self):
         p = torus_params(2)
