@@ -6,15 +6,16 @@ below ``x_bound``, all sharing a common q-order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from .series import IntSeries, first_difference
+from .series import IntSeries, Record, first_difference
 
 
-@dataclass(frozen=True, slots=True)
-class BiSeries:
-    x_bound: int
-    q_order: int
-    cols: tuple  # IntSeries per x-degree 0 .. x_bound-1
+class BiSeries(Record):
+    __slots__ = ("x_bound", "q_order", "cols")
+
+    def __init__(self, x_bound: int, q_order: int, cols: tuple):
+        self.x_bound = x_bound
+        self.q_order = q_order
+        self.cols = cols  # IntSeries per x-degree 0 .. x_bound-1
 
     @staticmethod
     def make(x_bound: int, q_order: int, cols) -> "BiSeries":

@@ -6,10 +6,9 @@ so root-of-unity evaluations of q-series stay exact: zero means zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import IntSeries, NotPolynomialError
+from .series import IntSeries, NotPolynomialError, Record
 
 
 @lru_cache(maxsize=None)
@@ -61,12 +60,14 @@ def _reduce(coeffs: list, m: int) -> tuple:
     return tuple(cs)
 
 
-@dataclass(frozen=True, slots=True)
-class CycInt:
+class CycInt(Record):
     """Element of Z[x]/(Phi_M(x)), i.e. an integer of the M-th cyclotomic field."""
 
-    level: int
-    coeffs: tuple  # length = deg Phi_M = euler_phi(M)
+    __slots__ = ("level", "coeffs")
+
+    def __init__(self, level: int, coeffs: tuple):
+        self.level = level
+        self.coeffs = coeffs  # length = deg Phi_M = euler_phi(M)
 
     @staticmethod
     def zero(m: int) -> "CycInt":

@@ -20,7 +20,6 @@ congruence verifier, and the two supporting binomial lemmas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -30,6 +29,7 @@ from .series import (
     DivisionWitness,
     IntSeries,
     NotPolynomialError,
+    Record,
     invert_unit,
     one_minus_q_power,
     poly_divides,
@@ -140,7 +140,7 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _xi_cached(t: int, count: int) -> tuple:
     return tuple(xi_series(t, count + 4, count))
 
@@ -155,17 +155,15 @@ def xi_coefficients(t: int, count: int) -> list:
 # -- dissection and divisibility ---------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Dissection:
+class Dissection(Record):
     """s-dissection of a Laurent polynomial: F(q) = sum_i q^i A_i(q^s).
 
     Exponent e lands in piece e mod s at power floor(e / s), so negative
     exponents are handled consistently.
     """
 
-    s: int
-    pieces: tuple
-    n_index: Optional[int] = None
+    __slots__ = ("s", "pieces", "n_index")
+    _defaults = {"n_index": None}
 
     def reconstruct(self) -> IntSeries:
         total = IntSeries.zero()
@@ -213,15 +211,9 @@ def S_set(spec: ThetaSpec, s: int) -> set:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class DivisibilityReport:
-    t: int
-    s: int
-    n_index: int
-    lam: int
-    s_set: tuple
-    entries: tuple  # per checked residue class
-    passed: bool
+class DivisibilityReport(Record):
+    # ``entries`` holds one dict per checked residue class
+    __slots__ = ("t", "s", "n_index", "lam", "s_set", "entries", "passed")
 
     def as_dict(self) -> dict:
         return {
@@ -272,17 +264,9 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
 # -- congruences ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceReport:
-    t: int
-    p: int
-    r: int
-    m_max: int
-    j_range: tuple
-    entries: tuple
-    passed: bool
-    vacuous: bool = False
-    scanned: tuple = ()
+class CongruenceReport(Record):
+    __slots__ = ("t", "p", "r", "m_max", "j_range", "entries", "passed", "vacuous", "scanned")
+    _defaults = {"vacuous": False, "scanned": ()}
 
     def as_dict(self) -> dict:
         out = {

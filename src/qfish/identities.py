@@ -13,7 +13,6 @@ polynomials that meet only after evaluation at zeta_N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .biseries import BiAccumulator, BiSeries, bi_first_difference
@@ -27,6 +26,7 @@ from .qseries import (
 )
 from .series import (
     IntSeries,
+    Record,
     divisor_sum_series,
     euler_product,
     first_difference,
@@ -45,13 +45,9 @@ from .torus import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
-    name: str
-    window: dict
-    passed: bool
-    first_discrepancy: Optional[dict] = None
-    details: dict = field(default_factory=dict)
+class IdentityReport(Record):
+    __slots__ = ("name", "window", "passed", "first_discrepancy", "details")
+    _defaults = {"first_discrepancy": None, "details": dict}
 
     def as_dict(self) -> dict:
         out = {

@@ -8,14 +8,13 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 from typing import Optional
 
 from .cyclotomic import CycInt, _reduce
-from .series import IntSeries, progression_product
+from .series import IntSeries, Record, progression_product
 
 
 def pochhammer(base_exp: int, n: int, out_order: Optional[int] = None) -> IntSeries:
@@ -74,12 +73,10 @@ def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodicChar:
+class PeriodicChar(Record):
     """Periodic integer function given by a residue table of -1/0/+1 values."""
 
-    period: int
-    values: tuple
+    __slots__ = ("period", "values")
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.period]
@@ -107,14 +104,10 @@ def chi_t(t: int) -> PeriodicChar:
     return PeriodicChar(period, tuple(vals))
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaSpec:
+class ThetaSpec(Record):
     """Data (a, b, nu, chi) of a partial theta sum over n**nu chi(n) q^((n^2-a)/b)."""
 
-    a: int
-    b: int
-    nu: int
-    char: PeriodicChar
+    __slots__ = ("a", "b", "nu", "char")
 
     def exponent(self, n: int) -> int:
         num = n * n - self.a

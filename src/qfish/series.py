@@ -6,14 +6,17 @@ the truncation order; ``order is None`` means the value is an exact Laurent
 polynomial (known to all orders, zero outside the stored window).
 
 Windows are tracked explicitly and combined with ``min`` on every binary
-operation; they are never silently widened.  All values are immutable and
-all operations are pure, so everything here is safe to share across threads.
+operation; they are never silently widened.  All operations are pure and
+no code assigns a field of a value once it is built, so everything here is
+safe to share across threads.  That immutability is a convention, not
+enforced: the record types are plain ``__slots__`` classes (see ``Record``),
+because a frozen dataclass costs about three times as much to construct and
+importing ``dataclasses`` (with ``inspect``) adds to every process's start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .backend import mul, mul_trunc
@@ -35,6 +38,57 @@ class NotPolynomialError(SeriesError):
     """An exact (untruncated) Laurent polynomial was required."""
 
 
+class Record:
+    """Base of the package's read-only record types.
+
+    A subclass names its fields, in constructor order, in ``__slots__`` and
+    gets field-by-field equality (with objects of the same class only), hash
+    and repr; a further subclass appends the fields it names to its parent's.
+    ``_defaults`` maps trailing fields to their defaults; a callable default
+    (``dict``) is called to give each instance a fresh value.  Hot value
+    types replace the generic ``__init__`` with direct assignments.  Fields
+    are never assigned after construction.
+    """
+
+    __slots__ = ()
+    _names: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = cls._names + cls.__dict__.get("__slots__", ())
+        cls._fields = attrgetter(*cls._names)
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        rest = names[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{type(self).__name__}() got too many or unknown arguments")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in rest:
+            if name in kwargs:
+                value = kwargs[name]
+            elif name in self._defaults:
+                value = self._defaults[name]
+                value = value() if callable(value) else value
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({body})"
+
+
 def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None:
         return b
@@ -43,19 +97,21 @@ def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-@dataclass(frozen=True, slots=True)
-class IntSeries:
+class IntSeries(Record):
     """Dense integer Laurent series truncated at ``order``.
 
-    ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``.  After
-    normalization the leading stored coefficient is nonzero (unless the
-    series is zero on its window) and, for finite order, the window
-    ``min_exp .. order-1`` is covered exactly.
+    ``coeffs[i]`` (a tuple) is the coefficient of ``q**(min_exp + i)``;
+    ``order`` is an int or None.  After normalization the leading stored
+    coefficient is nonzero (unless the series is zero on its window) and,
+    for finite order, the window ``min_exp .. order-1`` is covered exactly.
     """
 
-    min_exp: int
-    coeffs: tuple
-    order: Optional[int]
+    __slots__ = ("min_exp", "coeffs", "order")
+
+    def __init__(self, min_exp: int, coeffs: tuple, order: Optional[int]):
+        self.min_exp = min_exp
+        self.coeffs = coeffs
+        self.order = order
 
     # -- construction ------------------------------------------------------
 
@@ -167,9 +223,8 @@ class IntSeries:
         out = [0] * (hi - lo)
         for src in (self, other):
             off = src.min_exp - lo
-            for i, c in enumerate(src.coeffs):
-                if off + i < len(out):
-                    out[off + i] += c
+            for i, c in enumerate(src.coeffs[:max(hi - lo - off, 0)], off):
+                out[i] += c
         return IntSeries.make(lo, out, order)
 
     def __neg__(self) -> "IntSeries":
@@ -378,12 +433,11 @@ def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
 # -- exact polynomial division --------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DivisionWitness:
-    divides: bool
-    quotient: Optional[IntSeries]  # h with p = d * h * q**unit_exp
-    unit_exp: int
-    remainder: Optional[IntSeries]  # set when divides is False
+class DivisionWitness(Record):
+    """``quotient`` is h with p = d * h * q**unit_exp, or None; ``remainder``
+    is set when ``divides`` is False."""
+
+    __slots__ = ("divides", "quotient", "unit_exp", "remainder")
 
 
 def poly_divides(d: IntSeries, p: IntSeries) -> DivisionWitness:
@@ -392,7 +446,8 @@ def poly_divides(d: IntSeries, p: IntSeries) -> DivisionWitness:
     True iff p = d * h * q**k with h an integer polynomial and k an integer.
     The monomial unit accommodates Laurent inputs (dissection pieces of
     series with negative exponents).  Returns the witness (h, k), or the
-    division remainder when the answer is no.
+    division remainder when the answer is no: zero when d divides p over
+    Q[q] only, else a nonzero rational multiple of the remainder over Q[q].
     """
     if d.order is not None or p.order is not None:
         raise NotPolynomialError("poly_divides operates on exact polynomials")
@@ -401,38 +456,30 @@ def poly_divides(d: IntSeries, p: IntSeries) -> DivisionWitness:
     if p.is_zero():
         return DivisionWitness(True, IntSeries.zero(), 0, None)
     unit = p.min_exp - d.min_exp
-    num = list(p.coeffs)
-    den = list(d.coeffs)
-    # long division over Q, then an integrality check on the quotient
-    # (division is already exact over Z for the monic-up-to-sign divisors
-    # the engine feeds in, e.g. (q)_lambda).
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    rem = [Fraction(c) for c in num]
-    lead = Fraction(den[-1])
-    for i in range(len(rem) - len(den), -1, -1):
-        c = rem[i + len(den) - 1] / lead
+    den = d.coeffs
+    lead = den[-1]
+    # Fraction-free pseudo-division: scaled by lead**k, k the number of
+    # quotient terms, every step divides exactly and the quotient and
+    # remainder are lead**k times those over Q.  For the monic-up-to-sign
+    # divisors the engine feeds in, e.g. (q)_lambda, this is plain integer
+    # long division.
+    scale = lead ** max(len(p.coeffs) - len(den) + 1, 0)
+    rem = [c * scale for c in p.coeffs]
+    quo = [0] * max(len(rem) - len(den) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(den) - 1] // lead
         quo[i] = c
         if c:
             for j, dj in enumerate(den):
                 rem[i + j] -= c * dj
     if any(rem):
-        # scale the Q[q]-remainder to integers so the witness stays in Z[q]
-        scale = 1
-        for x in rem:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-        rser = IntSeries.make(p.min_exp, [int(x * scale) for x in rem], None)
+        rser = IntSeries.make(p.min_exp, rem, None)
         return DivisionWitness(False, None, unit, rser)
-    if any(c.denominator != 1 for c in quo):
+    if any(c % scale for c in quo):
         # divisible over Q[q] but the quotient is not integral
         return DivisionWitness(False, None, unit, IntSeries.zero())
-    h = IntSeries.make(0, [int(c) for c in quo], None)
+    h = IntSeries.make(0, [c // scale for c in quo], None)
     return DivisionWitness(True, h, unit, None)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def first_difference(a: IntSeries, b: IntSeries):

@@ -19,7 +19,6 @@ to the trefoil Jones polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -27,21 +26,23 @@ from .backend import mul, mul_trunc
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, chi_t
-from .series import IntSeries
+from .series import IntSeries, Record
 
 
-@dataclass(frozen=True, slots=True)
-class TorusParams:
+class TorusParams(Record):
     """Integer invariants of T(3, 2^t): m = 2^(t-1), h = 2^t - 2, and the
     parity-split values h'' (sign exponent), h' (global q-shift), a
     (congruence offset)."""
 
-    t: int
-    m: int
-    h_dd: int
-    h_d: int
-    a: int
-    h: int
+    __slots__ = ("t", "m", "h_dd", "h_d", "a", "h")
+
+    def __init__(self, t: int, m: int, h_dd: int, h_d: int, a: int, h: int):
+        self.t = t
+        self.m = m
+        self.h_dd = h_dd
+        self.h_d = h_d
+        self.a = a
+        self.h = h
 
     @property
     def sign(self) -> int:
@@ -466,7 +467,7 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     return acc.finish()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, in closed reindexed form.
 

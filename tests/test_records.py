@@ -1,0 +1,126 @@
+"""Value semantics of the record types, and what a fresh process imports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfish import (
+    BiSeries,
+    CongruenceReport,
+    CycInt,
+    Dissection,
+    DivisibilityReport,
+    IdentityReport,
+    IntSeries,
+    PeriodicChar,
+    ThetaSpec,
+    a_n_t,
+    torus_params,
+)
+from qfish.fishburn import _xi_cached
+from qfish.series import DivisionWitness
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Each maker returns a fresh object, equal to the one it returned before.
+MAKERS = {
+    "IntSeries": lambda: IntSeries(1, (2, 3), 5),
+    "DivisionWitness": lambda: DivisionWitness(False, None, 2, IntSeries(0, (1,), None)),
+    "BiSeries": lambda: BiSeries(1, 3, (IntSeries(0, (1,), 3),)),
+    "CycInt": lambda: CycInt(4, (1, -1)),
+    "PeriodicChar": lambda: PeriodicChar(2, (1, -1)),
+    "ThetaSpec": lambda: ThetaSpec(1, 24, 0, PeriodicChar(2, (1, -1))),
+    "TorusParams": lambda: torus_params(3),
+    "Dissection": lambda: Dissection(2, (IntSeries(0, (1,), None),), 7),
+    "DivisibilityReport": lambda: DivisibilityReport(2, 7, 27, 4, (0, 3), (), True),
+    "CongruenceReport": lambda: CongruenceReport(2, 5, 1, 3, (1, 2), (), True, True, ()),
+    "IdentityReport": lambda: IdentityReport("key", {"t": 2}, True, None, {"n": 1}),
+}
+UNHASHABLE = {"IdentityReport"}  # its window is a dict, as with the dataclass
+
+
+def _fields(rec):
+    return [getattr(rec, name) for name in rec.__slots__]
+
+
+def test_cold_start_imports_no_heavy_stdlib():
+    # -S keeps site hooks of the host interpreter out of the module set
+    code = (
+        "import qfish, qfish.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')"
+        " if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+class TestValueSemantics:
+    def test_equal_fields_equal_objects(self, name):
+        a, b = MAKERS[name](), MAKERS[name]()
+        assert a == b and not (a != b)
+        if name not in UNHASHABLE:
+            assert hash(a) == hash(b)
+
+    def test_one_field_differs(self, name):
+        a = MAKERS[name]()
+        args = _fields(a)
+        args[0] = "other"
+        assert a != type(a)(*args)
+
+    def test_other_class_never_equal(self, name):
+        a = MAKERS[name]()
+        sub = type("Sub", (type(a),), {"__slots__": ()})
+        assert a != sub(*_fields(a))
+        assert a != tuple(_fields(a))
+
+    def test_repr_names_fields(self, name):
+        a = MAKERS[name]()
+        body = ", ".join(f"{f}={getattr(a, f)!r}" for f in a.__slots__)
+        assert repr(a) == f"{name}({body})"
+
+
+def test_repr_literal():
+    assert repr(torus_params(3)) == "TorusParams(t=3, m=4, h_dd=2, h_d=1, a=3, h=6)"
+    assert repr(IntSeries(1, (2, 3), 5)) == "IntSeries(min_exp=1, coeffs=(2, 3), order=5)"
+
+
+def test_record_defaults():
+    assert Dissection(2, ()).n_index is None
+    rep = CongruenceReport(2, 5, 1, 3, (1, 2), (), True)
+    assert rep.vacuous is False and rep.scanned == ()
+    a, b = IdentityReport("x", {}, True), IdentityReport("x", {}, True)
+    assert a.first_discrepancy is None and a.details == {}
+    assert a.details is not b.details
+
+
+def test_record_keywords_and_arity():
+    rep = IdentityReport("x", {}, True, details={"n": 1})
+    assert rep.first_discrepancy is None and rep.details == {"n": 1}
+    assert Dissection(s=3, pieces=(), n_index=4) == Dissection(3, (), 4)
+    with pytest.raises(TypeError):
+        Dissection(2)
+    with pytest.raises(TypeError):
+        Dissection(2, (), 4, 5)
+    with pytest.raises(TypeError):
+        Dissection(2, (), s=3)
+    with pytest.raises(TypeError):
+        Dissection(2, (), size=3)
+
+
+def test_torus_params_is_a_cache_key():
+    a_n_t(torus_params(3), 2, 6)
+    hits = a_n_t.cache_info().hits
+    a_n_t(torus_params(3), 2, 6)
+    assert a_n_t.cache_info().hits == hits + 1
+
+
+def test_engine_caches_bounded():
+    assert a_n_t.cache_info().maxsize == 1024
+    assert _xi_cached.cache_info().maxsize == 64

@@ -1,7 +1,9 @@
 """Exact series arithmetic: windows, units, substitution, named products."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfish.series import (
@@ -49,6 +51,18 @@ class TestArith:
         c = a * b
         assert c.order == min(4 + 2, 5 + 0)
         assert c.min_exp == 2
+
+    @given(small_series, small_series, st.one_of(st.none(), st.integers(-3, 8)))
+    @example(poly(1, 2, 3, 4, 5, 6, 7, min_exp=4), poly(1, 1), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_add_is_coefficientwise(self, a, b, order):
+        # a stays exact, so its window may start at or past b's order and
+        # run longer than the window of the sum
+        b = b.with_order(order) if order is not None else b
+        s = a + b
+        assert s.order == b.order
+        for e in range(-6, 14 if order is None else order):
+            assert s.coeff(e) == a.coeff(e) + b.coeff(e)
 
     def test_orders_never_widen(self):
         a = poly(1, 1, order=3)
@@ -193,6 +207,26 @@ class TestPolyDivides:
     def test_truncated_input_rejected(self):
         with pytest.raises(NotPolynomialError):
             poly_divides(poly(1, -1), poly(1, 1, order=5))
+
+    def test_non_monic_divides_over_q_only(self):
+        # 1 + q = (2 + 2q) * 1/2: a quotient over Q[q], none over Z[q]
+        wit = poly_divides(poly(2, 2), poly(1, 1))
+        assert not wit.divides and wit.quotient is None
+        assert wit.remainder is not None and wit.remainder.is_zero()
+
+    def test_non_monic_remainder_degree(self):
+        d, p = poly(2, 3), poly(1, 0, 1)
+        wit = poly_divides(d, p)
+        assert not wit.divides and wit.quotient is None
+        # long division over Q, coefficients listed lowest degree first
+        rem = [Fraction(c) for c in p.coeffs]
+        for i in range(len(rem) - len(d.coeffs), -1, -1):
+            c = rem[i + len(d.coeffs) - 1] / d.coeffs[-1]
+            for j, dj in enumerate(d.coeffs):
+                rem[i + j] -= c * dj
+        assert any(rem)
+        rem_degree = max(e for e, c in enumerate(rem) if c)
+        assert not wit.remainder.is_zero() and wit.remainder.degree == rem_degree
 
     @given(small_series, st.lists(st.integers(-4, 4), min_size=1, max_size=5))
     @settings(max_examples=80, deadline=None)
