@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Two layers:
-  * kernel microbenchmarks run both implementations in-process on the same
-    operands (dense small-coefficient products, big-integer products);
-  * end-to-end workloads re-run representative engine calls in a fresh
-    interpreter per backend (QFISH_PURE=1 selects the fallback), since the
-    backend is chosen at import time.
+Both implementations run in-process on the same operands (dense
+small-coefficient products, big-integer products).  End-to-end numbers come
+from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -14,7 +11,6 @@ Usage: python benchmarks/bench_kernels.py [--quick]
 import argparse
 import os
 import random
-import subprocess
 import sys
 import time
 
@@ -67,49 +63,11 @@ def kernel_bench(quick: bool) -> None:
         row(name, {label: time_call(backends[label].mul, a, b, repeat=3) for label in LABELS})
 
 
-WORKLOADS = {
-    "xi t=3 count=40": "qfish.xi_coefficients(3, 40)",
-    "dissect t=3 s=7 N=20": "qfish.divisibility_check(3, 7, 20)",
-    "dissect t=2 s=5 N=29": "qfish.divisibility_check(2, 5, 29)",
-    "key identity t=3 q<=20": "qfish.verify_key_identity(3, 20)",
-}
-
-
-def workload_bench(quick: bool) -> None:
-    print()
-    header("end-to-end workload")
-    items = list(WORKLOADS.items())
-    if quick:
-        items = items[:2]
-    for name, snippet in items:
-        timings = {}
-        for label in LABELS:
-            env = dict(os.environ)
-            env.pop("QFISH_PURE", None)
-            if label == "pure":
-                env["QFISH_PURE"] = "1"
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-            # time inside the interpreter so startup cost is excluded
-            code = (
-                "import time, qfish\n"
-                f"assert qfish.backend_name() == {label!r}\n"
-                f"t0 = time.perf_counter(); {snippet}\n"
-                "print(time.perf_counter() - t0)"
-            )
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, check=True,
-                capture_output=True, text=True,
-            )
-            timings[label] = float(out.stdout.strip())
-        row(name, timings)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller cases only")
     args = parser.parse_args()
     kernel_bench(args.quick)
-    workload_bench(args.quick)
 
 
 if __name__ == "__main__":

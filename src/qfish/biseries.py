@@ -24,36 +24,6 @@ class BiSeries(Record):
             cs.append(IntSeries.zero(q_order))
         return BiSeries(x_bound, q_order, tuple(c.truncate(q_order) for c in cs))
 
-    @staticmethod
-    def zero(x_bound: int, q_order: int) -> "BiSeries":
-        return BiSeries.make(x_bound, q_order, [])
-
-    def col(self, j: int) -> IntSeries:
-        return self.cols[j]
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        xb = min(self.x_bound, other.x_bound)
-        qo = min(self.q_order, other.q_order)
-        return BiSeries.make(xb, qo, [self.cols[j] + other.cols[j] for j in range(xb)])
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "BiSeries":
-        return BiSeries(self.x_bound, self.q_order, tuple(col.scale(c) for col in self.cols))
-
-    def shift_x(self, k: int) -> "BiSeries":
-        """Multiply by x**k (k >= 0); x-degrees pushed past x_bound are lost."""
-        if k < 0:
-            raise ValueError("negative x-shifts are not tracked")
-        cols = [IntSeries.zero(self.q_order)] * k + list(self.cols)
-        return BiSeries.make(self.x_bound, self.q_order, cols)
-
-    def shift_q(self, k: int) -> "BiSeries":
-        return BiSeries.make(
-            self.x_bound, self.q_order + k, [c.shift(k) for c in self.cols]
-        )
-
     def substitute_x_times_qk(self, k: int) -> "BiSeries":
         """x -> q**k * x: the x^j column picks up a q-shift of j*k."""
         cols = [self.cols[j].shift(j * k).truncate(self.q_order) for j in range(self.x_bound)]

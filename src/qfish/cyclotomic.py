@@ -11,7 +11,7 @@ from functools import lru_cache
 from .series import IntSeries, NotPolynomialError, Record
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _phi_coeffs(m: int) -> tuple:
     """Coefficients of Phi_M, by exact division of x^M - 1."""
     if m < 1:

@@ -8,7 +8,9 @@ verdict, and the first discrepancy if any.
 The two sides of the root-of-unity match run through the same inner-sum
 dynamic program (``torus._pool_dp``) but share no values: J_N uses it
 with the weight q^(-N (sum j + k)) and F_t without, so they are different
-polynomials that meet only after evaluation at zeta_N.
+polynomials that meet only after evaluation at zeta_N.  In the (1 - x) M_t
+rewrite, M_t comes from the per-vector summand walk and b_{n,t} from the
+same DP graded by x-degree.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ from .series import (
     euler_product,
     first_difference,
     invert_unit,
+    progression_product,
 )
 from .torus import (
     M_series,
-    admissible_jvectors,
     b_n_t,
     colored_jones,
     H_multisum,
     H_theta,
     kz_inner_sum,
     kz_partial_polynomials,
+    slater_multisum,
     torus_params,
 )
 
@@ -58,34 +61,26 @@ class IdentityReport(Record):
         if self.first_discrepancy is not None:
             out["first_discrepancy"] = dict(self.first_discrepancy)
         if self.details:
-            out["details"] = {k: v for k, v in self.details.items()}
+            out["details"] = dict(self.details)
         return out
+
+
+def _report(name: str, window: dict, diff, keys: tuple,
+            details: Optional[dict] = None) -> IdentityReport:
+    """The report of a comparison whose first difference (None if the sides
+    agree) is the tuple ``diff``, named field by field by ``keys``."""
+    first = None if diff is None else dict(zip(keys, diff))
+    return IdentityReport(name, window, diff is None, first, details or {})
 
 
 def _series_report(name: str, window: dict, lhs: IntSeries, rhs: IntSeries,
                    details: Optional[dict] = None) -> IdentityReport:
-    d = first_difference(lhs, rhs)
-    if d is None:
-        return IdentityReport(name, window, True, None, details or {})
-    exp, ca, cb = d
-    return IdentityReport(
-        name, window, False,
-        {"exponent": exp, "lhs": ca, "rhs": cb},
-        details or {},
-    )
+    return _report(name, window, first_difference(lhs, rhs), ("exponent", "lhs", "rhs"), details)
 
 
-def _bi_report(name: str, window: dict, lhs: BiSeries, rhs: BiSeries,
-               details: Optional[dict] = None) -> IdentityReport:
-    d = bi_first_difference(lhs, rhs)
-    if d is None:
-        return IdentityReport(name, window, True, None, details or {})
-    x, q, ca, cb = d
-    return IdentityReport(
-        name, window, False,
-        {"x_exponent": x, "q_exponent": q, "lhs": ca, "rhs": cb},
-        details or {},
-    )
+def _bi_report(name: str, window: dict, lhs: BiSeries, rhs: BiSeries) -> IdentityReport:
+    return _report(name, window, bi_first_difference(lhs, rhs),
+                   ("x_exponent", "q_exponent", "lhs", "rhs"))
 
 
 def _merge(name: str, window: dict, parts: list) -> IdentityReport:
@@ -250,8 +245,6 @@ def _slater86(q_order: int) -> IdentityReport:
         total = total + inv.shift(2 * n * (n + 1)).truncate(q_order)
         n += 1
     lhs = euler_product(q_order) * total
-    from .series import progression_product
-
     rhs = progression_product([(3, 8), (5, 8), (8, 8), (2, 16), (14, 16)], q_order)
     return _series_report("slater_86", window, lhs, rhs)
 
@@ -262,26 +255,7 @@ def _gen_slater(t: int, q_order: int) -> IdentityReport:
     p = torus_params(t)
     window = {"t": t, "q_order": q_order}
     work = q_order + p.h_d
-    inv_cache: dict = {}
-
-    def inv_poch(j: int) -> IntSeries:
-        got = inv_cache.get(j)
-        if got is None:
-            got = invert_unit(pochhammer(1, j, work), work)
-            inv_cache[j] = got
-        return got
-
-    j_cap = 2
-    while j_cap * (j_cap - 1) // 2 < work:
-        j_cap += 1
-    total = IntSeries.zero(work)
-    for jv, v in admissible_jvectors(p, j_cap=j_cap, v_cap=work):
-        sj = sum(jv)
-        term = IntSeries.one(work - v if work > v else 1)
-        for j in jv:
-            if j:
-                term = term * inv_poch(j)
-        total = total + term.shift(v).scale(-1 if sj & 1 else 1).truncate(work)
+    total = slater_multisum(p, work)
     lhs = (euler_product(work) * total).shift(-p.h_d).scale(p.sign).truncate(q_order)
     rhs = torus_product(t, q_order)
     return _series_report(f"generalized_slater_t{t}", window, lhs, rhs)

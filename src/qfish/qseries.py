@@ -85,7 +85,7 @@ class PeriodicChar(Record):
         return [r for r, v in enumerate(self.values) if v]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def chi_t(t: int) -> PeriodicChar:
     """The sign character of modulus 3*2^(t+1) attached to T(3, 2^t).
 

@@ -155,18 +155,10 @@ class IntSeries(Record):
     def monomial(exp: int, coeff: int = 1, order: Optional[int] = None) -> "IntSeries":
         return IntSeries.make(exp, (coeff,), order)
 
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[int], order: Optional[int] = None) -> "IntSeries":
-        """Series with exponents starting at 0."""
-        return IntSeries.make(0, coeffs, order)
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_exact(self) -> bool:
-        return self.order is None
 
     @property
     def degree(self) -> int:
@@ -181,9 +173,6 @@ class IntSeries(Record):
         if exp < self.min_exp or exp >= self.min_exp + len(self.coeffs):
             return 0
         return self.coeffs[exp - self.min_exp]
-
-    def support(self) -> list:
-        return [self.min_exp + i for i, c in enumerate(self.coeffs) if c]
 
     def __bool__(self) -> bool:
         return not self.is_zero()

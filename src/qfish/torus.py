@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 from .backend import mul, mul_trunc
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
-from .qseries import binom_row_trunc, chi_t
-from .series import IntSeries, Record
+from .qseries import binom_row_trunc, chi_t, pochhammer
+from .series import IntSeries, Record, invert_unit
 
 
 class TorusParams(Record):
@@ -138,22 +138,27 @@ def admissible_jvectors(
 # through the residue class that makes T = a (mod m), so every end state is
 # admissible.  The aggregation is valid because both pools are linear in
 # the summands.  Pools and factors are lists [lo, coeffs] carrying their own
-# low exponent, and the factors arrive as data, so the one program serves
-# both domains:
-#   - q-series (kz_inner_sum, colored_jones): f[j] = (-1)^j q^(C(j,2) - N j)
-#     [n(+1), j]_q.  The colored Jones polynomial needs the extra weight
-#     q^(-N (sum j + k)); its q^(-N k) is the k_shift, paid where k is fixed,
-#     on the A -> S step at level l (k = l - 1) and on the final A pool
-#     (k = m - 1).  N = 0 gives G_n itself.
+# low exponent, and the factors arrive as data:
+#   - q-series (kz_inner_sum, colored_jones, a_n_t): f[j] =
+#     (-1)^j q^(C(j,2) - N j) [n(+1), j]_q.  The colored Jones weight
+#     q^(-N (sum j + k)) also needs q^(-N k): each f_np1 pool carries one
+#     more q^(-N), which A picks up once per level until k is fixed (on the
+#     A -> S step at level l = k + 1, or at the end for k = m - 1).
 #   - the image of q -> 1-q (qfish.fishburn.xi_series): f[j] =
-#     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q; every low exponent is 0
-#     and there is no k_shift.
-# A product landing at total T is cut below q^cuts[T] (cuts None = exact).
-# The q-series cut order - ceil((T - a)/m) leaves room for the final
+#     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q; every low exponent is 0.
+#   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
+#     (-1)^j q^C(j,2) / (q)_j.
+# A positive stride also grades by the x-degree d = sum j + k of M_t: the
+# state key is T + stride d, with stride a multiple of m above every T.  A
+# step by j adds j (level + stride), and A gains a further stride per level,
+# as it gains q^(-N) above.  A product landing at key K is cut below
+# q^cuts[K] (cuts None = exact); cuts depend on T = K mod stride alone.  The
+# q-series cut order - ceil((T - a)/m) leaves room for the final
 # q^((T-a)/m), since T only grows; the substituted cut is the order itself,
 # because (1-q)^e has constant term 1.  The DP returns the admissible end
-# pools S + q^((m-1) k_shift) A keyed by e = (T - a)/m, and the caller
-# multiplies each by q^e or (1-q)^e.
+# pools S + A keyed by (K - a)/m = (T - a)/m + (stride/m) d, decoded by
+# divmod(_, stride // m); the caller multiplies each by q^e or (1-q)^e,
+# e = (T - a)/m.
 
 
 def _acc_mul(dst, src, f, lim):
@@ -182,53 +187,53 @@ def _acc_mul(dst, src, f, lim):
     return dst
 
 
-def _ladd(a, b, b_shift: int = 0):
-    """a + q^b_shift * b for pools [lo, coeffs] (None is zero), as a new pool
-    unless one side is zero."""
+def _ladd(a, b):
+    """a + b for pools [lo, coeffs] (None is zero), as a new pool unless one
+    side is zero."""
     if b is None:
         return a
     if a is None:
-        return [b[0] + b_shift, b[1]]
-    return _acc_mul([a[0], list(a[1])], b, [b_shift, [1]], None)
+        return b
+    return _acc_mul([a[0], list(a[1])], b, [0, [1]], None)
 
 
-def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, cuts, k_shift: int = 0) -> dict:
+def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, cuts, stride: int = 0) -> dict:
     """{e: end pool} of the (S, A)-pool DP described above.
 
     fac_np1[j] is the factor pool for [n+1, j], j = 0..jmax; fac_n[j] is the
     one for [n, j] or None where [n, j] vanishes.  With cuts, the factor low
     exponents must not decrease in j (a factor at or past the cut ends the
-    j-loop).
+    j-loop).  A positive stride grades the states by x-degree as well, and
+    cuts are then indexed by the graded key.
     """
     m = p.m
     inv = pow(m - 1, -1, m)  # m - 1 is odd, hence invertible mod m = 2^(t-1)
     states = {0: [None, [0, [1]]]}
     for level in range(1, m):
         nxt: dict = {}
-        for total, (s_pool, a_pool) in states.items():
-            sa = _ladd(s_pool, a_pool, k_shift * (level - 1))
+        for key, (s_pool, a_pool) in states.items():
+            sa = _ladd(s_pool, a_pool)
             # on the last level only the admissible class T = a (mod m) is kept
-            j0, step = (((p.a - total) * inv) % m, m) if level == m - 1 else (0, 1)
-            for j in range(j0, len(fac_np1), step):
+            j0, jstep = (((p.a - key) * inv) % m, m) if level == m - 1 else (0, 1)
+            for j in range(j0, len(fac_np1), jstep):
                 fp = fac_np1[j]
-                t2 = total + j * level
-                lim = None if cuts is None else cuts[t2]
+                k2 = key + j * (level + stride)
+                lim = None if cuts is None else cuts[k2]
                 if lim is not None and fp[0] >= lim:
                     break  # cuts fall with T and factor lows rise with j
-                ent = nxt.get(t2)
-                if ent is None:
-                    ent = nxt[t2] = [None, None]
                 fn = fac_n[j]
                 if sa is not None and fn is not None:
+                    ent = nxt.get(k2) or nxt.setdefault(k2, [None, None])
                     ent[0] = _acc_mul(ent[0], sa, fn, lim)
                 if a_pool is not None:
+                    ent = nxt.get(k2 + stride) or nxt.setdefault(k2 + stride, [None, None])
                     ent[1] = _acc_mul(ent[1], a_pool, fp, lim)
         states = nxt
     ends = {}
-    for total, (s_pool, a_pool) in states.items():
-        val = _ladd(s_pool, a_pool, k_shift * (m - 1))
+    for key, (s_pool, a_pool) in states.items():
+        val = _ladd(s_pool, a_pool)
         if val is not None:
-            ends[(total - p.a) // m] = val
+            ends[(key - p.a) // m] = val
     return ends
 
 
@@ -241,43 +246,80 @@ def _jmax(q_order: int) -> int:
     return j
 
 
-def _q_factors(rows: tuple, jmax: int, weight: int) -> list:
-    """(-1)^j q^(C(j,2) - weight j) rows[j] for j = 0..jmax, None past the row."""
+def _q_cuts(p: TorusParams, jmax: int, order: int) -> list:
+    """The q-series cut order - ceil((T - a)/m) for T = 0 .. stride - 1, where
+    the stride (the list length) is the least multiple of m above every
+    T = sum l j_l with all j_l <= jmax.  The cuts are <= order (a < m for
+    t >= 2, and t = 1 has no levels)."""
+    stride = (jmax * (p.m - 1) // 2 + 1) * p.m
+    return [order + (p.a - t) // p.m for t in range(stride)]
+
+
+def _q_factors(rows: tuple, jmax: int, weight: int, lo: int = 0) -> list:
+    """(-1)^j q^(lo + C(j,2) - weight j) rows[j] for j = 0..jmax, None past
+    the row."""
     return [
-        [j * (j - 1) // 2 - weight * j, [-c for c in rows[j]] if j & 1 else rows[j]]
+        [lo + j * (j - 1) // 2 - weight * j, [-c for c in rows[j]] if j & 1 else rows[j]]
         if j < len(rows) else None
         for j in range(jmax + 1)
     ]
 
 
-def _q_inner(p: TorusParams, n: int, order, weight: int = 0) -> IntSeries:
-    """G_n(q) with each summand times q^(-weight (sum j + k)), truncated
-    below ``order`` (None = exact).  A nonzero weight needs exact mode,
-    because the cuts assume nonnegative shifts."""
+def _q_setup(p: TorusParams, n: int, order, weight: int = 0) -> tuple:
+    """(fac_n, fac_np1, cuts) of the n-th q-series summand with the weight
+    q^(-weight (sum j + k)), truncated below ``order`` (None = exact).  The
+    [n+1, j] factors carry the folded q^(-weight) of the k-weight.  A nonzero
+    weight needs exact mode, because the cuts assume nonnegative shifts."""
     if order is None:
         jmax = n + 1
         rows_n = binom_row_trunc(n, n, n * n // 4 + 1)
         rows_np1 = binom_row_trunc(n + 1, n + 1, (n + 1) ** 2 // 4 + 1)
         cuts = None
     else:
-        # the cuts are <= order (a < m for t >= 2, and t = 1 has no levels),
-        # so only j(j-1)/2 < order and q^i, i < order, are read
+        # only j(j-1)/2 < order and q^i, i < order, are read
         jmax = min(n + 1, _jmax(order))
         rows_n = binom_row_trunc(n, min(n, jmax), order)
         rows_np1 = binom_row_trunc(n + 1, jmax, order)
-        top = jmax * p.m * (p.m - 1) // 2
-        cuts = [order + (p.a - t) // p.m for t in range(top + 1)]
-    ends = _pool_dp(p, _q_factors(rows_n, jmax, weight),
-                    _q_factors(rows_np1, jmax, weight), cuts, -weight)
+        cuts = _q_cuts(p, jmax, order)
+    return (_q_factors(rows_n, jmax, weight),
+            _q_factors(rows_np1, jmax, weight, -weight), cuts)
+
+
+def _end_sum(ends: dict, order) -> IntSeries:
+    """sum_e q^e ends[e] as an IntSeries cut below order (None = exact)."""
     acc = None
     for e, pool in ends.items():
         acc = _acc_mul(acc, pool, [e, [1]], order)
     return IntSeries.make(*acc, order) if acc else IntSeries.zero(order)
 
 
+@lru_cache(maxsize=32)
+def _m_graded(p: TorusParams, n: int, q_order: int) -> tuple:
+    """The n-th summand of M_t by x-degree: slot d is the coefficient of
+    x^(nm + d), cut below q^q_order.  The slots cover every d = sum j + k
+    with j_l <= jmax, so their number does not decrease in n."""
+    fac_n, fac_np1, cuts = _q_setup(p, n, q_order)
+    stride = len(cuts)
+    slots = (p.m - 1) * len(fac_np1) + 1
+    by_d: list = [{} for _ in range(slots)]
+    for e, pool in _pool_dp(p, fac_n, fac_np1, cuts * slots, stride).items():
+        d, e = divmod(e, stride // p.m)
+        by_d[d][e] = pool
+    return tuple(_end_sum(pools, q_order) for pools in by_d)
+
+
+def slater_multisum(p: TorusParams, order: int) -> IntSeries:
+    """sum'_{jv} (-1)^(sum j) q^v / prod_l (q)_{j_l}, cut below q^order: the
+    DP with A pools only."""
+    jmax = _jmax(order)
+    rows = [invert_unit(pochhammer(1, j, order), order).coeffs for j in range(jmax + 1)]
+    fac = _q_factors(rows, jmax, 0)
+    return _end_sum(_pool_dp(p, [None] * (jmax + 1), fac, _q_cuts(p, jmax, order)), order)
+
+
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None)."""
-    return _q_inner(p, n, order)
+    return _end_sum(_pool_dp(p, *_q_setup(p, n, order)), order)
 
 
 def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
@@ -340,7 +382,7 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     for n in range(big_n):
         if n:
             poch = poch - poch.shift(n - big_n)
-        inner = _q_inner(p, n, None, big_n).shift(-big_n * n * p.m)
+        inner = _end_sum(_pool_dp(p, *_q_setup(p, n, None, big_n)), None).shift(-big_n * n * p.m)
         if inner:
             total = total + poch * inner
     pref_exp = 2**p.t - 1 - p.h_d - big_n
@@ -391,6 +433,8 @@ def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tu
 
     with x-degree < x_stop and each series cut below q^q_order.  The k-sum
     reads prefix products over tops n+1 and suffix products over tops n.
+    M_series and H_multisum keep this per-vector walk on purpose, so that
+    verify_rewrite2 compares it with a different algorithm, the DP of a_n_t.
     """
     jmax = min(n + 1, _jmax(q_order))
     b_n, b_np1 = (
@@ -434,14 +478,10 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     poch_x = [IntSeries.one(work)]  # (x)_n columns by x-degree, here n = 0
     n = 0
     while n * p.m - p.h < x_bound:
-        # (x)_{n+1} = (x)_n * (1 - x q^n)
-        nxt = []
-        for d in range(len(poch_x) + 1):
-            col = poch_x[d] if d < len(poch_x) else IntSeries.zero(work)
-            if d:
-                col = col - poch_x[d - 1].shift(n)
-            nxt.append(col)
-        poch_x = nxt[: x_bound + p.h + 1]
+        # (x)_{n+1} = (x)_n * (1 - x q^n), column d minus column d - 1 times q^n
+        zero = IntSeries.zero(work)
+        poch_x = [c - c1.shift(n) for c, c1 in zip(poch_x + [zero], [zero] + poch_x)]
+        poch_x = poch_x[: x_bound + p.h + 1]
         for x_deg, term in _m_summand(p, n, x_bound + p.h, work):
             piece = term.scale(p.sign)
             for d, col in enumerate(poch_x):
@@ -469,35 +509,19 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
 
 @lru_cache(maxsize=1024)
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
-    """a_{n,t}(q): the x^n coefficient of M_t, in closed reindexed form.
-
-    Binomial tops are (n - sum j - r)/m + I(l <= r) with r the reduction of
-    n - sum j mod m; vanishing binomials make the sum finite.  Only
-    q^i, i < q_order - v, of each product is read, so the binomials come
-    cut below q^q_order.
+    """a_{n,t}(q): the x^n coefficient of M_t, the sum of slot n - km of the
+    graded summands k <= n/m.  As k falls the slot index grows and the slot
+    count shrinks, so the first k whose slots the index passes ends the sum.
     """
     if p.t < 2:
         raise ValueError("a_{n,t} needs t >= 2")
-    if n < 0:
-        return IntSeries.zero(q_order)
-    jmax = _jmax(q_order)
     acc = IntSeries.zero(q_order)
-    for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
-        sj = sum(jv)
-        r = (n - sj) % p.m
-        c = (n - sj - r) // p.m
-        prod = IntSeries.one(q_order - v if q_order > v else 1)
-        for l in range(1, p.m):
-            top = c + (1 if l <= r else 0)
-            j = jv[l - 1]
-            if j > top:
-                prod = None
-                break
-            row = binom_row_trunc(top, min(top, jmax), q_order)
-            prod = prod * IntSeries.make(0, row[j], q_order)
-        if prod is not None and not prod.is_zero():
-            acc = acc + prod.shift(v).scale(-1 if sj & 1 else 1).truncate(q_order)
-    return acc.truncate(q_order)
+    for k in range(n // p.m, -1, -1):  # empty for n < 0
+        slots = _m_graded(p, k, q_order)
+        if n - k * p.m >= len(slots):
+            break
+        acc = acc + slots[n - k * p.m]
+    return acc
 
 
 def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:

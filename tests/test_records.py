@@ -20,8 +20,11 @@ from qfish import (
     a_n_t,
     torus_params,
 )
+from qfish.cyclotomic import _phi_coeffs
 from qfish.fishburn import _xi_cached
+from qfish.qseries import chi_t
 from qfish.series import DivisionWitness
+from qfish.torus import _m_graded
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -124,3 +127,13 @@ def test_torus_params_is_a_cache_key():
 def test_engine_caches_bounded():
     assert a_n_t.cache_info().maxsize == 1024
     assert _xi_cached.cache_info().maxsize == 64
+    assert _m_graded.cache_info().maxsize == 32
+    assert _phi_coeffs.cache_info().maxsize == 256
+    assert chi_t.cache_info().maxsize == 16
+    # and no cache anywhere in the package is unbounded
+    import qfish.cli  # noqa: F401  (loads every engine module)
+
+    engines = [mod for name, mod in sys.modules.items() if name.startswith("qfish.")]
+    cached = [obj for mod in engines for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+    assert len(cached) >= 6
+    assert all(obj.cache_info().maxsize is not None for obj in cached)

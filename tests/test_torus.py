@@ -7,7 +7,7 @@ import pytest
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.qseries import pochhammer, q_binomial
-from qfish.series import IntSeries, first_difference, substitute_one_minus_q
+from qfish.series import IntSeries, first_difference, invert_unit, substitute_one_minus_q
 from qfish.torus import (
     H_multisum,
     H_theta,
@@ -21,6 +21,7 @@ from qfish.torus import (
     kz_inner_sum,
     kz_partial_polynomials,
     kz_partial_sum,
+    slater_multisum,
     torus_params,
     v_exponent,
 )
@@ -94,6 +95,36 @@ def kz_at_root_walk(p, big_n):
     if p.sign < 0:
         total = -total
     return total.mul_root_power(-p.h_d)
+
+
+def a_n_t_walk(p, n, q_order):
+    """Oracle: a_{n,t} summed one admissible index vector at a time, with the
+    reindexed binomial tops (n - sum j - r)/m + I(l <= r), r = (n - sum j) mod m."""
+    acc = IntSeries.zero(q_order)
+    for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
+        sj = sum(jv)
+        r = (n - sj) % p.m
+        c = (n - sj - r) // p.m
+        prod = IntSeries.one(q_order)
+        for l in range(1, p.m):
+            prod = prod * q_binomial(c + (1 if l <= r else 0), jv[l - 1])
+        acc = acc + prod.shift(v).scale(-1 if sj & 1 else 1).truncate(q_order)
+    return acc
+
+
+def slater_walk(p, order):
+    """Oracle: sum'_{jv} (-1)^(sum j) q^v / prod (q)_{j_l}, one index vector
+    at a time."""
+    j_cap = 2
+    while j_cap * (j_cap - 1) // 2 < order:
+        j_cap += 1
+    total = IntSeries.zero(order)
+    for jv, v in admissible_jvectors(p, j_cap=j_cap, v_cap=order):
+        term = IntSeries.one(order)
+        for j in jv:
+            term = term * invert_unit(pochhammer(1, j, order), order)
+        total = total + term.shift(v).scale(-1 if sum(jv) & 1 else 1).truncate(order)
+    return total
 
 
 class TestParams:
@@ -343,3 +374,24 @@ class TestMSeries:
         for n in range(K + 1):
             total = total + b_n_t(p, n, 15)
         assert first_difference(total, a_n_t(p, K, 15)) is None
+
+    # a_{n,t} at q_order 12 stops changing after n = 24 (t = 2) and n = 47 (t = 3)
+    @pytest.mark.parametrize("t,n_top", [(2, 32), (3, 56)])
+    def test_a_n_against_per_vector_walk(self, t, n_top):
+        p = torus_params(t)
+        for n in range(-1, n_top):
+            assert a_n_t(p, n, 12) == a_n_t_walk(p, n, 12), n
+
+    def test_a_n_t4_window(self):
+        p = torus_params(4)
+        for qo in (3, 8):
+            for n in range(24):
+                assert a_n_t(p, n, qo) == a_n_t_walk(p, n, qo), (qo, n)
+
+
+class TestSlaterMultisum:
+    @pytest.mark.parametrize("t,orders", [(2, (1, 2, 5, 40)), (3, (1, 3, 30)), (4, (1, 4, 18))])
+    def test_against_per_vector_walk(self, t, orders):
+        p = torus_params(t)
+        for order in orders:
+            assert slater_multisum(p, order) == slater_walk(p, order), order
