@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import IntSeries, NotPolynomialError, Record
+from .backend import mul
+from .series import IntSeries, NotPolynomialError, Record, poly_divides
 
 
 @lru_cache(maxsize=256)
@@ -16,27 +17,14 @@ def _phi_coeffs(m: int) -> tuple:
     """Coefficients of Phi_M, by exact division of x^M - 1."""
     if m < 1:
         raise ValueError("M must be >= 1")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^M - 1
+    poly = IntSeries.make(0, [-1] + [0] * (m - 1) + [1], None)  # x^M - 1
     for d in range(1, m):
         if m % d == 0:
-            div = _phi_coeffs(d)
-            poly = _exact_div(poly, list(div))
-    return tuple(poly)
-
-
-def _exact_div(num: list, den: list) -> list:
-    """Quotient of integer polynomials known to divide exactly (den monic)."""
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    if any(rem):
-        raise ArithmeticError("division was not exact")
-    return out
+            wit = poly_divides(cyclotomic_poly(d), poly)
+            if not wit.divides:
+                raise ArithmeticError("division was not exact")
+            poly = wit.quotient
+    return poly.coeffs
 
 
 def cyclotomic_poly(m: int) -> IntSeries:
@@ -105,14 +93,7 @@ class CycInt(Record):
         if isinstance(other, int):
             return CycInt(self.level, tuple(other * a for a in self.coeffs))
         self._check(other)
-        n = len(self.coeffs)
-        out = [0] * (2 * n - 1 if n else 0)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CycInt(self.level, _reduce(out, self.level))
+        return CycInt(self.level, _reduce(mul(self.coeffs, other.coeffs), self.level))
 
     __rmul__ = __mul__
 

@@ -8,9 +8,12 @@ the n-th summand is divisible by q^n because 1 - (1-q)^k = kq + O(q^2),
 which both truncates the computation at `count` coefficients and makes the
 result independent of the summation bound once it reaches count - 1.
 The inner sum of the n-th summand runs through the (S, A)-pool dynamic
-program of qfish.torus, fed with substituted factors
-(-1)^j (1-q)^C(j,2) [n(+1), j] built from the Gaussian binomial rows at
-q -> 1-q; its end pools are multiplied by (1-q)^e instead of q^e.
+program of qfish.torus, fed with the substituted factor rows
+F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q.  Each row is built once,
+from the one before by the q-Pascal recurrence
+F[n][j] = (1-q)^j F[n-1][j] - (1-q)^(j-1) F[n-1][j-1], and only to the
+count - n + 1 coefficients the DP reads; the end pools are multiplied by
+(1-q)^e instead of q^e.
 
 Also here: s-dissections, the S-sets of exponent residues, the
 (q)_lambda-divisibility checker for dissection pieces, the prime-power
@@ -68,29 +71,19 @@ class _SubTables:
         return got
 
 
-def _sub_pascal_row(prev: Optional[list], n: int, tab: _SubTables) -> list:
-    """Row n of the Gaussian binomial table at q -> 1-q, as pools [0, coeffs]:
-    [n, k] = [n-1, k-1] + q^k [n-1, k], and q^k maps to (1-q)^k."""
-    if n == 0:
-        return [[0, [1]]]
+def _sub_row(prev: Optional[list], n: int, length: int, tab: _SubTables) -> list:
+    """Row n of the substituted DP factors, as pools [0, coeffs] cut below
+    q^length: F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q, j = 0..n.
+
+    q^C(j,2) [n, j] = q^(j-1) (q^C(j-1,2) [n-1, j-1] + q q^C(j,2) [n-1, j])
+    by the q-Pascal rule, so F[n][j] = (1-q)^j F[n-1][j] - (1-q)^(j-1)
+    F[n-1][j-1], with F[n-1][n] = 0; prev is row n-1 to at least length.
+    """
     row = [[0, [1]]]
-    for k in range(1, n):
-        row.append(_acc_mul([0, list(prev[k - 1][1])], [0, tab.power(k)], prev[k], tab.count))
-    row.append([0, [1]])
+    for j in range(1, n + 1):
+        pool = [0, [-c for c in mul_trunc(tab.power(j - 1), prev[j - 1][1], length)]]
+        row.append(pool if j == n else _acc_mul(pool, [0, tab.power(j)], prev[j], length))
     return row
-
-
-def _sub_factors(row: list, jmax: int, order: int, tab: _SubTables) -> list:
-    """(-1)^j (1-q)^C(j,2) row[j] for j = 0..jmax cut below q^order, None
-    past the row: the DP factors of the substituted domain."""
-    out = []
-    for j in range(jmax + 1):
-        if j >= len(row):
-            out.append(None)
-            continue
-        prod = mul_trunc(tab.power(j * (j - 1) // 2), row[j][1], order)
-        out.append([0, [-c for c in prod] if j & 1 else prod])
-    return out
 
 
 def xi_series(t: int, n_top: int, count: int) -> list:
@@ -108,7 +101,7 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     tab = _SubTables(count)
     total = [0] * count
     poch_tail = [1]  # (q)_n at q -> 1-q equals q^n * poch_tail
-    row = _sub_pascal_row(None, 0, tab)
+    row = [[0, [1]]]  # F[0]
     for n in range(min(n_top, count - 1) + 1):
         if n:
             u = [(-1 if i & 1 else 1) * math.comb(n, i + 1) for i in range(count - n)]
@@ -119,9 +112,8 @@ def xi_series(t: int, n_top: int, count: int) -> list:
             # the inner sum at q -> 1-q: the q-domain DP with substituted
             # factors, end pools times (1-q)^e
             order = count - n
-            row_next = _sub_pascal_row(row, n + 1, tab)
-            ends = _pool_dp(p, _sub_factors(row, n + 1, order, tab),
-                            _sub_factors(row_next, n + 1, order, tab),
+            row_next = _sub_row(row, n + 1, order, tab)
+            ends = _pool_dp(p, row + [None], row_next,
                             [order] * ((n + 1) * p.m * (p.m - 1) // 2 + 1))
             acc = None
             for e, pool in ends.items():

@@ -161,6 +161,25 @@ def admissible_jvectors(
 # e = (T - a)/m.
 
 
+def _padd(dst, lo, coeffs):
+    """dst + q^lo coeffs for a pool dst [lo, coeffs] (None is zero), updated
+    in place; a new pool gets its own copy of coeffs."""
+    if dst is None:
+        return [lo, list(coeffs)]
+    cs = dst[1]
+    if lo < dst[0]:
+        cs[:0] = [0] * (dst[0] - lo)
+        dst[0] = lo
+    off = lo - dst[0]
+    end = off + len(coeffs)
+    if len(cs) < end:
+        cs.extend([0] * (end - len(cs)))
+    for i, c in enumerate(coeffs, off):
+        if c:
+            cs[i] += c
+    return dst
+
+
 def _acc_mul(dst, src, f, lim):
     """dst + src * f for pools [lo, coeffs] (None is zero), the product cut
     below q^lim (None = exact).  dst is updated in place."""
@@ -171,20 +190,7 @@ def _acc_mul(dst, src, f, lim):
         prod = mul_trunc(src[1], f[1], lim - lo)
     if not prod:
         return dst
-    if dst is None:
-        return [lo, prod]
-    coeffs = dst[1]
-    if lo < dst[0]:
-        coeffs[:0] = [0] * (dst[0] - lo)
-        dst[0] = lo
-    off = lo - dst[0]
-    end = off + len(prod)
-    if len(coeffs) < end:
-        coeffs.extend([0] * (end - len(coeffs)))
-    for i, c in enumerate(prod, off):
-        if c:
-            coeffs[i] += c
-    return dst
+    return [lo, prod] if dst is None else _padd(dst, lo, prod)
 
 
 def _ladd(a, b):
@@ -194,7 +200,7 @@ def _ladd(a, b):
         return a
     if a is None:
         return b
-    return _acc_mul([a[0], list(a[1])], b, [0, [1]], None)
+    return _padd(_padd(None, *a), *b)
 
 
 def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, cuts, stride: int = 0) -> dict:
@@ -288,8 +294,12 @@ def _q_setup(p: TorusParams, n: int, order, weight: int = 0) -> tuple:
 def _end_sum(ends: dict, order) -> IntSeries:
     """sum_e q^e ends[e] as an IntSeries cut below order (None = exact)."""
     acc = None
-    for e, pool in ends.items():
-        acc = _acc_mul(acc, pool, [e, [1]], order)
+    for e, (lo, cs) in ends.items():
+        lo += e
+        if order is not None:
+            cs = cs[:max(order - lo, 0)]
+        if cs:
+            acc = _padd(acc, lo, cs)
     return IntSeries.make(*acc, order) if acc else IntSeries.zero(order)
 
 

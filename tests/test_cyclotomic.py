@@ -77,3 +77,10 @@ class TestCycInt:
         rhs = cyc_eval(p, m) * cyc_eval(r, m)
         assert lhs == rhs
         assert cyc_eval(p + r, m) == cyc_eval(p, m) + cyc_eval(r, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 12, 30])
+    def test_bigint_product(self, m):
+        # coefficients past int64 take the kernel's object lane
+        p = poly(*[(-3) ** (45 + i) for i in range(2 * m)])
+        r = poly(*[2**70 - i for i in range(m + 1)], min_exp=-2)
+        assert cyc_eval(p, m) * cyc_eval(r, m) == cyc_eval(p * r, m)

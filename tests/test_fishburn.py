@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfish.backend import mul_trunc
 from qfish.fishburn import (
     S_set,
+    _sub_row,
+    _SubTables,
     binom_congruence,
     congruence_j_range,
     dissection,
@@ -18,9 +21,37 @@ from qfish.fishburn import (
     xi_coefficients,
     xi_series,
 )
-from qfish.qseries import theta_spec_t
+from qfish.qseries import q_binomial, theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, substitute_one_minus_q
-from qfish.torus import kz_partial_polynomials, torus_params
+from qfish.torus import _acc_mul, kz_partial_polynomials, torus_params
+
+
+# The retired two-pass builder, kept as an oracle for _sub_row: first the
+# Gaussian binomial row at q -> 1-q by the Pascal rule, then the factors.
+def _sub_pascal_row(prev, n, tab):
+    """Row n of [n, k] at q -> 1-q, as pools [0, coeffs]:
+    [n, k] = [n-1, k-1] + q^k [n-1, k], and q^k maps to (1-q)^k."""
+    if n == 0:
+        return [[0, [1]]]
+    row = [[0, [1]]]
+    for k in range(1, n):
+        row.append(_acc_mul([0, list(prev[k - 1][1])], [0, tab.power(k)], prev[k], tab.count))
+    row.append([0, [1]])
+    return row
+
+
+def _sub_factors(row, order, tab):
+    """(-1)^j (1-q)^C(j,2) row[j] cut below q^order."""
+    out = []
+    for j, (_, cs) in enumerate(row):
+        prod = mul_trunc(tab.power(j * (j - 1) // 2), cs, order)
+        out.append([-c for c in prod] if j & 1 else prod)
+    return out
+
+
+def _padded(cs, length):
+    assert len(cs) <= length
+    return list(cs) + [0] * (length - len(cs))
 
 
 class TestXi:
@@ -58,6 +89,47 @@ class TestXi:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             xi_coefficients(2, 0)
+
+
+class TestSubRow:
+    COUNT = 16
+
+    def _rows(self, length):
+        tab = _SubTables(self.COUNT)
+        rows = [_sub_row(None, 0, length, tab)]
+        for n in range(1, 15):
+            rows.append(_sub_row(rows[-1], n, length, tab))
+        return tab, rows
+
+    def test_matches_retired_builder(self):
+        # every j <= n for n <= 14, cut at lengths 1, 2, 5 and count - n + 1
+        tab, full = self._rows(self.COUNT)
+        pascal = _sub_pascal_row(None, 0, tab)
+        for n in range(15):
+            if n:
+                pascal = _sub_pascal_row(pascal, n, tab)
+            for length in sorted({1, 2, 5, min(self.COUNT - n + 1, self.COUNT)}):
+                row = full[0] if n == 0 else _sub_row(full[n - 1], n, length, tab)
+                want = _sub_factors(pascal, length, tab)
+                assert len(row) == n + 1
+                for j, (lo, cs) in enumerate(row):
+                    assert lo == 0 and cs
+                    assert _padded(cs, length) == _padded(want[j], length), (n, j, length)
+
+    def test_constant_terms(self):
+        # the constant term of F[n][j] is (-1)^j C(n, j), so no entry is empty
+        _, rows = self._rows(3)
+        for n, row in enumerate(rows):
+            assert [cs[0] for _, cs in row] == [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
+
+    def test_against_direct_substitution(self):
+        # F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q, from the definition
+        _, rows = self._rows(self.COUNT)
+        for n in range(11):
+            for j in range(n + 1):
+                poly = q_binomial(n, j).shift(j * (j - 1) // 2).scale((-1) ** j)
+                direct = substitute_one_minus_q(poly, self.COUNT)
+                assert _padded(rows[n][j][1], self.COUNT) == list(direct.coeffs), (n, j)
 
 
 class TestDissection:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import qfish.torus as torus_mod
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.qseries import pochhammer, q_binomial
@@ -216,6 +217,45 @@ class TestInnerSum:
         assert first_difference(kz_inner_sum(p, n, None), acc) is None
         for order in (1, 2, 3, 5, 12):
             assert first_difference(kz_inner_sum(p, n, order), acc) is None
+
+
+class TestPoolAdd:
+    """Pool sums are plain adds: no kernel call, no aliasing, and end sums
+    cut where the order says."""
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("pool add reached the product kernel")
+
+        monkeypatch.setattr(torus_mod, "mul", boom)
+        monkeypatch.setattr(torus_mod, "mul_trunc", boom)
+
+    def test_padd_copies_new_pool(self, no_kernel):
+        cs = [1, 2]
+        pool = torus_mod._padd(None, 3, cs)
+        pool[1][0] = 7
+        assert cs == [1, 2]
+        assert torus_mod._padd(pool, 1, [5, 0, 1]) == [1, [5, 0, 8, 2]]
+
+    def test_ladd(self, no_kernel):
+        a, b = [2, [1, 1]], [0, [4]]
+        got = torus_mod._ladd(a, b)
+        assert got == [0, [4, 0, 1, 1]]
+        assert a == [2, [1, 1]] and b == [0, [4]]
+        assert torus_mod._ladd(None, b) is b and torus_mod._ladd(a, None) is a
+
+    def test_end_sum(self, no_kernel, monkeypatch):
+        ends = {0: [0, [1, 2, 3]], 2: [-1, [5, 6]], 9: [0, [4]], 5: [0, [1, 2, 3, 4, 5]]}
+        assert torus_mod._end_sum(ends, None) == IntSeries.make(0, [1, 7, 9, 0, 0, 1, 2, 3, 4, 9])
+        # pools at or above the order add nothing, even where order - lo is
+        # negative (a slice end would count from the back)
+        added = []
+        padd = torus_mod._padd
+        monkeypatch.setattr(torus_mod, "_padd", lambda d, lo, cs: added.append((lo, cs)) or padd(d, lo, cs))
+        assert torus_mod._end_sum(ends, 2) == IntSeries.make(0, [1, 7], 2)
+        assert added == [(0, [1, 2]), (1, [5])]
+        assert torus_mod._end_sum({}, 4) == IntSeries.zero(4)
 
 
 class TestKZSeries:
