@@ -1,9 +1,20 @@
 """Generalized Fishburn numbers and their arithmetic.
 
-xi_t(n) are the coefficients of F_t(1-q).  Substituting q -> 1-q into a
-*truncation* of the partial sum scrambles every coefficient (each dropped
-monomial (1-q)^e has nonzero constant term), so the engine substitutes into
-the exact partial-sum polynomial instead, factor by factor: the image of
+xi_t(n) are the coefficients of F_t(1-q).  There are two independent
+routes to them, and `xi_coefficients` uses the first:
+
+* `xi_lvalues` reads them off the strange identity
+  F_t(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi_t) (-s/b)^k / k!
+  (Zagier; Lawrence-Zagier) at s = -log(1-q), in O(count^2) exact integer
+  operations: the odd L-values of chi_t come from one power-series
+  division, the s-coefficients from a binomial transform, and the
+  q-coefficients from unsigned Stirling numbers of the first kind.
+* `xi_series` expands the multisum itself and is kept as the oracle.
+
+In `xi_series`, substituting q -> 1-q into a *truncation* of the partial
+sum would scramble every coefficient (each dropped monomial (1-q)^e has
+nonzero constant term), so it substitutes into the exact partial-sum
+polynomial instead, factor by factor: the image of
 the n-th summand is divisible by q^n because 1 - (1-q)^k = kq + O(q^2),
 which both truncates the computation at `count` coefficients and makes the
 result independent of the summation bound once it reaches count - 1.
@@ -132,15 +143,102 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     return total
 
 
+# -- the strange identity: xi_t from L-values ----------------------------------
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("the L-value series has a non-integral coefficient")
+    return q
+
+
+def _odd_lvalue_numerators(vals: tuple, count: int) -> list:
+    """[T_1, T_3, .., T_(2 count - 1)] for chi(n) = vals[n mod P], P = len(vals).
+
+    T_i = (i+1)! P^(i+1) R_i, where R_i = i! [z^i] of
+    sum_{n=1..P} chi(n) e^(-nz) / (1 - e^(-Pz)), so L(-i, chi) = (-1)^i R_i.
+    Multiplying the quotient back by (1 - e^(-Pz))/z gives the integer
+    recurrence T_i = i! P^i N_(i+1) + sum_{j=2..i+1} (-1)^j C(i+1, j)
+    (i!/(i+2-j)!) P^(2j-2) T_(i+1-j), with N_i = sum_{n=1..P} chi(n) (-n)^i.
+    For an even chi with mean value zero the quotient is an odd function of
+    z, so T_i = 0 at even i and only odd j contribute at odd i.
+    """
+    p = len(vals)
+    if sum(vals) or any(vals[n] != vals[-n] for n in range(p)):
+        raise ArithmeticError("chi must be even with mean value zero")
+    p4 = p**4
+    powers = [[(n or p) ** 2, c] for n, c in enumerate(vals) if c]  # [n^2, chi(n) n^(i+1)]
+    out = []
+    lead = 1  # i! P^i
+    for i in range(1, 2 * count, 2):
+        for pw in powers:
+            pw[1] *= pw[0]
+        lead *= (i - 1) * i * p * p if i > 1 else p
+        acc = lead * sum(pw[1] for pw in powers)
+        coef = (i + 1) * i * (i - 1) // 6 * i * p4  # j = 3: C(i+1, 3) (i!/(i-1)!) P^4
+        for j in range(3, i + 1, 2):
+            acc -= coef * out[(i - j) // 2]  # (-1)^j = -1 at odd j
+            coef = _exact_div(coef * ((i + 1 - j) * (i - j) * (i + 2 - j) * (i + 1 - j) * p4),
+                              (j + 1) * (j + 2))
+        out.append(acc)
+    return out
+
+
+def _xi_from_lvalues(vals: tuple, a: int, b: int, count: int) -> list:
+    """xi(0 .. count-1) from F(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi)
+    (-s/b)^k / k!, chi(n) = vals[n mod len(vals)], every division exact.
+
+    With L(-2l-1) = -T_(2l+1) / ((2l+2)! P^(2l+2)) over the common
+    denominator D = (2 count)! P^(2 count), the s-coefficients
+    G_k = k! [s^k] F(e^(-s)) are sum_l C(k, l) a^(k-l) (-1)^l V_l / (2 b^k D)
+    with V_l = -D L(-2l-1), a binomial transform.  G_k is an integer
+    (F = sum_n xi(n) (1 - e^(-s))^n), and s^k/k! = sum_n |s(n, k)| q^n/n! at
+    s = -log(1-q) gives xi(n) = sum_k |s(n, k)| G_k / n!.
+    """
+    p = len(vals)
+    ts = _odd_lvalue_numerators(vals, count)
+    ys = [0] * count
+    scale = 1  # D / ((2l+2)! P^(2l+2))
+    for l in range(count - 1, -1, -1):
+        ys[l] = -ts[l] * scale if l & 1 else ts[l] * scale
+        scale *= (2 * l + 1) * (2 * l + 2) * p * p
+    gs = []
+    den = 2 * scale  # 2 b^k D
+    for _ in range(count):
+        gs.append(_exact_div(ys[0], den))
+        ys = [a * y + y1 for y, y1 in zip(ys, ys[1:])]  # k -> k + 1 in the transform
+        den *= b
+    xs = []
+    row = [1]  # |s(n, k)|, k = 0..n
+    nfact = 1
+    for n in range(count):
+        if n:
+            row = [(n - 1) * c + c1 for c, c1 in zip(row + [0], [0] + row)]
+            nfact *= n
+        xs.append(_exact_div(sum(c * g for c, g in zip(row, gs)), nfact))
+    return xs
+
+
+def xi_lvalues(t: int, count: int) -> list:
+    """xi_t(0 .. count-1) from the strange identity, with P = 3 2^(t+1),
+    a = (2^(t+1)-3)^2, b = 3 2^(t+2) and chi = chi_t, in exact integers.
+
+    A non-integral intermediate raises ArithmeticError; nothing is rounded.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    spec = theta_spec_t(t, 1)
+    return _xi_from_lvalues(spec.char.values, spec.a, spec.b, count)
+
+
 @lru_cache(maxsize=64)
 def _xi_cached(t: int, count: int) -> tuple:
-    return tuple(xi_series(t, count + 4, count))
+    return tuple(xi_lvalues(t, count))
 
 
 def xi_coefficients(t: int, count: int) -> list:
     """xi_t(0 .. count-1)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     return list(_xi_cached(t, count))
 
 

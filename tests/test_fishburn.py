@@ -1,6 +1,10 @@
 """Fishburn coefficients, dissections, divisibility, and congruences."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from qfish.fishburn import (
     S_set,
     _sub_row,
     _SubTables,
+    _xi_from_lvalues,
     binom_congruence,
     congruence_j_range,
     dissection,
@@ -19,11 +24,16 @@ from qfish.fishburn import (
     straub_order_bound,
     verify_congruence,
     xi_coefficients,
+    xi_lvalues,
     xi_series,
 )
+from qfish.oeis import parse_bfile
 from qfish.qseries import q_binomial, theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, substitute_one_minus_q
 from qfish.torus import _acc_mul, kz_partial_polynomials, torus_params
+
+DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # The retired two-pass builder, kept as an oracle for _sub_row: first the
@@ -89,6 +99,99 @@ class TestXi:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             xi_coefficients(2, 0)
+
+
+class TestXiLvalues:
+    """The strange-identity engine against the multisum DP, its oracle."""
+
+    @pytest.mark.parametrize("t,top", [(1, 30), (2, 30), (3, 30), (4, 15)])
+    def test_every_count_matches_dp(self, t, top):
+        # xi_series is stable in N from N = count - 1 on, so one DP run gives
+        # the DP's answer for every smaller count as a prefix
+        dp = xi_series(t, top + 4, top)
+        for c in range(1, top + 1):
+            assert xi_lvalues(t, c) == dp[:c], c
+
+    @pytest.mark.parametrize("t,count", [(2, 100), (3, 40)])
+    def test_matches_dp_deep(self, t, count):
+        assert xi_lvalues(t, count) == xi_series(t, count + 4, count)
+
+    def test_bfile_sample(self):
+        entries = parse_bfile(DATA / "b022493_sample.txt")
+        got = xi_coefficients(1, len(entries))
+        assert got == [entries[n] for n in range(len(entries))]
+
+    def test_xi_coefficients_reads_the_lvalue_engine(self, monkeypatch):
+        import qfish.fishburn as fb
+
+        def boom(*args):
+            raise AssertionError("xi_coefficients reached the DP")
+
+        monkeypatch.setattr(fb, "xi_series", boom)
+        fb._xi_cached.cache_clear()
+        try:
+            assert xi_coefficients(2, 9) == xi_lvalues(2, 9)
+        finally:
+            fb._xi_cached.cache_clear()
+
+    def test_validation(self):
+        for t, count in [(0, 5), (-1, 5), (2, 0), (2, -3)]:
+            with pytest.raises(ValueError):
+                xi_lvalues(t, count)
+        for t, count in [(0, 5), (2, 0)]:
+            with pytest.raises(ValueError):
+                xi_coefficients(t, count)
+
+    @staticmethod
+    def _data(t):
+        spec = theta_spec_t(t, 1)
+        return list(spec.char.values), spec.a, spec.b
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_flipped_character_value(self, t):
+        # one flipped value breaks evenness; flipping a value and its mirror
+        # -n as well keeps chi even but breaks the mean value zero
+        vals, a, b = self._data(t)
+        n = vals.index(1)
+        vals[n] = -1
+        with pytest.raises(ArithmeticError):
+            _xi_from_lvalues(tuple(vals), a, b, 20)
+        vals[-n] = -1
+        with pytest.raises(ArithmeticError):
+            _xi_from_lvalues(tuple(vals), a, b, 20)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_negated_character_differs(self, t):
+        # -chi is even with mean value zero: every step is exact, the
+        # values are not the DP's, while the unperturbed data give them
+        vals, a, b = self._data(t)
+        dp = xi_series(t, 16, 12)
+        assert _xi_from_lvalues(tuple(vals), a, b, 12) == dp
+        assert _xi_from_lvalues(tuple(-v for v in vals), a, b, 12) != dp
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_shifted_a(self, t):
+        vals, a, b = self._data(t)
+        with pytest.raises(ArithmeticError):
+            _xi_from_lvalues(tuple(vals), a + 1, b, 20)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_doubled_b(self, t):
+        vals, a, b = self._data(t)
+        with pytest.raises(ArithmeticError):
+            _xi_from_lvalues(tuple(vals), a, 2 * b, 20)
+
+    def test_leaves_fractions_unloaded(self):
+        code = (
+            "import sys; from qfish.fishburn import xi_coefficients; "
+            "assert xi_coefficients(3, 20)[:3] == [1, 7, 49]; "
+            "print('fractions' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["False"]
 
 
 class TestSubRow:

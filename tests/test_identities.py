@@ -2,6 +2,7 @@
 
 import pytest
 
+from qfish.cyclotomic import CycInt, _reduce
 from qfish.identities import (
     IdentityReport,
     _series_report,
@@ -12,7 +13,9 @@ from qfish.identities import (
     verify_slater,
     verify_theta_product,
 )
+from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
+from qfish.torus import kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
@@ -57,6 +60,54 @@ class TestPositive:
         assert d["identity"] == "m_series_rewrite"
         assert d["pass"] is True
         assert "window" in d
+
+
+def _strange_sum(t, big_n, flip=None, shift=None):
+    """sum_{n=1..M} C_N(n) (n^2 - nM) in Z[zeta_N], M = N P, with
+    C_N(n) = chi_t(n) zeta_N^((n^2-a)/b); ``flip`` negates chi at one
+    residue mod P and ``shift`` raises the exponent there by one."""
+    spec = theta_spec_t(t, 1)
+    period = spec.char.period
+    big_m = big_n * period
+    acc = [0] * big_n
+    for n in range(1, big_m + 1):
+        c = spec.char(n)
+        if c:
+            e = spec.exponent(n)
+            if n % period == flip:
+                c = -c
+            if n % period == shift:
+                e += 1
+            acc[e % big_n] += c * (n * n - n * big_m)
+    return CycInt(big_n, _reduce(acc, big_n))
+
+
+class TestStrangeIdentityAtRoots:
+    """Part (a) of the strange identity: F_t(q) "=" -1/2 sum n chi_t(n)
+    q^((n^2-a)/b) holds exactly at q = zeta_N, where the B_2 formula for
+    L(-1, C_N) gives 4M F_t(zeta_N) = sum_{n=1..M} C_N(n) (n^2 - nM)."""
+
+    @pytest.mark.parametrize("t,n_max", [(1, 8), (2, 8), (3, 8), (4, 4)])
+    def test_holds(self, t, n_max):
+        p = torus_params(t)
+        period = theta_spec_t(t, 1).char.period
+        for big_n in range(1, n_max + 1):
+            lhs = kz_at_root_of_unity(p, big_n) * (4 * big_n * period)
+            assert lhs == _strange_sum(t, big_n), big_n
+
+    def test_n1_is_f_at_one(self):
+        # F_1(1) = 1 = 48 / (4 * 12)
+        assert _strange_sum(1, 1) == CycInt.integer(1, 48)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_detects_perturbation(self, t):
+        p = torus_params(t)
+        spec = theta_spec_t(t, 1)
+        r = spec.char.support_residues()[0]
+        for big_n in (3, 5):
+            lhs = kz_at_root_of_unity(p, big_n) * (4 * big_n * spec.char.period)
+            assert lhs != _strange_sum(t, big_n, flip=r)
+            assert lhs != _strange_sum(t, big_n, shift=r)
 
 
 class TestKeyIdentityConstantTerm:
