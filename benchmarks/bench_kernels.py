@@ -2,8 +2,9 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Both implementations run in-process on the same operands (dense
-small-coefficient products, big-integer products).  End-to-end numbers come
-from perfbench/run.py.
+small-coefficient products, big-integer products, and many short
+big-integer products, where the compiled module's per-call handoff to the
+pure convolution shows).  End-to-end numbers come from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -61,6 +62,18 @@ def kernel_bench(quick: bool) -> None:
     header("kernel case")
     for name, a, b in cases:
         row(name, {label: time_call(backends[label].mul, a, b, repeat=3) for label in LABELS})
+
+    # the call profile of the xi_series oracle: 2000 products of length 20
+    # with 500-bit coefficients
+    short = [([rng.getrandbits(500) - 2**499 for _ in range(20)],
+              [rng.getrandbits(500) - 2**499 for _ in range(20)]) for _ in range(2000)]
+
+    def short_products(kernel):
+        for a, b in short:
+            kernel.mul_trunc(a, b, 20)
+
+    row("bigint 20x20 x2000 calls",
+        {label: time_call(short_products, backends[label], repeat=3) for label in LABELS})
 
 
 def main() -> None:

@@ -1,47 +1,36 @@
-"""Dense integer polynomial kernels, pure Python reference implementation.
+"""Dense integer polynomial kernels, pure Python.
 
 A coefficient vector is a plain list of ints indexed from exponent 0.
-Everything is exact (arbitrary precision); schoolbook multiplication is
-deliberate, the series this package handles are dense and desk-sized.
+Everything is exact (arbitrary precision).  ``mul_trunc`` is the one
+convolution: each output coefficient is one diagonal sum
+``sum(map(mul, ...))`` over slices, so the inner loop runs in C.
 
-``qfish._speedups`` (``_speedups.c``, a small C extension) implements the
-same two functions with an int64 fast path; ``qfish.backend`` picks one of
-the twins at import time.
+This module is the whole kernel without a C compiler.  With one,
+``qfish._speedups`` (``_speedups.c``) runs products that fit int64 on C
+arrays and hands every other product to ``mul_trunc`` here;
+``qfish.backend`` picks the module at import time.
 """
 
 from __future__ import annotations
 
-
-def mul(a: list, b: list) -> list:
-    """Full product of two coefficient vectors."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return []
-    out = [0] * (la + lb - 1)
-    for i in range(la):
-        ai = a[i]
-        if ai:
-            for j in range(lb):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+from operator import mul as _mul
 
 
-def mul_trunc(a: list, b: list, n: int) -> list:
+def mul_trunc(a, b, n: int) -> list:
     """First ``n`` coefficients of ``a * b`` (result length <= n)."""
     la, lb = len(a), len(b)
+    n = min(n, la + lb - 1)
     if la == 0 or lb == 0 or n <= 0:
         return []
-    if la + lb - 1 < n:
-        n = la + lb - 1
-    out = [0] * n
-    for i in range(min(la, n)):
-        ai = a[i]
-        if ai:
-            jmax = min(lb, n - i)
-            for j in range(jmax):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+    rb = b[::-1]  # rb[lb - 1 - j] = b[j], so a diagonal is two forward slices
+    out = []
+    for k in range(n):
+        i0, i1 = max(0, k - lb + 1), min(la, k + 1)
+        j0 = lb - 1 - k + i0
+        out.append(sum(map(_mul, a[i0:i1], rb[j0:j0 + i1 - i0])))
     return out
+
+
+def mul(a, b) -> list:
+    """Full product of two coefficient vectors."""
+    return mul_trunc(a, b, len(a) + len(b) - 1)

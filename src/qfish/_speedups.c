@@ -1,22 +1,19 @@
-/* Compiled dense polynomial kernels (schoolbook, exact).
+/* Compiled dense polynomial kernel (schoolbook, exact).
  *
  * Same contract as qfish._kernels: mul(a, b) and mul_trunc(a, b, n) take
  * sequences of ints and return a new list of ints, bit for bit equal to the
- * pure twin.  Two lanes:
- *
- *   int64     every coefficient fits in a long long other than LLONG_MIN, and
- *             max|a| * max|b| * overlap < 2^62, so no partial sum can
- *             overflow; the product runs on C arrays.
- *   PyObject  anything else; C loops over the Python ints that skip zero
- *             coefficients and accumulate with the number protocol.
+ * pure module.  A product runs here on C arrays when every coefficient fits
+ * in a long long other than LLONG_MIN and max|a| * max|b| * overlap < 2^62,
+ * so no partial sum can overflow.  Any other product is handed to
+ * qfish._kernels.mul_trunc, the one big-integer convolution.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
 
 /* Read xs[0..len) into buf.  Returns 1 when every element fits the int64
- * lane, 0 when some does not (its slot gets the nonzero marker 1, so a zero
- * slot always means a zero coefficient), -1 with TypeError for a non-int. */
+ * lane, 0 when some does not, -1 with TypeError for a non-int.  The scan
+ * always covers every element, so a non-int raises before any handoff. */
 static int
 read_coeffs(PyObject **xs, Py_ssize_t len, long long *buf,
             unsigned long long *maxabs)
@@ -35,10 +32,8 @@ read_coeffs(PyObject **xs, Py_ssize_t len, long long *buf,
         v = PyLong_AsLongLongAndOverflow(xs[i], &overflow);
         if (v == -1 && PyErr_Occurred())
             return -1;
-        if (overflow || v == LLONG_MIN) {
+        if (overflow || v == LLONG_MIN)
             fits = 0;
-            v = 1;
-        }
         else {
             unsigned long long u = v < 0 ? -(unsigned long long)v : (unsigned long long)v;
             if (u > m)
@@ -88,57 +83,14 @@ mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
     return res;
 }
 
-/* acc[k] is NULL (zero) or an owned reference; on return it is all NULL. */
-static PyObject *
-mul_object(PyObject **a, const long long *za, Py_ssize_t la, PyObject **b,
-           const long long *zb, Py_ssize_t lb, PyObject **acc, Py_ssize_t n)
-{
-    PyObject *res = NULL;
-    Py_ssize_t k;
-    for (Py_ssize_t i = 0; i < la; i++) {
-        const Py_ssize_t jmax = lb < n - i ? lb : n - i;
-        if (za[i] == 0)
-            continue;
-        for (Py_ssize_t j = 0; j < jmax; j++) {
-            PyObject *prod, *sum;
-            if (zb[j] == 0)
-                continue;
-            prod = PyNumber_Multiply(a[i], b[j]);
-            if (prod == NULL)
-                goto done;
-            if (acc[i + j] == NULL) {
-                acc[i + j] = prod;
-                continue;
-            }
-            sum = PyNumber_Add(acc[i + j], prod);
-            Py_DECREF(prod);
-            if (sum == NULL)
-                goto done;
-            Py_SETREF(acc[i + j], sum);
-        }
-    }
-    res = PyList_New(n);
-    if (res == NULL)
-        goto done;
-    for (k = 0; k < n; k++) {
-        if (acc[k] == NULL && (acc[k] = PyLong_FromLong(0)) == NULL) {
-            Py_CLEAR(res);
-            goto done;
-        }
-        PyList_SET_ITEM(res, k, acc[k]);  /* steals the reference */
-        acc[k] = NULL;
-    }
-done:
-    for (k = 0; k < n; k++)
-        Py_XDECREF(acc[k]);
-    return res;
-}
-
 static PyObject *
 prefix(PyObject *seq, Py_ssize_t len)
 {
     return PyList_Check(seq) ? PyList_GetSlice(seq, 0, len) : PyTuple_GetSlice(seq, 0, len);
 }
+
+/* qfish._kernels.mul_trunc, fetched once at module init */
+static PyObject *pure_mul_trunc;
 
 /* First n coefficients of a * b, n already clipped to [1, la + lb - 1]. */
 static PyObject *
@@ -152,34 +104,26 @@ mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n)
     int fa, fb;
     PyObject *res = NULL;
     /* one block: a's values, b's values, then n accumulator slots */
-    char *mem = PyMem_Malloc((size_t)(la + lb) * sizeof(long long)
-                             + (size_t)n * Py_MAX(sizeof(long long), sizeof(PyObject *)));
-    long long *pa = (long long *)mem, *pb = pa + la;
-    if (mem == NULL)
+    long long *pa = PyMem_Malloc((size_t)(la + lb + n) * sizeof(long long)), *pb;
+    if (pa == NULL)
         return PyErr_NoMemory();
+    pb = pa + la;
     fa = read_coeffs(a, la, pa, &ma);
     fb = fa < 0 ? -1 : read_coeffs(b, lb, pb, &mb);
-    if (fb < 0)
-        goto done;
-    if (fa && fb && (ma == 0 || mb == 0 || below_fast_limit(ma, mb, Py_MIN(la, lb)))) {
+    if (fa == 1 && fb == 1 && (ma == 0 || mb == 0 || below_fast_limit(ma, mb, Py_MIN(la, lb)))) {
         res = mul_int64(pa, la, pb, lb, pb + lb, n);
     }
-    else {
-        /* The number protocol can run Python code (an int subclass's
-         * __mul__) that mutates an operand list, so multiply from private
-         * copies of the prefixes in use. */
+    else if (fb >= 0) {  /* fb < 0: a non-int, TypeError set */
+        /* The pure kernel multiplies through the number protocol, which can
+         * run Python code (an int subclass's __mul__) that mutates an
+         * operand list, so hand it private copies of the prefixes in use. */
         PyObject *ca = prefix(seq_a, la), *cb = ca ? prefix(seq_b, lb) : NULL;
-        if (cb != NULL) {
-            PyObject **acc = (PyObject **)(pb + lb);
-            memset(acc, 0, (size_t)n * sizeof(PyObject *));
-            res = mul_object(PySequence_Fast_ITEMS(ca), pa, la,
-                             PySequence_Fast_ITEMS(cb), pb, lb, acc, n);
-        }
+        if (cb != NULL)
+            res = PyObject_CallFunction(pure_mul_trunc, "OOn", ca, cb, n);
         Py_XDECREF(ca);
         Py_XDECREF(cb);
     }
-done:
-    PyMem_Free(mem);
+    PyMem_Free(pa);
     return res;
 }
 
@@ -238,12 +182,19 @@ static PyMethodDef kernel_methods[] = {
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "qfish._speedups",
-    "Compiled twin of qfish._kernels: int64 lane plus PyObject lane.",
+    "Compiled int64 lane of qfish._kernels; other products go to its mul_trunc.",
     -1, kernel_methods
 };
 
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
+    PyObject *pure = PyImport_ImportModule("qfish._kernels");
+    if (pure == NULL)
+        return NULL;
+    Py_XSETREF(pure_mul_trunc, PyObject_GetAttrString(pure, "mul_trunc"));
+    Py_DECREF(pure);
+    if (pure_mul_trunc == NULL)
+        return NULL;
     return PyModule_Create(&kernel_module);
 }

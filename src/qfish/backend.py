@@ -2,7 +2,10 @@
 
 The extension ``qfish._speedups`` is built from ``_speedups.c`` by
 ``python setup.py build_ext --inplace`` (or ``pip install .``); without a C
-compiler the build is skipped and the pure kernels are used.
+compiler the build is skipped and the pure kernels are used.  The
+extension multiplies int64-sized products on C arrays and hands every
+other product to the pure ``mul_trunc``, so both backends share one
+big-integer convolution.
 Set ``QFISH_PURE=1`` in the environment to force the pure backend (useful
 for benchmarking and for debugging suspected kernel issues).
 """

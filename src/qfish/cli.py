@@ -44,25 +44,30 @@ _FALLBACK = {"diff": (8, 16), "rewrite2": (6, 12), "key": 12, "theta": 40,
 IDENTITY_NAMES = ("diff", "rewrite2", "key", "theta", "slater", "root")
 
 
+def _or_default(value, default):
+    return default if value is None else value
+
+
 def _run_identity(name: str, t: int, order, x_bound, n_max):
     default = _WINDOWS.get((name, t), _FALLBACK[name])
     if name == "diff":
         xb, qo = default
         return identities.verify_difference_equation(
-            t, x_bound or xb, order or qo
+            t, _or_default(x_bound, xb), _or_default(order, qo)
         )
     if name == "rewrite2":
         xb, qo = default
-        return identities.verify_rewrite2(t, x_bound or xb, order or qo)
+        return identities.verify_rewrite2(t, _or_default(x_bound, xb), _or_default(order, qo))
     if name == "key":
-        return identities.verify_key_identity(t, order or default)
+        return identities.verify_key_identity(t, _or_default(order, default))
     if name == "theta":
-        return identities.verify_theta_product(t, order or default)
+        return identities.verify_theta_product(t, _or_default(order, default))
     if name == "slater":
         qo, gen = default
-        return identities.verify_slater(order or qo, gen_q_order=min(order or qo, gen))
+        qo = _or_default(order, qo)
+        return identities.verify_slater(qo, gen_q_order=min(qo, gen))
     if name == "root":
-        return identities.verify_root_match(t, n_max or default)
+        return identities.verify_root_match(t, _or_default(n_max, default))
     raise ValueError(name)
 
 
@@ -187,6 +192,8 @@ def main(argv=None) -> int:
         _check_t(parser, args)
         if args.s < 2:
             parser.error("--s must be >= 2")
+        if args.n < 0:
+            parser.error("--n must be >= 0")
         rep = divisibility_check(args.t, args.s, args.n)
         d = rep.as_dict()
         results = d.pop("entries")
@@ -204,6 +211,10 @@ def main(argv=None) -> int:
             )
         if args.t == 1 and args.identity not in ("root", "slater"):
             parser.error(f"identity {args.identity!r} needs --t >= 2")
+        for flag, value in (("--order", args.order), ("--x-bound", args.x_bound),
+                            ("--n-max", args.n_max)):
+            if value is not None and value < 1:
+                parser.error(f"{flag} must be >= 1")
         names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
         reports = [_run_identity(n, args.t, args.order, args.x_bound, args.n_max)
                    for n in names]
@@ -218,7 +229,7 @@ def main(argv=None) -> int:
             parser.error("--count must be >= 1")
         try:
             rep = check_bfile(args.path, args.count)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             print(f"error: cannot read b-file: {exc}", file=sys.stderr)
             return 1
         except BFileError as exc:

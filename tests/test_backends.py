@@ -1,4 +1,5 @@
-"""The compiled and pure kernels must agree bit-for-bit.
+"""The compiled and pure kernels must agree bit-for-bit, and the pure
+diagonal-sum convolution must agree with a row-by-row schoolbook.
 
 The compiled module is the one the package imported; when it is not
 importable and a C compiler is present, it is built from ``setup.py`` into a
@@ -31,6 +32,28 @@ LLONG_MIN = -(2**63)
 small_ints = st.lists(st.integers(-(10**3), 10**3), max_size=12)
 big_ints = st.lists(st.integers(-(10**25), 10**25), max_size=8)
 mixed = st.one_of(small_ints, big_ints)
+zero_heavy = st.lists(st.sampled_from([0, 0, 0, 0, 1, -7, 2**64, -(10**30)]), max_size=12)
+operands = st.one_of(mixed, zero_heavy).flatmap(
+    lambda xs: st.sampled_from([xs, tuple(xs)]))
+
+
+def schoolbook_mul_trunc(a, b, n):
+    """The row-by-row schoolbook product, kept as the oracle for the
+    diagonal-sum convolution in ``qfish._kernels``."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0 or n <= 0:
+        return []
+    if la + lb - 1 < n:
+        n = la + lb - 1
+    out = [0] * n
+    for i in range(min(la, n)):
+        ai = a[i]
+        if ai:
+            for j in range(min(lb, n - i)):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return out
 
 
 def _have_compiler() -> bool:
@@ -46,11 +69,10 @@ def compiled(tmp_path_factory):
     if not _have_compiler() or not (ROOT / "setup.py").exists():
         pytest.skip("compiled extension not built and no C compiler to build it")
     out = tmp_path_factory.mktemp("ext")
-    env = {k: v for k, v in os.environ.items() if k != "QFISH_NO_EXT"}
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        cwd=ROOT, capture_output=True, text=True,
     )
     built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
              for p in (out / "qfish").glob("_speedups" + suffix)]
@@ -129,6 +151,25 @@ class TestKernelAgreement:
             assert impl.mul([], [1, 2]) == []
             assert impl.mul_trunc([1], [1], 0) == []
             assert impl.mul([0, 0], [0]) == [0, 0]
+
+
+class TestPureConvolution:
+    @given(operands, operands, st.integers(-3, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_schoolbook(self, a, b, drawn):
+        full = len(a) + len(b) - 1
+        for n in (drawn, -(10**30), 0, 1, full, full + 1, full + 5, 2**63, 10**30):
+            got = PURE.mul_trunc(a, b, n)
+            assert type(got) is list
+            assert got == schoolbook_mul_trunc(a, b, n)
+        assert PURE.mul(a, b) == schoolbook_mul_trunc(a, b, full)
+
+    def test_dense_operands(self):
+        a = list(range(-40, 41))
+        b = [3**k - 2**90 for k in range(57)]
+        for n in (1, 56, 57, 80, 81, 137, 200):
+            assert PURE.mul_trunc(a, b, n) == schoolbook_mul_trunc(a, b, n)
+            assert PURE.mul_trunc(b, a, n) == schoolbook_mul_trunc(b, a, n)
 
 
 class TestCompiledContract:

@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qfish.cli import _run_identity
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -113,6 +117,26 @@ class TestVerify:
         assert rep["pass"] is True
         assert len(rep["results"]) == 6
 
+    @pytest.mark.parametrize("flag", ["--order", "--x-bound", "--n-max"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_window_below_one_usage_error(self, flag, value):
+        proc = run_cli("verify", "--identity", "all", "--t", "2", flag, value)
+        assert proc.returncode == 2
+        assert f"{flag} must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_given_window_is_never_replaced_by_default(self):
+        # a zero window reaches the library, which refuses it, instead of
+        # silently running the default window
+        with pytest.raises(ValueError):
+            _run_identity("rewrite2", 2, 0, None, None)
+        with pytest.raises(ValueError):
+            _run_identity("diff", 2, None, 0, None)
+        with pytest.raises(ValueError):
+            _run_identity("root", 2, None, None, 0)
+        assert _run_identity("root", 2, None, None, 1).window == {"t": 2, "N_max": 1}
+        assert _run_identity("root", 2, None, None, None).window["N_max"] == 8
+
 
 class TestDissect:
     def test_report(self):
@@ -124,6 +148,11 @@ class TestDissect:
         assert rep["pass"] is True
         assert rep["params"]["lambda"] == 2
         assert [row["i"] for row in rep["results"]] == [1, 4]
+
+    def test_negative_n_usage_error(self):
+        proc = run_cli("dissect", "--t", "2", "--s", "5", "--n", "-1")
+        assert proc.returncode == 2
+        assert "--n must be >= 0" in proc.stderr
 
 
 class TestBFile:
@@ -171,6 +200,12 @@ class TestBFile:
         proc = run_cli("bfile-check", "--path", "/nonexistent/x.txt", "--count", "2")
         assert proc.returncode == 1
         assert "cannot read" in proc.stderr
+
+    def test_directory_path(self, tmp_path):
+        proc = run_cli("bfile-check", "--path", str(tmp_path), "--count", "3")
+        assert proc.returncode == 1
+        assert "cannot read b-file" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -184,6 +184,23 @@ class TestSensitivity:
         assert not rep.passed
 
 
+class TestWindowValidation:
+    @pytest.mark.parametrize("check,args", [
+        (verify_rewrite2, (2, 12, -1)),
+        (verify_rewrite2, (2, 0, 10)),
+        (verify_difference_equation, (2, 8, 0)),
+        (verify_difference_equation, (2, -1, 8)),
+    ])
+    def test_empty_window_raises(self, check, args):
+        # an empty window would report a pass with nothing compared
+        with pytest.raises(ValueError, match="must be >= 1"):
+            check(*args)
+
+    def test_smallest_window_is_checked(self):
+        assert verify_rewrite2(2, 1, 1).passed
+        assert verify_difference_equation(2, 1, 1).passed
+
+
 class TestReportInvariant:
     def test_pass_iff_no_discrepancy(self):
         good = _series_report("x", {}, IntSeries.one(4), IntSeries.one(4))
