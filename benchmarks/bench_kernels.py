@@ -2,9 +2,10 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Both implementations run in-process on the same operands (dense
-small-coefficient products, big-integer products, and many short
-big-integer products, where the compiled module's per-call handoff to the
-pure convolution shows).  End-to-end numbers come from perfbench/run.py.
+small-coefficient products, big-integer products, many short big-integer
+products, where the compiled module's per-call handoff to the pure
+convolution shows, and many short int64 products added into one list,
+by a Python loop or by the kernel's accumulate form).  End-to-end numbers come from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -74,6 +75,37 @@ def kernel_bench(quick: bool) -> None:
 
     row("bigint 20x20 x2000 calls",
         {label: time_call(short_products, backends[label], repeat=3) for label in LABELS})
+
+    # the call profile of the inner-sum DP: 20000 int64 products of length
+    # <= 20, each added into one growing list, either by a Python loop over
+    # the product (the pool add) or inside the kernel (mul_trunc with out)
+    acc_cases = []
+    for _ in range(20000):
+        a = [rng.randint(-99, 99) for _ in range(rng.randint(1, 10))]
+        b = [rng.randint(-99, 99) for _ in range(rng.randint(1, 11))]
+        acc_cases.append((a, b, rng.randint(1, len(a) + len(b) - 1), rng.randint(0, 40)))
+
+    def add_loop(kernel):
+        out = []
+        for a, b, n, off in acc_cases:
+            prod = kernel.mul_trunc(a, b, n)
+            if len(out) < off + n:
+                out.extend([0] * (off + n - len(out)))
+            for i, c in enumerate(prod, off):
+                if c:
+                    out[i] += c
+
+    def in_kernel(kernel):
+        out = []
+        for a, b, n, off in acc_cases:
+            if len(out) < off + n:
+                out.extend([0] * (off + n - len(out)))
+            kernel.mul_trunc(a, b, n, out, off)
+
+    row("accumulate: add loop",
+        {label: time_call(add_loop, backends[label], repeat=3) for label in LABELS})
+    row("accumulate: in kernel",
+        {label: time_call(in_kernel, backends[label], repeat=3) for label in LABELS})
 
 
 def main() -> None:

@@ -5,6 +5,12 @@ Everything is exact (arbitrary precision).  ``mul_trunc`` is the one
 convolution: each output coefficient is one diagonal sum
 ``sum(map(mul, ...))`` over slices, so the inner loop runs in C.
 
+``mul_trunc(a, b, n, out, off)`` is the accumulate form: it adds the
+product's coefficients into the list ``out`` at ``off, off + 1, ...`` in
+place (a zero coefficient leaves its slot untouched) and returns ``out``.
+``out`` must be a list with at least ``off`` plus the product length
+items, and ``off >= 0``; both are checked before anything is written.
+
 This module is the whole kernel without a C compiler.  With one,
 ``qfish._speedups`` (``_speedups.c``) runs products that fit int64 on C
 arrays and hands every other product to ``mul_trunc`` here;
@@ -13,21 +19,34 @@ arrays and hands every other product to ``mul_trunc`` here;
 
 from __future__ import annotations
 
+from operator import index as _index
 from operator import mul as _mul
 
 
-def mul_trunc(a, b, n: int) -> list:
-    """First ``n`` coefficients of ``a * b`` (result length <= n)."""
+def mul_trunc(a, b, n: int, out=None, off: int = 0) -> list:
+    """First ``n`` coefficients of ``a * b`` (result length <= n); with
+    ``out``, added into ``out[off:]`` in place and ``out`` returned."""
     la, lb = len(a), len(b)
-    n = min(n, la + lb - 1)
-    if la == 0 or lb == 0 or n <= 0:
-        return []
+    n = max(min(n, la + lb - 1), 0) if la and lb else 0
+    off = _index(off)
+    if out is not None:
+        if not isinstance(out, list):
+            raise TypeError(f"out must be a list, not {type(out).__name__}")
+        if off < 0 or len(out) - off < n:
+            raise ValueError("off must be >= 0 and out long enough for the product")
+    if not n:
+        return [] if out is None else out
     rb = b[::-1]  # rb[lb - 1 - j] = b[j], so a diagonal is two forward slices
-    out = []
+    res = []
     for k in range(n):
         i0, i1 = max(0, k - lb + 1), min(la, k + 1)
         j0 = lb - 1 - k + i0
-        out.append(sum(map(_mul, a[i0:i1], rb[j0:j0 + i1 - i0])))
+        res.append(sum(map(_mul, a[i0:i1], rb[j0:j0 + i1 - i0])))
+    if out is None:
+        return res
+    for i, c in enumerate(res, off):
+        if c:
+            out[i] += c
     return out
 
 

@@ -2,10 +2,12 @@
  *
  * Same contract as qfish._kernels: mul(a, b) and mul_trunc(a, b, n) take
  * sequences of ints and return a new list of ints, bit for bit equal to the
- * pure module.  A product runs here on C arrays when every coefficient fits
+ * pure module; mul_trunc(a, b, n, out, off) adds the nonzero ones into the
+ * list out[off:] instead (checked before any write) and returns out.  A
+ * product runs here on C arrays when every coefficient fits
  * in a long long other than LLONG_MIN and max|a| * max|b| * overlap < 2^62,
- * so no partial sum can overflow.  Any other product is handed to
- * qfish._kernels.mul_trunc, the one big-integer convolution.
+ * so no partial sum can overflow.  Any other product is handed, with out,
+ * to qfish._kernels.mul_trunc, the one big-integer convolution.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -54,9 +56,34 @@ below_fast_limit(unsigned long long ma, unsigned long long mb,
     return ma <= lim / mb && ma * mb <= lim / overlap;
 }
 
+/* out[i] += x, by a checked C add when out[i] is an exact int in range.  Code
+ * run by PyNumber_Add or by freeing an old item may resize out: check i. */
+static int
+add_into(PyObject *out, Py_ssize_t i, long long x)
+{
+    PyObject *item = PyList_GetItem(out, i), *v, *sum;
+    long long y;
+    int overflow;
+    if (item == NULL)
+        return -1;
+    if (PyLong_CheckExact(item)) {
+        y = PyLong_AsLongLongAndOverflow(item, &overflow);
+        if (!overflow && !__builtin_add_overflow(y, x, &y))
+            return (v = PyLong_FromLongLong(y)) ? PyList_SetItem(out, i, v) : -1;
+    }
+    if ((v = PyLong_FromLongLong(x)) == NULL)
+        return -1;
+    Py_INCREF(item);  /* PyNumber_Add may run code that drops it from out */
+    sum = PyNumber_Add(item, v);
+    Py_DECREF(item);
+    Py_DECREF(v);
+    return sum ? PyList_SetItem(out, i, sum) : -1;
+}
+
 static PyObject *
 mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
-          Py_ssize_t lb, long long *acc, Py_ssize_t n)
+          Py_ssize_t lb, long long *acc, Py_ssize_t n, PyObject *out,
+          Py_ssize_t off)
 {
     PyObject *res;
     memset(acc, 0, (size_t)n * sizeof(long long));
@@ -68,6 +95,12 @@ mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
             continue;
         for (Py_ssize_t j = 0; j < jmax; j++)
             row[j] += ai * pb[j];
+    }
+    if (out != NULL) {
+        for (Py_ssize_t k = 0; k < n; k++)
+            if (acc[k] != 0 && add_into(out, off + k, acc[k]) < 0)
+                return NULL;
+        return Py_NewRef(out);
     }
     res = PyList_New(n);
     if (res == NULL)
@@ -92,9 +125,11 @@ prefix(PyObject *seq, Py_ssize_t len)
 /* qfish._kernels.mul_trunc, fetched once at module init */
 static PyObject *pure_mul_trunc;
 
-/* First n coefficients of a * b, n already clipped to [1, la + lb - 1]. */
+/* First n coefficients of a * b, n already clipped to [1, la + lb - 1],
+ * added into out[off:] unless out is NULL. */
 static PyObject *
-mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n)
+mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n, PyObject *out,
+         Py_ssize_t off)
 {
     PyObject **a = PySequence_Fast_ITEMS(seq_a), **b = PySequence_Fast_ITEMS(seq_b);
     /* coefficients at index >= n cannot reach the first n of the product */
@@ -111,7 +146,7 @@ mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n)
     fa = read_coeffs(a, la, pa, &ma);
     fb = fa < 0 ? -1 : read_coeffs(b, lb, pb, &mb);
     if (fa == 1 && fb == 1 && (ma == 0 || mb == 0 || below_fast_limit(ma, mb, Py_MIN(la, lb)))) {
-        res = mul_int64(pa, la, pb, lb, pb + lb, n);
+        res = mul_int64(pa, la, pb, lb, pb + lb, n, out, off);
     }
     else if (fb >= 0) {  /* fb < 0: a non-int, TypeError set */
         /* The pure kernel multiplies through the number protocol, which can
@@ -119,7 +154,8 @@ mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n)
          * operand list, so hand it private copies of the prefixes in use. */
         PyObject *ca = prefix(seq_a, la), *cb = ca ? prefix(seq_b, lb) : NULL;
         if (cb != NULL)
-            res = PyObject_CallFunction(pure_mul_trunc, "OOn", ca, cb, n);
+            res = PyObject_CallFunction(pure_mul_trunc, "OOnOn", ca, cb, n,
+                                        out ? out : Py_None, off);
         Py_XDECREF(ca);
         Py_XDECREF(cb);
     }
@@ -131,16 +167,21 @@ mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n)
 
 /* First n coefficients of a * b; a huge n means the full product. */
 static PyObject *
-dispatch(PyObject *a, PyObject *b, Py_ssize_t n)
+dispatch(PyObject *a, PyObject *b, Py_ssize_t n, PyObject *out, Py_ssize_t off)
 {
     PyObject *res = NULL, *seq_a = PySequence_Fast(a, NOT_SEQ);
     PyObject *seq_b = seq_a ? PySequence_Fast(b, NOT_SEQ) : NULL;
     if (seq_b != NULL) {
         Py_ssize_t la = PySequence_Fast_GET_SIZE(seq_a), lb = PySequence_Fast_GET_SIZE(seq_b);
-        if (la == 0 || lb == 0 || n <= 0)
-            res = PyList_New(0);
+        n = la == 0 || lb == 0 || n <= 0 ? 0 : Py_MIN(n, la + lb - 1);
+        if (out != NULL && !PyList_Check(out))
+            PyErr_Format(PyExc_TypeError, "out must be a list, not %.200s", Py_TYPE(out)->tp_name);
+        else if (out != NULL && (off < 0 || PyList_GET_SIZE(out) - off < n))
+            PyErr_SetString(PyExc_ValueError, "off must be >= 0 and out long enough for the product");
+        else if (n == 0)
+            res = out != NULL ? Py_NewRef(out) : PyList_New(0);
         else
-            res = mul_impl(seq_a, seq_b, Py_MIN(n, la + lb - 1));
+            res = mul_impl(seq_a, seq_b, n, out, off);
     }
     Py_XDECREF(seq_a);
     Py_XDECREF(seq_b);
@@ -154,29 +195,34 @@ kernel_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_TypeError, "mul() takes 2 arguments (%zd given)", nargs);
         return NULL;
     }
-    return dispatch(args[0], args[1], PY_SSIZE_T_MAX);
+    return dispatch(args[0], args[1], PY_SSIZE_T_MAX, NULL, 0);
 }
 
 static PyObject *
 kernel_mul_trunc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t n;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "mul_trunc() takes 3 arguments (%zd given)", nargs);
+    Py_ssize_t n, off;
+    if (nargs < 3 || nargs > 5) {
+        PyErr_Format(PyExc_TypeError, "mul_trunc() takes 3 to 5 arguments (%zd given)", nargs);
         return NULL;
     }
-    /* clipped rather than OverflowError: a huge n asks for every coefficient */
+    /* clipped rather than OverflowError: a huge n asks for every coefficient,
+     * and a huge off is past the end of any out */
     n = PyNumber_AsSsize_t(args[2], NULL);
     if (n == -1 && PyErr_Occurred())
         return NULL;
-    return dispatch(args[0], args[1], n);
+    off = nargs > 4 ? PyNumber_AsSsize_t(args[4], NULL) : 0;
+    if (off == -1 && PyErr_Occurred())
+        return NULL;
+    return dispatch(args[0], args[1], n, nargs > 3 && args[3] != Py_None ? args[3] : NULL, off);
 }
 
 static PyMethodDef kernel_methods[] = {
     {"mul", (PyCFunction)(void (*)(void))kernel_mul, METH_FASTCALL,
      "mul(a, b)\n--\n\nFull product of two coefficient vectors."},
     {"mul_trunc", (PyCFunction)(void (*)(void))kernel_mul_trunc, METH_FASTCALL,
-     "mul_trunc(a, b, n)\n--\n\nFirst n coefficients of a * b (result length <= n)."},
+     "mul_trunc(a, b, n, out=None, off=0, /)\n--\n\nFirst n coefficients of a * b "
+     "(result length <= n); with out, added into out[off:] and out returned."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -131,10 +131,7 @@ def xi_series(t: int, n_top: int, count: int) -> list:
                 acc = _acc_mul(acc, [0, tab.power(e)], pool, order)
             inner = acc[1] if acc else []
             row = row_next
-        contrib = mul_trunc(poch_tail, inner, count - n)
-        for i, c in enumerate(contrib):
-            if c:
-                total[n + i] += c
+        mul_trunc(poch_tail, inner, count - n, total, n)
     if p.m > 1:
         pref = invert_unit(one_minus_q_power(p.h_d, count), count)
         total = mul_trunc(total, list(pref.coeffs), count)

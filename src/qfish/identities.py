@@ -273,6 +273,8 @@ def verify_slater(q_order: int, gen_q_order: Optional[int] = None) -> IdentityRe
     """Slater (86) at q_order plus the generalized product identity for
     t = 2 and t = 3 (at gen_q_order, default q_order)."""
     go = q_order if gen_q_order is None else gen_q_order
+    if q_order < 1 or go < 1:
+        raise ValueError("q_order and gen_q_order must be >= 1")
     window = {"q_order": q_order, "gen_q_order": go}
     parts = [_slater86(q_order), _gen_slater(2, go), _gen_slater(3, go)]
     return _merge("slater", window, parts)

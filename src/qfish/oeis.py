@@ -18,8 +18,11 @@ class BFileError(ValueError):
 
 def parse_bfile(path) -> dict:
     """Map index -> value from a b-file; raises BFileError with the line
-    number on malformed input."""
-    text = Path(path).read_text()
+    number on malformed input and without one on text that is not UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileError(f"cannot read b-file: {exc}") from None
     entries: dict = {}
     last = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .backend import mul, mul_trunc
+from .backend import mul_trunc
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, chi_t, pochhammer
@@ -159,6 +159,27 @@ def admissible_jvectors(
 # pools S + A keyed by (K - a)/m = (T - a)/m + (stride/m) d, decoded by
 # divmod(_, stride // m); the caller multiplies each by q^e or (1-q)^e,
 # e = (T - a)/m.
+#
+# A step's product goes straight into its destination pool: _acc_mul grows
+# the pool's list once to cover the product's exponents, and one kernel call
+# mul_trunc(src, f, n, pool, off) adds the product into it, so no product
+# list is built and no Python loop adds it.  Pools are private to one DP
+# run, so the in-place add is safe.  The exact results that callers ask for
+# again (G_n in kz_inner_sum, J_N in colored_jones) are immutable IntSeries
+# kept in bounded lru_caches, so a process builds each of them once.
+
+
+def _grow(dst, lo, n) -> int:
+    """Extend the pool dst [lo, coeffs] in place to cover q^lo .. q^(lo+n-1);
+    returns the index of q^lo in its coeffs."""
+    cs = dst[1]
+    if lo < dst[0]:
+        cs[:0] = [0] * (dst[0] - lo)
+        dst[0] = lo
+    off = lo - dst[0]
+    if len(cs) < off + n:
+        cs.extend([0] * (off + n - len(cs)))
+    return off
 
 
 def _padd(dst, lo, coeffs):
@@ -167,14 +188,7 @@ def _padd(dst, lo, coeffs):
     if dst is None:
         return [lo, list(coeffs)]
     cs = dst[1]
-    if lo < dst[0]:
-        cs[:0] = [0] * (dst[0] - lo)
-        dst[0] = lo
-    off = lo - dst[0]
-    end = off + len(coeffs)
-    if len(cs) < end:
-        cs.extend([0] * (end - len(cs)))
-    for i, c in enumerate(coeffs, off):
+    for i, c in enumerate(coeffs, _grow(dst, lo, len(coeffs))):
         if c:
             cs[i] += c
     return dst
@@ -182,15 +196,20 @@ def _padd(dst, lo, coeffs):
 
 def _acc_mul(dst, src, f, lim):
     """dst + src * f for pools [lo, coeffs] (None is zero), the product cut
-    below q^lim (None = exact).  dst is updated in place."""
+    below q^lim (None = exact).  dst is updated in place: it grows to cover
+    the product, which the kernel then adds into it."""
     lo = src[0] + f[0]
-    if lim is None:
-        prod = mul(src[1], f[1])
-    else:
-        prod = mul_trunc(src[1], f[1], lim - lo)
-    if not prod:
+    a, b = src[1], f[1]
+    n = len(a) + len(b) - 1 if a and b else 0
+    if lim is not None and lim - lo < n:
+        n = lim - lo
+    if n <= 0:
         return dst
-    return [lo, prod] if dst is None else _padd(dst, lo, prod)
+    if dst is None:
+        return [lo, mul_trunc(a, b, n)]
+    off = _grow(dst, lo, n)
+    mul_trunc(a, b, n, dst[1], off)
+    return dst
 
 
 def _ladd(a, b):
@@ -327,6 +346,7 @@ def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     return _end_sum(_pool_dp(p, [None] * (jmax + 1), fac, _q_cuts(p, jmax, order)), order)
 
 
+@lru_cache(maxsize=256)
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None)."""
     return _end_sum(_pool_dp(p, *_q_setup(p, n, order)), order)
@@ -377,6 +397,7 @@ def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
     return poly
 
 
+@lru_cache(maxsize=64)
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     """J_N(T(3, 2^t); q) as an exact Laurent polynomial, J_N(unknot) = 1.
 

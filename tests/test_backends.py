@@ -220,3 +220,98 @@ class TestCompiledContract:
 
         a.extend([Clearing(10**30), 10**30, 7])
         assert compiled.mul(a, [1, 2]) == PURE.mul([10**30, 10**30, 7], [1, 2])
+
+
+# slots of an accumulate target: small ints, int64 edges where a C add
+# overflows, and ints beyond int64 (not the cached small ints, so `is` shows
+# whether a slot was rewritten)
+slot_values = st.sampled_from([0, 1, -7, 2**40, -(2**40), INT64_MAX, INT64_MAX - 3,
+                               LLONG_MIN, LLONG_MIN + 3, 2**64, -(10**30)])
+
+
+def _accumulated(out, a, b, n, off):
+    """out with the schoolbook product's coefficients added at off."""
+    want = list(out)
+    for i, c in enumerate(schoolbook_mul_trunc(a, b, n), off):
+        want[i] += c
+    return want
+
+
+class TestAccumulate:
+    """mul_trunc(a, b, n, out, off) adds the product into out[off:] in place,
+    identically in both modules, and checks out and off before any write."""
+
+    @given(operands, operands, st.one_of(st.integers(-3, 30), st.just(10**30)),
+           st.integers(0, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pure(self, compiled, a, b, n, off, data):
+        m = max(min(n, len(a) + len(b) - 1), 0) if a and b else 0
+        out = data.draw(st.lists(slot_values, min_size=off + m, max_size=off + m + 2))
+        got, want = list(out), list(out)
+        assert compiled.mul_trunc(a, b, n, got, off) is got
+        assert PURE.mul_trunc(a, b, n, want, off) is want
+        assert got == want == _accumulated(out, a, b, n, off)
+        prod = PURE.mul_trunc(a, b, n)
+        untouched = [i for i in range(len(out))
+                     if not off <= i < off + len(prod) or prod[i - off] == 0]
+        assert all(got[i] is out[i] for i in untouched)
+
+    def test_int64_slot_overflow(self, compiled):
+        for x, c in ((INT64_MAX, 1), (INT64_MAX - 3, 5), (LLONG_MIN, -1), (LLONG_MIN + 3, -4)):
+            for impl in (PURE, compiled):
+                out = [x, x]
+                impl.mul_trunc([c], [1, 0], 2, out, 0)
+                assert out == [x + c, x]
+                assert out[1] is x  # a zero coefficient is not added
+
+    def test_bigint_handoff(self, compiled):
+        a, b = [10**30, 0, -1], (3, 10**25)
+        out = [1, 2**64, INT64_MAX, 5, 6]
+        got = list(out)
+        compiled.mul_trunc(a, b, 3, got, 1)
+        assert got == _accumulated(out, a, b, 3, 1)
+        assert got[0] is out[0] and got[4] is out[4]
+
+    def test_invalid_out_raises_before_writing(self, compiled):
+        cases = [
+            (TypeError, ([1, None], [2, 3], 2), [5, 6], 0),  # non-int operand
+            (TypeError, ([10**30, None], [2, 3], 2), [5, 6], 0),  # ... on the handoff path
+            (ValueError, ([1, 2], [3, 4], 3), [5, 6], 0),  # out too short
+            (ValueError, ([1, 2], [3, 4], 3), [5, 6, 7], 1),  # too short past off
+            (ValueError, ([1], [1], 1), [5, 6], -1),  # off < 0
+            (ValueError, ([1], [1], 1), [5, 6], 10**30),  # off past any end
+            (TypeError, ([1], [1], 1), (5, 6), 0),  # out not a list
+            (TypeError, ([1], [1], 1), bytearray(2), 0),
+        ]
+        for impl in (PURE, compiled):
+            for exc, args, out, off in cases:
+                before = list(out)
+                with pytest.raises(exc):
+                    impl.mul_trunc(*args, out, off)
+                assert list(out) == before
+
+    def test_out_shrinks_during_add(self, compiled):
+        for impl in (PURE, compiled):
+            out = []
+
+            class Clearing(int):
+                def __add__(self, other):
+                    out.clear()
+                    return int(self) + other
+
+            out.extend([Clearing(1), 1, 1])
+            with pytest.raises(IndexError):
+                impl.mul_trunc([1, 1, 1], [1], 3, out, 0)
+            assert out == []
+
+    def test_refcounts_unchanged(self, compiled):
+        mid, big = 2**40, 10**30
+        out = [mid, 0, big]
+        before = sys.getrefcount(out), sys.getrefcount(mid), sys.getrefcount(big)
+        for _ in range(1000):
+            compiled.mul_trunc([0, 1], [1, 0], 2, out, 1)  # adds 0, then 1 into out[2]
+            compiled.mul_trunc([0, big], [1], 2, out, 0)  # handoff; adds big into out[1]
+            compiled.mul_trunc([0], [5], 1, out, 0)  # product all zero: nothing written
+        assert out[0] is mid and out[1] == 1000 * big and out[2] == big + 1000
+        assert sys.getrefcount(out) == before[0]
+        assert sys.getrefcount(mid) == before[1]

@@ -1,6 +1,7 @@
 """The command-line surface: formats, exit codes, determinism, b-files."""
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -203,6 +204,17 @@ class TestBFile:
 
     def test_directory_path(self, tmp_path):
         proc = run_cli("bfile-check", "--path", str(tmp_path), "--count", "3")
+        assert proc.returncode == 1
+        assert "cannot read b-file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_random_bytes(self, tmp_path):
+        data = random.Random(10).randbytes(100)
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        bad = tmp_path / "noise.bin"
+        bad.write_bytes(data)
+        proc = run_cli("bfile-check", "--path", str(bad), "--count", "3")
         assert proc.returncode == 1
         assert "cannot read b-file" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -190,6 +190,9 @@ class TestWindowValidation:
         (verify_rewrite2, (2, 0, 10)),
         (verify_difference_equation, (2, 8, 0)),
         (verify_difference_equation, (2, -1, 8)),
+        (verify_slater, (5, 0)),
+        (verify_slater, (0, 5)),
+        (verify_slater, (0,)),
     ])
     def test_empty_window_raises(self, check, args):
         # an empty window would report a pass with nothing compared

@@ -228,7 +228,9 @@ class TestPoolAdd:
         def boom(*args):
             raise AssertionError("pool add reached the product kernel")
 
-        monkeypatch.setattr(torus_mod, "mul", boom)
+        # a cached G_n or J_N would answer without running the DP
+        kz_inner_sum.cache_clear()
+        colored_jones.cache_clear()
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
 
     def test_padd_copies_new_pool(self, no_kernel):
@@ -256,6 +258,24 @@ class TestPoolAdd:
         assert torus_mod._end_sum(ends, 2) == IntSeries.make(0, [1, 7], 2)
         assert added == [(0, [1, 2]), (1, [5])]
         assert torus_mod._end_sum({}, 4) == IntSeries.zero(4)
+
+
+class TestExactCaches:
+    """A second request for an exact G_n or J_N is answered from its cache,
+    without a product."""
+
+    def test_second_call_makes_no_product(self, monkeypatch):
+        p = torus_params(3)
+        kz_inner_sum.cache_clear()
+        colored_jones.cache_clear()
+        first = kz_inner_sum(p, 4, None), colored_jones(p, 4)
+
+        def boom(*args):
+            raise AssertionError("a cached call reached the product kernel")
+
+        monkeypatch.setattr(torus_mod, "mul_trunc", boom)
+        assert (kz_inner_sum(p, 4, None), colored_jones(p, 4)) == first
+        assert kz_inner_sum.cache_info().hits == colored_jones.cache_info().hits == 1
 
 
 class TestKZSeries:
