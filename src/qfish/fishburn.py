@@ -5,10 +5,11 @@ routes to them, and `xi_coefficients` uses the first:
 
 * `xi_lvalues` reads them off the strange identity
   F_t(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi_t) (-s/b)^k / k!
-  (Zagier; Lawrence-Zagier) at s = -log(1-q), in O(count^2) exact integer
-  operations: the odd L-values of chi_t come from one power-series
-  division, the s-coefficients from a binomial transform, and the
-  q-coefficients from unsigned Stirling numbers of the first kind.
+  (Zagier; Lawrence-Zagier) at s = -log(1-q), in O(count^2) big +- big *
+  small integer steps: the odd L-values of chi_t come from a tangent-number
+  triangle and the Appell triangles of the Bernoulli polynomials, the
+  s-coefficients from a binomial triangle, and the q-coefficients from a
+  Stirling triangle.
 * `xi_series` expands the multisum itself and is kept as the oracle.
 
 In `xi_series`, substituting q -> 1-q into a *truncation* of the partial
@@ -150,76 +151,72 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _odd_lvalue_numerators(vals: tuple, count: int) -> list:
-    """[T_1, T_3, .., T_(2 count - 1)] for chi(n) = vals[n mod P], P = len(vals).
+def _xi_from_lvalues(vals: tuple, a: int, b: int, count: int) -> list:
+    """xi(0 .. count-1) from F(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi)
+    (-s/b)^k / k!, chi(n) = vals[n mod P], P = len(vals), every division exact.
 
-    T_i = (i+1)! P^(i+1) R_i, where R_i = i! [z^i] of
-    sum_{n=1..P} chi(n) e^(-nz) / (1 - e^(-Pz)), so L(-i, chi) = (-1)^i R_i.
-    Multiplying the quotient back by (1 - e^(-Pz))/z gives the integer
-    recurrence T_i = i! P^i N_(i+1) + sum_{j=2..i+1} (-1)^j C(i+1, j)
-    (i!/(i+2-j)!) P^(2j-2) T_(i+1-j), with N_i = sum_{n=1..P} chi(n) (-n)^i.
-    For an even chi with mean value zero the quotient is an odd function of
-    z, so T_i = 0 at even i and only odd j contribute at odd i.
+    Four triangles, each step of which is big +- big * small:
+    1. Brent and Harvey's tangent numbers T_k give beta_j = d B_j P^j for
+       j <= 2 count, as B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); d, the
+       product of the primes <= 2 count + 1, clears every Bernoulli
+       denominator (von Staudt-Clausen).
+    2. The Appell triangle from beta has d P^n B_n(r/P) at its head after n
+       steps; it runs two steps at a time, as only even n are read.
+       B_n(1-x) = B_n(x) at even n, so the residues r <= P/2, each but 0
+       and P/2 counted twice, give h_n = d P B_(n, chi), and
+       L(-2l-1) = -h_(2l+2) / ((2l+2) d P).
+    3. Over D = d P lcm(2, 4, .., 2 count) the V_l = -D L(-2l-1) are integers,
+       and G_k = k! [s^k] F(e^(-s)) = sum_l C(k, l) a^(k-l) (-1)^l V_l /
+       (2 b^k D) is a binomial triangle.
+    4. G_k is an integer (F = sum_n xi(n) (1 - e^(-s))^n), and at
+       s = -log(1-q), s^k/k! = sum_n |s(n, k)| q^n/n!.  As sum_k |s(n, k)| x^k
+       = x (x+1) .. (x+n-1), the Stirling triangle from G has n! xi(n) at its
+       head at step n.
     """
     p = len(vals)
     if sum(vals) or any(vals[n] != vals[-n] for n in range(p)):
         raise ArithmeticError("chi must be even with mean value zero")
-    p4 = p**4
-    powers = [[(n or p) ** 2, c] for n, c in enumerate(vals) if c]  # [n^2, chi(n) n^(i+1)]
-    out = []
-    lead = 1  # i! P^i
-    for i in range(1, 2 * count, 2):
-        for pw in powers:
-            pw[1] *= pw[0]
-        lead *= (i - 1) * i * p * p if i > 1 else p
-        acc = lead * sum(pw[1] for pw in powers)
-        coef = (i + 1) * i * (i - 1) // 6 * i * p4  # j = 3: C(i+1, 3) (i!/(i-1)!) P^4
-        for j in range(3, i + 1, 2):
-            acc -= coef * out[(i - j) // 2]  # (-1)^j = -1 at odd j
-            coef = _exact_div(coef * ((i + 1 - j) * (i - j) * (i + 2 - j) * (i + 1 - j) * p4),
-                              (j + 1) * (j + 2))
-        out.append(acc)
-    return out
-
-
-def _xi_from_lvalues(vals: tuple, a: int, b: int, count: int) -> list:
-    """xi(0 .. count-1) from F(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi)
-    (-s/b)^k / k!, chi(n) = vals[n mod len(vals)], every division exact.
-
-    With L(-2l-1) = -T_(2l+1) / ((2l+2)! P^(2l+2)) over the common
-    denominator D = (2 count)! P^(2 count), the s-coefficients
-    G_k = k! [s^k] F(e^(-s)) are sum_l C(k, l) a^(k-l) (-1)^l V_l / (2 b^k D)
-    with V_l = -D L(-2l-1), a binomial transform.  G_k is an integer
-    (F = sum_n xi(n) (1 - e^(-s))^n), and s^k/k! = sum_n |s(n, k)| q^n/n! at
-    s = -log(1-q) gives xi(n) = sum_k |s(n, k)| G_k / n!.
-    """
-    p = len(vals)
-    ts = _odd_lvalue_numerators(vals, count)
-    ys = [0] * count
-    scale = 1  # D / ((2l+2)! P^(2l+2))
-    for l in range(count - 1, -1, -1):
-        ys[l] = -ts[l] * scale if l & 1 else ts[l] * scale
-        scale *= (2 * l + 1) * (2 * l + 2) * p * p
+    top = 2 * count
+    tan = [0] + [math.factorial(k) for k in range(count)]  # tan[k] = (k-1)!, then T_k
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    d = math.prod(n for n in range(2, top + 2) if is_prime(n))
+    beta = [d, _exact_div(-d * p, 2)] + [0] * (top - 1)
+    scale, q = d, 1  # d P^(2k), 4^k
+    for k in range(1, count + 1):
+        scale *= p * p
+        q *= 4
+        beta[2 * k] = _exact_div((2 * k if k & 1 else -2 * k) * tan[k] * scale, q * (q - 1))
+    hs = [0] * count
+    for r in range(p // 2 + 1):
+        if vals[r]:
+            w = vals[r] if 2 * r % p == 0 else 2 * vals[r]  # r and P - r
+            row, sq, dbl = beta, r * r, 2 * r
+            for l in range(count):  # two steps at a time: only even n are read
+                row = [sq * y0 + dbl * y1 + y2 for y0, y1, y2 in zip(row, row[1:], row[2:])]
+                hs[l] += w * row[0]
+    m = math.lcm(*range(2, top + 1, 2))
+    ys = [(-h if l & 1 else h) * _exact_div(m, 2 * l + 2) for l, h in enumerate(hs)]
     gs = []
-    den = 2 * scale  # 2 b^k D
+    den = 2 * d * p * m  # 2 b^k D
     for _ in range(count):
         gs.append(_exact_div(ys[0], den))
         ys = [a * y + y1 for y, y1 in zip(ys, ys[1:])]  # k -> k + 1 in the transform
         den *= b
     xs = []
-    row = [1]  # |s(n, k)|, k = 0..n
     nfact = 1
     for n in range(count):
-        if n:
-            row = [(n - 1) * c + c1 for c, c1 in zip(row + [0], [0] + row)]
-            nfact *= n
-        xs.append(_exact_div(sum(c * g for c, g in zip(row, gs)), nfact))
+        nfact *= n or 1
+        xs.append(_exact_div(gs[0], nfact))
+        gs = [n * g + g1 for g, g1 in zip(gs, gs[1:])]
     return xs
 
 
 def xi_lvalues(t: int, count: int) -> list:
     """xi_t(0 .. count-1) from the strange identity, with P = 3 2^(t+1),
-    a = (2^(t+1)-3)^2, b = 3 2^(t+2) and chi = chi_t, in exact integers.
+    a = (2^(t+1)-3)^2, b = 3 2^(t+2) and chi = chi_t, in exact integers:
+    four triangles of O(count^2) big +- big * small steps in all.
 
     A non-integral intermediate raises ArithmeticError; nothing is rounded.
     """

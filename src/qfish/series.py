@@ -16,7 +16,7 @@ importing ``dataclasses`` (with ``inspect``) adds to every process's start-up.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, neg
 from typing import Iterable, Optional
 
 from .backend import mul, mul_trunc
@@ -199,20 +199,20 @@ class IntSeries(Record):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "IntSeries") -> "IntSeries":
+    def __add__(self, other: "IntSeries", sign: int = 1) -> "IntSeries":
         order = _min_order(self.order, other.order)
         if not self.coeffs:
-            return other.truncate(order) if order is not None else other
+            return (other if sign > 0 else -other).truncate(order)
         if not other.coeffs:
-            return self.truncate(order) if order is not None else self
+            return self.truncate(order)
         lo = min(self.min_exp, other.min_exp)
         hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
         if order is not None:
             hi = min(hi, order)
         out = [0] * (hi - lo)
-        for src in (self, other):
-            off = src.min_exp - lo
-            for i, c in enumerate(src.coeffs[:max(hi - lo - off, 0)], off):
+        for src, sg in ((self, 1), (other, sign)):
+            cs = src.coeffs[:max(hi - src.min_exp, 0)]
+            for i, c in enumerate(cs if sg > 0 else map(neg, cs), src.min_exp - lo):
                 out[i] += c
         return IntSeries.make(lo, out, order)
 
@@ -220,7 +220,7 @@ class IntSeries(Record):
         return IntSeries(self.min_exp, tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "IntSeries") -> "IntSeries":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, int):

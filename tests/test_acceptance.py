@@ -89,6 +89,7 @@ def test_criterion_04_prime_power_congruences():
             (2, 17, 1, 2, (1, 2)),
             (3, 7, 1, 3, (1, 2)),
             (3, 13, 1, 2, (1,)),
+            (2, 5, 4, 1, (1,)),
         ]
         for t, p, r, m_max, expected_j in cases:
             rep = verify_congruence(t, p, r, m_max)

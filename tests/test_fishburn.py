@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qfish.backend import mul_trunc
 from qfish.fishburn import (
     S_set,
+    _exact_div,
     _sub_row,
     _SubTables,
     _xi_from_lvalues,
@@ -57,6 +58,77 @@ def _sub_factors(row, order, tab):
         prod = mul_trunc(tab.power(j * (j - 1) // 2), cs, order)
         out.append([-c for c in prod] if j & 1 else prod)
     return out
+
+
+# The retired L-value engine, kept as an oracle for _xi_from_lvalues: the odd
+# L-values from a power-series-division recurrence, xi from Stirling rows.  It
+# holds for chi(0) = 0 only: otherwise the quotient below is odd only up to
+# the constant -chi(0)/2, which the recurrence drops.
+def _odd_lvalue_numerators(vals: tuple, count: int) -> list:
+    """[T_1, T_3, .., T_(2 count - 1)] for chi(n) = vals[n mod P], P = len(vals).
+
+    T_i = (i+1)! P^(i+1) R_i, where R_i = i! [z^i] of
+    sum_{n=1..P} chi(n) e^(-nz) / (1 - e^(-Pz)), so L(-i, chi) = (-1)^i R_i.
+    Multiplying the quotient back by (1 - e^(-Pz))/z gives the integer
+    recurrence T_i = i! P^i N_(i+1) + sum_{j=2..i+1} (-1)^j C(i+1, j)
+    (i!/(i+2-j)!) P^(2j-2) T_(i+1-j), with N_i = sum_{n=1..P} chi(n) (-n)^i.
+    For an even chi with mean value zero the quotient is an odd function of
+    z, so T_i = 0 at even i and only odd j contribute at odd i.
+    """
+    p = len(vals)
+    if sum(vals) or any(vals[n] != vals[-n] for n in range(p)):
+        raise ArithmeticError("chi must be even with mean value zero")
+    p4 = p**4
+    powers = [[(n or p) ** 2, c] for n, c in enumerate(vals) if c]  # [n^2, chi(n) n^(i+1)]
+    out = []
+    lead = 1  # i! P^i
+    for i in range(1, 2 * count, 2):
+        for pw in powers:
+            pw[1] *= pw[0]
+        lead *= (i - 1) * i * p * p if i > 1 else p
+        acc = lead * sum(pw[1] for pw in powers)
+        coef = (i + 1) * i * (i - 1) // 6 * i * p4  # j = 3: C(i+1, 3) (i!/(i-1)!) P^4
+        for j in range(3, i + 1, 2):
+            acc -= coef * out[(i - j) // 2]  # (-1)^j = -1 at odd j
+            coef = _exact_div(coef * ((i + 1 - j) * (i - j) * (i + 2 - j) * (i + 1 - j) * p4),
+                              (j + 1) * (j + 2))
+        out.append(acc)
+    return out
+
+
+def _xi_from_recurrence(vals: tuple, a: int, b: int, count: int) -> list:
+    """xi(0 .. count-1) from F(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi)
+    (-s/b)^k / k!, chi(n) = vals[n mod len(vals)], every division exact.
+
+    With L(-2l-1) = -T_(2l+1) / ((2l+2)! P^(2l+2)) over the common
+    denominator D = (2 count)! P^(2 count), the s-coefficients
+    G_k = k! [s^k] F(e^(-s)) are sum_l C(k, l) a^(k-l) (-1)^l V_l / (2 b^k D)
+    with V_l = -D L(-2l-1), a binomial transform.  G_k is an integer
+    (F = sum_n xi(n) (1 - e^(-s))^n), and s^k/k! = sum_n |s(n, k)| q^n/n! at
+    s = -log(1-q) gives xi(n) = sum_k |s(n, k)| G_k / n!.
+    """
+    p = len(vals)
+    ts = _odd_lvalue_numerators(vals, count)
+    ys = [0] * count
+    scale = 1  # D / ((2l+2)! P^(2l+2))
+    for l in range(count - 1, -1, -1):
+        ys[l] = -ts[l] * scale if l & 1 else ts[l] * scale
+        scale *= (2 * l + 1) * (2 * l + 2) * p * p
+    gs = []
+    den = 2 * scale  # 2 b^k D
+    for _ in range(count):
+        gs.append(_exact_div(ys[0], den))
+        ys = [a * y + y1 for y, y1 in zip(ys, ys[1:])]  # k -> k + 1 in the transform
+        den *= b
+    xs = []
+    row = [1]  # |s(n, k)|, k = 0..n
+    nfact = 1
+    for n in range(count):
+        if n:
+            row = [(n - 1) * c + c1 for c, c1 in zip(row + [0], [0] + row)]
+            nfact *= n
+        xs.append(_exact_div(sum(c * g for c, g in zip(row, gs)), nfact))
+    return xs
 
 
 def _padded(cs, length):
@@ -115,6 +187,35 @@ class TestXiLvalues:
     @pytest.mark.parametrize("t,count", [(2, 100), (3, 40)])
     def test_matches_dp_deep(self, t, count):
         assert xi_lvalues(t, count) == xi_series(t, count + 4, count)
+
+    @pytest.mark.parametrize("t,count", [(1, 200), (2, 250), (4, 200)])
+    def test_matches_retired_engine(self, t, count):
+        # counts the DP does not reach in tier-1
+        vals, a, b = self._data(t)
+        assert xi_lvalues(t, count) == _xi_from_recurrence(tuple(vals), a, b, count)
+
+    @given(st.integers(1, 6), st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+           st.integers(-5, 5), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_even_character_matches_retired_engine(self, half_p, half, a, b):
+        # chi(P/2) counts once, every other residue pairs with P - r; the
+        # recurrence takes chi(0) = 0.  Scaling chi by k clears every
+        # denominator of L, G and xi
+        count, p = 8, 2 * half_p
+        vals = [half[min(n, p - n)] if n else 0 for n in range(p)]
+        vals[half_p] -= sum(vals)
+        k = 2 * math.factorial(2 * count) * p ** (2 * count) * b**count * math.factorial(count)
+        vals = tuple(k * v for v in vals)
+        assert _xi_from_lvalues(vals, a, b, count) == _xi_from_recurrence(vals, a, b, count)
+
+    def test_character_nonzero_at_zero(self):
+        # chi(n) = (-1)^(n+1): L(-2l-1) = (-1)^l T_(l+1) / 4^(l+1) with the
+        # tangent numbers T = 1, 2, 16, 272, so at a = 0, b = 1,
+        # G_l = -T_(l+1) / (2 4^(l+1)), and xi(n) = sum_l |s(n, l)| G_l / n!
+        k = 2 * 4**4 * 6
+        g = [-k * t // (2 * 4 ** (i + 1)) for i, t in enumerate([1, 2, 16, 272])]
+        xs = [g[0], g[1], (g[1] + g[2]) // 2, (2 * g[1] + 3 * g[2] + g[3]) // 6]
+        assert _xi_from_lvalues((-k, k), 0, 1, 4) == xs
 
     def test_bfile_sample(self):
         entries = parse_bfile(DATA / "b022493_sample.txt")

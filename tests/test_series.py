@@ -59,10 +59,11 @@ class TestArith:
         # a stays exact, so its window may start at or past b's order and
         # run longer than the window of the sum
         b = b.with_order(order) if order is not None else b
-        s = a + b
-        assert s.order == b.order
+        s, d = a + b, a - b
+        assert s.order == d.order == b.order
         for e in range(-6, 14 if order is None else order):
             assert s.coeff(e) == a.coeff(e) + b.coeff(e)
+            assert d.coeff(e) == a.coeff(e) - b.coeff(e)
 
     def test_orders_never_widen(self):
         a = poly(1, 1, order=3)
