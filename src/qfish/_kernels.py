@@ -2,8 +2,10 @@
 
 A coefficient vector is a plain list of ints indexed from exponent 0.
 Everything is exact (arbitrary precision).  ``mul_trunc`` is the one
-convolution: each output coefficient is one diagonal sum
-``sum(map(mul, ...))`` over slices, so the inner loop runs in C.
+convolution and the module's only entry point (a full product asks for
+``len(a) + len(b) - 1`` coefficients): each output coefficient is one
+diagonal sum ``sum(map(mul, ...))`` over slices, so the inner loop runs
+in C.  The operands may be lists or tuples.
 
 ``mul_trunc(a, b, n, out, off)`` is the accumulate form: it adds the
 product's coefficients into the list ``out`` at ``off, off + 1, ...`` in
@@ -48,8 +50,3 @@ def mul_trunc(a, b, n: int, out=None, off: int = 0) -> list:
         if c:
             out[i] += c
     return out
-
-
-def mul(a, b) -> list:
-    """Full product of two coefficient vectors."""
-    return mul_trunc(a, b, len(a) + len(b) - 1)

@@ -1,9 +1,9 @@
 /* Compiled dense polynomial kernel (schoolbook, exact).
  *
- * Same contract as qfish._kernels: mul(a, b) and mul_trunc(a, b, n) take
- * sequences of ints and return a new list of ints, bit for bit equal to the
- * pure module; mul_trunc(a, b, n, out, off) adds the nonzero ones into the
- * list out[off:] instead (checked before any write) and returns out.  A
+ * Same contract as qfish._kernels, whose one entry point mul_trunc(a, b, n)
+ * takes sequences of ints and returns a new list of ints, bit for bit equal
+ * to the pure module; mul_trunc(a, b, n, out, off) adds the nonzero ones into
+ * the list out[off:] instead (checked before any write) and returns out.  A
  * product runs here on C arrays when every coefficient fits
  * in a long long other than LLONG_MIN and max|a| * max|b| * overlap < 2^62,
  * so no partial sum can overflow.  Any other product is handed, with out,
@@ -165,12 +165,27 @@ mul_impl(PyObject *seq_a, PyObject *seq_b, Py_ssize_t n, PyObject *out,
 
 #define NOT_SEQ "operands must be sequences of int"
 
-/* First n coefficients of a * b; a huge n means the full product. */
+/* mul_trunc(a, b, n, out=None, off=0): the module's one entry point */
 static PyObject *
-dispatch(PyObject *a, PyObject *b, Py_ssize_t n, PyObject *out, Py_ssize_t off)
+kernel_mul_trunc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *res = NULL, *seq_a = PySequence_Fast(a, NOT_SEQ);
-    PyObject *seq_b = seq_a ? PySequence_Fast(b, NOT_SEQ) : NULL;
+    PyObject *res = NULL, *out, *seq_a, *seq_b;
+    Py_ssize_t n, off;
+    if (nargs < 3 || nargs > 5) {
+        PyErr_Format(PyExc_TypeError, "mul_trunc() takes 3 to 5 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    /* clipped rather than OverflowError: a huge n asks for every coefficient,
+     * and a huge off is past the end of any out */
+    n = PyNumber_AsSsize_t(args[2], NULL);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    off = nargs > 4 ? PyNumber_AsSsize_t(args[4], NULL) : 0;
+    if (off == -1 && PyErr_Occurred())
+        return NULL;
+    out = nargs > 3 && args[3] != Py_None ? args[3] : NULL;
+    seq_a = PySequence_Fast(args[0], NOT_SEQ);
+    seq_b = seq_a ? PySequence_Fast(args[1], NOT_SEQ) : NULL;
     if (seq_b != NULL) {
         Py_ssize_t la = PySequence_Fast_GET_SIZE(seq_a), lb = PySequence_Fast_GET_SIZE(seq_b);
         n = la == 0 || lb == 0 || n <= 0 ? 0 : Py_MIN(n, la + lb - 1);
@@ -188,38 +203,7 @@ dispatch(PyObject *a, PyObject *b, Py_ssize_t n, PyObject *out, Py_ssize_t off)
     return res;
 }
 
-static PyObject *
-kernel_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "mul() takes 2 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    return dispatch(args[0], args[1], PY_SSIZE_T_MAX, NULL, 0);
-}
-
-static PyObject *
-kernel_mul_trunc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_ssize_t n, off;
-    if (nargs < 3 || nargs > 5) {
-        PyErr_Format(PyExc_TypeError, "mul_trunc() takes 3 to 5 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    /* clipped rather than OverflowError: a huge n asks for every coefficient,
-     * and a huge off is past the end of any out */
-    n = PyNumber_AsSsize_t(args[2], NULL);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    off = nargs > 4 ? PyNumber_AsSsize_t(args[4], NULL) : 0;
-    if (off == -1 && PyErr_Occurred())
-        return NULL;
-    return dispatch(args[0], args[1], n, nargs > 3 && args[3] != Py_None ? args[3] : NULL, off);
-}
-
 static PyMethodDef kernel_methods[] = {
-    {"mul", (PyCFunction)(void (*)(void))kernel_mul, METH_FASTCALL,
-     "mul(a, b)\n--\n\nFull product of two coefficient vectors."},
     {"mul_trunc", (PyCFunction)(void (*)(void))kernel_mul_trunc, METH_FASTCALL,
      "mul_trunc(a, b, n, out=None, off=0, /)\n--\n\nFirst n coefficients of a * b "
      "(result length <= n); with out, added into out[off:] and out returned."},

@@ -5,10 +5,12 @@ The extension ``qfish._speedups`` is built from ``_speedups.c`` by
 compiler the build is skipped and the pure kernels are used.  The
 extension multiplies int64-sized products on C arrays and hands every
 other product to the pure ``mul_trunc``, so both backends share one
-big-integer convolution.  Both take ``mul_trunc(a, b, n, out, off)``
-(positional), which adds the product into the list ``out`` at ``off``
-in place and returns ``out``; ``out`` and ``off`` are checked before
-anything is written.
+big-integer convolution.  ``mul_trunc`` is the only product either
+module exports: ``mul_trunc(a, b, n)`` returns the first ``n``
+coefficients (``n = len(a) + len(b) - 1`` for the full product), and
+``mul_trunc(a, b, n, out, off)`` (positional) adds them into the list
+``out`` at ``off`` in place and returns ``out``; ``out`` and ``off`` are
+checked before anything is written.
 Set ``QFISH_PURE=1`` in the environment to force the pure backend (useful
 for benchmarking and for debugging suspected kernel issues).
 """
@@ -28,7 +30,6 @@ if not os.environ.get("QFISH_PURE"):
 
 _impl = _fast if _fast is not None else _pure
 
-mul = _impl.mul
 mul_trunc = _impl.mul_trunc
 
 

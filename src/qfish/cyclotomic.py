@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .backend import mul
+from .backend import mul_trunc
 from .series import IntSeries, NotPolynomialError, Record, poly_divides
 
 
@@ -68,6 +68,8 @@ class CycInt(Record):
     @staticmethod
     def root_power(m: int, exp: int, coeff: int = 1) -> "CycInt":
         """coeff * zeta_M**exp (any integer exponent)."""
+        if m < 1:
+            raise ValueError("M must be >= 1")
         e = exp % m
         return CycInt(m, _reduce([0] * e + [coeff], m))
 
@@ -93,7 +95,8 @@ class CycInt(Record):
         if isinstance(other, int):
             return CycInt(self.level, tuple(other * a for a in self.coeffs))
         self._check(other)
-        return CycInt(self.level, _reduce(mul(self.coeffs, other.coeffs), self.level))
+        a, b = self.coeffs, other.coeffs
+        return CycInt(self.level, _reduce(mul_trunc(a, b, len(a) + len(b) - 1), self.level))
 
     __rmul__ = __mul__
 
@@ -121,6 +124,8 @@ def cyc_eval(p: IntSeries, m: int) -> CycInt:
     Negative exponents go through zeta**(-1) = zeta**(M-1); truncated input
     is rejected because its evaluation would not be well-defined.
     """
+    if m < 1:
+        raise ValueError("M must be >= 1")
     if p.order is not None:
         raise NotPolynomialError("cyc_eval needs an exact Laurent polynomial")
     acc = [0] * m

@@ -420,6 +420,8 @@ def straub_order_bound(p: int, r: int, n: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
     one_minus_q_to_p = IntSeries.make(
         0, [(-1 if i & 1 else 1) * math.comb(p, i) for i in range(p + 1)], None
     )
@@ -435,6 +437,8 @@ def straub_order_bound(p: int, r: int, n: int) -> bool:
 def binom_congruence(i: int, l: int, p: int, r: int, m: int, j: int) -> bool:
     """binom(i + l*p, p^r m - j) == 0 (mod p^r), the coefficient lemma used
     with 0 <= i < p and j < p - i."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     bottom = p**r * m - j
     if bottom < 0:
         return True

@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import attrgetter, neg
 from typing import Iterable, Optional
 
-from .backend import mul, mul_trunc
+from .backend import mul_trunc
 
 
 class SeriesError(ValueError):
@@ -236,11 +236,8 @@ class IntSeries(Record):
         lo = self.min_exp + other.min_exp
         if not self.coeffs or not other.coeffs:
             return IntSeries.make(lo, (), order)
-        if order is None:
-            out = mul(list(self.coeffs), list(other.coeffs))
-        else:
-            out = mul_trunc(list(self.coeffs), list(other.coeffs), order - lo)
-        return IntSeries.make(lo, out, order)
+        n = len(self.coeffs) + len(other.coeffs) - 1 if order is None else order - lo
+        return IntSeries.make(lo, mul_trunc(self.coeffs, other.coeffs, n), order)
 
     __rmul__ = __mul__
 
@@ -261,12 +258,6 @@ class IntSeries(Record):
         """Narrow the window to ``order`` (never widens)."""
         if order is None or (self.order is not None and order >= self.order):
             return self
-        return IntSeries.make(self.min_exp, self.coeffs, order)
-
-    def with_order(self, order: int) -> "IntSeries":
-        """View an exact polynomial as a series truncated at ``order``."""
-        if self.order is not None:
-            return self.truncate(order)
         return IntSeries.make(self.min_exp, self.coeffs, order)
 
     def inflate(self, k: int) -> "IntSeries":
@@ -300,6 +291,8 @@ def invert_unit(a: IntSeries, out_order: Optional[int] = None) -> IntSeries:
         raise SeriesError("invert_unit needs a truncation order")
     if a.min_exp != 0 or not a.coeffs or a.coeffs[0] not in (1, -1):
         raise NonUnitError("series is not a unit over the integers (constant term must be +-1)")
+    if order < 1:
+        raise ValueError("out_order must be >= 1")
     c0 = a.coeffs[0]
     n = order
     out = [0] * n
@@ -330,18 +323,10 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
         return IntSeries.zero(out_order)
     # a = q^min_exp * P(q); evaluate P at u = 1-q by Horner, then fix the
     # (1-q)^min_exp prefactor.
-    acc: list = []
+    acc = [0]
     for c in reversed(a.coeffs):
-        # acc <- acc * (1-q) + c
-        nxt = [0] * min(len(acc) + 1, out_order)
-        for i, x in enumerate(acc):
-            if x:
-                if i < len(nxt):
-                    nxt[i] += x
-                if i + 1 < len(nxt):
-                    nxt[i + 1] -= x
-        nxt[0] += c
-        acc = nxt
+        acc = mul_trunc(acc, (1, -1), out_order)  # acc <- acc * (1-q) + c
+        acc[0] += c
     body = IntSeries.make(0, acc, out_order)
     e = a.min_exp
     if e == 0:
@@ -401,6 +386,8 @@ def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
 
     Each factor is expanded only while its exponent stays below out_order.
     """
+    if out_order < 1:
+        raise ValueError("out_order must be >= 1")
     exps = []
     for start, step in pairs:
         if start < 1 or step < 1:

@@ -86,10 +86,9 @@ def compiled(tmp_path_factory):
 
 
 def _agree(compiled, a, b, n=None):
-    if n is None:
-        assert compiled.mul(a, b) == PURE.mul(a, b)
-    else:
-        assert compiled.mul_trunc(a, b, n) == PURE.mul_trunc(a, b, n)
+    if n is None:  # the full product
+        n = len(a) + len(b) - 1
+    assert compiled.mul_trunc(a, b, n) == PURE.mul_trunc(a, b, n)
 
 
 class TestKernelAgreement:
@@ -143,14 +142,14 @@ class TestKernelAgreement:
             _agree(compiled, a, b, 2)
 
     def test_sequence_operands(self, compiled):
-        assert compiled.mul((1, 2), (3, 10**30)) == PURE.mul((1, 2), (3, 10**30))
+        assert compiled.mul_trunc((1, 2), (3, 10**30), 3) == PURE.mul_trunc((1, 2), (3, 10**30), 3)
         assert compiled.mul_trunc((1, 2), [3, 4], 2) == PURE.mul_trunc((1, 2), [3, 4], 2)
 
     def test_empty_and_zero(self, compiled):
         for impl in (PURE, compiled):
-            assert impl.mul([], [1, 2]) == []
+            assert impl.mul_trunc([], [1, 2], 1) == []
             assert impl.mul_trunc([1], [1], 0) == []
-            assert impl.mul([0, 0], [0]) == [0, 0]
+            assert impl.mul_trunc([0, 0], [0], 2) == [0, 0]
 
 
 class TestPureConvolution:
@@ -162,7 +161,7 @@ class TestPureConvolution:
             got = PURE.mul_trunc(a, b, n)
             assert type(got) is list
             assert got == schoolbook_mul_trunc(a, b, n)
-        assert PURE.mul(a, b) == schoolbook_mul_trunc(a, b, full)
+        assert PURE.mul_trunc(a, b, full) == schoolbook_mul_trunc(a, b, full)
 
     def test_dense_operands(self):
         a = list(range(-40, 41))
@@ -178,20 +177,20 @@ class TestCompiledContract:
         mid = 2**40  # not a cached small int, stays in the int64 lane
         before = sys.getrefcount(big), sys.getrefcount(mid)
         for _ in range(1000):
-            compiled.mul([big, 0, 1], [big, 2])
+            compiled.mul_trunc([big, 0, 1], [big, 2], 4)
             compiled.mul_trunc([mid, 3], [mid, 0, 5], 2)
         assert (sys.getrefcount(big), sys.getrefcount(mid)) == before
         # each result element is owned by the result list alone
-        res = compiled.mul([big], [big])
+        res = compiled.mul_trunc([big], [big], 1)
         refs = sys.getrefcount(res[0])  # outside the assert, which holds one more
         assert refs == 2
 
     def test_non_int_raises_type_error(self, compiled):
         for bad in (1.5, None, "x"):
             with pytest.raises(TypeError):
-                compiled.mul([1, bad], [2, 3])  # int64 lane
+                compiled.mul_trunc([1, bad], [2, 3], 3)  # int64 lane
             with pytest.raises(TypeError):
-                compiled.mul([10**30, bad], [2, 3])  # PyObject lane
+                compiled.mul_trunc([10**30, bad], [2, 3], 3)  # PyObject lane
             with pytest.raises(TypeError):
                 compiled.mul_trunc([1], [bad], 1)
         with pytest.raises(TypeError):
@@ -207,7 +206,7 @@ class TestCompiledContract:
         for impl in (PURE, compiled):
             for _ in range(100):
                 with pytest.raises(ArithmeticError, match="boom"):
-                    impl.mul([big, Boom(big)], [big, 1])
+                    impl.mul_trunc([big, Boom(big)], [big, 1], 3)
         assert sys.getrefcount(big) == before
 
     def test_operand_mutated_during_product(self, compiled):
@@ -219,7 +218,7 @@ class TestCompiledContract:
                 return int(self) * other
 
         a.extend([Clearing(10**30), 10**30, 7])
-        assert compiled.mul(a, [1, 2]) == PURE.mul([10**30, 10**30, 7], [1, 2])
+        assert compiled.mul_trunc(a, [1, 2], 4) == PURE.mul_trunc([10**30, 10**30, 7], [1, 2], 4)
 
 
 # slots of an accumulate target: small ints, int64 edges where a C add

@@ -57,6 +57,15 @@ class TestCycInt:
         with pytest.raises(NotPolynomialError):
             cyc_eval(IntSeries.make(0, [1, 1], 5), 4)
 
+    @pytest.mark.parametrize("call", [
+        lambda: cyc_eval(IntSeries.one(), 0),
+        lambda: cyc_eval(IntSeries.one(), -3),
+        lambda: CycInt.root_power(0, 1),
+    ])
+    def test_level_below_one_rejected(self, call):
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            call()
+
     def test_root_power_order(self):
         z = CycInt.root_power(12, 1)
         acc = CycInt.integer(12, 1)

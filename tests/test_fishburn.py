@@ -488,6 +488,12 @@ class TestStraub:
     def test_grid(self, p, r, n):
         assert straub_order_bound(p, r, n)
 
+    @pytest.mark.parametrize("r, n", [(0, 1), (-1, 2), (1, -1)])
+    def test_vacuous_arguments_rejected(self, r, n):
+        # modulus p^0 = 1 passes everything; a negative n would act as n = 0
+        with pytest.raises(ValueError):
+            straub_order_bound(5, r, n)
+
 
 class TestBinomCongruence:
     def test_examples(self):
@@ -495,6 +501,11 @@ class TestBinomCongruence:
         assert binom_congruence(3, 1, 5, 1, 1, 1)
         assert binom_congruence(0, 0, 5, 1, 1, 1)  # comb(0, 4) = 0
         assert binom_congruence(0, 1, 7, 1, 1, 1)  # comb(7, 6) = 7
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_vacuous_modulus_rejected(self, r):
+        with pytest.raises(ValueError):
+            binom_congruence(0, 0, 5, r, 1, 1)
 
     def test_stated_grid(self):
         for t, p in ((2, 5), (3, 7)):

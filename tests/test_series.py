@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfish import cyclotomic, series
+from qfish.cyclotomic import cyc_eval
+from qfish.qseries import quintiple_sides, torus_product
 from qfish.series import (
     IntSeries,
     NonUnitError,
@@ -58,7 +61,7 @@ class TestArith:
     def test_add_is_coefficientwise(self, a, b, order):
         # a stays exact, so its window may start at or past b's order and
         # run longer than the window of the sum
-        b = b.with_order(order) if order is not None else b
+        b = b.truncate(order) if order is not None else b
         s, d = a + b, a - b
         assert s.order == d.order == b.order
         for e in range(-6, 14 if order is None else order):
@@ -84,6 +87,32 @@ class TestArith:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+class TestKernelCalls:
+    def test_one_call_on_stored_coeffs(self, monkeypatch):
+        """Each product hands its stored coefficient tuples to one kernel call."""
+        calls = []
+
+        def recorder(kernel):
+            def wrapped(a, b, n, *rest):
+                calls.append((a, b, n))
+                return kernel(a, b, n, *rest)
+            return wrapped
+
+        monkeypatch.setattr(series, "mul_trunc", recorder(series.mul_trunc))
+        monkeypatch.setattr(cyclotomic, "mul_trunc", recorder(cyclotomic.mul_trunc))
+        cases = [
+            (poly(1, 2, 3, min_exp=-1), poly(4, 5), 4),  # exact: the full product
+            (poly(1, 2, 3, order=3), poly(1, -1, min_exp=1, order=6), 3),  # order 4, lo 1
+            (cyc_eval(poly(1, 2, 3, 4), 12), cyc_eval(poly(5, -6, 7), 12), 7),  # deg Phi_12 = 4
+        ]
+        for a, b, n in cases:
+            calls.clear()
+            a * b
+            assert len(calls) == 1
+            ka, kb, kn = calls[0]
+            assert ka is a.coeffs and kb is b.coeffs and kn == n
 
 
 class TestInvert:
@@ -184,6 +213,17 @@ class TestNamedSeries:
                 naive = naive.mul_one_minus_qk(e)
                 e += step
         assert progression_product(pairs, order) == naive
+
+
+@pytest.mark.parametrize("call", [
+    lambda: invert_unit(IntSeries.one(5), 0),
+    lambda: progression_product([(1, 1)], 0),
+    lambda: torus_product(2, 0),
+    lambda: quintiple_sides(8, 3, 0),
+])
+def test_out_order_below_one_rejected(call):
+    with pytest.raises(ValueError, match="out_order must be >= 1"):
+        call()
 
 
 class TestPolyDivides:
