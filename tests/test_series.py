@@ -186,6 +186,22 @@ class TestNamedSeries:
     def test_euler_order_6_direct_product(self):
         assert euler_product(6) == poly(1, -1, -1, 0, 0, 1, order=6)
 
+    def test_euler_equals_pentagonal_expansion(self):
+        # the pentagonal number theorem, the builder euler_product once had
+        def pentagonal(order):
+            out = [0] * order
+            out[0] = 1
+            k = 1
+            while k * (3 * k - 1) // 2 < order:
+                for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                    if e < order:
+                        out[e] += -1 if k % 2 else 1
+                k += 1
+            return IntSeries.make(0, out, order)
+
+        for order in range(1, 301):
+            assert euler_product(order) == pentagonal(order), order
+
     def test_euler_equals_direct_product_every_order(self):
         for order in range(1, 61):
             direct = IntSeries.one(order)

@@ -290,11 +290,15 @@ class TestKZSeries:
         assert got == expect
 
     def test_full_polynomial_matches_truncation(self):
-        for t, n_top in ((2, 6), (3, 4)):
+        # t = 1 pads the cut by one (its inner term sits at q^-1); t = 4 has
+        # the largest h' here
+        for t, n_top in ((1, 8), (2, 6), (3, 4), (4, 3)):
             p = torus_params(t)
             full = kz_full_polynomial(p, n_top)
-            part = kz_partial_sum(p, n_top, 15)
-            assert first_difference(full, part) is None
+            for order in (1, 2, 15):
+                part = kz_partial_sum(p, n_top, order)
+                assert part.order == order, (t, order)
+                assert first_difference(full, part) is None, (t, order)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_partial_polynomials_add_one_summand_each(self, t):
@@ -455,3 +459,22 @@ class TestSlaterMultisum:
         p = torus_params(t)
         for order in orders:
             assert slater_multisum(p, order) == slater_walk(p, order), order
+
+
+class TestWindowValidation:
+    # an empty window compares nothing, so the builders refuse it up front
+    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("build", [
+        lambda p, bad: a_n_t(p, 3, bad),
+        lambda p, bad: b_n_t(p, 3, bad),
+        lambda p, bad: M_series(p, bad, 5),
+        lambda p, bad: M_series(p, 5, bad),
+        lambda p, bad: H_theta(p, bad, 5),
+        lambda p, bad: H_theta(p, 5, bad),
+        lambda p, bad: H_multisum(p, bad, 5),
+        lambda p, bad: H_multisum(p, 5, bad),
+    ], ids=["a_n_t", "b_n_t", "M_series_x", "M_series_q", "H_theta_x", "H_theta_q",
+            "H_multisum_x", "H_multisum_q"])
+    def test_empty_window_raises(self, build, bad):
+        with pytest.raises(ValueError, match="x_bound and q_order must be >= 1"):
+            build(torus_params(3), bad)
