@@ -5,7 +5,10 @@ Both implementations run in-process on the same operands (dense
 small-coefficient products, big-integer products, many short big-integer
 products, where the compiled module's per-call handoff to the pure
 convolution shows, and many short int64 products added into one list,
-by a Python loop or by the kernel's accumulate form).  End-to-end numbers come from perfbench/run.py.
+by a Python loop or by the kernel's accumulate form).  One layer up, it
+times ``IntSeries.__add__`` (slice assignment and ``map``) against the
+per-coefficient loop it replaced.  End-to-end numbers come from
+perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -15,11 +18,13 @@ import os
 import random
 import sys
 import time
+from operator import neg
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
 from qfish.backend import available_backends  # noqa: E402
+from qfish.series import IntSeries, _min_order  # noqa: E402
 
 # pure always; compiled only when the extension is importable, so a pure
 # timing is never printed under the compiled heading
@@ -110,11 +115,53 @@ def kernel_bench(quick: bool) -> None:
         {label: time_call(in_kernel, backends[label], repeat=3) for label in LABELS})
 
 
+def add_loop(self, other, sign=1):
+    """IntSeries.__add__ as it was: one Python step per coefficient."""
+    order = _min_order(self.order, other.order)
+    if not self.coeffs:
+        return (other if sign > 0 else -other).truncate(order)
+    if not other.coeffs:
+        return self.truncate(order)
+    lo = min(self.min_exp, other.min_exp)
+    hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
+    if order is not None:
+        hi = min(hi, order)
+    out = [0] * (hi - lo)
+    for src, sg in ((self, 1), (other, sign)):
+        cs = src.coeffs[:max(hi - src.min_exp, 0)]
+        for i, c in enumerate(cs if sg > 0 else map(neg, cs), src.min_exp - lo):
+            out[i] += c
+    return IntSeries.make(lo, out, order)
+
+
+def series_bench(quick: bool) -> None:
+    """IntSeries sums on truncated windows of 70 and 1000 coefficients (the
+    key identity's window at q_order 70, and a long one), in one process."""
+    rng = random.Random(11)
+    print()
+    print(f"{'series layer':<28}{'loop (s)':>14}{'slices (s)':>14}{'speedup':>9}")
+    for width, calls in ((70, 2000), (1000, 200)):
+        calls //= 4 if quick else 1
+        pairs = [(IntSeries.make(rng.randint(0, 3), [rng.randint(-99, 99) for _ in range(width)], width),
+                  IntSeries.make(rng.randint(0, 3), [rng.randint(-99, 99) for _ in range(width)], width))
+                 for _ in range(calls)]
+
+        def run(add):
+            for a, b in pairs:
+                add(a, b)
+                add(a, b, -1)
+
+        old, new = time_call(run, add_loop), time_call(run, IntSeries.__add__)
+        name = f"add/sub {width} coeffs x{2 * calls}"
+        print(f"{name:<28}{old:>14.4f}{new:>14.4f}{old / new:>8.1f}x")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller cases only")
     args = parser.parse_args()
     kernel_bench(args.quick)
+    series_bench(args.quick)
 
 
 if __name__ == "__main__":

@@ -116,7 +116,8 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     row = [[0, [1]]]  # F[0]
     for n in range(min(n_top, count - 1) + 1):
         if n:
-            u = [(-1 if i & 1 else 1) * math.comb(n, i + 1) for i in range(count - n)]
+            # (1 - (1-q)^n)/q
+            u = [-c for c in one_minus_q_power(n, count - n + 1).coeffs[1:]]
             poch_tail = mul_trunc(poch_tail, u, count - n)
         if p.m == 1:
             inner = [1]  # empty vector; its (1-q)^(-1) cancels the global prefactor

@@ -37,6 +37,9 @@ from .series import (
 )
 from .torus import (
     M_series,
+    _acc_mul,
+    _padd,
+    _series,
     b_n_t,
     colored_jones,
     H_multisum,
@@ -140,35 +143,37 @@ def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
 # -- the key identity ----------------------------------------------------------
 
 
-def _b_sums(p, work: int, n_stop: Optional[int] = None):
-    """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) truncated below work.
+def _b_sums(p, work: int) -> tuple:
+    """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) truncated below work, summed
+    over n < n_cut and over n < 2 n_cut, then n_cut.
 
-    Without an explicit stop, summation ends after 2m consecutive terms
-    vanish on the window (no effective convergence rate is available, so
-    callers double the cutoff and compare).
+    The cutoff n_cut is the first n past h that ends 2m consecutive terms
+    vanishing on the window (no effective convergence rate is available,
+    so the caller compares the sums at n_cut and at 2 n_cut).  One pass
+    runs to 2 n_cut and keeps the totals it had at n_cut.
     """
-    total_b = IntSeries.zero(work)
-    total_w = IntSeries.zero(work)
+    total_b = total_w = None
+    at_cut = None
     run = 0
     n = 0
     hard_cap = max(16 * work * p.m, 64)
-    while True:
-        if n_stop is not None:
-            if n >= n_stop:
-                break
-        elif run >= 2 * p.m and n > p.h:
-            break
-        elif n > hard_cap:
-            raise ArithmeticError("b_{n,t} sum failed to stabilize")
+    while at_cut is None or n < 2 * n_cut:
+        if at_cut is None:
+            if run >= 2 * p.m and n > p.h:
+                n_cut = n
+                at_cut = (_series(total_b, work), _series(total_w, work))
+                continue
+            if n > hard_cap:
+                raise ArithmeticError("b_{n,t} sum failed to stabilize")
         bn = b_n_t(p, n, work)
         if bn.is_zero():
             run += 1
         else:
             run = 0
-            total_b = total_b + bn
-            total_w = total_w + bn.scale(n - p.h)
+            total_b = _padd(total_b, bn.min_exp, bn.coeffs)
+            total_w = _padd(total_w, bn.min_exp, [(n - p.h) * c for c in bn.coeffs])
         n += 1
-    return total_b, total_w, n
+    return at_cut + (_series(total_b, work), _series(total_w, work), n_cut)
 
 
 def verify_key_identity(t: int, q_order: int) -> IdentityReport:
@@ -189,7 +194,7 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     )
     work = q_order + p.h_d
     eul = euler_product(work)
-    s1 = IntSeries.zero(work)
+    s1 = None
     poch = IntSeries.one(work)
     for n in range(work + 1):  # (q)_n - (q)_inf = O(q^(n+1))
         if n:
@@ -197,9 +202,10 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
         diffp = poch - eul
         if diffp.is_zero() and n > 0:
             break
-        s1 = s1 + diffp * kz_inner_sum(p, n, work)
-    tb, tw, n_cut = _b_sums(p, work)
-    tb2, tw2, _ = _b_sums(p, work, n_stop=2 * n_cut)
+        inner = kz_inner_sum(p, n, work)
+        s1 = _acc_mul(s1, [diffp.min_exp, diffp.coeffs], [inner.min_exp, inner.coeffs], work)
+    s1 = _series(s1, work)
+    tb, tw, tb2, tw2, n_cut = _b_sums(p, work)
     cutoff_stable = (first_difference(tb, tb2) is None) and (first_difference(tw, tw2) is None)
     s2 = eul * divisor_sum_series(work) * tb
     s3 = eul * tw

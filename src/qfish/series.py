@@ -16,7 +16,7 @@ importing ``dataclasses`` (with ``inspect``) adds to every process's start-up.
 
 from __future__ import annotations
 
-from operator import attrgetter, neg
+from operator import add, attrgetter, sub
 from typing import Iterable, Optional
 
 from .backend import mul_trunc
@@ -211,10 +211,12 @@ class IntSeries(Record):
         if order is not None:
             hi = min(hi, order)
         out = [0] * (hi - lo)
-        for src, sg in ((self, 1), (other, sign)):
-            cs = src.coeffs[:max(hi - src.min_exp, 0)]
-            for i, c in enumerate(cs if sg > 0 else map(neg, cs), src.min_exp - lo):
-                out[i] += c
+        a = self.coeffs[:max(hi - self.min_exp, 0)]
+        i = self.min_exp - lo
+        out[i:i + len(a)] = a
+        b = other.coeffs[:max(hi - other.min_exp, 0)]
+        i = other.min_exp - lo
+        out[i:i + len(b)] = map(add if sign > 0 else sub, out[i:i + len(b)], b)
         return IntSeries.make(lo, out, order)
 
     def __neg__(self) -> "IntSeries":
@@ -248,7 +250,10 @@ class IntSeries(Record):
         return IntSeries(self.min_exp, tuple(c * x for x in self.coeffs), self.order)
 
     def shift(self, k: int) -> "IntSeries":
-        """Multiply by q**k (exponent translation)."""
+        """Multiply by q**k (exponent translation); an exact zero stays the
+        canonical zero."""
+        if self.order is None and not self.coeffs:
+            return IntSeries.zero()
         return IntSeries(
             self.min_exp + k,
             self.coeffs,

@@ -20,6 +20,7 @@ to the trefoil Jones polynomial.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Iterator, Optional
 
 from .backend import mul_trunc
@@ -180,9 +181,8 @@ def _padd(dst, lo, coeffs):
     if dst is None:
         return [lo, list(coeffs)]
     cs = dst[1]
-    for i, c in enumerate(coeffs, _grow(dst, lo, len(coeffs))):
-        if c:
-            cs[i] += c
+    i = _grow(dst, lo, len(coeffs))
+    cs[i:i + len(coeffs)] = map(add, cs[i:i + len(coeffs)], coeffs)
     return dst
 
 
@@ -302,6 +302,12 @@ def _q_setup(p: TorusParams, n: int, order, weight: int = 0) -> tuple:
             _q_factors(rows_np1, jmax, weight, -weight), cuts)
 
 
+def _series(pool, order) -> IntSeries:
+    """The pool [lo, coeffs] (None is zero) as an IntSeries cut below order
+    (None = exact)."""
+    return IntSeries.make(*pool, order) if pool else IntSeries.zero(order)
+
+
 def _end_sum(ends: dict, order) -> IntSeries:
     """sum_e q^e ends[e] as an IntSeries cut below order (None = exact)."""
     acc = None
@@ -311,7 +317,7 @@ def _end_sum(ends: dict, order) -> IntSeries:
             cs = cs[:max(order - lo, 0)]
         if cs:
             acc = _padd(acc, lo, cs)
-    return IntSeries.make(*acc, order) if acc else IntSeries.zero(order)
+    return _series(acc, order)
 
 
 @lru_cache(maxsize=32)
@@ -401,16 +407,16 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    total = IntSeries.zero()
+    total = None
     poch = IntSeries.one()
     for n in range(big_n):
         if n:
             poch = poch - poch.shift(n - big_n)
-        inner = _end_sum(_pool_dp(p, *_q_setup(p, n, None, big_n)), None).shift(-big_n * n * p.m)
-        if inner:
-            total = total + poch * inner
+        inner = _end_sum(_pool_dp(p, *_q_setup(p, n, None, big_n)), None)
+        total = _acc_mul(total, [poch.min_exp, poch.coeffs],
+                         [inner.min_exp - big_n * n * p.m, inner.coeffs], None)
     pref_exp = 2**p.t - 1 - p.h_d - big_n
-    return total.shift(pref_exp).scale(p.sign)
+    return _series(total, None).shift(pref_exp).scale(p.sign)
 
 
 def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
@@ -545,17 +551,31 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, the sum of slot n - km of the
     graded summands k <= n/m.  As k falls the slot index grows and the slot
     count shrinks, so the first k whose slots the index passes ends the sum.
+
+    Below q^L, L = q_order, the summands stop depending on k from
+    K = L + J - 1 on, J = _jmax(L): there every [k, j] and [k+1, j] with
+    j <= J is 1/(q)_j, so summand K stands for every k >= K.  Its S slots
+    fill the window of every n >= (K - 1)m + S, so a_{n,t} depends only on
+    n mod m there and is read from the first such n in its class.
     """
     if p.t < 2:
         raise ValueError("a_{n,t} needs t >= 2")
     _check_window(1, q_order)
-    acc = IntSeries.zero(q_order)
-    for k in range(n // p.m, -1, -1):  # empty for n < 0
-        slots = _m_graded(p, k, q_order)
-        if n - k * p.m >= len(slots):
+    m = p.m
+    jmax = _jmax(q_order)
+    top = q_order + jmax - 1
+    stable = (top - 1) * m + (m - 1) * (jmax + 1) + 1
+    if n >= stable + m:
+        return a_n_t(p, stable + (n - stable) % m, q_order)
+    acc = None
+    for k in range(n // m, -1, -1):  # empty for n < 0
+        slots = _m_graded(p, min(k, top), q_order)
+        if n - k * m >= len(slots):
             break
-        acc = acc + slots[n - k * p.m]
-    return acc
+        slot = slots[n - k * m]
+        if slot.coeffs:
+            acc = _padd(acc, slot.min_exp, slot.coeffs)
+    return _series(acc, q_order)
 
 
 def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:

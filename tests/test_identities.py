@@ -5,6 +5,7 @@ import pytest
 from qfish.cyclotomic import CycInt, _reduce
 from qfish.identities import (
     IdentityReport,
+    _b_sums,
     _series_report,
     verify_difference_equation,
     verify_key_identity,
@@ -15,7 +16,7 @@ from qfish.identities import (
 )
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
-from qfish.torus import kz_at_root_of_unity, torus_params
+from qfish.torus import b_n_t, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
@@ -182,6 +183,43 @@ class TestSensitivity:
         monkeypatch.setattr(idm, "divisor_sum_series", perturbed)
         rep = verify_key_identity(2, 16)
         assert not rep.passed
+
+
+def _b_sums_two_pass(p, work, n_stop=None):
+    """Oracle: the b-sums as they were, one pass to the cutoff and, with
+    n_stop, a second one from n = 0 to n_stop."""
+    total_b = IntSeries.zero(work)
+    total_w = IntSeries.zero(work)
+    run = 0
+    n = 0
+    hard_cap = max(16 * work * p.m, 64)
+    while True:
+        if n_stop is not None:
+            if n >= n_stop:
+                break
+        elif run >= 2 * p.m and n > p.h:
+            break
+        elif n > hard_cap:
+            raise ArithmeticError("b_{n,t} sum failed to stabilize")
+        bn = b_n_t(p, n, work)
+        if bn.is_zero():
+            run += 1
+        else:
+            run = 0
+            total_b = total_b + bn
+            total_w = total_w + bn.scale(n - p.h)
+        n += 1
+    return total_b, total_w, n
+
+
+class TestBSums:
+    @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (2, 70)])
+    def test_one_pass_matches_two_passes(self, t, qo):
+        p = torus_params(t)
+        work = qo + p.h_d
+        tb, tw, n_cut = _b_sums_two_pass(p, work)
+        tb2, tw2, _ = _b_sums_two_pass(p, work, n_stop=2 * n_cut)
+        assert _b_sums(p, work) == (tb, tw, tb2, tw2, n_cut)
 
 
 class TestWindowValidation:

@@ -1,6 +1,7 @@
 """Exact series arithmetic: windows, units, substitution, named products."""
 
 from fractions import Fraction
+from operator import neg
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,25 @@ small_series = st.builds(
 )
 
 
+def _add_loop(self, other, sign):
+    """Oracle: IntSeries.__add__ as it was, one Python step per coefficient."""
+    order = series._min_order(self.order, other.order)
+    if not self.coeffs:
+        return (other if sign > 0 else -other).truncate(order)
+    if not other.coeffs:
+        return self.truncate(order)
+    lo = min(self.min_exp, other.min_exp)
+    hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
+    if order is not None:
+        hi = min(hi, order)
+    out = [0] * (hi - lo)
+    for src, sg in ((self, 1), (other, sign)):
+        cs = src.coeffs[:max(hi - src.min_exp, 0)]
+        for i, c in enumerate(cs if sg > 0 else map(neg, cs), src.min_exp - lo):
+            out[i] += c
+    return IntSeries.make(lo, out, order)
+
+
 class TestArith:
     def test_product_of_first_three_factors(self):
         # direct hand expansion of (1-q)(1-q^2)(1-q^3)
@@ -47,6 +67,11 @@ class TestArith:
 
     def test_shift(self):
         assert poly(1, 1).shift(-2) == poly(1, 1, min_exp=-2)
+
+    @pytest.mark.parametrize("k", [-3, 0, 2])
+    def test_shift_of_exact_zero_is_zero(self, k):
+        assert IntSeries.zero().shift(k) == IntSeries.zero()
+        assert IntSeries.zero(5).shift(k) == IntSeries.zero(5 + k)
 
     def test_mul_order_rule(self):
         a = poly(1, 2, order=4)           # window [0, 4)
@@ -67,6 +92,17 @@ class TestArith:
         for e in range(-6, 14 if order is None else order):
             assert s.coeff(e) == a.coeff(e) + b.coeff(e)
             assert d.coeff(e) == a.coeff(e) - b.coeff(e)
+
+    @given(small_series, small_series, st.one_of(st.none(), st.integers(-6, 8)),
+           st.one_of(st.none(), st.integers(-6, 8)))
+    @example(IntSeries.zero(), poly(1, 2, min_exp=-3), None, None)
+    @example(poly(4, min_exp=-4), IntSeries.zero(), -5, None)
+    @settings(max_examples=200, deadline=None)
+    def test_add_matches_coefficient_loop(self, a, b, order_a, order_b):
+        a, b = a.truncate(order_a), b.truncate(order_b)
+        assert a + b == _add_loop(a, b, 1)
+        assert a - b == _add_loop(a, b, -1)
+        assert b - a == _add_loop(b, a, -1)
 
     def test_orders_never_widen(self):
         a = poly(1, 1, order=3)

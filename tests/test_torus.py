@@ -7,6 +7,7 @@ import pytest
 import qfish.torus as torus_mod
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
+from qfish.identities import verify_key_identity
 from qfish.qseries import pochhammer, q_binomial
 from qfish.series import IntSeries, first_difference, invert_unit, substitute_one_minus_q
 from qfish.torus import (
@@ -451,6 +452,48 @@ class TestMSeries:
         for qo in (3, 8):
             for n in range(24):
                 assert a_n_t(p, n, qo) == a_n_t_walk(p, n, qo), (qo, n)
+
+
+def _stable_window(p, q_order):
+    """(K, S): the first summand index K = L + J - 1 from which the summands
+    of M_t agree below q^L, and their slot count S = (m - 1)(J + 1) + 1."""
+    jmax = torus_mod._jmax(q_order)
+    return q_order + jmax - 1, (p.m - 1) * (jmax + 1) + 1
+
+
+STABLE_CASES = [(2, 12), (3, 12), (4, 4)]
+
+
+class TestStableSummand:
+    """Past K every summand of M_t is the K-th one below q^L, and past
+    (K - 1)m + S the coefficient a_{n,t} repeats with period m."""
+
+    @pytest.mark.parametrize("t,qo", STABLE_CASES)
+    def test_summands_equal_past_k(self, t, qo):
+        p = torus_params(t)
+        top, slots = _stable_window(p, qo)
+        table = torus_mod._m_graded.__wrapped__(p, top, qo)
+        assert len(table) == slots
+        for n in range(top, top + 3):
+            assert torus_mod._m_graded.__wrapped__(p, n, qo) == table, n
+
+    @pytest.mark.parametrize("t,qo", STABLE_CASES)
+    def test_a_n_against_walk_past_period_start(self, t, qo):
+        p = torus_params(t)
+        top, slots = _stable_window(p, qo)
+        for n in range(-1, (top - 1) * p.m + slots + 2 * p.m + 1):
+            assert a_n_t(p, n, qo) == a_n_t_walk(p, n, qo), n
+
+    @pytest.mark.parametrize("t,qo,most", [(2, 70, 82), (3, 20, 27)])
+    def test_key_identity_dp_count(self, t, qo, most):
+        # at most one DP per summand index k = 0..K
+        p = torus_params(t)
+        top, _ = _stable_window(p, qo + p.h_d)
+        assert top + 1 == most
+        a_n_t.cache_clear()
+        torus_mod._m_graded.cache_clear()
+        assert verify_key_identity(t, qo).passed
+        assert torus_mod._m_graded.cache_info().misses <= most
 
 
 class TestSlaterMultisum:
