@@ -7,8 +7,11 @@ products, where the compiled module's per-call handoff to the pure
 convolution shows, and many short int64 products added into one list,
 by a Python loop or by the kernel's accumulate form).  One layer up, it
 times ``IntSeries.__add__`` (slice assignment and ``map``) against the
-per-coefficient loop it replaced.  End-to-end numbers come from
-perfbench/run.py.
+per-coefficient loop it replaced, and the engines built on the kernel:
+the inner-sum DP behind exact G_n, the graded summands of M_t and J_N,
+and the xi_series oracle.  Running the script in two checkouts,
+alternately, gives the engine layer's speedup between them.  End-to-end
+numbers come from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -23,7 +26,7 @@ from operator import neg
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
-from qfish.backend import available_backends  # noqa: E402
+from qfish.backend import available_backends, backend_name  # noqa: E402
 from qfish.series import IntSeries, _min_order  # noqa: E402
 
 # pure always; compiled only when the extension is importable, so a pure
@@ -156,12 +159,36 @@ def series_bench(quick: bool) -> None:
         print(f"{name:<28}{old:>14.4f}{new:>14.4f}{old / new:>8.1f}x")
 
 
+def engine_bench(quick: bool) -> None:
+    """The engine layer on the active backend, best of k, each call past its
+    lru_cache (the Gaussian-binomial rows stay cached, as in a long-lived
+    process)."""
+    from qfish.fishburn import xi_series
+    from qfish.torus import _m_graded, colored_jones, kz_inner_sum, torus_params
+
+    p3, p4, p5 = (torus_params(t) for t in (3, 4, 5))
+    cases = [
+        ("kz_inner_sum t=3 n=16 exact", lambda: kz_inner_sum.__wrapped__(p3, 16, None)),
+        ("kz_inner_sum t=4 n=10 exact", lambda: kz_inner_sum.__wrapped__(p4, 10, None)),
+        ("kz_inner_sum t=5 n=6 exact", lambda: kz_inner_sum.__wrapped__(p5, 6, None)),
+        ("_m_graded t=3 n<=21 L=21", lambda: [_m_graded.__wrapped__(p3, n, 21) for n in range(22)]),
+        ("colored_jones t=4 N=8", lambda: colored_jones.__wrapped__(p4, 8)),
+    ]
+    print()
+    print(f"{'engine case (' + backend_name() + ')':<32}{'best (s)':>10}")
+    for name, fn in cases:
+        print(f"{name:<32}{time_call(fn):>10.4f}")
+    if not quick:  # a second or more a call
+        print(f"{'xi_series t=3 count 60':<32}{time_call(xi_series, 3, 61, 60, repeat=2):>10.4f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller cases only")
     args = parser.parse_args()
     kernel_bench(args.quick)
     series_bench(args.quick)
+    engine_bench(args.quick)
 
 
 if __name__ == "__main__":

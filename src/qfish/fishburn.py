@@ -24,8 +24,9 @@ program of qfish.torus, fed with the substituted factor rows
 F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q.  Each row is built once,
 from the one before by the q-Pascal recurrence
 F[n][j] = (1-q)^j F[n-1][j] - (1-q)^(j-1) F[n-1][j-1], and only to the
-count - n + 1 coefficients the DP reads; the end pools are multiplied by
-(1-q)^e instead of q^e.
+count - n + 1 coefficients the DP reads.  The power q^s that a DP step
+carries becomes (1-q)^s, which the DP multiplies into the factor pair of
+j once per (j, s).
 
 Also here: s-dissections, the S-sets of exponent residues, the
 (q)_lambda-divisibility checker for dissection pieces, the prime-power
@@ -123,15 +124,12 @@ def xi_series(t: int, n_top: int, count: int) -> list:
             inner = [1]  # empty vector; its (1-q)^(-1) cancels the global prefactor
         else:
             # the inner sum at q -> 1-q: the q-domain DP with substituted
-            # factors, end pools times (1-q)^e
+            # factors, each q^s of a step lifted to (1-q)^s
             order = count - n
             row_next = _sub_row(row, n + 1, order, tab)
-            ends = _pool_dp(p, row + [None], row_next,
-                            [order] * ((n + 1) * p.m * (p.m - 1) // 2 + 1))
-            acc = None
-            for e, pool in ends.items():
-                acc = _acc_mul(acc, [0, tab.power(e)], pool, order)
-            inner = acc[1] if acc else []
+            pool = _pool_dp(p, row + [None], row_next, order,
+                            lift=lambda f, s: [0, mul_trunc(tab.power(s), f[1], order)])
+            inner = pool[1] if pool else []
             row = row_next
         mul_trunc(poch_tail, inner, count - n, total, n)
     if p.m > 1:

@@ -120,38 +120,42 @@ def admissible_jvectors(
 #     G_n(q) = sum'_{jv} (-1)^(sum j) q^(v(jv)) sum_{k=0}^{m-1}
 #                  prod_l [n + I(l<=k), j_l]_q,
 #
-# with v(jv) = (T - a)/m + sum_l C(j_l, 2) and T = sum_l l j_l.  Rather than
-# walking index vectors one at a time, _pool_dp runs a dynamic program over
-# (level l, exact weighted sum T), keeping per state the pair
+# with v(jv) = (T - a)/m + sum_l C(j_l, 2) and T = sum_l l j_l.  The j_l are
+# coupled only through T mod m, so rather than walking index vectors one at
+# a time, _pool_dp runs a dynamic program over (level l, residue r = T mod m),
+# keeping per state the pair
 #   A = contribution of completions whose k lies at or beyond the level
 #       (all binomial tops n+1 so far),
 #   S = contribution already committed to some k below the level.
-# A level step costs two cut multiplications per (state, j): S + A times
-# the factor f_n[j], and A times f_np1[j].  On the last level j runs only
-# through the residue class that makes T = a (mod m), so every end state is
-# admissible.  The aggregation is valid because both pools are linear in
-# the summands.  Pools and factors are lists [lo, coeffs] carrying their own
-# low exponent, and the factors arrive as data:
+# The pools carry q^floor(T/m) themselves: a step by j from residue r at
+# level l lands on residue (r + l j) mod m and multiplies by
+# q^((r + l j) div m).  The start pool is q^(-floor(a/m)) (q^0 for t >= 2,
+# where a < m, and the q^(-1) of t = 1, which has no levels), so on the
+# admissible class T = a (mod m) a pool holds exactly q^((T - a)/m).
+# A level step costs two multiplications per (state, j): S + A times the
+# factor f_n[j], and A times f_np1[j].  On the last level j runs only
+# through the residue class that lands on r = a mod m, so the end is the one
+# state there, S + A.  The aggregation is valid because both pools are
+# linear in the summands.  Pools and factors are lists [lo, coeffs] carrying
+# their own low exponent, and the factors arrive as data, with `lift`
+# applying the step's power of q; each lifted pair (f_n[j], f_np1[j]) is
+# built once per (j, shift) within one DP run:
 #   - q-series (kz_inner_sum, colored_jones, a_n_t): f[j] =
-#     (-1)^j q^(C(j,2) - N j) [n(+1), j]_q.  The colored Jones weight
-#     q^(-N (sum j + k)) also needs q^(-N k): each f_np1 pool carries one
-#     more q^(-N), which A picks up once per level until k is fixed (on the
-#     A -> S step at level l = k + 1, or at the end for k = m - 1).
+#     (-1)^j q^(C(j,2) - N j) [n(+1), j]_q, lifted by moving its low
+#     exponent.  The colored Jones weight q^(-N (sum j + k)) also needs
+#     q^(-N k): each f_np1 pool carries one more q^(-N), which A picks up
+#     once per level until k is fixed (on the A -> S step at level l = k + 1,
+#     or at the end for k = m - 1).
 #   - the image of q -> 1-q (qfish.fishburn.xi_series): f[j] =
-#     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q; every low exponent is 0.
+#     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q, lifted by a product with
+#     (1-q)^shift; every low exponent is 0.
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
 #     (-1)^j q^C(j,2) / (q)_j.
-# A positive stride also grades by the x-degree d = sum j + k of M_t: the
-# state key is T + stride d, with stride a multiple of m above every T.  A
-# step by j adds j (level + stride), and A gains a further stride per level,
-# as it gains q^(-N) above.  A product landing at key K is cut below
-# q^cuts[K] (cuts None = exact); cuts depend on T = K mod stride alone.  The
-# q-series cut order - ceil((T - a)/m) leaves room for the final
-# q^((T-a)/m), since T only grows; the substituted cut is the order itself,
-# because (1-q)^e has constant term 1.  The DP returns the admissible end
-# pools S + A keyed by (K - a)/m = (T - a)/m + (stride/m) d, decoded by
-# divmod(_, stride // m); the caller multiplies each by q^e or (1-q)^e,
-# e = (T - a)/m.
+# Graded mode also keys by the x-degree d = sum j + k of M_t: the state key
+# is r + m d.  A step by j adds j to d, and A gains one more per level, as it
+# gains q^(-N) above; the end pools come back keyed by d.  Every product is
+# cut below one q^order (None = exact), which is honest because exponents
+# never fall along a path: without a weight, lifts and factor lows are >= 0.
 #
 # A step's product goes straight into its destination pool: _acc_mul grows
 # the pool's list once to cover the product's exponents, and one kernel call
@@ -214,44 +218,55 @@ def _ladd(a, b):
     return _padd(_padd(None, *a), *b)
 
 
-def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, cuts, stride: int = 0) -> dict:
-    """{e: end pool} of the (S, A)-pool DP described above.
+def _q_lift(f, s):
+    """The q-series factor pool f times q^s."""
+    return [f[0] + s, f[1]]
+
+
+def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = False,
+             lift=_q_lift):
+    """The end pool (None is zero) of the (S, A)-pool DP described above, or
+    with graded, {d: end pool} by x-degree.
 
     fac_np1[j] is the factor pool for [n+1, j], j = 0..jmax; fac_n[j] is the
-    one for [n, j] or None where [n, j] vanishes.  With cuts, the factor low
-    exponents must not decrease in j (a factor at or past the cut ends the
-    j-loop).  A positive stride grades the states by x-degree as well, and
-    cuts are then indexed by the graded key.
+    one for [n, j] or None where [n, j] vanishes.  lift(f, s) is the factor
+    f times q^s in the factors' domain.  Every product is cut below q^order
+    (None = exact); the lifted factor low exponents must then not decrease
+    in j, as one at or past the order ends the j-loop.
     """
     m = p.m
     inv = pow(m - 1, -1, m)  # m - 1 is odd, hence invertible mod m = 2^(t-1)
-    states = {0: [None, [0, [1]]]}
+    dm = m if graded else 0
+    if m == 2 and not graded:  # one level from S = 0: the end S + A is A (f_n + f_np1)
+        fac_n, fac_np1 = [None] * len(fac_np1), list(map(_ladd, fac_n, fac_np1))
+    states = {0: [None, [-(p.a // m), [1]]]}
+    lifted: dict = {}
     for level in range(1, m):
         nxt: dict = {}
         for key, (s_pool, a_pool) in states.items():
+            r = key % m
             sa = _ladd(s_pool, a_pool)
-            # on the last level only the admissible class T = a (mod m) is kept
-            j0, jstep = (((p.a - key) * inv) % m, m) if level == m - 1 else (0, 1)
+            # on the last level only the steps landing on r = a (mod m) are kept
+            j0, jstep = (((p.a - r) * inv) % m, m) if level == m - 1 else (0, 1)
             for j in range(j0, len(fac_np1), jstep):
-                fp = fac_np1[j]
-                k2 = key + j * (level + stride)
-                lim = None if cuts is None else cuts[k2]
-                if lim is not None and fp[0] >= lim:
-                    break  # cuts fall with T and factor lows rise with j
-                fn = fac_n[j]
+                s, r2 = divmod(r + level * j, m)
+                fs = lifted.get((j, s)) if s else (fac_n[j], fac_np1[j])
+                if fs is None:
+                    fn = fac_n[j]
+                    fs = lifted[j, s] = (fn and lift(fn, s), lift(fac_np1[j], s))
+                fn, fp = fs
+                if order is not None and fp[0] >= order:
+                    break  # lifted factor lows rise with j
+                k2 = key - r + r2 + dm * j
                 if sa is not None and fn is not None:
                     ent = nxt.get(k2) or nxt.setdefault(k2, [None, None])
-                    ent[0] = _acc_mul(ent[0], sa, fn, lim)
+                    ent[0] = _acc_mul(ent[0], sa, fn, order)
                 if a_pool is not None:
-                    ent = nxt.get(k2 + stride) or nxt.setdefault(k2 + stride, [None, None])
-                    ent[1] = _acc_mul(ent[1], a_pool, fp, lim)
+                    ent = nxt.get(k2 + dm) or nxt.setdefault(k2 + dm, [None, None])
+                    ent[1] = _acc_mul(ent[1], a_pool, fp, order)
         states = nxt
-    ends = {}
-    for key, (s_pool, a_pool) in states.items():
-        val = _ladd(s_pool, a_pool)
-        if val is not None:
-            ends[(key - p.a) // m] = val
-    return ends
+    ends = {key // m: _ladd(*pools) for key, pools in states.items()}
+    return ends if graded else ends.get(0)
 
 
 def _jmax(q_order: int) -> int:
@@ -261,15 +276,6 @@ def _jmax(q_order: int) -> int:
     while (j + 1) * j // 2 < q_order:
         j += 1
     return j
-
-
-def _q_cuts(p: TorusParams, jmax: int, order: int) -> list:
-    """The q-series cut order - ceil((T - a)/m) for T = 0 .. stride - 1, where
-    the stride (the list length) is the least multiple of m above every
-    T = sum l j_l with all j_l <= jmax.  The cuts are <= order (a < m for
-    t >= 2, and t = 1 has no levels)."""
-    stride = (jmax * (p.m - 1) // 2 + 1) * p.m
-    return [order + (p.a - t) // p.m for t in range(stride)]
 
 
 def _q_factors(rows: tuple, jmax: int, weight: int, lo: int = 0) -> list:
@@ -282,24 +288,21 @@ def _q_factors(rows: tuple, jmax: int, weight: int, lo: int = 0) -> list:
     ]
 
 
-def _q_setup(p: TorusParams, n: int, order, weight: int = 0) -> tuple:
-    """(fac_n, fac_np1, cuts) of the n-th q-series summand with the weight
+def _q_setup(n: int, order, weight: int = 0) -> tuple:
+    """(fac_n, fac_np1) of the n-th q-series summand with the weight
     q^(-weight (sum j + k)), truncated below ``order`` (None = exact).  The
     [n+1, j] factors carry the folded q^(-weight) of the k-weight.  A nonzero
-    weight needs exact mode, because the cuts assume nonnegative shifts."""
+    weight needs exact mode, because the cut assumes nonnegative shifts."""
     if order is None:
         jmax = n + 1
         rows_n = binom_row_trunc(n, n, n * n // 4 + 1)
         rows_np1 = binom_row_trunc(n + 1, n + 1, (n + 1) ** 2 // 4 + 1)
-        cuts = None
     else:
         # only j(j-1)/2 < order and q^i, i < order, are read
         jmax = min(n + 1, _jmax(order))
         rows_n = binom_row_trunc(n, min(n, jmax), order)
         rows_np1 = binom_row_trunc(n + 1, jmax, order)
-        cuts = _q_cuts(p, jmax, order)
-    return (_q_factors(rows_n, jmax, weight),
-            _q_factors(rows_np1, jmax, weight, -weight), cuts)
+    return _q_factors(rows_n, jmax, weight), _q_factors(rows_np1, jmax, weight, -weight)
 
 
 def _series(pool, order) -> IntSeries:
@@ -308,31 +311,14 @@ def _series(pool, order) -> IntSeries:
     return IntSeries.make(*pool, order) if pool else IntSeries.zero(order)
 
 
-def _end_sum(ends: dict, order) -> IntSeries:
-    """sum_e q^e ends[e] as an IntSeries cut below order (None = exact)."""
-    acc = None
-    for e, (lo, cs) in ends.items():
-        lo += e
-        if order is not None:
-            cs = cs[:max(order - lo, 0)]
-        if cs:
-            acc = _padd(acc, lo, cs)
-    return _series(acc, order)
-
-
 @lru_cache(maxsize=32)
 def _m_graded(p: TorusParams, n: int, q_order: int) -> tuple:
     """The n-th summand of M_t by x-degree: slot d is the coefficient of
     x^(nm + d), cut below q^q_order.  The slots cover every d = sum j + k
     with j_l <= jmax, so their number does not decrease in n."""
-    fac_n, fac_np1, cuts = _q_setup(p, n, q_order)
-    stride = len(cuts)
-    slots = (p.m - 1) * len(fac_np1) + 1
-    by_d: list = [{} for _ in range(slots)]
-    for e, pool in _pool_dp(p, fac_n, fac_np1, cuts * slots, stride).items():
-        d, e = divmod(e, stride // p.m)
-        by_d[d][e] = pool
-    return tuple(_end_sum(pools, q_order) for pools in by_d)
+    fac_n, fac_np1 = _q_setup(n, q_order)
+    ends = _pool_dp(p, fac_n, fac_np1, q_order, graded=True)
+    return tuple(_series(ends.get(d), q_order) for d in range((p.m - 1) * len(fac_np1) + 1))
 
 
 def slater_multisum(p: TorusParams, order: int) -> IntSeries:
@@ -341,13 +327,13 @@ def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     jmax = _jmax(order)
     rows = [invert_unit(pochhammer(1, j, order), order).coeffs for j in range(jmax + 1)]
     fac = _q_factors(rows, jmax, 0)
-    return _end_sum(_pool_dp(p, [None] * (jmax + 1), fac, _q_cuts(p, jmax, order)), order)
+    return _series(_pool_dp(p, [None] * (jmax + 1), fac, order), order)
 
 
 @lru_cache(maxsize=256)
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None)."""
-    return _end_sum(_pool_dp(p, *_q_setup(p, n, order)), order)
+    return _series(_pool_dp(p, *_q_setup(n, order), order), order)
 
 
 def _kz_partials(p: TorusParams, n_top: int, order) -> Iterator[IntSeries]:
@@ -412,7 +398,7 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     for n in range(big_n):
         if n:
             poch = poch - poch.shift(n - big_n)
-        inner = _end_sum(_pool_dp(p, *_q_setup(p, n, None, big_n)), None)
+        inner = _series(_pool_dp(p, *_q_setup(n, None, big_n), None), None)
         total = _acc_mul(total, [poch.min_exp, poch.coeffs],
                          [inner.min_exp - big_n * n * p.m, inner.coeffs], None)
     pref_exp = 2**p.t - 1 - p.h_d - big_n
@@ -552,24 +538,24 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     graded summands k <= n/m.  As k falls the slot index grows and the slot
     count shrinks, so the first k whose slots the index passes ends the sum.
 
-    Below q^L, L = q_order, the summands stop depending on k from
-    K = L + J - 1 on, J = _jmax(L): there every [k, j] and [k+1, j] with
-    j <= J is 1/(q)_j, so summand K stands for every k >= K.  Its S slots
-    fill the window of every n >= (K - 1)m + S, so a_{n,t} depends only on
-    n mod m there and is read from the first such n in its class.
+    Below q^L, L = q_order, the summands stop depending on k from K = L on:
+    the DP reads the factor [k, j] only below q^(L - C(j,2)), and [k, j] is
+    1/(q)_j below q^(k - j + 1), which for k >= L lies at or above that
+    (C(j, 2) >= j - 1).  So summand L stands for every k >= L.  Its
+    S = (m - 1)(J + 1) + 1 slots, J = _jmax(L), fill the window of every
+    n >= (L - 1)m + S, so a_{n,t} depends only on n mod m there and is read
+    from the first such n in its class.
     """
     if p.t < 2:
         raise ValueError("a_{n,t} needs t >= 2")
     _check_window(1, q_order)
     m = p.m
-    jmax = _jmax(q_order)
-    top = q_order + jmax - 1
-    stable = (top - 1) * m + (m - 1) * (jmax + 1) + 1
+    stable = (q_order - 1) * m + (m - 1) * (_jmax(q_order) + 1) + 1
     if n >= stable + m:
         return a_n_t(p, stable + (n - stable) % m, q_order)
     acc = None
     for k in range(n // m, -1, -1):  # empty for n < 0
-        slots = _m_graded(p, min(k, top), q_order)
+        slots = _m_graded(p, min(k, q_order), q_order)
         if n - k * m >= len(slots):
             break
         slot = slots[n - k * m]

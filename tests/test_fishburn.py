@@ -184,7 +184,7 @@ class TestXiLvalues:
         for c in range(1, top + 1):
             assert xi_lvalues(t, c) == dp[:c], c
 
-    @pytest.mark.parametrize("t,count", [(2, 100), (3, 40)])
+    @pytest.mark.parametrize("t,count", [(2, 100), (3, 40), (5, 14)])
     def test_matches_dp_deep(self, t, count):
         assert xi_lvalues(t, count) == xi_series(t, count + 4, count)
 

@@ -30,7 +30,7 @@ class TestPositive:
     def test_rewrite2(self, t, xb, qo):
         assert verify_rewrite2(t, xb, qo).passed
 
-    @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20)])
+    @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (5, 6)])
     def test_key_identity(self, t, qo):
         rep = verify_key_identity(t, qo)
         assert rep.passed
@@ -55,6 +55,12 @@ class TestPositive:
         rep = verify_root_match(4, 6)
         assert rep.passed
         assert list(rep.details) == [f"N={n}" for n in range(1, 7)]
+
+    def test_root_match_t5(self):
+        # T(3, 32), beyond the paper's t <= 4
+        rep = verify_root_match(5, 7)
+        assert rep.passed
+        assert list(rep.details) == [f"N={n}" for n in range(1, 8)]
 
     def test_report_shape(self):
         d = verify_rewrite2(2, 6, 10).as_dict()
@@ -88,7 +94,7 @@ class TestStrangeIdentityAtRoots:
     q^((n^2-a)/b) holds exactly at q = zeta_N, where the B_2 formula for
     L(-1, C_N) gives 4M F_t(zeta_N) = sum_{n=1..M} C_N(n) (n^2 - nM)."""
 
-    @pytest.mark.parametrize("t,n_max", [(1, 8), (2, 8), (3, 8), (4, 4)])
+    @pytest.mark.parametrize("t,n_max", [(1, 8), (2, 8), (3, 8), (4, 4), (5, 8)])
     def test_holds(self, t, n_max):
         p = torus_params(t)
         period = theta_spec_t(t, 1).char.period
