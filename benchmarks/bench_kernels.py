@@ -8,8 +8,9 @@ convolution shows, and many short int64 products added into one list,
 by a Python loop or by the kernel's accumulate form).  One layer up, it
 times ``IntSeries.__add__`` (slice assignment and ``map``) against the
 per-coefficient loop it replaced, and the engines built on the kernel:
-the inner-sum DP behind exact G_n, the graded summands of M_t and J_N,
-and the xi_series oracle.  Running the script in two checkouts,
+the inner-sum DP behind exact G_n, the graded summands of M_t and J_N
+(also at t = 1, which has no levels), the key identity's b-sums, cold and
+warm, and the xi_series oracle.  Running the script in two checkouts,
 alternately, gives the engine layer's speedup between them.  End-to-end
 numbers come from perfbench/run.py.
 
@@ -164,15 +165,28 @@ def engine_bench(quick: bool) -> None:
     lru_cache (the Gaussian-binomial rows stay cached, as in a long-lived
     process)."""
     from qfish.fishburn import xi_series
-    from qfish.torus import _m_graded, colored_jones, kz_inner_sum, torus_params
+    from qfish.identities import _b_sums
+    from qfish.torus import _m_graded, a_n_t, colored_jones, kz_inner_sum, torus_params
 
-    p3, p4, p5 = (torus_params(t) for t in (3, 4, 5))
+    p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
+
+    def b_sums(p, q_order, cold):
+        if cold:  # every a_{n,t} and graded summand rebuilt
+            a_n_t.cache_clear()
+            _m_graded.cache_clear()
+        return _b_sums(p, q_order + p.h_d)
+
     cases = [
         ("kz_inner_sum t=3 n=16 exact", lambda: kz_inner_sum.__wrapped__(p3, 16, None)),
         ("kz_inner_sum t=4 n=10 exact", lambda: kz_inner_sum.__wrapped__(p4, 10, None)),
         ("kz_inner_sum t=5 n=6 exact", lambda: kz_inner_sum.__wrapped__(p5, 6, None)),
         ("_m_graded t=3 n<=21 L=21", lambda: [_m_graded.__wrapped__(p3, n, 21) for n in range(22)]),
         ("colored_jones t=4 N=8", lambda: colored_jones.__wrapped__(p4, 8)),
+        ("colored_jones t=1 N<=30", lambda: [colored_jones.__wrapped__(p1, n) for n in range(1, 31)]),
+        ("_b_sums t=2 q_order=70 cold", lambda: b_sums(p2, 70, True)),
+        ("_b_sums t=2 q_order=70 warm", lambda: b_sums(p2, 70, False)),
+        ("_b_sums t=3 q_order=20 cold", lambda: b_sums(p3, 20, True)),
+        ("_b_sums t=3 q_order=20 warm", lambda: b_sums(p3, 20, False)),
     ]
     print()
     print(f"{'engine case (' + backend_name() + ')':<32}{'best (s)':>10}")

@@ -37,9 +37,11 @@ from .series import (
 )
 from .torus import (
     M_series,
+    _a_stable,
     _acc_mul,
     _padd,
     _series,
+    a_n_t,
     b_n_t,
     colored_jones,
     H_multisum,
@@ -148,32 +150,53 @@ def _b_sums(p, work: int) -> tuple:
     over n < n_cut and over n < 2 n_cut, then n_cut.
 
     The cutoff n_cut is the first n past h that ends 2m consecutive terms
-    vanishing on the window (no effective convergence rate is available,
-    so the caller compares the sums at n_cut and at 2 n_cut).  One pass
-    runs to 2 n_cut and keeps the totals it had at n_cut.
+    vanishing on the window, and the caller compares the sums at n_cut and
+    at 2 n_cut.  No b-term is built: b_n = a_n - a_{n-1} (a_{-1} = 0)
+    vanishes exactly when a_n == a_{n-1}, and the sums are closed forms in
+    the a_n,
+
+        sum_{n<N} b_n = a_{N-1},
+        sum_{n<N} (n - h) b_n = (N - 1 - h) a_{N-1} - sum_{n<N-1} a_n.
+
+    From stable = _a_stable(p, work) on, a_n depends only on n mod m, so
+    a_n_t is read for n < stable + m only, and the sum of a_n over the
+    periodic stretch is one multiple per residue class.  b_n is then
+    periodic from stable + 1 on: if the period stable + 1 .. stable + m
+    holds a nonzero term, no run of 2m vanishing terms follows, the sum
+    diverges, and the scan stops there.  The values equal those of summing
+    the b-terms one by one, which tests/test_identities.py keeps as the
+    oracle.
     """
-    total_b = total_w = None
-    at_cut = None
-    run = 0
-    n = 0
-    hard_cap = max(16 * work * p.m, 64)
-    while at_cut is None or n < 2 * n_cut:
-        if at_cut is None:
-            if run >= 2 * p.m and n > p.h:
-                n_cut = n
-                at_cut = (_series(total_b, work), _series(total_w, work))
-                continue
-            if n > hard_cap:
-                raise ArithmeticError("b_{n,t} sum failed to stabilize")
-        bn = b_n_t(p, n, work)
-        if bn.is_zero():
-            run += 1
-        else:
-            run = 0
-            total_b = _padd(total_b, bn.min_exp, bn.coeffs)
-            total_w = _padd(total_w, bn.min_exp, [(n - p.h) * c for c in bn.coeffs])
-        n += 1
-    return at_cut + (_series(total_b, work), _series(total_w, work), n_cut)
+    m = p.m
+    stable = _a_stable(p, work)
+    a = [a_n_t(p, n, work) for n in range(stable + m)]
+
+    def at(n):
+        return a[n if n < stable else stable + (n - stable) % m]
+
+    run = n = 0
+    prev = IntSeries.zero(work)
+    while run < 2 * m or n <= p.h:
+        if n > stable + m and run < m:
+            raise ArithmeticError("b_{n,t} sum failed to stabilize")
+        cur = at(n)
+        run = run + 1 if cur == prev else 0
+        prev, n = cur, n + 1
+    n_cut = n
+    sums = []
+    acc, done = None, 0
+    for top in (n_cut - 1, 2 * n_cut - 1):  # the sums to N = top + 1
+        for an in a[done:min(top, stable)]:
+            acc = _padd(acc, an.min_exp, an.coeffs)
+        done = min(top, stable)
+        total = acc and _padd(None, *acc)
+        for r in range(stable, stable + m):
+            count = len(range(r, top, m))
+            if count:
+                total = _padd(total, a[r].min_exp, [count * c for c in a[r].coeffs])
+        last = at(top)
+        sums += [last, last.scale(top - p.h) - _series(total, work)]
+    return (*sums, n_cut)
 
 
 def verify_key_identity(t: int, q_order: int) -> IdentityReport:
@@ -184,6 +207,11 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
       = 2 [ s q^(-h') sum_n ((q)_n - (q)_inf) G_n(q)
           + s q^(-h') (q)_inf (sum_i q^i/(1-q^i)) sum_n b_{n,t}
           - s q^(-h') (q)_inf sum_n (n - h) b_{n,t} ],  s = (-1)^(h''+1).
+
+    The two b-sums come from _b_sums in closed form over a_{n,t} (no b-term
+    is built), at the cutoff n_cut and at 2 n_cut; a pass needs both to
+    agree (``cutoff_doubling_stable``).  The sums, and so the report, are
+    the same as from summing the b-terms one by one.
     """
     p = torus_params(t)
     if p.t < 2:

@@ -305,6 +305,13 @@ def _q_setup(n: int, order, weight: int = 0) -> tuple:
     return _q_factors(rows_n, jmax, weight), _q_factors(rows_np1, jmax, weight, -weight)
 
 
+def _q_dp(p: TorusParams, n: int, order, weight: int = 0):
+    """The end pool of the DP on the _q_setup factors of the n-th q-series
+    summand.  t = 1 has no levels, so the DP returns its start pool q^(-1)
+    and no factor row is built."""
+    return _pool_dp(p, *(_q_setup(n, order, weight) if p.m > 1 else ((), ())), order)
+
+
 def _series(pool, order) -> IntSeries:
     """The pool [lo, coeffs] (None is zero) as an IntSeries cut below order
     (None = exact)."""
@@ -333,7 +340,7 @@ def slater_multisum(p: TorusParams, order: int) -> IntSeries:
 @lru_cache(maxsize=256)
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None)."""
-    return _series(_pool_dp(p, *_q_setup(n, order), order), order)
+    return _series(_q_dp(p, n, order), order)
 
 
 def _kz_partials(p: TorusParams, n_top: int, order) -> Iterator[IntSeries]:
@@ -398,7 +405,7 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     for n in range(big_n):
         if n:
             poch = poch - poch.shift(n - big_n)
-        inner = _series(_pool_dp(p, *_q_setup(n, None, big_n), None), None)
+        inner = _series(_q_dp(p, n, None, big_n), None)
         total = _acc_mul(total, [poch.min_exp, poch.coeffs],
                          [inner.min_exp - big_n * n * p.m, inner.coeffs], None)
     pref_exp = 2**p.t - 1 - p.h_d - big_n
@@ -532,6 +539,12 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     return acc.finish()
 
 
+def _a_stable(p: TorusParams, q_order: int) -> int:
+    """(L - 1)m + S, L = q_order: from here on a_{n,t} depends only on n mod m
+    (see a_n_t)."""
+    return (q_order - 1) * p.m + (p.m - 1) * (_jmax(q_order) + 1) + 1
+
+
 @lru_cache(maxsize=1024)
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, the sum of slot n - km of the
@@ -550,7 +563,7 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
         raise ValueError("a_{n,t} needs t >= 2")
     _check_window(1, q_order)
     m = p.m
-    stable = (q_order - 1) * m + (m - 1) * (_jmax(q_order) + 1) + 1
+    stable = _a_stable(p, q_order)
     if n >= stable + m:
         return a_n_t(p, stable + (n - stable) % m, q_order)
     acc = None

@@ -2,6 +2,7 @@
 
 import pytest
 
+import qfish.torus as torus_mod
 from qfish.cyclotomic import CycInt, _reduce
 from qfish.identities import (
     IdentityReport,
@@ -16,7 +17,7 @@ from qfish.identities import (
 )
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
-from qfish.torus import b_n_t, kz_at_root_of_unity, torus_params
+from qfish.torus import a_n_t, b_n_t, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
@@ -219,13 +220,39 @@ def _b_sums_two_pass(p, work, n_stop=None):
 
 
 class TestBSums:
-    @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (2, 70)])
+    @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (2, 70), (2, 12), (3, 14), (4, 4)])
     def test_one_pass_matches_two_passes(self, t, qo):
         p = torus_params(t)
         work = qo + p.h_d
         tb, tw, n_cut = _b_sums_two_pass(p, work)
         tb2, tw2, _ = _b_sums_two_pass(p, work, n_stop=2 * n_cut)
         assert _b_sums(p, work) == (tb, tw, tb2, tw2, n_cut)
+
+    def test_divergent_period_raises_like_oracle(self, monkeypatch):
+        # a_{n,t} + 1 on n = 0 (mod m) keeps a periodic past stable, but with
+        # a nonzero b in every period, so no run of 2m vanishing terms comes
+        import qfish.identities as idm
+
+        p, work = torus_params(2), 12
+        stable, real = torus_mod._a_stable(p, work), torus_mod.a_n_t
+
+        def bumped(p_, n, q_order):
+            a = real(p_, n if n < stable else stable + (n - stable) % p_.m, q_order)
+            return a + IntSeries.monomial(0, 1, q_order) if n >= 0 and n % p_.m == 0 else a
+
+        monkeypatch.setattr(torus_mod, "a_n_t", bumped)
+        monkeypatch.setattr(idm, "a_n_t", bumped)
+        with pytest.raises(ArithmeticError, match="failed to stabilize"):
+            _b_sums_two_pass(p, work)
+        with pytest.raises(ArithmeticError, match="failed to stabilize"):
+            _b_sums(p, work)
+
+    def test_cold_reads_stop_at_the_period(self):
+        # a_{n,t} is read for n < stable + m only (plus a_{-1} at most)
+        p, work = torus_params(2), 70
+        a_n_t.cache_clear()
+        assert _b_sums(p, work)[4] == 145
+        assert a_n_t.cache_info().currsize <= torus_mod._a_stable(p, work) + p.m + 1
 
 
 class TestWindowValidation:

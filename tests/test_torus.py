@@ -7,8 +7,8 @@ import pytest
 import qfish.torus as torus_mod
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
-from qfish.identities import verify_key_identity
-from qfish.qseries import pochhammer, q_binomial
+from qfish.identities import verify_key_identity, verify_root_match
+from qfish.qseries import binom_row_trunc, pochhammer, q_binomial
 from qfish.series import IntSeries, first_difference, invert_unit, substitute_one_minus_q
 from qfish.torus import (
     H_multisum,
@@ -369,6 +369,35 @@ class TestColoredJones:
         lhs = kz_at_root_of_unity(p, big_n).mul_root_power(2**t - 1)
         rhs = cyc_eval(colored_jones(p, big_n), big_n)
         assert lhs == rhs
+
+
+class TestT1HasNoLevels:
+    """t = 1 has no index coordinates: the DP returns its start pool q^(-1),
+    and no Gaussian-binomial row is built for it."""
+
+    def test_inner_sum_is_q_inverse(self):
+        p = torus_params(1)
+        kz_inner_sum.cache_clear()
+        for n in range(21):
+            assert kz_inner_sum(p, n, None) == IntSeries.monomial(-1)
+            for order in (1, 2, 9, 30):
+                assert kz_inner_sum(p, n, order) == IntSeries.monomial(-1, 1, order)
+
+    def test_colored_jones_is_the_trefoil_formula(self):
+        # J_N(T(3,2); q) = q^(1-N) sum_n q^(-nN) (q^(1-N))_n
+        colored_jones.cache_clear()
+        for big_n in range(1, 13):
+            expect = IntSeries.zero()
+            for n in range(big_n):
+                expect = expect + pochhammer(1 - big_n, n).shift(-n * big_n)
+            assert colored_jones(torus_params(1), big_n) == expect.shift(1 - big_n)
+
+    def test_root_match_builds_no_rows(self):
+        kz_inner_sum.cache_clear()
+        colored_jones.cache_clear()
+        misses = binom_row_trunc.cache_info().misses
+        assert verify_root_match(1, 30).passed
+        assert binom_row_trunc.cache_info().misses == misses
 
 
 class TestRootEvaluation:
