@@ -388,7 +388,7 @@ def verify_congruence(t: int, p: int, r: int, m_max: int, scan_all_j: bool = Fal
         raise ValueError("r, m_max must be >= 1 and t >= 1")
     j_range = congruence_j_range(t, p)
     modulus = p**r
-    if not j_range:
+    if not j_range and not scan_all_j:
         return CongruenceReport(t, p, r, m_max, (), (), True, vacuous=True)
     xs = xi_coefficients(t, modulus * m_max)
     entries = []
@@ -407,7 +407,8 @@ def verify_congruence(t: int, p: int, r: int, m_max: int, scan_all_j: bool = Fal
             else:
                 scanned.append(ent)
     return CongruenceReport(
-        t, p, r, m_max, tuple(j_range), tuple(entries), ok, scanned=tuple(scanned)
+        t, p, r, m_max, tuple(j_range), tuple(entries), ok, vacuous=not j_range,
+        scanned=tuple(scanned)
     )
 
 

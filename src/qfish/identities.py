@@ -146,57 +146,44 @@ def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
 
 
 def _b_sums(p, work: int) -> tuple:
-    """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) truncated below work, summed
-    over n < n_cut and over n < 2 n_cut, then n_cut.
+    """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) over every n, truncated below
+    work; the cutoff n_cut, the first n past h that ends 2m consecutive
+    vanishing terms; and whether the sums to n_cut and to 2 n_cut agree.
 
-    The cutoff n_cut is the first n past h that ends 2m consecutive terms
-    vanishing on the window, and the caller compares the sums at n_cut and
-    at 2 n_cut.  No b-term is built: b_n = a_n - a_{n-1} (a_{-1} = 0)
-    vanishes exactly when a_n == a_{n-1}, and the sums are closed forms in
-    the a_n,
+    No b-term is built: b_n = a_n - a_{n-1} (a_{-1} = 0) vanishes exactly
+    when a_n == a_{n-1}, and the sums to N are closed forms in the a_n,
 
         sum_{n<N} b_n = a_{N-1},
         sum_{n<N} (n - h) b_n = (N - 1 - h) a_{N-1} - sum_{n<N-1} a_n.
 
-    From stable = _a_stable(p, work) on, a_n depends only on n mod m, so
-    a_n_t is read for n < stable + m only, and the sum of a_n over the
-    periodic stretch is one multiple per residue class.  b_n is then
-    periodic from stable + 1 on: if the period stable + 1 .. stable + m
-    holds a nonzero term, no run of 2m vanishing terms follows, the sum
-    diverges, and the scan stops there.  The values equal those of summing
-    the b-terms one by one, which tests/test_identities.py keeps as the
-    oracle.
+    From stable = _a_stable(p, work) on, a_n depends only on n mod m, so a
+    nonzero b_n in the period stable + 1 .. stable + m recurs in every
+    period and the sums diverge (ArithmeticError).  Otherwise b_n = 0 past
+    stable, and the sums over every n are those to N = stable + 1.  They
+    equal those of summing the b-terms one by one, which
+    tests/test_identities.py keeps as the oracle.
     """
     m = p.m
     stable = _a_stable(p, work)
-    a = [a_n_t(p, n, work) for n in range(stable + m)]
-
-    def at(n):
-        return a[n if n < stable else stable + (n - stable) % m]
-
+    a = [a_n_t(p, n, work) for n in range(stable + m + 1)]
+    if any(an != a[stable] for an in a[stable + 1:]):
+        raise ArithmeticError("b_{n,t} sum failed to stabilize")
     run = n = 0
     prev = IntSeries.zero(work)
     while run < 2 * m or n <= p.h:
-        if n > stable + m and run < m:
-            raise ArithmeticError("b_{n,t} sum failed to stabilize")
-        cur = at(n)
+        cur = a[min(n, stable)]
         run = run + 1 if cur == prev else 0
         prev, n = cur, n + 1
     n_cut = n
     sums = []
     acc, done = None, 0
-    for top in (n_cut - 1, 2 * n_cut - 1):  # the sums to N = top + 1
+    for top in (n_cut - 1, 2 * n_cut - 1, stable):  # the sums to N = top + 1
         for an in a[done:min(top, stable)]:
             acc = _padd(acc, an.min_exp, an.coeffs)
         done = min(top, stable)
-        total = acc and _padd(None, *acc)
-        for r in range(stable, stable + m):
-            count = len(range(r, top, m))
-            if count:
-                total = _padd(total, a[r].min_exp, [count * c for c in a[r].coeffs])
-        last = at(top)
-        sums += [last, last.scale(top - p.h) - _series(total, work)]
-    return (*sums, n_cut)
+        total = _series(acc, work) + a[stable].scale(max(top - stable, 0))
+        sums.append((a[done], a[done].scale(top - p.h) - total))
+    return (*sums[2], n_cut, sums[0] == sums[1])
 
 
 def verify_key_identity(t: int, q_order: int) -> IdentityReport:
@@ -208,10 +195,12 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
           + s q^(-h') (q)_inf (sum_i q^i/(1-q^i)) sum_n b_{n,t}
           - s q^(-h') (q)_inf sum_n (n - h) b_{n,t} ],  s = (-1)^(h''+1).
 
-    The two b-sums come from _b_sums in closed form over a_{n,t} (no b-term
-    is built), at the cutoff n_cut and at 2 n_cut; a pass needs both to
-    agree (``cutoff_doubling_stable``).  The sums, and so the report, are
-    the same as from summing the b-terms one by one.
+    The two b-sums are the exact sums over every n from _b_sums (in closed
+    form over a_{n,t}; no b-term is built), which raises if they diverge.
+    The report also carries the heuristic cutoff n_cut (``b_sum_cutoff``)
+    and whether the sums to n_cut and to 2 n_cut agree
+    (``cutoff_doubling_stable``); a pass needs that agreement too, so the
+    heuristic can turn a pass into a fail but never a fail into a pass.
     """
     p = torus_params(t)
     if p.t < 2:
@@ -233,8 +222,7 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
         inner = kz_inner_sum(p, n, work)
         s1 = _acc_mul(s1, [diffp.min_exp, diffp.coeffs], [inner.min_exp, inner.coeffs], work)
     s1 = _series(s1, work)
-    tb, tw, tb2, tw2, n_cut = _b_sums(p, work)
-    cutoff_stable = (first_difference(tb, tb2) is None) and (first_difference(tw, tw2) is None)
+    tb, tw, n_cut, cutoff_stable = _b_sums(p, work)
     s2 = eul * divisor_sum_series(work) * tb
     s3 = eul * tw
     sigma = -p.sign

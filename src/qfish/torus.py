@@ -60,7 +60,10 @@ def torus_params(t: int) -> TorusParams:
 
 
 def v_exponent(jv: tuple, p: TorusParams) -> int:
-    """v(jv) = (sum j_l l - a)/m + sum C(j_l, 2); integral iff jv is admissible."""
+    """v(jv) = (sum j_l l - a)/m + sum C(j_l, 2); integral iff jv is admissible.
+    jv must have m - 1 nonnegative entries."""
+    if len(jv) != p.m - 1 or any(j < 0 for j in jv):
+        raise ValueError("index vector needs m - 1 nonnegative entries")
     total = sum(j * l for l, j in enumerate(jv, start=1))
     num = total - p.a
     if num % p.m:

@@ -448,6 +448,11 @@ class TestCongruence:
         assert rep.passed  # pass judged only on the claimed range
         assert {e["j"] for e in rep.scanned} == {2, 3, 4}
 
+    def test_scan_on_empty_claimed_range(self):
+        rep = verify_congruence(2, 13, 1, 1, scan_all_j=True)
+        assert rep.j_range == () and rep.vacuous and rep.passed
+        assert [e["j"] for e in rep.scanned] == list(range(1, 13))
+
     def test_r3_instance_t2(self):
         # beyond the acceptance gate: one r = 3 case stays desk-sized at t = 2
         rep = verify_congruence(2, 5, 3, 1)

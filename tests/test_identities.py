@@ -222,11 +222,14 @@ def _b_sums_two_pass(p, work, n_stop=None):
 class TestBSums:
     @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (2, 70), (2, 12), (3, 14), (4, 4)])
     def test_one_pass_matches_two_passes(self, t, qo):
+        # the exact sums are the oracle's to one period past stable
         p = torus_params(t)
         work = qo + p.h_d
-        tb, tw, n_cut = _b_sums_two_pass(p, work)
-        tb2, tw2, _ = _b_sums_two_pass(p, work, n_stop=2 * n_cut)
-        assert _b_sums(p, work) == (tb, tw, tb2, tw2, n_cut)
+        stop = torus_mod._a_stable(p, work) + p.m + 1
+        tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stop)
+        cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
+        doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)
+        assert _b_sums(p, work) == (tb, tw, n_cut, doubled)
 
     def test_divergent_period_raises_like_oracle(self, monkeypatch):
         # a_{n,t} + 1 on n = 0 (mod m) keeps a periodic past stable, but with
@@ -248,11 +251,52 @@ class TestBSums:
             _b_sums(p, work)
 
     def test_cold_reads_stop_at_the_period(self):
-        # a_{n,t} is read for n < stable + m only (plus a_{-1} at most)
+        # a_{n,t} is read for n <= stable + m only
         p, work = torus_params(2), 70
         a_n_t.cache_clear()
-        assert _b_sums(p, work)[4] == 145
+        assert _b_sums(p, work)[2] == 145
         assert a_n_t.cache_info().currsize <= torus_mod._a_stable(p, work) + p.m + 1
+
+    def test_period_past_stable_checked_after_early_cutoff(self, monkeypatch):
+        # a_{n,t} + 1 on n = stable + 1 (mod m), n > stable: the cutoff (37)
+        # comes before stable (38), but a nonzero b recurs in every period
+        import qfish.identities as idm
+
+        p, work = torus_params(2), 16
+        stable, real = torus_mod._a_stable(p, work), torus_mod.a_n_t
+
+        def bumped(p_, n, q_order):
+            a = real(p_, n, q_order)
+            if n > stable and (n - stable) % p_.m == 1:
+                return a + IntSeries.monomial(0, 1, q_order)
+            return a
+
+        monkeypatch.setattr(torus_mod, "a_n_t", bumped)
+        monkeypatch.setattr(idm, "a_n_t", bumped)
+        assert _b_sums_two_pass(p, work)[2] < stable
+        with pytest.raises(ArithmeticError, match="failed to stabilize"):
+            _b_sums(p, work)
+
+    def test_step_past_doubled_cutoff_is_summed(self, monkeypatch):
+        # a_n = 1 for n < 20 and 1 + q from n = 20 on: the cutoff is 5, the
+        # sums to 5 and to 10 agree, and only the exact sums see the step
+        import qfish.identities as idm
+
+        p, work = torus_params(2), 12
+        stable = torus_mod._a_stable(p, work)
+
+        def stepped(p_, n, q_order):
+            if n < 0:
+                return IntSeries.zero(q_order)
+            return IntSeries.make(0, [1, 1 if n >= 20 else 0], q_order)
+
+        monkeypatch.setattr(torus_mod, "a_n_t", stepped)
+        monkeypatch.setattr(idm, "a_n_t", stepped)
+        cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
+        assert 2 * n_cut <= 20 < stable
+        tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
+        assert (tb, tw) != (cut_b, cut_w)
+        assert _b_sums(p, work) == (tb, tw, n_cut, True)
 
 
 class TestWindowValidation:

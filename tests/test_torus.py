@@ -164,6 +164,12 @@ class TestVExponent:
         with pytest.raises(ValueError):
             v_exponent((0, 0, 0), torus_params(3))
 
+    @pytest.mark.parametrize("jv,t", [((1, 2, 0), 2), ((), 2), ((1, 0), 3),
+                                      ((-1,), 2), ((-1, 0, 0), 3)])
+    def test_malformed_vector_raises(self, jv, t):
+        with pytest.raises(ValueError):
+            v_exponent(jv, torus_params(t))
+
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_nonnegative_integer_exhaustive(self, t):
         p = torus_params(t)
