@@ -5,16 +5,17 @@ subexpressions beyond the base ring), compares them exactly on an honest
 truncation window, and returns an IdentityReport carrying the window, the
 verdict, and the first discrepancy if any.
 
-The two sides of the root-of-unity match run through the same inner-sum
-dynamic program (``torus._pool_dp``) but share no values: J_N uses it
-with the weight q^(-N (sum j + k)) and F_t without, so they are different
-polynomials that meet only after evaluation at zeta_N.  In the (1 - x) M_t
+The two sides of the root-of-unity match are independent routes: F_t comes
+from the inner-sum dynamic program (``torus._pool_dp``) and J_N from
+Morton's closed form for torus knots, two different polynomials that meet
+only after evaluation at zeta_N.  In the (1 - x) M_t
 rewrite, M_t comes from the per-vector summand walk and b_{n,t} from the
 same DP graded by x-degree.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Optional
 
 from .biseries import BiAccumulator, BiSeries, bi_first_difference
@@ -212,15 +213,16 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     work = q_order + p.h_d
     eul = euler_product(work)
     s1 = None
-    poch = IntSeries.one(work)
-    for n in range(work + 1):  # (q)_n - (q)_inf = O(q^(n+1))
+    poch = [1] + [0] * (work - 1)  # (q)_n below q^work
+    for n in range(work + 1):
         if n:
-            poch = poch.mul_one_minus_qk(n)
-        diffp = poch - eul
-        if diffp.is_zero() and n > 0:
+            poch[n:] = map(sub, poch[n:], poch[:work - n])  # times 1 - q^n
+        # (q)_n - (q)_inf = O(q^(n+1))
+        diffp = list(map(sub, poch[n + 1:], eul.coeffs[n + 1:]))
+        if n and not any(diffp):
             break
         inner = kz_inner_sum(p, n, work)
-        s1 = _acc_mul(s1, [diffp.min_exp, diffp.coeffs], [inner.min_exp, inner.coeffs], work)
+        s1 = _acc_mul(s1, [n + 1, diffp], [inner.min_exp, inner.coeffs], work)
     s1 = _series(s1, work)
     tb, tw, n_cut, cutoff_stable = _b_sums(p, work)
     s2 = eul * divisor_sum_series(work) * tb

@@ -4,7 +4,9 @@ The integer parameter table, the congruence-constrained index vectors
 appearing in the q-hypergeometric multisums, the Kontsevich-Zagier series
 F_t(q; N), the colored Jones polynomial J_N(T(3, 2^t); q), and the
 two-variable series H_t(x, q) and M_t(x, q) with their coefficient
-sequences a_{n,t}, b_{n,t}.
+sequences a_{n,t}, b_{n,t}.  The multisums run through one inner-sum
+dynamic program (below); J_N does not, it comes from the closed form for
+torus knots, so the root-of-unity match compares two independent routes.
 
 Index-vector convention: jv is a tuple (j_1, .., j_{m-1}), m = 2^(t-1),
 admissible when 3 * sum j_l * l == 1 (mod m), equivalently sum j_l * l == a
@@ -20,6 +22,7 @@ to the trefoil Jones polynomial.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import add
 from typing import Iterator, Optional
 
@@ -143,30 +146,27 @@ def admissible_jvectors(
 # their own low exponent, and the factors arrive as data, with `lift`
 # applying the step's power of q; each lifted pair (f_n[j], f_np1[j]) is
 # built once per (j, shift) within one DP run:
-#   - q-series (kz_inner_sum, colored_jones, a_n_t): f[j] =
-#     (-1)^j q^(C(j,2) - N j) [n(+1), j]_q, lifted by moving its low
-#     exponent.  The colored Jones weight q^(-N (sum j + k)) also needs
-#     q^(-N k): each f_np1 pool carries one more q^(-N), which A picks up
-#     once per level until k is fixed (on the A -> S step at level l = k + 1,
-#     or at the end for k = m - 1).
+#   - q-series (kz_inner_sum, a_n_t): f[j] = (-1)^j q^C(j,2) [n(+1), j]_q,
+#     lifted by moving its low exponent.
 #   - the image of q -> 1-q (qfish.fishburn.xi_series): f[j] =
 #     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q, lifted by a product with
 #     (1-q)^shift; every low exponent is 0.
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
 #     (-1)^j q^C(j,2) / (q)_j.
 # Graded mode also keys by the x-degree d = sum j + k of M_t: the state key
-# is r + m d.  A step by j adds j to d, and A gains one more per level, as it
-# gains q^(-N) above; the end pools come back keyed by d.  Every product is
-# cut below one q^order (None = exact), which is honest because exponents
-# never fall along a path: without a weight, lifts and factor lows are >= 0.
+# is r + m d.  A step by j adds j to d, and A gains one more per level until
+# k is fixed (on the A -> S step at level l = k + 1, or at the end for
+# k = m - 1); the end pools come back keyed by d.  Every product is cut below
+# one q^order (None = exact), which is honest because exponents never fall
+# along a path: lifts and factor lows are >= 0.
 #
 # A step's product goes straight into its destination pool: _acc_mul grows
 # the pool's list once to cover the product's exponents, and one kernel call
 # mul_trunc(src, f, n, pool, off) adds the product into it, so no product
 # list is built and no Python loop adds it.  Pools are private to one DP
-# run, so the in-place add is safe.  The exact results that callers ask for
-# again (G_n in kz_inner_sum, J_N in colored_jones) are immutable IntSeries
-# kept in bounded lru_caches, so a process builds each of them once.
+# run, so the in-place add is safe.  The exact G_n that callers ask for again
+# are immutable IntSeries kept in kz_inner_sum's bounded lru_cache, so a
+# process builds each of them once.
 
 
 def _grow(dst, lo, n) -> int:
@@ -281,21 +281,18 @@ def _jmax(q_order: int) -> int:
     return j
 
 
-def _q_factors(rows: tuple, jmax: int, weight: int, lo: int = 0) -> list:
-    """(-1)^j q^(lo + C(j,2) - weight j) rows[j] for j = 0..jmax, None past
-    the row."""
+def _q_factors(rows: tuple, jmax: int) -> list:
+    """(-1)^j q^C(j,2) rows[j] for j = 0..jmax, None past the row."""
     return [
-        [lo + j * (j - 1) // 2 - weight * j, [-c for c in rows[j]] if j & 1 else rows[j]]
+        [j * (j - 1) // 2, [-c for c in rows[j]] if j & 1 else rows[j]]
         if j < len(rows) else None
         for j in range(jmax + 1)
     ]
 
 
-def _q_setup(n: int, order, weight: int = 0) -> tuple:
-    """(fac_n, fac_np1) of the n-th q-series summand with the weight
-    q^(-weight (sum j + k)), truncated below ``order`` (None = exact).  The
-    [n+1, j] factors carry the folded q^(-weight) of the k-weight.  A nonzero
-    weight needs exact mode, because the cut assumes nonnegative shifts."""
+def _q_setup(n: int, order) -> tuple:
+    """(fac_n, fac_np1) of the n-th q-series summand, truncated below
+    ``order`` (None = exact)."""
     if order is None:
         jmax = n + 1
         rows_n = binom_row_trunc(n, n, n * n // 4 + 1)
@@ -305,14 +302,14 @@ def _q_setup(n: int, order, weight: int = 0) -> tuple:
         jmax = min(n + 1, _jmax(order))
         rows_n = binom_row_trunc(n, min(n, jmax), order)
         rows_np1 = binom_row_trunc(n + 1, jmax, order)
-    return _q_factors(rows_n, jmax, weight), _q_factors(rows_np1, jmax, weight, -weight)
+    return _q_factors(rows_n, jmax), _q_factors(rows_np1, jmax)
 
 
-def _q_dp(p: TorusParams, n: int, order, weight: int = 0):
+def _q_dp(p: TorusParams, n: int, order):
     """The end pool of the DP on the _q_setup factors of the n-th q-series
     summand.  t = 1 has no levels, so the DP returns its start pool q^(-1)
     and no factor row is built."""
-    return _pool_dp(p, *(_q_setup(n, order, weight) if p.m > 1 else ((), ())), order)
+    return _pool_dp(p, *(_q_setup(n, order) if p.m > 1 else ((), ())), order)
 
 
 def _series(pool, order) -> IntSeries:
@@ -336,7 +333,7 @@ def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     DP with A pools only."""
     jmax = _jmax(order)
     rows = [invert_unit(pochhammer(1, j, order), order).coeffs for j in range(jmax + 1)]
-    fac = _q_factors(rows, jmax, 0)
+    fac = _q_factors(rows, jmax)
     return _series(_pool_dp(p, [None] * (jmax + 1), fac, order), order)
 
 
@@ -392,27 +389,57 @@ def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
     return poly
 
 
+def _over_q_n_minus_one(lo: int, coeffs: list, n: int) -> IntSeries:
+    """The Laurent polynomial q^lo coeffs divided by q^n - 1, exactly.
+
+    1/(q^n - 1) = -(1 + q^n + q^(2n) + ...), so the quotient is minus the
+    prefix sums along each residue class mod n; it divides exactly iff the
+    top n prefix sums vanish, and otherwise ArithmeticError is raised."""
+    out = [-c for c in coeffs]
+    for r in range(n):
+        out[r::n] = accumulate(out[r::n])
+    top = max(len(out) - n, 0)
+    if any(out[top:]):
+        raise ArithmeticError("q^N - 1 does not divide the sum")
+    del out[top:]
+    return IntSeries.make(lo, out)
+
+
 @lru_cache(maxsize=64)
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
-    """J_N(T(3, 2^t); q) as an exact Laurent polynomial, J_N(unknot) = 1.
+    """J_N(T(3, r); q), r = 2^t, as an exact Laurent polynomial,
+    J_N(unknot) = 1, from the closed form for torus knots (Rosso-Jones,
+    "On the invariants of torus knots derived from quantum groups", 1993;
+    Morton, "The coloured Jones function and Alexander polynomial for torus
+    knots", 1995):
 
-    J_N = sign q^(2^t - 1 - h' - N) sum_{n<N} (q^(1-N))_n q^(-nmN) G_n^(N)(q),
-    where G_n^(N) is the inner sum with the weight q^(-N (sum j + k)); the
-    n-sum stops at N-1 because (q^(1-N))_n vanishes from n = N on.  For
-    t = 1 this is the trefoil formula q^(1-N) sum_n q^(-nN) (q^(1-N))_n.
+        (q^(N/2) - q^(-N/2)) J_N(q) = q^(-3r(N^2-1)/4)
+            sum_{k=-(N-1)/2}^{(N-1)/2} sum_{eps=+-1} eps q^(3rk^2 + (3+eps r)k + eps/2),
+
+    k stepping by 1 (half-integers for even N).  Times q^(N/2) every
+    exponent is an integer: with K = 2k, four times it is
+    2N - 3r(N^2 - 1) + 3rK^2 + 2(3 + eps r)K + 2 eps, checked to be divisible
+    by 4.
+    The 2N monomials are then divided by q^N - 1, checked exactly.  One
+    formula covers every t; no inner-sum DP, kernel product or
+    Gaussian-binomial row is involved.
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    total = None
-    poch = IntSeries.one()
-    for n in range(big_n):
-        if n:
-            poch = poch - poch.shift(n - big_n)
-        inner = _series(_q_dp(p, n, None, big_n), None)
-        total = _acc_mul(total, [poch.min_exp, poch.coeffs],
-                         [inner.min_exp - big_n * n * p.m, inner.coeffs], None)
-    pref_exp = 2**p.t - 1 - p.h_d - big_n
-    return _series(total, None).shift(pref_exp).scale(p.sign)
+    r = 2**p.t
+    base = 2 * big_n - 3 * r * (big_n * big_n - 1)
+    terms = []
+    for k2 in range(1 - big_n, big_n, 2):
+        for eps in (1, -1):
+            x4 = base + 3 * r * k2 * k2 + 2 * (3 + eps * r) * k2 + 2 * eps
+            if x4 % 4:
+                raise ArithmeticError("Morton exponent failed to be integral")
+            terms.append((x4 // 4, eps))
+    lo = min(x for x, _ in terms)
+    coeffs = [0] * (max(x for x, _ in terms) - lo + 1)
+    for x, eps in terms:
+        coeffs[x - lo] += eps
+    return _over_q_n_minus_one(lo, coeffs, big_n)
 
 
 def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:

@@ -63,6 +63,12 @@ class TestPositive:
         assert rep.passed
         assert list(rep.details) == [f"N={n}" for n in range(1, 8)]
 
+    @pytest.mark.parametrize("t,n_max", [(4, 12), (3, 20)])
+    def test_root_match_at_targets(self, t, n_max):
+        rep = verify_root_match(t, n_max)
+        assert rep.passed
+        assert rep.details == {f"N={n}": "pass" for n in range(1, n_max + 1)}
+
     def test_report_shape(self):
         d = verify_rewrite2(2, 6, 10).as_dict()
         assert d["identity"] == "m_series_rewrite"

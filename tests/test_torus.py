@@ -81,6 +81,31 @@ def colored_jones_walk(p, big_n):
     return total.shift(2**p.t - 1 - p.h_d - big_n).scale(p.sign)
 
 
+def colored_jones_dp(p, big_n):
+    """Oracle: J_N(T(3, 2^t); q) from the multisum,
+
+        sign q^(2^t - 1 - h' - N) sum_{n<N} (q^(1-N))_n q^(-nmN) G_n^(N)(q),
+
+    with G_n^(N) the inner sum weighted by q^(-N (sum j + k)), run through
+    the (S, A)-pool DP.  Each factor [n(+1), j] carries q^(-N j); each
+    [n+1, j] factor carries one more q^(-N), which A picks up once per level
+    until k is fixed.  The n-sum stops at N - 1 because (q^(1-N))_n vanishes
+    from n = N on."""
+    total = IntSeries.zero()
+    for n in range(big_n):
+        facs = ((), ())  # t = 1 has no levels
+        if p.m > 1:
+            facs = tuple(
+                [[lo + j * (j - 1) // 2 - big_n * j, [-c for c in rows[j]] if j & 1 else rows[j]]
+                 if j < len(rows) else None for j in range(n + 2)]
+                for rows, lo in ((binom_row_trunc(top, top, top * top // 4 + 1), lo)
+                                 for top, lo in ((n, 0), (n + 1, -big_n)))
+            )
+        inner = torus_mod._series(torus_mod._pool_dp(p, *facs, None), None)
+        total = total + (pochhammer(1 - big_n, n) * inner).shift(-big_n * n * p.m)
+    return total.shift(2**p.t - 1 - p.h_d - big_n).scale(p.sign)
+
+
 def kz_at_root_walk(p, big_n):
     """Oracle: F_t(zeta_N) summed in Z[zeta_N] one index vector at a time."""
     one = CycInt.integer(big_n, 1)
@@ -375,6 +400,49 @@ class TestColoredJones:
         lhs = kz_at_root_of_unity(p, big_n).mul_root_power(2**t - 1)
         rhs = cyc_eval(colored_jones(p, big_n), big_n)
         assert lhs == rhs
+
+
+class TestMortonClosedForm:
+    """colored_jones is Morton's closed form; the weighted multisum DP it
+    replaced is the oracle."""
+
+    @pytest.mark.parametrize("t,n_max", [(1, 30), (2, 20), (3, 12), (4, 8), (5, 5)])
+    def test_against_weighted_dp(self, t, n_max):
+        p = torus_params(t)
+        for big_n in range(1, n_max + 1):
+            assert colored_jones(p, big_n) == colored_jones_dp(p, big_n), big_n
+
+    def test_division_is_exact(self):
+        # (q^3 - 1)(1 + 2q) q^-2
+        assert torus_mod._over_q_n_minus_one(-2, [-1, -2, 0, 1, 2], 3) == IntSeries.make(-2, [1, 2])
+        assert torus_mod._over_q_n_minus_one(0, [], 4) == IntSeries.zero()
+
+    @pytest.mark.parametrize("coeffs,n", [([1, 1], 3), ([1, 0, 1, 0], 2), ([1], 1)])
+    def test_division_refuses_a_remainder(self, coeffs, n):
+        with pytest.raises(ArithmeticError):
+            torus_mod._over_q_n_minus_one(0, coeffs, n)
+
+    def test_perturbed_morton_sum_is_refused(self):
+        # (q^N - 1) J_N plus one monomial leaves a remainder
+        p, big_n = torus_params(3), 6
+        jn = colored_jones(p, big_n)
+        prod = [0] * big_n + list(jn.coeffs)
+        for i, c in enumerate(jn.coeffs):
+            prod[i] -= c
+        assert torus_mod._over_q_n_minus_one(jn.min_exp, prod, big_n) == jn
+        prod[len(prod) // 2] += 1
+        with pytest.raises(ArithmeticError):
+            torus_mod._over_q_n_minus_one(jn.min_exp, prod, big_n)
+
+    def test_no_product_and_no_row(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("colored_jones reached the product kernel")
+
+        colored_jones.cache_clear()
+        monkeypatch.setattr(torus_mod, "mul_trunc", boom)
+        misses = binom_row_trunc.cache_info().misses
+        assert colored_jones(torus_params(4), 12).coeffs
+        assert binom_row_trunc.cache_info().misses == misses
 
 
 class TestT1HasNoLevels:
