@@ -52,8 +52,8 @@ def main() -> None:
                 runs[name].append(run(getattr(args, name), os.path.join(tmp, "run.json")))
     provenance = {}
     for name, rs in runs.items():
-        meta = {k: v for k, v in rs[0].items() if k != "rows"}
-        if any({k: v for k, v in r.items() if k != "rows"} != meta for r in rs):
+        meta = {k: v for k, v in rs[0].items() if k not in ("rows", "unit")}
+        if any({k: v for k, v in r.items() if k not in ("rows", "unit")} != meta for r in rs):
             raise SystemExit(f"{name}: provenance changed between rounds")
         provenance[name] = meta
     rows = {}
