@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Pair the engine layer of two checkouts: one BENCH_<n>.json entry.
 
-Runs ``benchmarks/bench_kernels.py --json`` in the parent checkout and in
-the change, alternately (parent first in even rounds, change first in odd
-ones), each run a fresh interpreter measuring its own checkout's src/.
-Both checkouts need a bench_kernels.py with the same engine rows; rows
-that only one side has are left out.  Per row and side, each run gives its
-best of k CPU times; the entry keeps the best, the median and the
-quartiles of those bests over the rounds, the ratio of the medians, and in
-how many rounds the change's best beat the parent's.
+Runs this checkout's ``benchmarks/bench_kernels.py --json`` against the
+parent checkout's src/ and against the change's, alternately (parent first
+in even rounds, change first in odd ones), for ten rounds, each run a fresh
+interpreter.  Both sides are timed by the same script, so they share the
+rows and the timing code; the entry records the script's digest once per
+side, and the run stops if the sides disagree on it, on the backend or on
+the Python version.  Per row and side, each run gives its best of k CPU
+times; the entry keeps the best, the median and the quartiles of those
+bests over the rounds, the ratio of the medians, and in how many rounds
+the change's best beat the parent's.
 
-Usage: python benchmarks/pair.py PARENT CHANGE --rounds 10 --out BENCH_<n>.json
+Usage: python benchmarks/pair.py PARENT CHANGE --out BENCH_<n>.json
 """
 
 import argparse
@@ -21,12 +23,15 @@ import subprocess
 import sys
 import tempfile
 
+ROUNDS = 10
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_kernels.py")
+
 
 def run(root: str, path: str) -> dict:
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("QFISH_") and not k.startswith("PYTHON")}
-    script = os.path.join(root, "benchmarks", "bench_kernels.py")
-    subprocess.run([sys.executable, script, "--json", path], env=env, check=True)
+    subprocess.run([sys.executable, BENCH, "--src", os.path.join(root, "src"), "--json", path],
+                   env=env, check=True)
     with open(path) as fh:
         return json.load(fh)
 
@@ -40,14 +45,11 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("parent", help="root of the parent checkout")
     parser.add_argument("change", help="root of the changed checkout")
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--out", required=True, metavar="FILE")
     args = parser.parse_args()
-    if args.rounds < 2:
-        parser.error("--rounds must be >= 2")
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[name].append(run(getattr(args, name), os.path.join(tmp, "run.json")))
     provenance = {}
@@ -56,10 +58,11 @@ def main() -> None:
         if any({k: v for k, v in r.items() if k not in ("rows", "unit")} != meta for r in rs):
             raise SystemExit(f"{name}: provenance changed between rounds")
         provenance[name] = meta
+    for key in ("backend", "python", "bench_sha256"):
+        if provenance["parent"][key] != provenance["change"][key]:
+            raise SystemExit(f"the two sides differ in {key}")
     rows = {}
     for row in runs["parent"][0]["rows"]:
-        if row not in runs["change"][0]["rows"]:
-            continue
         par = [min(r["rows"][row]) for r in runs["parent"]]
         chg = [min(r["rows"][row]) for r in runs["change"]]
         rows[row] = {
@@ -70,7 +73,7 @@ def main() -> None:
         }
     entry = {
         "unit": "cpu_s",
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         **provenance,
         "rows": rows,
     }

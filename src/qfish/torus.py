@@ -305,13 +305,6 @@ def _q_setup(n: int, order) -> tuple:
     return _q_factors(rows_n, jmax), _q_factors(rows_np1, jmax)
 
 
-def _q_dp(p: TorusParams, n: int, order):
-    """The end pool of the DP on the _q_setup factors of the n-th q-series
-    summand.  t = 1 has no levels, so the DP returns its start pool q^(-1)
-    and no factor row is built."""
-    return _pool_dp(p, *(_q_setup(n, order) if p.m > 1 else ((), ())), order)
-
-
 def _series(pool, order) -> IntSeries:
     """The pool [lo, coeffs] (None is zero) as an IntSeries cut below order
     (None = exact)."""
@@ -339,8 +332,11 @@ def slater_multisum(p: TorusParams, order: int) -> IntSeries:
 
 @lru_cache(maxsize=256)
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
-    """G_n(q) as an IntSeries (exact when order is None)."""
-    return _series(_q_dp(p, n, order), order)
+    """G_n(q) as an IntSeries (exact when order is None): the end pool of
+    the DP on the _q_setup factors of the n-th q-series summand.  t = 1 has
+    no levels, so the DP returns its start pool q^(-1) and no factor row is
+    built."""
+    return _series(_pool_dp(p, *(_q_setup(n, order) if p.m > 1 else ((), ())), order), order)
 
 
 def _kz_partials(p: TorusParams, n_top: int, order) -> Iterator[IntSeries]:
