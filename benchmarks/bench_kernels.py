@@ -6,15 +6,14 @@ small-coefficient products, big-integer products, many short big-integer
 products, where the compiled module's per-call handoff to the pure
 convolution shows, and many short int64 products added into one list,
 by a Python loop or by the kernel's accumulate form).  One layer up, it
-times ``IntSeries.__add__`` (slice assignment and ``map``) against the
-per-coefficient loop it replaced, and the engines built on the kernel:
-the inner-sum DP behind exact G_n, the graded summands of M_t, J_N (also
-at t = 1), the key identity's b-sums, cold and warm, the root-of-unity
-match cold, the key identity warm, and the xi_series oracle.  Times are CPU
-seconds of this process, best of k.  Running the script against two
-checkouts' src/, alternately, gives the engine layer's speedup between
-them: benchmarks/pair.py does that and writes the paired BENCH_<n>.json
-entry.  End-to-end numbers come from perfbench/run.py.
+times the engines built on the kernel: the inner-sum DP behind exact G_n,
+the graded summands of M_t, J_N (also at t = 1), the key identity's
+b-sums, cold and warm, the root-of-unity match cold, the key identity
+warm, and the xi_series oracle.  Times are CPU seconds of this process,
+best of k.  Running the script against two checkouts' src/, alternately,
+gives the engine layer's speedup between them: benchmarks/pair.py does
+that and writes the paired BENCH_<n>.json entry.  End-to-end numbers come
+from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick] [--json FILE] [--src DIR]
 
@@ -33,7 +32,6 @@ import random
 import subprocess
 import sys
 import time
-from operator import neg
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--quick", action="store_true", help="smaller cases only")
@@ -48,7 +46,6 @@ sys.path.insert(0, SRC)
 
 import qfish  # noqa: E402
 from qfish.backend import available_backends, backend_name  # noqa: E402
-from qfish.series import IntSeries, _min_order  # noqa: E402
 
 if os.path.dirname(os.path.realpath(qfish.__file__)) != os.path.join(SRC, "qfish"):
     raise SystemExit(f"qfish was imported from {qfish.__file__}, not from {SRC}")
@@ -147,56 +144,17 @@ def kernel_bench(quick: bool) -> None:
         {label: time_call(in_kernel, backends[label], repeat=3) for label in LABELS})
 
 
-def add_loop(self, other, sign=1):
-    """IntSeries.__add__ as it was: one Python step per coefficient."""
-    order = _min_order(self.order, other.order)
-    if not self.coeffs:
-        return (other if sign > 0 else -other).truncate(order)
-    if not other.coeffs:
-        return self.truncate(order)
-    lo = min(self.min_exp, other.min_exp)
-    hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
-    if order is not None:
-        hi = min(hi, order)
-    out = [0] * (hi - lo)
-    for src, sg in ((self, 1), (other, sign)):
-        cs = src.coeffs[:max(hi - src.min_exp, 0)]
-        for i, c in enumerate(cs if sg > 0 else map(neg, cs), src.min_exp - lo):
-            out[i] += c
-    return IntSeries.make(lo, out, order)
-
-
-def series_bench(quick: bool) -> None:
-    """IntSeries sums on truncated windows of 70 and 1000 coefficients (the
-    key identity's window at q_order 70, and a long one), in one process."""
-    rng = random.Random(11)
-    print()
-    print(f"{'series layer':<28}{'loop (s)':>14}{'slices (s)':>14}{'speedup':>9}")
-    for width, calls in ((70, 2000), (1000, 200)):
-        calls //= 4 if quick else 1
-        pairs = [(IntSeries.make(rng.randint(0, 3), [rng.randint(-99, 99) for _ in range(width)], width),
-                  IntSeries.make(rng.randint(0, 3), [rng.randint(-99, 99) for _ in range(width)], width))
-                 for _ in range(calls)]
-
-        def run(add):
-            for a, b in pairs:
-                add(a, b)
-                add(a, b, -1)
-
-        old, new = time_call(run, add_loop), time_call(run, IntSeries.__add__)
-        name = f"add/sub {width} coeffs x{2 * calls}"
-        print(f"{name:<28}{old:>14.4f}{new:>14.4f}{old / new:>8.1f}x")
-
-
 def engine_cases() -> list:
     """(name, call) for the engine layer, each call past its lru_cache (the
     Gaussian-binomial rows stay cached, as in a long-lived process) unless
-    the name says cold."""
+    the name says cold.  J_N is called uncached on either side of a pair,
+    whether or not its checkout caches it."""
     from qfish.identities import _b_sums, verify_key_identity, verify_root_match
     from qfish.qseries import binom_row_trunc
     from qfish.torus import _m_graded, a_n_t, colored_jones, kz_inner_sum, torus_params
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
+    jones = getattr(colored_jones, "__wrapped__", colored_jones)
 
     def b_sums(p, q_order, cold):
         if cold:  # every a_{n,t} and graded summand rebuilt
@@ -205,7 +163,7 @@ def engine_cases() -> list:
         return _b_sums(p, q_order + p.h_d)
 
     def root_match_cold(t, n_max):  # as the first call in a process
-        for cache in (kz_inner_sum, colored_jones, binom_row_trunc):
+        for cache in (kz_inner_sum, binom_row_trunc):
             cache.cache_clear()
         return verify_root_match(t, n_max)
 
@@ -215,9 +173,9 @@ def engine_cases() -> list:
         ("kz_inner_sum t=4 n=10 exact", lambda: kz_inner_sum.__wrapped__(p4, 10, None)),
         ("kz_inner_sum t=5 n=6 exact", lambda: kz_inner_sum.__wrapped__(p5, 6, None)),
         ("_m_graded t=3 n<=21 L=21", lambda: [_m_graded.__wrapped__(p3, n, 21) for n in range(22)]),
-        ("colored_jones t=4 N=8", lambda: colored_jones.__wrapped__(p4, 8)),
-        ("colored_jones t=1 N<=30", lambda: [colored_jones.__wrapped__(p1, n) for n in range(1, 31)]),
-        ("colored_jones t=2 N<=40", lambda: [colored_jones.__wrapped__(p2, n) for n in range(1, 41)]),
+        ("colored_jones t=4 N=8", lambda: jones(p4, 8)),
+        ("colored_jones t=1 N<=30", lambda: [jones(p1, n) for n in range(1, 31)]),
+        ("colored_jones t=2 N<=40", lambda: [jones(p2, n) for n in range(1, 41)]),
         ("_b_sums t=2 q_order=70 cold", lambda: b_sums(p2, 70, True)),
         ("_b_sums t=2 q_order=70 warm", lambda: b_sums(p2, 70, False)),
         ("_b_sums t=3 q_order=20 cold", lambda: b_sums(p3, 20, True)),
@@ -281,7 +239,6 @@ def main() -> None:
         write_json(ARGS.json)
         return
     kernel_bench(ARGS.quick)
-    series_bench(ARGS.quick)
     engine_bench(ARGS.quick)
 
 

@@ -13,10 +13,10 @@ place (a zero coefficient leaves its slot untouched) and returns ``out``.
 ``out`` must be a list with at least ``off`` plus the product length
 items, and ``off >= 0``; both are checked before anything is written.
 
-This module is the whole kernel without a C compiler.  With one,
-``qfish._speedups`` (``_speedups.c``) runs products that fit int64 on C
-arrays and hands every other product to ``mul_trunc`` here;
-``qfish.backend`` picks the module at import time.
+This module is the whole kernel when ``qfish._speedups`` is not built.
+When it is, ``_speedups.c`` runs products that fit int64 on C arrays and
+hands every other product to ``mul_trunc`` here; ``qfish.backend`` uses
+the extension exactly when it imports.
 """
 
 from __future__ import annotations

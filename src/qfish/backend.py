@@ -1,4 +1,5 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: the compiled extension when it imports, pure Python
+otherwise.
 
 The extension ``qfish._speedups`` is built from ``_speedups.c`` by
 ``python setup.py build_ext --inplace`` (or ``pip install .``); without a C
@@ -10,23 +11,19 @@ module exports: ``mul_trunc(a, b, n)`` returns the first ``n``
 coefficients (``n = len(a) + len(b) - 1`` for the full product), and
 ``mul_trunc(a, b, n, out, off)`` (positional) adds them into the list
 ``out`` at ``off`` in place and returns ``out``; ``out`` and ``off`` are
-checked before anything is written.
-Set ``QFISH_PURE=1`` in the environment to force the pure backend (useful
-for benchmarking and for debugging suspected kernel issues).
+checked before anything is written.  ``available_backends()`` hands out
+both modules, so tests and benchmarks can run the pure kernel next to the
+compiled one in one process.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernels as _pure
 
-_fast = None
-if not os.environ.get("QFISH_PURE"):
-    try:
-        from . import _speedups as _fast  # type: ignore[no-redef]
-    except ImportError:
-        _fast = None
+try:
+    from . import _speedups as _fast
+except ImportError:
+    _fast = None
 
 _impl = _fast if _fast is not None else _pure
 

@@ -261,22 +261,11 @@ def dissection(series: IntSeries, s: int, n_index: Optional[int] = None) -> Diss
         raise ValueError("s must be >= 1")
     if series.order is not None:
         raise NotPolynomialError("dissection needs a completed (exact) polynomial")
-    buckets: list = [{} for _ in range(s)]
-    for idx, c in enumerate(series.coeffs):
-        if c:
-            e = series.min_exp + idx
-            buckets[e % s][e // s] = c
-    pieces = []
-    for bucket in buckets:
-        if not bucket:
-            pieces.append(IntSeries.zero())
-            continue
-        lo = min(bucket)
-        out = [0] * (max(bucket) - lo + 1)
-        for e, c in bucket.items():
-            out[e - lo] = c
-        pieces.append(IntSeries.make(lo, out, None))
-    return Dissection(s, tuple(pieces), n_index)
+    # exponents e = i (mod s) sit s apart in the window, at powers e // s
+    lo, cs = series.min_exp, series.coeffs
+    pieces = tuple(IntSeries.make((lo + k) // s, cs[k::s], None)
+                   for k in ((i - lo) % s for i in range(s)))
+    return Dissection(s, pieces, n_index)
 
 
 def S_set(spec: ThetaSpec, s: int) -> set:

@@ -275,8 +275,7 @@ class IntSeries(Record):
         if not self.coeffs:
             return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
+        out[::k] = self.coeffs
         return IntSeries.make(self.min_exp * k, out, None)
 
     def mul_one_minus_qk(self, k: int) -> "IntSeries":

@@ -163,10 +163,11 @@ def admissible_jvectors(
 # A step's product goes straight into its destination pool: _acc_mul grows
 # the pool's list once to cover the product's exponents, and one kernel call
 # mul_trunc(src, f, n, pool, off) adds the product into it, so no product
-# list is built and no Python loop adds it.  Pools are private to one DP
-# run, so the in-place add is safe.  The exact G_n that callers ask for again
-# are immutable IntSeries kept in kz_inner_sum's bounded lru_cache, so a
-# process builds each of them once.
+# list is built and no Python loop adds it.  A state's S + A, and the end
+# S + A, is added into its S pool in place (_ladd).  Every pool the DP writes
+# is private to its run, and the factors are only read, so the in-place adds
+# are safe.  The exact G_n that callers ask for again are immutable IntSeries
+# kept in kz_inner_sum's bounded lru_cache, so a process builds each once.
 
 
 def _grow(dst, lo, n) -> int:
@@ -212,13 +213,12 @@ def _acc_mul(dst, src, f, lim):
 
 
 def _ladd(a, b):
-    """a + b for pools [lo, coeffs] (None is zero), as a new pool unless one
-    side is zero."""
-    if b is None:
-        return a
+    """a + b for pools [lo, coeffs] (None is zero): b added into a in place,
+    or the nonzero side when one is zero.  a must be a pool of the running
+    DP, never a factor."""
     if a is None:
         return b
-    return _padd(_padd(None, *a), *b)
+    return a if b is None else _padd(a, *b)
 
 
 def _q_lift(f, s):
@@ -235,13 +235,12 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
     one for [n, j] or None where [n, j] vanishes.  lift(f, s) is the factor
     f times q^s in the factors' domain.  Every product is cut below q^order
     (None = exact); the lifted factor low exponents must then not decrease
-    in j, as one at or past the order ends the j-loop.
+    in j, as one at or past the order ends the j-loop.  The factors are
+    only read; every pool the DP writes into is its own.
     """
     m = p.m
     inv = pow(m - 1, -1, m)  # m - 1 is odd, hence invertible mod m = 2^(t-1)
     dm = m if graded else 0
-    if m == 2 and not graded:  # one level from S = 0: the end S + A is A (f_n + f_np1)
-        fac_n, fac_np1 = [None] * len(fac_np1), list(map(_ladd, fac_n, fac_np1))
     states = {0: [None, [-(p.a // m), [1]]]}
     lifted: dict = {}
     for level in range(1, m):
@@ -401,7 +400,6 @@ def _over_q_n_minus_one(lo: int, coeffs: list, n: int) -> IntSeries:
     return IntSeries.make(lo, out)
 
 
-@lru_cache(maxsize=64)
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     """J_N(T(3, r); q), r = 2^t, as an exact Laurent polynomial,
     J_N(unknot) = 1, from the closed form for torus knots (Rosso-Jones,

@@ -1,10 +1,13 @@
 """Parameters, index-vector enumeration, the KZ series, colored Jones, H/M."""
 
+import copy
 import itertools
 
 import pytest
 
+import qfish.fishburn as fishburn_mod
 import qfish.torus as torus_mod
+from qfish.backend import mul_trunc
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
@@ -253,8 +256,7 @@ class TestInnerSum:
     @pytest.mark.parametrize("t,n", [(2, 5), (3, 4), (4, 2)])
     @pytest.mark.parametrize("order", [None, 2, 9])
     def test_graded_ends_sum_to_ungraded(self, t, n, order):
-        # the x-degree keys only split the end state: at t = 2 the graded run
-        # keeps S and A apart, where the ungraded one folds f_n into f_np1
+        # the x-degree keys only split the end state
         p = torus_params(t)
         fac = torus_mod._q_setup(n, order)
         ends = torus_mod._pool_dp(p, *fac, order, graded=True)
@@ -286,9 +288,8 @@ class TestPoolAdd:
         def boom(*args):
             raise AssertionError("pool add reached the product kernel")
 
-        # a cached G_n or J_N would answer without running the DP
+        # a cached G_n would answer without running the DP
         kz_inner_sum.cache_clear()
-        colored_jones.cache_clear()
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
 
     def test_padd_copies_new_pool(self, no_kernel):
@@ -299,29 +300,62 @@ class TestPoolAdd:
         assert torus_mod._padd(pool, 1, [5, 0, 1]) == [1, [5, 0, 8, 2]]
 
     def test_ladd(self, no_kernel):
+        # the sum lands in the left pool; the right one is untouched
         a, b = [2, [1, 1]], [0, [4]]
         got = torus_mod._ladd(a, b)
-        assert got == [0, [4, 0, 1, 1]]
-        assert a == [2, [1, 1]] and b == [0, [4]]
+        assert got is a and a == [0, [4, 0, 1, 1]]
+        assert b == [0, [4]]
         assert torus_mod._ladd(None, b) is b and torus_mod._ladd(a, None) is a
 
 
+class TestFactorsAreOnlyRead:
+    """_pool_dp never writes into its factor pools, so _ladd may add into
+    its left pool in place: every pool it receives belongs to the DP run."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("order", [None, 9])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_q_factors(self, t, order, graded):
+        fac = torus_mod._q_setup(5, order)
+        before = copy.deepcopy(fac)
+        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded)
+        assert fac == before
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("order", [None, 9])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_substituted_factors(self, t, order, graded):
+        # the list-based rows of xi_series, lifted as it lifts them
+        tab = fishburn_mod._SubTables(12)
+        row = [[0, [1]]]
+        for n in range(1, 4):
+            row = fishburn_mod._sub_row(row, n, 12, tab)
+        fac = row + [None], fishburn_mod._sub_row(row, 4, 12, tab)
+        before = copy.deepcopy(fac)
+
+        def lift(f, s):
+            a = tab.power(s)
+            return [0, mul_trunc(a, f[1], order or len(a) + len(f[1]) - 1)]
+
+        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded, lift=lift)
+        assert fac == before
+
+
 class TestExactCaches:
-    """A second request for an exact G_n or J_N is answered from its cache,
-    without a product."""
+    """A second request for an exact G_n is answered from its cache, without
+    a product."""
 
     def test_second_call_makes_no_product(self, monkeypatch):
         p = torus_params(3)
         kz_inner_sum.cache_clear()
-        colored_jones.cache_clear()
-        first = kz_inner_sum(p, 4, None), colored_jones(p, 4)
+        first = kz_inner_sum(p, 4, None)
 
         def boom(*args):
             raise AssertionError("a cached call reached the product kernel")
 
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
-        assert (kz_inner_sum(p, 4, None), colored_jones(p, 4)) == first
-        assert kz_inner_sum.cache_info().hits == colored_jones.cache_info().hits == 1
+        assert kz_inner_sum(p, 4, None) == first
+        assert kz_inner_sum.cache_info().hits == 1
 
 
 class TestKZSeries:
@@ -438,7 +472,6 @@ class TestMortonClosedForm:
         def boom(*args):
             raise AssertionError("colored_jones reached the product kernel")
 
-        colored_jones.cache_clear()
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
         misses = binom_row_trunc.cache_info().misses
         assert colored_jones(torus_params(4), 12).coeffs
@@ -459,7 +492,6 @@ class TestT1HasNoLevels:
 
     def test_colored_jones_is_the_trefoil_formula(self):
         # J_N(T(3,2); q) = q^(1-N) sum_n q^(-nN) (q^(1-N))_n
-        colored_jones.cache_clear()
         for big_n in range(1, 13):
             expect = IntSeries.zero()
             for n in range(big_n):
@@ -468,7 +500,6 @@ class TestT1HasNoLevels:
 
     def test_root_match_builds_no_rows(self):
         kz_inner_sum.cache_clear()
-        colored_jones.cache_clear()
         misses = binom_row_trunc.cache_info().misses
         assert verify_root_match(1, 30).passed
         assert binom_row_trunc.cache_info().misses == misses
