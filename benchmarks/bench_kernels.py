@@ -9,7 +9,8 @@ by a Python loop or by the kernel's accumulate form).  One layer up, it
 times the engines built on the kernel: the inner-sum DP behind exact G_n,
 the graded summands of M_t, J_N (also at t = 1), the key identity's
 b-sums, cold and warm, the root-of-unity match cold, the key identity
-warm, and the xi_series oracle.  Times are CPU seconds of this process,
+warm, the Slater identities cold, (q)_inf to order 400, and the xi_series
+oracle.  Times are CPU seconds of this process,
 best of k.  Running the script against two checkouts' src/, alternately,
 gives the engine layer's speedup between them: benchmarks/pair.py does
 that and writes the paired BENCH_<n>.json entry.  End-to-end numbers come
@@ -149,8 +150,9 @@ def engine_cases() -> list:
     Gaussian-binomial rows stay cached, as in a long-lived process) unless
     the name says cold.  J_N is called uncached on either side of a pair,
     whether or not its checkout caches it."""
-    from qfish.identities import _b_sums, verify_key_identity, verify_root_match
+    from qfish.identities import _b_sums, verify_key_identity, verify_root_match, verify_slater
     from qfish.qseries import binom_row_trunc
+    from qfish.series import euler_product
     from qfish.torus import _m_graded, a_n_t, colored_jones, kz_inner_sum, torus_params
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
@@ -166,6 +168,10 @@ def engine_cases() -> list:
         for cache in (kz_inner_sum, binom_row_trunc):
             cache.cache_clear()
         return verify_root_match(t, n_max)
+
+    def slater_cold(q_order, gen_q_order):  # the Gaussian-binomial rows rebuilt
+        binom_row_trunc.cache_clear()
+        return verify_slater(q_order, gen_q_order)
 
     verify_key_identity(2, 70)  # the warm row times later calls
     return [
@@ -183,6 +189,8 @@ def engine_cases() -> list:
         ("verify_root_match t=4 N<=12 cold", lambda: root_match_cold(4, 12)),
         ("verify_root_match t=5 N<=7 cold", lambda: root_match_cold(5, 7)),
         ("verify_key_identity t=2 q_order=70 warm", lambda: verify_key_identity(2, 70)),
+        ("verify_slater 40 30 cold", lambda: slater_cold(40, 30)),
+        ("euler_product order=400", lambda: euler_product(400)),
     ]
 
 

@@ -45,13 +45,11 @@ from .qseries import (
 )
 from .series import (
     IntSeries,
-    NonUnitError,
     NotPolynomialError,
     SeriesError,
     TruncationError,
     divisor_sum_series,
     euler_product,
-    invert_unit,
     poly_divides,
     substitute_one_minus_q,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "IdentityReport",
     "IntSeries",
     "M_series",
-    "NonUnitError",
     "NotPolynomialError",
     "PeriodicChar",
     "S_set",
@@ -105,7 +102,6 @@ __all__ = [
     "divisibility_check",
     "divisor_sum_series",
     "euler_product",
-    "invert_unit",
     "kz_at_root_of_unity",
     "kz_full_polynomial",
     "kz_partial_sum",

@@ -40,14 +40,14 @@ from functools import lru_cache
 from typing import Optional
 
 from .backend import mul_trunc
-from .qseries import ThetaSpec, pochhammer, theta_spec_t
+from .qseries import ThetaSpec, knot_index, pochhammer, theta_spec_t
 from .series import (
     DivisionWitness,
     IntSeries,
     NotPolynomialError,
     Record,
-    invert_unit,
     one_minus_q_power,
+    over_one_minus_qk,
     poly_divides,
 )
 from .torus import _acc_mul, _pool_dp, kz_full_polynomial, torus_params
@@ -133,8 +133,8 @@ def xi_series(t: int, n_top: int, count: int) -> list:
             row = row_next
         mul_trunc(poch_tail, inner, count - n, total, n)
     if p.m > 1:
-        pref = invert_unit(one_minus_q_power(p.h_d, count), count)
-        total = mul_trunc(total, list(pref.coeffs), count)
+        for _ in range(p.h_d):  # the global prefactor (1-q)^(-h')
+            over_one_minus_qk(total, 1)
         if p.sign < 0:
             total = [-c for c in total]
     return total
@@ -231,8 +231,8 @@ def _xi_cached(t: int, count: int) -> tuple:
 
 
 def xi_coefficients(t: int, count: int) -> list:
-    """xi_t(0 .. count-1)."""
-    return list(_xi_cached(t, count))
+    """xi_t(0 .. count-1); t is checked before the cache, whose key (2.0, c) is (2, c)."""
+    return list(_xi_cached(knot_index(t), count))
 
 
 # -- dissection and divisibility ---------------------------------------------

@@ -15,14 +15,13 @@ same DP graded by x-degree.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import add, sub
 from typing import Optional
 
 from .biseries import BiAccumulator, BiSeries, bi_first_difference
 from .cyclotomic import cyc_eval
 from .qseries import (
     partial_theta,
-    pochhammer,
     theta_spec_t,
     torus_product,
     quintiple_sides,
@@ -33,8 +32,9 @@ from .series import (
     divisor_sum_series,
     euler_product,
     first_difference,
-    invert_unit,
+    over_one_minus_qk,
     progression_product,
+    times_one_minus_qk,
 )
 from .torus import (
     M_series,
@@ -216,7 +216,7 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     poch = [1] + [0] * (work - 1)  # (q)_n below q^work
     for n in range(work + 1):
         if n:
-            poch[n:] = map(sub, poch[n:], poch[:work - n])  # times 1 - q^n
+            times_one_minus_qk(poch, n)
         # (q)_n - (q)_inf = O(q^(n+1))
         diffp = list(map(sub, poch[n + 1:], eul.coeffs[n + 1:]))
         if n and not any(diffp):
@@ -262,13 +262,15 @@ def _slater86(q_order: int) -> IdentityReport:
     """Slater's list (86): (q)_inf sum_n q^(2n(n+1))/(q)_{2n+1}
     = (q^3, q^5, q^8; q^8)_inf (q^2, q^14; q^16)_inf."""
     window = {"q_order": q_order}
-    total = IntSeries.zero(q_order)
+    total = [0] * q_order
+    inv = [1] * q_order  # 1/(q)_1
     n = 0
-    while 2 * n * (n + 1) < q_order:
-        inv = invert_unit(pochhammer(1, 2 * n + 1, q_order), q_order)
-        total = total + inv.shift(2 * n * (n + 1)).truncate(q_order)
+    while (e := 2 * n * (n + 1)) < q_order:
+        if n:  # 1/(q)_(2n-1) -> 1/(q)_(2n+1)
+            over_one_minus_qk(over_one_minus_qk(inv, 2 * n), 2 * n + 1)
+        total[e:] = map(add, total[e:], inv)  # plus q^e / (q)_(2n+1)
         n += 1
-    lhs = euler_product(q_order) * total
+    lhs = euler_product(q_order) * IntSeries.make(0, total, q_order)
     rhs = progression_product([(3, 8), (5, 8), (8, 8), (2, 16), (14, 16)], q_order)
     return _series_report("slater_86", window, lhs, rhs)
 

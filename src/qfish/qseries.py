@@ -9,12 +9,11 @@ identity.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from operator import index
 from typing import Optional
 
 from .cyclotomic import CycInt, _reduce
-from .series import IntSeries, Record, progression_product
+from .series import IntSeries, Record, over_one_minus_qk, progression_product, times_one_minus_qk
 
 
 def pochhammer(base_exp: int, n: int, out_order: Optional[int] = None) -> IntSeries:
@@ -64,9 +63,7 @@ def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
             continue
         e = n - j + 1
         out = cur + [0] * (min(length, len(cur) + e) - len(cur))
-        out[e:] = map(sub, out[e:], out[: len(out) - e])  # times 1 - q^e
-        for r in range(j):  # over 1 - q^j: prefix sums along each class mod j
-            out[r::j] = accumulate(out[r::j])
+        over_one_minus_qk(times_one_minus_qk(out, e), j)
         del out[j * (n - j) + 1:]
         cur = out
         rows.append(tuple(out))
@@ -85,6 +82,17 @@ class PeriodicChar(Record):
         return [r for r, v in enumerate(self.values) if v]
 
 
+def knot_index(t) -> int:
+    """The t of T(3, 2^t) as an int >= 1, through operator.index; 2.0 and
+    True raise TypeError rather than act as 2 and 1."""
+    if isinstance(t, bool):
+        raise TypeError("t must be an int, not bool")
+    t = index(t)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return t
+
+
 @lru_cache(maxsize=16)
 def chi_t(t: int) -> PeriodicChar:
     """The sign character of modulus 3*2^(t+1) attached to T(3, 2^t).
@@ -93,8 +101,7 @@ def chi_t(t: int) -> PeriodicChar:
     admitted and reproduces the conductor-12 character with support
     {1, 5, 7, 11}.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = knot_index(t)
     period = 3 * 2 ** (t + 1)
     vals = [0] * period
     vals[(2 ** (t + 1) - 3) % period] = 1
@@ -122,6 +129,7 @@ def theta_spec_t(t: int, nu: int) -> ThetaSpec:
     The support condition ((n^2-a)/b integral wherever chi(n) != 0) is
     verified over a full period at construction.
     """
+    t = knot_index(t)
     if nu not in (0, 1):
         raise ValueError("nu must be 0 or 1")
     char = chi_t(t)
@@ -191,9 +199,7 @@ def torus_product_pairs(t: int) -> list:
 
 def torus_product(t: int, out_order: int) -> IntSeries:
     """(q^(2^t-1), q^(2^t+1), q^(2^(t+1)); q^(2^(t+1)))_inf (q^2, q^(2^(t+2)-2); q^(2^(t+2)))_inf."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return progression_product(torus_product_pairs(t), out_order)
+    return progression_product(torus_product_pairs(knot_index(t)), out_order)
 
 
 def quintiple_sides(q_power: int, x_power: int, out_order: int) -> tuple:

@@ -12,10 +12,15 @@ safe to share across threads.  That immutability is a convention, not
 enforced: the record types are plain ``__slots__`` classes (see ``Record``),
 because a frozen dataclass costs about three times as much to construct and
 importing ``dataclasses`` (with ``inspect``) adds to every process's start-up.
+
+Every product of cut coefficient lists by a factor 1 - q^k, and every
+division by one, is a pass of ``times_one_minus_qk`` or ``over_one_minus_qk``,
+in place on a list the caller owns.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, attrgetter, sub
 from typing import Iterable, Optional
 
@@ -28,10 +33,6 @@ class SeriesError(ValueError):
 
 class TruncationError(SeriesError):
     """Requested data lies at or beyond the truncation order."""
-
-
-class NonUnitError(SeriesError):
-    """Inversion attempted on a series that is not a unit over the integers."""
 
 
 class NotPolynomialError(SeriesError):
@@ -285,46 +286,34 @@ class IntSeries(Record):
         return self - self.shift(k)
 
 
-def invert_unit(a: IntSeries, out_order: Optional[int] = None) -> IntSeries:
-    """Multiplicative inverse on the truncation window.
+def times_one_minus_qk(cs: list, k: int) -> list:
+    """The coefficient list cs times 1 - q^k (k >= 1), in place on its
+    window len(cs); returns cs."""
+    cs[k:] = map(sub, cs[k:], cs[:len(cs) - k])
+    return cs
 
-    Requires min_exp 0 and constant coefficient +-1 (the only units of Z[[q]]
-    whose inverses stay integral).
-    """
-    order = a.order if out_order is None else out_order
-    if order is None:
-        raise SeriesError("invert_unit needs a truncation order")
-    if a.min_exp != 0 or not a.coeffs or a.coeffs[0] not in (1, -1):
-        raise NonUnitError("series is not a unit over the integers (constant term must be +-1)")
-    if order < 1:
-        raise ValueError("out_order must be >= 1")
-    c0 = a.coeffs[0]
-    n = order
-    out = [0] * n
-    out[0] = c0
-    for k in range(1, n):
-        s = 0
-        for i in range(1, min(k, len(a.coeffs) - 1) + 1):
-            ai = a.coeffs[i]
-            if ai:
-                s += ai * out[k - i]
-        out[k] = -c0 * s
-    return IntSeries.make(0, out, order)
+
+def over_one_minus_qk(cs: list, k: int) -> list:
+    """The coefficient list cs divided by 1 - q^k (k >= 1), in place on its
+    window len(cs): 1/(1 - q^k) = 1 + q^k + q^(2k) + ..., so the quotient
+    takes prefix sums along each residue class mod k.  Returns cs."""
+    for r in range(min(k, len(cs))):
+        cs[r::k] = accumulate(cs[r::k])
+    return cs
 
 
 def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     """Composition a(1-q), expanded as a power series in q.
 
     Exact for polynomial content: every stored coefficient participates.
-    Negative powers of (1-q) are expanded through ``invert_unit``.
+    The (1-q)^min_exp prefactor is |min_exp| passes of ``times_one_minus_qk``
+    or, for negative min_exp, ``over_one_minus_qk`` at k = 1.
     """
     if a.order is not None and out_order > a.order:
         raise TruncationError(
             f"composition to order {out_order} needs input known to that order (have {a.order})"
         )
-    if out_order <= 0:
-        return IntSeries.zero(out_order)
-    if not a.coeffs:
+    if out_order <= 0 or not a.coeffs:
         return IntSeries.zero(out_order)
     # a = q^min_exp * P(q); evaluate P at u = 1-q by Horner, then fix the
     # (1-q)^min_exp prefactor.
@@ -332,14 +321,11 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     for c in reversed(a.coeffs):
         acc = mul_trunc(acc, (1, -1), out_order)  # acc <- acc * (1-q) + c
         acc[0] += c
-    body = IntSeries.make(0, acc, out_order)
-    e = a.min_exp
-    if e == 0:
-        return body
-    pref = one_minus_q_power(abs(e), out_order)
-    if e < 0:
-        pref = invert_unit(pref, out_order)
-    return body * pref
+    acc += [0] * (out_order - len(acc))
+    step = times_one_minus_qk if a.min_exp > 0 else over_one_minus_qk
+    for _ in range(abs(a.min_exp)):
+        step(acc, 1)
+    return IntSeries.make(0, acc, out_order)
 
 
 def one_minus_q_power(e: int, out_order: int) -> IntSeries:
@@ -368,25 +354,17 @@ def divisor_sum_series(out_order: int) -> IntSeries:
 def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
     """Product of (1 - q^(start + k*step)) over k >= 0 for each (start, step).
 
-    Each factor is expanded only while its exponent stays below out_order.
+    Each factor whose exponent stays below out_order is one pass of
+    ``times_one_minus_qk`` over the window.
     """
     if out_order < 1:
         raise ValueError("out_order must be >= 1")
-    exps = []
+    out = [1] + [0] * (out_order - 1)
     for start, step in pairs:
         if start < 1 or step < 1:
             raise ValueError("progression exponents must be positive")
-        exps.extend(range(start, out_order, step))
-    exps.sort()
-    out = [0] * out_order
-    out[0] = 1
-    top = 1  # first index beyond current content
-    for e in exps:
-        # multiply by (1 - q^e) in place, top-down so sources are unmodified
-        for i in range(min(top, out_order - e) - 1, -1, -1):
-            if out[i]:
-                out[i + e] -= out[i]
-        top = min(top + e, out_order)
+        for e in range(start, out_order, step):
+            times_one_minus_qk(out, e)
     return IntSeries.make(0, out, out_order)
 
 

@@ -22,15 +22,14 @@ to the trefoil Jones polynomial.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from operator import add
 from typing import Iterator, Optional
 
 from .backend import mul_trunc
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
-from .qseries import binom_row_trunc, chi_t, pochhammer
-from .series import IntSeries, Record, invert_unit
+from .qseries import binom_row_trunc, chi_t, knot_index
+from .series import IntSeries, Record, over_one_minus_qk
 
 
 class TorusParams(Record):
@@ -46,8 +45,7 @@ class TorusParams(Record):
 
 
 def torus_params(t: int) -> TorusParams:
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = knot_index(t)
     p2 = 2**t
     if t % 2 == 0:
         nums = (p2 - 1, p2 - 4, 2 ** (t - 1) + 1)
@@ -322,10 +320,10 @@ def _m_graded(p: TorusParams, n: int, q_order: int) -> tuple:
 
 def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     """sum'_{jv} (-1)^(sum j) q^v / prod_l (q)_{j_l}, cut below q^order: the
-    DP with A pools only."""
+    DP with A pools only.  The rows 1/(q)_j are the Gaussian binomials
+    [order + jmax, j], which equal 1/(q)_j below q^(order + jmax - j + 1)."""
     jmax = _jmax(order)
-    rows = [invert_unit(pochhammer(1, j, order), order).coeffs for j in range(jmax + 1)]
-    fac = _q_factors(rows, jmax)
+    fac = _q_factors(binom_row_trunc(order + jmax, jmax, order), jmax)
     return _series(_pool_dp(p, [None] * (jmax + 1), fac, order), order)
 
 
@@ -384,20 +382,17 @@ def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
     return poly
 
 
-def _over_q_n_minus_one(lo: int, coeffs: list, n: int) -> IntSeries:
-    """The Laurent polynomial q^lo coeffs divided by q^n - 1, exactly.
+def _over_one_minus_q_n(lo: int, coeffs: list, n: int) -> IntSeries:
+    """The Laurent polynomial q^lo coeffs divided by 1 - q^n, exactly.
 
-    1/(q^n - 1) = -(1 + q^n + q^(2n) + ...), so the quotient is minus the
-    prefix sums along each residue class mod n; it divides exactly iff the
-    top n prefix sums vanish, and otherwise ArithmeticError is raised."""
-    out = [-c for c in coeffs]
-    for r in range(n):
-        out[r::n] = accumulate(out[r::n])
-    top = max(len(out) - n, 0)
-    if any(out[top:]):
-        raise ArithmeticError("q^N - 1 does not divide the sum")
-    del out[top:]
-    return IntSeries.make(lo, out)
+    over_one_minus_qk divides coeffs in place; the division is exact iff
+    the top n prefix sums vanish, and otherwise ArithmeticError is raised."""
+    over_one_minus_qk(coeffs, n)
+    top = max(len(coeffs) - n, 0)
+    if any(coeffs[top:]):
+        raise ArithmeticError("1 - q^N does not divide the sum")
+    del coeffs[top:]
+    return IntSeries.make(lo, coeffs)
 
 
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
@@ -414,8 +409,8 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     exponent is an integer: with K = 2k, four times it is
     2N - 3r(N^2 - 1) + 3rK^2 + 2(3 + eps r)K + 2 eps, checked to be divisible
     by 4.
-    The 2N monomials are then divided by q^N - 1, checked exactly.  One
-    formula covers every t; no inner-sum DP, kernel product or
+    The 2N monomials, negated, are then divided by 1 - q^N, checked exactly.
+    One formula covers every t; no inner-sum DP, kernel product or
     Gaussian-binomial row is involved.
     """
     if big_n < 1:
@@ -432,8 +427,8 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     lo = min(x for x, _ in terms)
     coeffs = [0] * (max(x for x, _ in terms) - lo + 1)
     for x, eps in terms:
-        coeffs[x - lo] += eps
-    return _over_q_n_minus_one(lo, coeffs, big_n)
+        coeffs[x - lo] -= eps
+    return _over_one_minus_q_n(lo, coeffs, big_n)
 
 
 def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:

@@ -172,6 +172,22 @@ class TestXi:
         with pytest.raises(ValueError):
             xi_coefficients(2, 0)
 
+    def test_non_integer_t_refused_cold_and_warm(self):
+        # the cache key (2.0, 5) equals (2, 5): once the t = 2 entry is
+        # filled, an unchecked 2.0 would read it
+        import qfish.fishburn as fb
+
+        fb._xi_cached.cache_clear()
+        try:
+            with pytest.raises(TypeError):
+                xi_coefficients(2.0, 5)
+            assert xi_coefficients(2, 5) == [1, 3, 11, 50, 280]
+            for t in (2.0, True):
+                with pytest.raises(TypeError):
+                    xi_coefficients(t, 5)
+        finally:
+            fb._xi_cached.cache_clear()
+
 
 class TestXiLvalues:
     """The strange-identity engine against the multisum DP, its oracle."""

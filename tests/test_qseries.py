@@ -145,6 +145,11 @@ class TestThetaSpec:
     def test_integral_exponent_example(self):
         assert theta_spec_t(2, 0).exponent(11) == 2
 
+    @pytest.mark.parametrize("t", [2.0, True])
+    def test_non_integer_t_refused(self, t):
+        with pytest.raises(TypeError):
+            theta_spec_t(t, 0)
+
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_support_condition_over_period(self, t):
         spec = theta_spec_t(t, 0)

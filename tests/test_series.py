@@ -1,6 +1,7 @@
 """Exact series arithmetic: windows, units, substitution, named products."""
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import neg
 
 import pytest
@@ -12,17 +13,41 @@ from qfish.cyclotomic import cyc_eval
 from qfish.qseries import quintiple_sides, torus_product
 from qfish.series import (
     IntSeries,
-    NonUnitError,
     NotPolynomialError,
     TruncationError,
     divisor_sum_series,
     euler_product,
     first_difference,
-    invert_unit,
+    one_minus_q_power,
+    over_one_minus_qk,
     poly_divides,
     progression_product,
     substitute_one_minus_q,
+    times_one_minus_qk,
 )
+
+
+def invert_unit(a, out_order=None):
+    """Oracle: the multiplicative inverse of a unit of Z[[q]] on its window,
+    by the generic O(n^2) recurrence the package once used for every
+    1/(q)_j and (1-q)^(-e).  Needs min_exp 0 and constant coefficient +-1
+    (the only units whose inverses stay integral)."""
+    order = a.order if out_order is None else out_order
+    if order is None:
+        raise ValueError("invert_unit needs a truncation order")
+    if a.min_exp != 0 or not a.coeffs or a.coeffs[0] not in (1, -1):
+        raise ValueError("series is not a unit over the integers (constant term must be +-1)")
+    if order < 1:
+        raise ValueError("out_order must be >= 1")
+    c0 = a.coeffs[0]
+    out = [0] * order
+    out[0] = c0
+    for k in range(1, order):
+        s = 0
+        for i in range(1, min(k, len(a.coeffs) - 1) + 1):
+            s += a.coeffs[i] * out[k - i]
+        out[k] = -c0 * s
+    return IntSeries.make(0, out, order)
 
 
 def poly(*coeffs, min_exp=0, order=None):
@@ -168,9 +193,9 @@ class TestInvert:
         assert list(inv.coeffs) == fib
 
     def test_non_unit_rejected(self):
-        with pytest.raises(NonUnitError):
+        with pytest.raises(ValueError, match="not a unit"):
             invert_unit(poly(2, 1, order=4))
-        with pytest.raises(NonUnitError):
+        with pytest.raises(ValueError, match="not a unit"):
             invert_unit(poly(1, 1, min_exp=1, order=4))
 
     @given(st.lists(st.integers(-5, 5), min_size=0, max_size=6),
@@ -181,6 +206,55 @@ class TestInvert:
         inv = invert_unit(a)
         assert a * inv == IntSeries.one(8)
         assert inv * a == IntSeries.one(8)
+
+
+coeff_lists = st.lists(st.integers(-50, 50), max_size=24)
+
+
+class TestOneMinusQk:
+    """The two list primitives every factor 1 - q^k goes through."""
+
+    @given(coeff_lists, st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_over_undoes_times(self, cs, k):
+        work = list(cs)
+        assert over_one_minus_qk(times_one_minus_qk(work, k), k) is work
+        assert work == cs
+
+    @given(coeff_lists, st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_times_is_the_series_product(self, cs, k):
+        n = len(cs)
+        if not n:
+            return
+        got = times_one_minus_qk(list(cs), k)
+        assert IntSeries.make(0, got, n) == IntSeries.make(0, cs, n).mul_one_minus_qk(k)
+
+    @given(coeff_lists, st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_over_agrees_with_unit_inverse(self, cs, k):
+        n = len(cs)
+        if not n:
+            return
+        got = over_one_minus_qk(list(cs), k)
+        inverse = invert_unit(IntSeries.one(n).mul_one_minus_qk(k), n)
+        assert IntSeries.make(0, got, n) == IntSeries.make(0, cs, n) * inverse
+
+    @given(coeff_lists, st.integers(0, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_k_past_the_window_is_the_identity(self, cs, extra):
+        k = len(cs) + extra or 1
+        for step in (times_one_minus_qk, over_one_minus_qk):
+            assert step(list(cs), k) == cs
+
+    @given(coeff_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_over_at_k1_is_accumulate(self, cs):
+        assert over_one_minus_qk(list(cs), 1) == list(accumulate(cs))
+
+    def test_geometric_and_pochhammer(self):
+        assert over_one_minus_qk([1, 0, 0, 0, 0, 0, 0], 3) == [1, 0, 0, 1, 0, 0, 1]
+        assert times_one_minus_qk(times_one_minus_qk([1, 0, 0, 0, 0], 1), 2) == [1, -1, -1, 1, 0]
 
 
 class TestSubstitute:
@@ -198,6 +272,18 @@ class TestSubstitute:
     def test_out_order_beyond_window_rejected(self):
         with pytest.raises(TruncationError):
             substitute_one_minus_q(poly(1, 1, order=3), 5)
+
+    @given(st.integers(-5, 5), st.lists(st.integers(-6, 6), max_size=6), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_prefactor_against_unit_inverse(self, min_exp, coeffs, order):
+        # (1-q)^e times the image of the q^e-free part, e < 0 through the oracle
+        a = IntSeries.make(min_exp, coeffs)
+        e = a.min_exp
+        pref = one_minus_q_power(abs(e), order)
+        if e < 0:
+            pref = invert_unit(pref, order)
+        body = substitute_one_minus_q(a.shift(-e), order)
+        assert substitute_one_minus_q(a, order) == body * pref
 
     @given(st.integers(0, 3), st.lists(st.integers(-6, 6), max_size=6))
     @settings(max_examples=100, deadline=None)

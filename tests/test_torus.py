@@ -12,7 +12,8 @@ from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, pochhammer, q_binomial
-from qfish.series import IntSeries, first_difference, invert_unit, substitute_one_minus_q
+from qfish.series import IntSeries, first_difference, substitute_one_minus_q
+from test_series import invert_unit
 from qfish.torus import (
     H_multisum,
     H_theta,
@@ -179,6 +180,19 @@ class TestParams:
     def test_invalid(self):
         with pytest.raises(ValueError):
             torus_params(0)
+
+    @pytest.mark.parametrize("t", [2.0, True, "2"])
+    def test_non_integer_refused(self, t):
+        with pytest.raises(TypeError):
+            torus_params(t)
+
+    def test_index_types_accepted(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        p = torus_params(Three())
+        assert type(p.t) is int and p == torus_params(3)
 
 
 class TestVExponent:
@@ -447,26 +461,27 @@ class TestMortonClosedForm:
             assert colored_jones(p, big_n) == colored_jones_dp(p, big_n), big_n
 
     def test_division_is_exact(self):
-        # (q^3 - 1)(1 + 2q) q^-2
-        assert torus_mod._over_q_n_minus_one(-2, [-1, -2, 0, 1, 2], 3) == IntSeries.make(-2, [1, 2])
-        assert torus_mod._over_q_n_minus_one(0, [], 4) == IntSeries.zero()
+        # (1 - q^3)(-1 - 2q) q^-2
+        assert torus_mod._over_one_minus_q_n(-2, [-1, -2, 0, 1, 2], 3) == IntSeries.make(-2, [-1, -2])
+        assert torus_mod._over_one_minus_q_n(0, [], 4) == IntSeries.zero()
 
     @pytest.mark.parametrize("coeffs,n", [([1, 1], 3), ([1, 0, 1, 0], 2), ([1], 1)])
     def test_division_refuses_a_remainder(self, coeffs, n):
         with pytest.raises(ArithmeticError):
-            torus_mod._over_q_n_minus_one(0, coeffs, n)
+            torus_mod._over_one_minus_q_n(0, coeffs, n)
 
     def test_perturbed_morton_sum_is_refused(self):
-        # (q^N - 1) J_N plus one monomial leaves a remainder
+        # (1 - q^N) J_N plus one monomial leaves a remainder; the helper
+        # divides its list in place, so each call gets a copy
         p, big_n = torus_params(3), 6
         jn = colored_jones(p, big_n)
-        prod = [0] * big_n + list(jn.coeffs)
+        prod = list(jn.coeffs) + [0] * big_n
         for i, c in enumerate(jn.coeffs):
-            prod[i] -= c
-        assert torus_mod._over_q_n_minus_one(jn.min_exp, prod, big_n) == jn
+            prod[i + big_n] -= c
+        assert torus_mod._over_one_minus_q_n(jn.min_exp, list(prod), big_n) == jn
         prod[len(prod) // 2] += 1
         with pytest.raises(ArithmeticError):
-            torus_mod._over_q_n_minus_one(jn.min_exp, prod, big_n)
+            torus_mod._over_one_minus_q_n(jn.min_exp, list(prod), big_n)
 
     def test_no_product_and_no_row(self, monkeypatch):
         def boom(*args):
@@ -649,6 +664,20 @@ class TestSlaterMultisum:
         p = torus_params(t)
         for order in orders:
             assert slater_multisum(p, order) == slater_walk(p, order), order
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 17, 40, 90])
+    def test_rows_are_unit_inverses(self, order, monkeypatch):
+        # the rows 1/(q)_j come from one Gaussian-binomial row; the generic
+        # unit inverse is the oracle
+        seen = []
+        real = torus_mod._q_factors
+        monkeypatch.setattr(torus_mod, "_q_factors",
+                            lambda rows, jmax: seen.append(rows) or real(rows, jmax))
+        slater_multisum(torus_params(2), order)
+        (rows,) = seen
+        assert len(rows) == torus_mod._jmax(order) + 1
+        for j, row in enumerate(rows):
+            assert IntSeries.make(0, row, order) == invert_unit(pochhammer(1, j, order), order), j
 
 
 class TestWindowValidation:
