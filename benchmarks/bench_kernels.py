@@ -9,7 +9,8 @@ by a Python loop or by the kernel's accumulate form).  One layer up, it
 times the engines built on the kernel: the inner-sum DP behind exact G_n,
 the graded summands of M_t, J_N (also at t = 1), the key identity's
 b-sums, cold and warm, the root-of-unity match cold, the key identity
-warm, the Slater identities cold, (q)_inf to order 400, and the xi_series
+warm, the Slater identities cold, (q)_inf to order 400, the exact partial
+sum F_t(q; N) warm and the dissection check on it cold, and the xi_series
 oracle.  Times are CPU seconds of this process,
 best of k.  Running the script against two checkouts' src/, alternately,
 gives the engine layer's speedup between them: benchmarks/pair.py does
@@ -148,15 +149,16 @@ def kernel_bench(quick: bool) -> None:
 def engine_cases() -> list:
     """(name, call) for the engine layer, each call past its lru_cache (the
     Gaussian-binomial rows stay cached, as in a long-lived process) unless
-    the name says cold.  J_N is called uncached on either side of a pair,
-    whether or not its checkout caches it."""
+    the name says cold."""
+    from qfish.fishburn import divisibility_check
     from qfish.identities import _b_sums, verify_key_identity, verify_root_match, verify_slater
     from qfish.qseries import binom_row_trunc
     from qfish.series import euler_product
-    from qfish.torus import _m_graded, a_n_t, colored_jones, kz_inner_sum, torus_params
+    from qfish.torus import (
+        _m_graded, a_n_t, colored_jones, kz_full_polynomial, kz_inner_sum, torus_params,
+    )
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
-    jones = getattr(colored_jones, "__wrapped__", colored_jones)
 
     def b_sums(p, q_order, cold):
         if cold:  # every a_{n,t} and graded summand rebuilt
@@ -169,19 +171,25 @@ def engine_cases() -> list:
             cache.cache_clear()
         return verify_root_match(t, n_max)
 
+    def divisibility_cold(t, s, n_index):  # every exact G_n and row rebuilt
+        for cache in (kz_inner_sum, binom_row_trunc):
+            cache.cache_clear()
+        return divisibility_check(t, s, n_index)
+
     def slater_cold(q_order, gen_q_order):  # the Gaussian-binomial rows rebuilt
         binom_row_trunc.cache_clear()
         return verify_slater(q_order, gen_q_order)
 
-    verify_key_identity(2, 70)  # the warm row times later calls
+    verify_key_identity(2, 70)  # the warm rows time later calls
+    kz_full_polynomial(p2, 34)
     return [
         ("kz_inner_sum t=3 n=16 exact", lambda: kz_inner_sum.__wrapped__(p3, 16, None)),
         ("kz_inner_sum t=4 n=10 exact", lambda: kz_inner_sum.__wrapped__(p4, 10, None)),
         ("kz_inner_sum t=5 n=6 exact", lambda: kz_inner_sum.__wrapped__(p5, 6, None)),
         ("_m_graded t=3 n<=21 L=21", lambda: [_m_graded.__wrapped__(p3, n, 21) for n in range(22)]),
-        ("colored_jones t=4 N=8", lambda: jones(p4, 8)),
-        ("colored_jones t=1 N<=30", lambda: [jones(p1, n) for n in range(1, 31)]),
-        ("colored_jones t=2 N<=40", lambda: [jones(p2, n) for n in range(1, 41)]),
+        ("colored_jones t=4 N=8", lambda: colored_jones(p4, 8)),
+        ("colored_jones t=1 N<=30", lambda: [colored_jones(p1, n) for n in range(1, 31)]),
+        ("colored_jones t=2 N<=40", lambda: [colored_jones(p2, n) for n in range(1, 41)]),
         ("_b_sums t=2 q_order=70 cold", lambda: b_sums(p2, 70, True)),
         ("_b_sums t=2 q_order=70 warm", lambda: b_sums(p2, 70, False)),
         ("_b_sums t=3 q_order=20 cold", lambda: b_sums(p3, 20, True)),
@@ -191,6 +199,8 @@ def engine_cases() -> list:
         ("verify_key_identity t=2 q_order=70 warm", lambda: verify_key_identity(2, 70)),
         ("verify_slater 40 30 cold", lambda: slater_cold(40, 30)),
         ("euler_product order=400", lambda: euler_product(400)),
+        ("kz_full_polynomial t=2 N=34 warm", lambda: kz_full_polynomial(p2, 34)),
+        ("divisibility_check 2 7 34 cold", lambda: divisibility_cold(2, 7, 34)),
     ]
 
 

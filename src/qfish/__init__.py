@@ -64,7 +64,6 @@ from .torus import (
     colored_jones,
     kz_at_root_of_unity,
     kz_full_polynomial,
-    kz_partial_sum,
     torus_params,
     v_exponent,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "euler_product",
     "kz_at_root_of_unity",
     "kz_full_polynomial",
-    "kz_partial_sum",
     "mean_value_zero",
     "partial_theta",
     "pochhammer",

@@ -12,7 +12,7 @@ from .backend import mul_trunc
 from .series import IntSeries, NotPolynomialError, Record, poly_divides
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _phi_coeffs(m: int) -> tuple:
     """Coefficients of Phi_M, by exact division of x^M - 1."""
     if m < 1:

@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .backend import mul_trunc
-from .qseries import ThetaSpec, knot_index, pochhammer, theta_spec_t
+from .qseries import ThetaSpec, pochhammer, theta_spec_t
 from .series import (
     DivisionWitness,
     IntSeries,
@@ -225,14 +225,15 @@ def xi_lvalues(t: int, count: int) -> list:
     return _xi_from_lvalues(spec.char.values, spec.a, spec.b, count)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _xi_cached(t: int, count: int) -> tuple:
     return tuple(xi_lvalues(t, count))
 
 
 def xi_coefficients(t: int, count: int) -> list:
-    """xi_t(0 .. count-1); t is checked before the cache, whose key (2.0, c) is (2, c)."""
-    return list(_xi_cached(knot_index(t), count))
+    """xi_t(0 .. count-1); the cache is typed, so (2.0, c) is checked cold
+    rather than answered as (2, c)."""
+    return list(_xi_cached(t, count))
 
 
 # -- dissection and divisibility ---------------------------------------------

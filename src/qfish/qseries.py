@@ -9,8 +9,9 @@ identity.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from operator import index
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cyclotomic import CycInt, _reduce
 from .series import IntSeries, Record, over_one_minus_qk, progression_product, times_one_minus_qk
@@ -45,7 +46,7 @@ def q_binomial(n: int, k: int) -> IntSeries:
     return IntSeries.make(0, binom_row_trunc(n, n, n * n // 4 + 1)[k], None)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     """[n, j] for j = 0..min(jmax, n), each cut below q^length (length >= 1).
 
@@ -93,7 +94,7 @@ def knot_index(t) -> int:
     return t
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def chi_t(t: int) -> PeriodicChar:
     """The sign character of modulus 3*2^(t+1) attached to T(3, 2^t).
 
@@ -122,6 +123,18 @@ class ThetaSpec(Record):
             raise ValueError(f"(n^2-a)/b is not integral at n={n}")
         return num // self.b
 
+    def terms(self, out_order: int) -> Iterator[tuple]:
+        """(n, chi(n), exponent) for every n >= 0 with chi(n) != 0 and
+        exponent < out_order, walking one support progression of chi after
+        another (the exponent rises along each)."""
+        period = self.char.period
+        for r in self.char.support_residues():
+            for n in count(r, period):
+                e = self.exponent(n)
+                if e >= out_order:
+                    break
+                yield n, self.char.values[r], e
+
 
 def theta_spec_t(t: int, nu: int) -> ThetaSpec:
     """ThetaSpec with a = (2^(t+1)-3)^2, b = 3*2^(t+2) and the chi_t character.
@@ -149,17 +162,8 @@ def partial_theta(spec: ThetaSpec, out_order: int) -> IntSeries:
     if out_order < 1:
         raise ValueError("out_order must be >= 1")
     terms = {}
-    p = spec.char.period
-    for r in spec.char.support_residues():
-        sign = spec.char.values[r]
-        n = r
-        while True:
-            e = spec.exponent(n)
-            if e >= out_order:
-                break
-            w = sign * (n if spec.nu else 1)
-            terms[e] = terms.get(e, 0) + w
-            n += p
+    for n, sign, e in spec.terms(out_order):
+        terms[e] = terms.get(e, 0) + sign * (n if spec.nu else 1)
     if not terms:
         return IntSeries.zero(out_order)
     lo = min(terms)
@@ -185,21 +189,19 @@ def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
     return CycInt(m, _reduce(acc, m)).is_zero()
 
 
-def torus_product_pairs(t: int) -> list:
-    """(start, step) data of the five-fold product attached to T(3, 2^t)."""
-    p2 = 2**t
-    return [
-        (p2 - 1, 2 * p2),
-        (p2 + 1, 2 * p2),
-        (2 * p2, 2 * p2),
-        (2, 4 * p2),
-        (4 * p2 - 2, 4 * p2),
-    ]
+def _quintiple_pairs(q_power: int, x_power: int) -> list:
+    """(start, step) of the five progressions of the quintiple product
+    (q, x, q/x; q)_inf (q x^2, q/x^2; q^2)_inf under q -> q^q_power,
+    x -> q^x_power."""
+    q, x = q_power, x_power
+    return [(q, q), (x, q), (q - x, q), (q + 2 * x, 2 * q), (q - 2 * x, 2 * q)]
 
 
 def torus_product(t: int, out_order: int) -> IntSeries:
-    """(q^(2^t-1), q^(2^t+1), q^(2^(t+1)); q^(2^(t+1)))_inf (q^2, q^(2^(t+2)-2); q^(2^(t+2)))_inf."""
-    return progression_product(torus_product_pairs(knot_index(t)), out_order)
+    """(q^(2^t-1), q^(2^t+1), q^(2^(t+1)); q^(2^(t+1)))_inf (q^2, q^(2^(t+2)-2); q^(2^(t+2)))_inf:
+    the product side of quintiple_sides(2^(t+1), 2^t - 1)."""
+    t = knot_index(t)
+    return progression_product(_quintiple_pairs(2 ** (t + 1), 2**t - 1), out_order)
 
 
 def quintiple_sides(q_power: int, x_power: int, out_order: int) -> tuple:
@@ -212,13 +214,7 @@ def quintiple_sides(q_power: int, x_power: int, out_order: int) -> tuple:
     """
     if q_power < 1:
         raise ValueError("q substitution must have positive exponent (sum unbounded below)")
-    pairs = [
-        (q_power, q_power),
-        (x_power, q_power),
-        (q_power - x_power, q_power),
-        (q_power + 2 * x_power, 2 * q_power),
-        (q_power - 2 * x_power, 2 * q_power),
-    ]
+    pairs = _quintiple_pairs(q_power, x_power)
     if any(start < 1 for start, _ in pairs):
         raise ValueError("substitution gives a product factor with nonpositive exponent")
     terms = {}

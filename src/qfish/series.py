@@ -279,12 +279,6 @@ class IntSeries(Record):
         out[::k] = self.coeffs
         return IntSeries.make(self.min_exp * k, out, None)
 
-    def mul_one_minus_qk(self, k: int) -> "IntSeries":
-        """Multiply by (1 - q**k), k >= 1; cheaper than a general product."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self - self.shift(k)
-
 
 def times_one_minus_qk(cs: list, k: int) -> list:
     """The coefficient list cs times 1 - q^k (k >= 1), in place on its

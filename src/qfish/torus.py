@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 from .backend import mul_trunc
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
-from .qseries import binom_row_trunc, chi_t, knot_index
+from .qseries import binom_row_trunc, knot_index, theta_spec_t
 from .series import IntSeries, Record, over_one_minus_qk
 
 
@@ -308,7 +308,7 @@ def _series(pool, order) -> IntSeries:
     return IntSeries.make(*pool, order) if pool else IntSeries.zero(order)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def _m_graded(p: TorusParams, n: int, q_order: int) -> tuple:
     """The n-th summand of M_t by x-degree: slot d is the coefficient of
     x^(nm + d), cut below q^q_order.  The slots cover every d = sum j + k
@@ -327,7 +327,7 @@ def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     return _series(_pool_dp(p, [None] * (jmax + 1), fac, order), order)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     """G_n(q) as an IntSeries (exact when order is None): the end pool of
     the DP on the _q_setup factors of the n-th q-series summand.  t = 1 has
@@ -336,43 +336,22 @@ def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     return _series(_pool_dp(p, *(_q_setup(n, order) if p.m > 1 else ((), ())), order), order)
 
 
-def _kz_partials(p: TorusParams, n_top: int, order) -> Iterator[IntSeries]:
+def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
     """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q) for
-    N = 0..n_top, one inner sum per N, cut below q^order (None = exact).
-
-    The sum runs to q^(order + h' + [t = 1]): the t = 1 inner term sits at
-    q^(-1).
-    """
-    if n_top < 0:
-        raise ValueError("N must be >= 0")
-    if order is not None and order < 1:
-        raise ValueError("out_order must be >= 1")
-    work = None if order is None else order + p.h_d + (p.m == 1)
-    total = IntSeries.zero(work)
-    poch = IntSeries.one(work)
-    for n in range(n_top + 1):
-        if n:
-            poch = poch.mul_one_minus_qk(n)
-        inner = kz_inner_sum(p, n, work)
-        if inner:
-            total = total + poch * inner
-        yield total.shift(-p.h_d).scale(p.sign).truncate(order)
-
-
-def kz_partial_sum(p: TorusParams, n_top: int, out_order: int) -> IntSeries:
-    """F_t(q; N), truncated below q^out_order.
+    N = 0..n_top as exact Laurent polynomials, one inner sum per N.
 
     Laurent for odd t (min exponent -h'); for t = 1 this is sum (q)_n.
     """
-    for poly in _kz_partials(p, n_top, out_order):
-        pass
-    return poly
-
-
-def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
-    """F_t(q; N) for N = 0..n_top as exact Laurent polynomials, one inner
-    sum per N."""
-    return _kz_partials(p, n_top, None)
+    if n_top < 0:
+        raise ValueError("N must be >= 0")
+    total, poch = IntSeries.zero(), IntSeries.one()
+    for n in range(n_top + 1):
+        if n:
+            poch = poch - poch.shift(n)
+        inner = kz_inner_sum(p, n, None)
+        if inner:
+            total = total + poch * inner
+        yield total.shift(-p.h_d).scale(p.sign)
 
 
 def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
@@ -453,25 +432,15 @@ def _check_window(x_bound: int, q_order: int) -> None:
 
 def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """H_t(x, q) = sum_{n>=0} chi_t(n) q^((n^2-(2^(t+1)-3)^2)/(3*2^(t+2)))
-    x^((n-(2^(t+1)-3))/2), truncated in both variables."""
+    x^((n-(2^(t+1)-3))/2), truncated in both variables: the terms of
+    P^(0), each at its x-degree (add drops those at or past x_bound)."""
     if p.t < 2:
         raise ValueError("H_t needs t >= 2")
     _check_window(x_bound, q_order)
-    char = chi_t(p.t)
     n0 = 2 ** (p.t + 1) - 3
-    a = n0 * n0
-    b = 3 * 2 ** (p.t + 2)
     acc = BiAccumulator(x_bound, q_order)
-    for r in char.support_residues():
-        sign = char.values[r]
-        n = r
-        while True:
-            xe = (n - n0) // 2
-            qe = (n * n - a) // b
-            if xe >= x_bound or qe >= q_order:
-                break
-            acc.add(xe, IntSeries.monomial(qe, sign, q_order))
-            n += char.period
+    for n, sign, qe in theta_spec_t(p.t, 0).terms(q_order):
+        acc.add((n - n0) // 2, IntSeries.monomial(qe, sign, q_order))
     return acc.finish()
 
 
@@ -564,7 +533,7 @@ def _a_stable(p: TorusParams, q_order: int) -> int:
     return (q_order - 1) * p.m + (p.m - 1) * (_jmax(q_order) + 1) + 1
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, the sum of slot n - km of the
     graded summands k <= n/m.  As k falls the slot index grows and the slot

@@ -93,3 +93,13 @@ class TestCycInt:
         p = poly(*[(-3) ** (45 + i) for i in range(2 * m)])
         r = poly(*[2**70 - i for i in range(m + 1)], min_exp=-2)
         assert cyc_eval(p, m) * cyc_eval(r, m) == cyc_eval(p * r, m)
+
+    @pytest.mark.parametrize("value,text", [
+        (CycInt(5, (1, -2, 0, 3)), "1 + -2*z + 3*z^3"),
+        (CycInt(5, (-1, 0, 1, 1)), "-1 + 1*z^2 + 1*z^3"),
+        (CycInt(4, (0, 1)), "1*z"),
+        (CycInt(6, (0, -1)), "-1*z"),
+        (CycInt.zero(4), "0"),
+    ], ids=["mixed", "z_powers", "z", "minus_z", "zero"])
+    def test_str(self, value, text):
+        assert str(value) == text

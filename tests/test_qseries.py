@@ -2,7 +2,11 @@
 
 import pytest
 
+from math import isqrt
+
 from qfish.qseries import (
+    PeriodicChar,
+    ThetaSpec,
     binom_row_trunc,
     chi_t,
     mean_value_zero,
@@ -187,6 +191,33 @@ class TestPartialTheta:
             assert got.coeff(e) == acc.get(e, 0)
 
 
+class TestThetaTerms:
+    """ThetaSpec.terms walks the support progressions of chi; it must yield
+    exactly what a scan of every n with n^2 < a + b * out_order finds."""
+
+    @staticmethod
+    def scan(spec, out_order):
+        out = []
+        for n in range(isqrt(spec.a + spec.b * out_order) + 1):
+            if spec.char(n) and spec.exponent(n) < out_order:
+                out.append((n, spec.char(n), spec.exponent(n)))
+        return out
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_equals_scan(self, t, nu):
+        spec = theta_spec_t(t, nu)
+        for out_order in (1, 2, 7, 60, 200):
+            assert sorted(spec.terms(out_order)) == self.scan(spec, out_order)
+
+    def test_generic_spec(self):
+        # the conductor-8 character with (n^2 - 1)/8
+        spec = ThetaSpec(1, 8, 0, PeriodicChar(8, (0, 1, 0, -1, 0, -1, 0, 1)))
+        assert sorted(spec.terms(4)) == [(1, 1, 0), (3, -1, 1), (5, -1, 3)]
+        for out_order in (1, 5, 50, 300):
+            assert sorted(spec.terms(out_order)) == self.scan(spec, out_order)
+
+
 class TestMeanValueZero:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", range(1, 13))
@@ -212,13 +243,18 @@ class TestTorusProduct:
         lhs = partial_theta(theta_spec_t(t, 0), 60)
         assert first_difference(lhs, torus_product(t, 60)) is None
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_is_the_quintiple_product_side(self, t):
+        for order in (1, 2, 17, 90):
+            assert torus_product(t, order) == quintiple_sides(2 ** (t + 1), 2**t - 1, order)[1]
+
     def test_t2_naive_product_oracle(self):
         order = 30
         naive = IntSeries.one(order)
         for e in list(range(3, order, 8)) + list(range(5, order, 8)) + \
                 list(range(8, order, 8)) + list(range(2, order, 16)) + \
                 list(range(14, order, 16)):
-            naive = naive.mul_one_minus_qk(e)
+            naive = naive - naive.shift(e)
         assert torus_product(2, order) == naive
 
 

@@ -21,8 +21,8 @@ from qfish import (
     torus_params,
 )
 from qfish.cyclotomic import _phi_coeffs
-from qfish.fishburn import _xi_cached
-from qfish.qseries import chi_t
+from qfish.fishburn import _xi_cached, xi_coefficients
+from qfish.qseries import binom_row_trunc, chi_t, q_binomial
 from qfish.series import DivisionWitness
 from qfish.torus import _m_graded, kz_inner_sum
 
@@ -138,3 +138,33 @@ def test_engine_caches_bounded():
     cached = [obj for mod in engines for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     assert len({id(obj) for obj in cached}) >= 7
     assert all(obj.cache_info().maxsize is not None for obj in cached)
+
+
+def test_engine_caches_typed():
+    # a float key equals its int key; only a typed cache keeps them apart
+    import qfish.cli  # noqa: F401  (loads every engine module)
+
+    engines = [mod for name, mod in sys.modules.items() if name.startswith("qfish.")]
+    cached = {id(obj): obj for mod in engines for obj in vars(mod).values()
+              if hasattr(obj, "cache_parameters")}
+    assert len(cached) >= 7
+    assert all(obj.cache_parameters()["typed"] for obj in cached.values())
+
+
+@pytest.mark.parametrize("call,warm", [
+    (lambda: a_n_t(torus_params(2), 3.0, 10), lambda: a_n_t(torus_params(2), 3, 10)),
+    (lambda: kz_inner_sum(torus_params(2), 2.0, None),
+     lambda: kz_inner_sum(torus_params(2), 2, None)),
+    (lambda: q_binomial(4.0, 2), lambda: q_binomial(4, 2)),
+    (lambda: xi_coefficients(2, 5.0), lambda: xi_coefficients(2, 5)),
+], ids=["a_n_t", "kz_inner_sum", "q_binomial", "xi_coefficients"])
+def test_float_argument_refused_cold_and_warm(call, warm):
+    # the checked cold path raises; once the int entry is filled, the float
+    # call must still take that path rather than read the int's entry
+    for cache in (a_n_t, kz_inner_sum, binom_row_trunc, _xi_cached):
+        cache.cache_clear()
+    with pytest.raises(TypeError):
+        call()
+    warm()
+    with pytest.raises(TypeError):
+        call()

@@ -228,7 +228,8 @@ class TestOneMinusQk:
         if not n:
             return
         got = times_one_minus_qk(list(cs), k)
-        assert IntSeries.make(0, got, n) == IntSeries.make(0, cs, n).mul_one_minus_qk(k)
+        x = IntSeries.make(0, cs, n)
+        assert IntSeries.make(0, got, n) == x - x.shift(k)
 
     @given(coeff_lists, st.integers(1, 30))
     @settings(max_examples=150, deadline=None)
@@ -237,7 +238,8 @@ class TestOneMinusQk:
         if not n:
             return
         got = over_one_minus_qk(list(cs), k)
-        inverse = invert_unit(IntSeries.one(n).mul_one_minus_qk(k), n)
+        one = IntSeries.one(n)
+        inverse = invert_unit(one - one.shift(k), n)
         assert IntSeries.make(0, got, n) == IntSeries.make(0, cs, n) * inverse
 
     @given(coeff_lists, st.integers(0, 10))
@@ -328,7 +330,7 @@ class TestNamedSeries:
         for order in range(1, 61):
             direct = IntSeries.one(order)
             for k in range(1, order + 1):
-                direct = direct.mul_one_minus_qk(k)
+                direct = direct - direct.shift(k)
             assert euler_product(order) == direct, order
 
     def test_divisor_sum(self):
@@ -348,7 +350,7 @@ class TestNamedSeries:
         for start, step in pairs:
             e = start
             while e < order:
-                naive = naive.mul_one_minus_qk(e)
+                naive = naive - naive.shift(e)
                 e += step
         assert progression_product(pairs, order) == naive
 
@@ -432,3 +434,20 @@ class TestWindowSemantics:
     def test_truncate_never_widens(self):
         a = poly(1, 1, order=3)
         assert a.truncate(10).order == 3
+
+
+class TestDisplay:
+    @pytest.mark.parametrize("series,text", [
+        (IntSeries.make(-2, [1, 0, -3, 1, 2]), "q^-2 - 3 + q + 2*q^2"),
+        (IntSeries.make(0, [2, -1], 5), "2 - q + O(q^5)"),
+        (IntSeries.make(-1, [1, 1], 3), "q^-1 + 1 + O(q^3)"),
+        (IntSeries.zero(), "0"),
+        (IntSeries.zero(4), "0 + O(q^4)"),
+        (IntSeries.make(1, [-1, 0, 1]), "-q + q^3"),
+        (IntSeries.make(0, [-1, 1]), "-1 + q"),
+        (IntSeries.make(0, [-2], 3), "-2 + O(q^3)"),
+        (IntSeries.make(3, [5]), "5*q^3"),
+    ], ids=["laurent", "truncated", "truncated_laurent", "zero", "zero_truncated",
+            "leading_minus_q", "leading_minus_one", "leading_minus_two", "monomial"])
+    def test_str(self, series, text):
+        assert str(series) == text

@@ -11,7 +11,7 @@ from qfish.backend import mul_trunc
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
-from qfish.qseries import binom_row_trunc, pochhammer, q_binomial
+from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
 from qfish.series import IntSeries, first_difference, substitute_one_minus_q
 from test_series import invert_unit
 from qfish.torus import (
@@ -26,7 +26,6 @@ from qfish.torus import (
     kz_full_polynomial,
     kz_inner_sum,
     kz_partial_polynomials,
-    kz_partial_sum,
     slater_multisum,
     torus_params,
     v_exponent,
@@ -374,25 +373,14 @@ class TestExactCaches:
 
 class TestKZSeries:
     def test_t2_constant_term(self):
-        assert kz_partial_sum(torus_params(2), 0, 1).coeff(0) == 1
+        assert kz_full_polynomial(torus_params(2), 0).truncate(1).coeff(0) == 1
 
     def test_t1_is_pochhammer_sum(self):
-        got = kz_partial_sum(torus_params(1), 3, 10)
+        got = kz_full_polynomial(torus_params(1), 3).truncate(10)
         expect = IntSeries.zero(10)
         for n in range(4):
             expect = expect + pochhammer(1, n, 10)
         assert got == expect
-
-    def test_full_polynomial_matches_truncation(self):
-        # t = 1 pads the cut by one (its inner term sits at q^-1); t = 4 has
-        # the largest h' here
-        for t, n_top in ((1, 8), (2, 6), (3, 4), (4, 3)):
-            p = torus_params(t)
-            full = kz_full_polynomial(p, n_top)
-            for order in (1, 2, 15):
-                part = kz_partial_sum(p, n_top, order)
-                assert part.order == order, (t, order)
-                assert first_difference(full, part) is None, (t, order)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_partial_polynomials_add_one_summand_each(self, t):
@@ -557,6 +545,23 @@ class TestHSeries:
         assert h.cols[3] == IntSeries.monomial(2, -1, 20)
         assert h.cols[8] == IntSeries.monomial(7, -1, 20)
         assert h.cols[11] == IntSeries.monomial(11, 1, 20)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("xb,qo", [(1, 1), (6, 40), (30, 12), (9, 9)])
+    def test_theta_form_brute_force(self, t, xb, qo):
+        # sum chi_t(n) q^((n^2 - a)/b) x^((n - n0)/2) over every n whose
+        # x-degree lies in the window
+        chi = chi_t(t)
+        n0 = 2 ** (t + 1) - 3
+        a, b = n0 * n0, 3 * 2 ** (t + 2)
+        cols = [[0] * qo for _ in range(xb)]
+        for n in range(n0 + 2 * xb):
+            if chi(n):
+                assert n >= n0 and (n - n0) % 2 == 0 and (n * n - a) % b == 0, n
+                if (n * n - a) // b < qo:
+                    cols[(n - n0) // 2][(n * n - a) // b] += chi(n)
+        expect = BiSeries.make(xb, qo, [IntSeries.make(0, c, qo) for c in cols])
+        assert H_theta(torus_params(t), xb, qo) == expect
 
     @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 10, 20)])
     def test_multisum_equals_theta_form(self, t, xb, qo):
