@@ -10,7 +10,10 @@ times the engines built on the kernel: the inner-sum DP behind exact G_n,
 the graded summands of M_t, J_N (also at t = 1), the key identity's
 b-sums, cold and warm, the root-of-unity match cold, the key identity
 warm, the Slater identities cold, (q)_inf to order 400, the exact partial
-sum F_t(q; N) warm and the dissection check on it cold, and the xi_series
+sum F_t(q; N) warm and the dissection check on it cold, cold runs of the
+graded summands, the key identity at t = 3 and 4 and the exact G_n at
+t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
+(where the prefix store serves the later ones), and the xi_series
 oracle.  Times are CPU seconds of this process,
 best of k.  Running the script against two checkouts' src/, alternately,
 gives the engine layer's speedup between them: benchmarks/pair.py does
@@ -150,7 +153,8 @@ def engine_cases() -> list:
     """(name, call) for the engine layer, each call past its lru_cache (the
     Gaussian-binomial rows stay cached, as in a long-lived process) unless
     the name says cold."""
-    from qfish.fishburn import divisibility_check
+    import qfish.fishburn as fishburn
+    from qfish.fishburn import divisibility_check, xi_coefficients
     from qfish.identities import _b_sums, verify_key_identity, verify_root_match, verify_slater
     from qfish.qseries import binom_row_trunc
     from qfish.series import euler_product
@@ -180,6 +184,28 @@ def engine_cases() -> list:
         binom_row_trunc.cache_clear()
         return verify_slater(q_order, gen_q_order)
 
+    def m_graded_cold(p, k_top, q_order):  # the graded summands and their rows rebuilt
+        for cache in (_m_graded, binom_row_trunc):
+            cache.cache_clear()
+        return [_m_graded(p, k, q_order) for k in range(k_top + 1)]
+
+    def key_identity_cold(t, q_order):  # as the first call in a process
+        for cache in (a_n_t, _m_graded, kz_inner_sum, binom_row_trunc):
+            cache.cache_clear()
+        return verify_key_identity(t, q_order)
+
+    def inner_sums_cold(p, n_top):  # every exact G_n and row rebuilt
+        for cache in (kz_inner_sum, binom_row_trunc):
+            cache.cache_clear()
+        return [kz_inner_sum(p, n, None) for n in range(n_top + 1)]
+
+    def xi_cold(t, counts):  # every xi table rebuilt (the prefix store where there is one)
+        fishburn._xi_cached.cache_clear()
+        getattr(fishburn, "_xi_tables", {}).clear()
+        return [xi_coefficients(t, c) for c in counts]
+
+    xi_counts = (5, 7, 10, 14, 15, 20, 21, 22, 25, 49)  # the session menu's t = 2 counts
+
     verify_key_identity(2, 70)  # the warm rows time later calls
     kz_full_polynomial(p2, 34)
     return [
@@ -201,6 +227,12 @@ def engine_cases() -> list:
         ("euler_product order=400", lambda: euler_product(400)),
         ("kz_full_polynomial t=2 N=34 warm", lambda: kz_full_polynomial(p2, 34)),
         ("divisibility_check 2 7 34 cold", lambda: divisibility_cold(2, 7, 34)),
+        ("_m_graded t=3 k<=21 L=21 cold", lambda: m_graded_cold(p3, 21, 21)),
+        ("verify_key_identity t=3 q_order=20 cold", lambda: key_identity_cold(3, 20)),
+        ("verify_key_identity t=4 q_order=12 cold", lambda: key_identity_cold(4, 12)),
+        ("kz_inner_sum t=2 n<=34 exact cold", lambda: inner_sums_cold(p2, 34)),
+        ("xi_coefficients t=2 growing counts cold", lambda: xi_cold(2, xi_counts)),
+        ("xi_coefficients t=2 falling counts cold", lambda: xi_cold(2, xi_counts[::-1])),
     ]
 
 

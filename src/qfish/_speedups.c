@@ -203,10 +203,459 @@ kernel_mul_trunc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return res;
 }
 
+/* -- the (S, A)-pool DP of qfish.torus._pool_dp, on int64 -----------------
+ *
+ * The same dynamic program as the Python loop in torus.py (whose comment
+ * block states it), for the q-domain lift: a factor times q^s is the factor
+ * with its low exponent moved by s.  A pool is a dense int64 coefficient
+ * array with its low exponent; states are keyed by r + m d (d = 0 unless
+ * graded) in a dense table.  Every factor is read before any work.  The run
+ * gives up, returning NotImplemented so that the caller runs its loop, when
+ * a coefficient or a low exponent does not fit, when a product breaks the
+ * mul_trunc bound max|a| * max|b| * overlap < 2^62, when a checked add
+ * overflows, or when the state table would pass TABLE_MAX keys. */
+
+#define EXP_MAX ((long long)1 << 40)    /* |factor low| and |a| */
+#define ORDER_MAX ((long long)1 << 62)  /* order clamped into [-ORDER_MAX, ORDER_MAX] */
+#define M_MAX 65536
+#define TABLE_MAX 262144
+#define GIVE_UP 1                       /* a step's result besides 0 and -1 */
+
+typedef struct {
+    long long lo;       /* exponent of c[0] */
+    Py_ssize_t len, cap;
+    long long *c;       /* NULL: the zero pool, None in Python */
+} pool_t;
+
+typedef struct {
+    pool_t s, a;
+} state_t;
+
+typedef struct {
+    long long lo;
+    Py_ssize_t len;
+    long long *c;       /* NULL: a None factor */
+    unsigned long long max;
+} factor_t;
+
+typedef struct {
+    factor_t *fn, *fp;  /* factors for [n, j] and [n+1, j] */
+    Py_ssize_t nf;
+    state_t *cur, *nxt;
+    Py_ssize_t keys;
+    long long *acc;     /* one product's coefficients */
+    Py_ssize_t acc_cap;
+} dp_t;
+
+static void
+pool_free(pool_t *p)
+{
+    PyMem_Free(p->c);
+    p->c = NULL;
+    p->len = p->cap = 0;
+}
+
+static void
+dp_free(dp_t *dp)
+{
+    for (Py_ssize_t j = 0; j < dp->nf; j++) {
+        if (dp->fn)
+            PyMem_Free(dp->fn[j].c);
+        if (dp->fp)
+            PyMem_Free(dp->fp[j].c);
+    }
+    for (Py_ssize_t k = 0; k < dp->keys; k++) {
+        if (dp->cur) {
+            pool_free(&dp->cur[k].s);
+            pool_free(&dp->cur[k].a);
+        }
+        if (dp->nxt) {
+            pool_free(&dp->nxt[k].s);
+            pool_free(&dp->nxt[k].a);
+        }
+    }
+    PyMem_Free(dp->fn);
+    PyMem_Free(dp->fp);
+    PyMem_Free(dp->cur);
+    PyMem_Free(dp->nxt);
+    PyMem_Free(dp->acc);
+}
+
+/* Read the factor pool [lo, coeffs] (None when allow_none) into f: 1 when it
+ * fits, 0 when not, -1 with TypeError for a malformed pool or a non-int. */
+static int
+read_factor(PyObject *obj, int allow_none, factor_t *f)
+{
+    PyObject *seq, *cs;
+    int fits, overflow;
+    if (obj == Py_None && allow_none)
+        return 1;
+    seq = PySequence_Fast(obj, "factor pools must be [lo, coeffs]");
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != 2 || !PyLong_Check(PySequence_Fast_GET_ITEM(seq, 0))) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_TypeError, "factor pools must be [lo, coeffs] with an int lo");
+        return -1;
+    }
+    f->lo = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, 0), &overflow);
+    fits = !overflow && f->lo <= EXP_MAX && f->lo >= -EXP_MAX;
+    cs = PySequence_Fast(PySequence_Fast_GET_ITEM(seq, 1), NOT_SEQ);
+    Py_DECREF(seq);
+    if (cs == NULL)
+        return -1;
+    f->len = PySequence_Fast_GET_SIZE(cs);
+    f->c = PyMem_Malloc((size_t)(f->len + 1) * sizeof(long long));
+    if (f->c == NULL) {
+        Py_DECREF(cs);
+        PyErr_NoMemory();
+        return -1;
+    }
+    overflow = read_coeffs(PySequence_Fast_ITEMS(cs), f->len, f->c, &f->max);
+    Py_DECREF(cs);
+    return overflow < 0 ? -1 : fits && overflow;
+}
+
+/* max |c[i]| over i < len into *out; 0 when some c[i] is LLONG_MIN */
+static int
+max_abs(const long long *c, Py_ssize_t len, unsigned long long *out)
+{
+    unsigned long long m = 0;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        unsigned long long u;
+        if (c[i] == LLONG_MIN)
+            return 0;
+        u = c[i] < 0 ? -(unsigned long long)c[i] : (unsigned long long)c[i];
+        if (u > m)
+            m = u;
+    }
+    *out = m;
+    return 1;
+}
+
+/* Grow p to cover q^lo .. q^(lo+n-1); returns the index of q^lo in p->c,
+ * or -1 with MemoryError. */
+static Py_ssize_t
+pool_cover(pool_t *p, long long lo, Py_ssize_t n)
+{
+    long long new_lo, hi;
+    Py_ssize_t len;
+    if (p->c == NULL) {
+        if ((p->c = PyMem_Calloc((size_t)n, sizeof(long long))) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        p->lo = lo;
+        p->len = p->cap = n;
+        return 0;
+    }
+    new_lo = lo < p->lo ? lo : p->lo;
+    hi = lo + n > p->lo + p->len ? lo + n : p->lo + p->len;
+    len = (Py_ssize_t)(hi - new_lo);
+    if (new_lo < p->lo || len > p->cap) {
+        Py_ssize_t cap = len > 2 * p->cap ? len : 2 * p->cap;
+        long long *c = PyMem_Calloc((size_t)cap, sizeof(long long));
+        if (c == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        memcpy(c + (p->lo - new_lo), p->c, (size_t)p->len * sizeof(long long));
+        PyMem_Free(p->c);
+        p->c = c;
+        p->cap = cap;
+    }
+    else if (len > p->len)
+        memset(p->c + p->len, 0, (size_t)(len - p->len) * sizeof(long long));
+    p->lo = new_lo;
+    p->len = len;
+    return (Py_ssize_t)(lo - new_lo);
+}
+
+/* dst += q^lo xs[0..n), each add checked: 0, GIVE_UP on overflow, -1 */
+static int
+pool_add(pool_t *dst, long long lo, const long long *xs, Py_ssize_t n)
+{
+    Py_ssize_t off = pool_cover(dst, lo, n);
+    long long *d;
+    if (off < 0)
+        return -1;
+    d = dst->c + off;
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (xs[k] && __builtin_add_overflow(d[k], xs[k], &d[k]))
+            return GIVE_UP;
+    return 0;
+}
+
+/* dst += src * q^shift f, cut below q^order when has_order; src_max is
+ * max|src|.  0, GIVE_UP, or -1 with an exception set. */
+static int
+acc_mul(dp_t *dp, pool_t *dst, const pool_t *src, unsigned long long src_max,
+        const factor_t *f, long long shift, int has_order, long long order)
+{
+    long long lo = src->lo + f->lo + shift;
+    Py_ssize_t n, la, lb;
+    unsigned long long ma = src_max, mb = f->max;
+    if (src->len == 0 || f->len == 0)
+        return 0;
+    n = src->len + f->len - 1;
+    if (has_order && order - lo < n)
+        n = (Py_ssize_t)(order - lo);
+    if (n <= 0)
+        return 0;
+    la = Py_MIN(src->len, n);
+    lb = Py_MIN(f->len, n);
+    if (ma && mb && !below_fast_limit(ma, mb, Py_MIN(la, lb))) {
+        /* the kernel's bound is on the prefixes it reads */
+        max_abs(src->c, la, &ma);
+        max_abs(f->c, lb, &mb);
+        if (ma && mb && !below_fast_limit(ma, mb, Py_MIN(la, lb)))
+            return GIVE_UP;
+    }
+    if (n > dp->acc_cap) {
+        PyMem_Free(dp->acc);
+        if ((dp->acc = PyMem_Malloc((size_t)n * sizeof(long long))) == NULL) {
+            dp->acc_cap = 0;
+            PyErr_NoMemory();
+            return -1;
+        }
+        dp->acc_cap = n;
+    }
+    memset(dp->acc, 0, (size_t)n * sizeof(long long));
+    for (Py_ssize_t i = 0; i < la; i++) {
+        const long long ai = src->c[i];
+        const Py_ssize_t jmax = lb < n - i ? lb : n - i;
+        long long *row = dp->acc + i;
+        if (ai == 0)
+            continue;
+        for (Py_ssize_t j = 0; j < jmax; j++)
+            row[j] += ai * f->c[j];
+    }
+    return pool_add(dst, lo, dp->acc, n);
+}
+
+/* The pool as [lo, coeffs] with its zero ends stripped. */
+static PyObject *
+pool_to_py(const pool_t *p)
+{
+    Py_ssize_t i0 = 0, i1 = p->len;
+    PyObject *cs, *res, *lo;
+    while (i0 < i1 && p->c[i0] == 0)
+        i0++;
+    while (i1 > i0 && p->c[i1 - 1] == 0)
+        i1--;
+    if ((cs = PyList_New(i1 - i0)) == NULL)
+        return NULL;
+    for (Py_ssize_t i = i0; i < i1; i++) {
+        PyObject *v = PyLong_FromLongLong(p->c[i]);
+        if (v == NULL) {
+            Py_DECREF(cs);
+            return NULL;
+        }
+        PyList_SET_ITEM(cs, i - i0, v);
+    }
+    res = PyList_New(2);
+    lo = PyLong_FromLongLong(p->lo + (long long)i0);
+    if (res == NULL || lo == NULL) {
+        Py_XDECREF(res);
+        Py_XDECREF(lo);
+        Py_DECREF(cs);
+        return NULL;
+    }
+    PyList_SET_ITEM(res, 0, lo);
+    PyList_SET_ITEM(res, 1, cs);
+    return res;
+}
+
+/* The level loop on dp's factors and tables: 0, GIVE_UP, or -1. */
+static int
+run_levels(dp_t *dp, long long m, long long a_mod, long long dm, Py_ssize_t *hi,
+           int has_order, long long order)
+{
+    for (long long level = 1; level < m; level++) {
+        const int last = level == m - 1;
+        Py_ssize_t nxt_hi = 0;
+        state_t *tmp;
+        for (Py_ssize_t key = 0; key < *hi; key++) {
+            state_t *st = &dp->cur[key];
+            const pool_t *sa;
+            unsigned long long max_sa = 0, max_a = 0;
+            long long r = key % m, j0 = 0, jstep = 1;
+            int rc;
+            if (st->s.c == NULL && st->a.c == NULL)
+                continue;
+            if (st->s.c != NULL && st->a.c != NULL
+                && (rc = pool_add(&st->s, st->a.lo, st->a.c, st->a.len)) != 0)
+                return rc;
+            sa = st->s.c != NULL ? &st->s : &st->a;  /* S + A */
+            if (!max_abs(sa->c, sa->len, &max_sa)
+                || (st->a.c != NULL && !max_abs(st->a.c, st->a.len, &max_a)))
+                return GIVE_UP;
+            if (last) {  /* only the steps landing on r = a (mod m) */
+                j0 = ((a_mod - r) % m + m) % m * (m - 1) % m;
+                jstep = m;
+            }
+            for (long long j = j0; j < dp->nf; j += jstep) {
+                const long long s = (r + level * j) / m, r2 = (r + level * j) % m;
+                const Py_ssize_t k2 = (Py_ssize_t)(key - r + r2 + dm * j);
+                if (has_order && dp->fp[j].lo + s >= order)
+                    break;  /* lifted factor lows rise with j */
+                if (dp->fn[j].c != NULL
+                    && (rc = acc_mul(dp, &dp->nxt[k2].s, sa, max_sa, &dp->fn[j], s,
+                                     has_order, order)) != 0)
+                    return rc;
+                if (st->a.c != NULL
+                    && (rc = acc_mul(dp, &dp->nxt[k2 + dm].a, &st->a, max_a, &dp->fp[j], s,
+                                     has_order, order)) != 0)
+                    return rc;
+                if (k2 + dm + 1 > nxt_hi)
+                    nxt_hi = k2 + dm + 1;
+            }
+            pool_free(&st->s);
+            pool_free(&st->a);
+        }
+        tmp = dp->cur;
+        dp->cur = dp->nxt;
+        dp->nxt = tmp;
+        *hi = nxt_hi;
+    }
+    return 0;
+}
+
+/* pool_dp(m, a, fac_n, fac_np1, order, graded): torus._pool_dp's result for
+ * the q-lift, or NotImplemented */
+static PyObject *
+kernel_pool_dp(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    dp_t dp = {0};
+    PyObject *seq_n = NULL, *seq_p = NULL, *res = NULL;
+    long long m, a, order = 0, a_div, a_mod, dm;
+    Py_ssize_t hi = 1;
+    int overflow, graded, has_order, fits = 1, rc;
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "pool_dp() takes 6 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (!PyLong_Check(args[0]) || !PyLong_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "m and a must be int");
+        return NULL;
+    }
+    m = PyLong_AsLongLongAndOverflow(args[0], &overflow);
+    if (m == -1 && PyErr_Occurred())
+        return NULL;
+    if (!overflow && m < 1) {
+        PyErr_SetString(PyExc_ValueError, "m must be >= 1");
+        return NULL;
+    }
+    fits = !overflow && m <= M_MAX;
+    a = PyLong_AsLongLongAndOverflow(args[1], &overflow);
+    if (a == -1 && PyErr_Occurred())
+        return NULL;
+    fits = fits && !overflow && a <= EXP_MAX && a >= -EXP_MAX;
+    has_order = args[4] != Py_None;
+    if (has_order) {
+        if (!PyLong_Check(args[4])) {
+            PyErr_SetString(PyExc_TypeError, "order must be an int or None");
+            return NULL;
+        }
+        order = PyLong_AsLongLongAndOverflow(args[4], &overflow);
+        if (order == -1 && PyErr_Occurred())
+            return NULL;
+        order = overflow > 0 || order > ORDER_MAX ? ORDER_MAX
+                : overflow < 0 || order < -ORDER_MAX ? -ORDER_MAX : order;
+    }
+    if ((graded = PyObject_IsTrue(args[5])) < 0)
+        return NULL;
+    /* private tuples: reading a factor can run code that mutates the lists */
+    seq_n = PySequence_Tuple(args[2]);
+    seq_p = seq_n ? PySequence_Tuple(args[3]) : NULL;
+    if (seq_p == NULL)
+        goto done;
+    dp.nf = PyTuple_GET_SIZE(seq_p);
+    if (m > 1 && PyTuple_GET_SIZE(seq_n) < dp.nf) {
+        PyErr_SetString(PyExc_IndexError, "fac_n is shorter than fac_np1");
+        goto done;
+    }
+    dp.fn = PyMem_Calloc((size_t)dp.nf + 1, sizeof(factor_t));
+    dp.fp = PyMem_Calloc((size_t)dp.nf + 1, sizeof(factor_t));
+    if (dp.fn == NULL || dp.fp == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* every factor is read (and a non-int refused) before any work */
+    for (Py_ssize_t j = 0; m > 1 && j < dp.nf; j++) {
+        int fn_ok = read_factor(PyTuple_GET_ITEM(seq_n, j), 1, &dp.fn[j]);
+        int fp_ok = fn_ok < 0 ? -1 : read_factor(PyTuple_GET_ITEM(seq_p, j), 0, &dp.fp[j]);
+        if (fp_ok < 0)
+            goto done;
+        fits = fits && fn_ok && fp_ok;
+    }
+    if (!fits)
+        goto give_up;
+    dm = graded ? m : 0;
+    /* keys r + m d with d <= (m - 1) len(fac_np1) */
+    if (graded && (m - 1) * (long long)dp.nf + 1 > TABLE_MAX / m)
+        goto give_up;
+    dp.keys = (Py_ssize_t)(graded ? m * ((m - 1) * (long long)dp.nf + 1) : m);
+    dp.cur = PyMem_Calloc((size_t)dp.keys, sizeof(state_t));
+    dp.nxt = PyMem_Calloc((size_t)dp.keys, sizeof(state_t));
+    if (dp.cur == NULL || dp.nxt == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    a_mod = (a % m + m) % m;
+    a_div = (a - a_mod) / m;
+    {
+        const long long one = 1;
+        if (pool_add(&dp.cur[0].a, -a_div, &one, 1) < 0)  /* the start pool q^(-floor(a/m)) */
+            goto done;
+    }
+    rc = run_levels(&dp, m, a_mod, dm, &hi, has_order, order);
+    if (rc < 0)
+        goto done;
+    if (rc == GIVE_UP)
+        goto give_up;
+    res = graded ? PyDict_New() : Py_NewRef(Py_None);
+    for (Py_ssize_t key = 0; res != NULL && key < hi; key++) {
+        state_t *st = &dp.cur[key];
+        PyObject *pool, *d;
+        if (st->s.c == NULL && st->a.c == NULL)
+            continue;
+        if (st->s.c != NULL && st->a.c != NULL
+            && (rc = pool_add(&st->s, st->a.lo, st->a.c, st->a.len)) != 0) {
+            Py_CLEAR(res);
+            if (rc == GIVE_UP)
+                goto give_up;
+            goto done;
+        }
+        pool = pool_to_py(st->s.c != NULL ? &st->s : &st->a);  /* the end S + A */
+        if (pool == NULL || !graded) {
+            Py_SETREF(res, pool);  /* one end state when not graded */
+            continue;
+        }
+        d = PyLong_FromSsize_t(key / (Py_ssize_t)m);
+        if (d == NULL || PyDict_SetItem(res, d, pool) < 0)
+            Py_CLEAR(res);
+        Py_XDECREF(d);
+        Py_DECREF(pool);
+    }
+    goto done;
+give_up:
+    res = Py_NewRef(Py_NotImplemented);
+done:
+    dp_free(&dp);
+    Py_XDECREF(seq_n);
+    Py_XDECREF(seq_p);
+    return res;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"mul_trunc", (PyCFunction)(void (*)(void))kernel_mul_trunc, METH_FASTCALL,
      "mul_trunc(a, b, n, out=None, off=0, /)\n--\n\nFirst n coefficients of a * b "
      "(result length <= n); with out, added into out[off:] and out returned."},
+    {"pool_dp", (PyCFunction)(void (*)(void))kernel_pool_dp, METH_FASTCALL,
+     "pool_dp(m, a, fac_n, fac_np1, order, graded, /)\n--\n\nThe (S, A)-pool DP of "
+     "qfish.torus._pool_dp for the q-lift, on int64; NotImplemented when a value "
+     "leaves int64."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -28,6 +28,7 @@ except ImportError:
 _impl = _fast if _fast is not None else _pure
 
 mul_trunc = _impl.mul_trunc
+pool_dp = getattr(_impl, "pool_dp", None)
 
 
 def backend_name() -> str:

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import index
 from typing import Optional
 
 from .backend import mul_trunc
-from .qseries import ThetaSpec, pochhammer, theta_spec_t
+from .qseries import ThetaSpec, knot_index, pochhammer, theta_spec_t
 from .series import (
     DivisionWitness,
     IntSeries,
@@ -225,9 +226,26 @@ def xi_lvalues(t: int, count: int) -> list:
     return _xi_from_lvalues(spec.char.values, spec.a, spec.b, count)
 
 
+_XI_TABLES_MAX = 16
+_xi_tables: dict = {}  # t -> the longest xi_t table built, in the order built
+
+
 @lru_cache(maxsize=64, typed=True)
 def _xi_cached(t: int, count: int) -> tuple:
-    return tuple(xi_lvalues(t, count))
+    """xi_t(0 .. count-1), sliced from the longest table built for t when
+    that one is long enough.  t and count are checked before the table is
+    read, so (2.0, c) and (2, 5.0) raise however warm t = 2 is."""
+    t, count = knot_index(t), index(count)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    table = _xi_tables.get(t, ())
+    if len(table) < count:
+        table = tuple(xi_lvalues(t, count))
+        _xi_tables.pop(t, None)
+        _xi_tables[t] = table
+        if len(_xi_tables) > _XI_TABLES_MAX:
+            del _xi_tables[next(iter(_xi_tables))]
+    return table[:count]
 
 
 def xi_coefficients(t: int, count: int) -> list:

@@ -248,10 +248,10 @@ def verify_theta_product(t: int, q_order: int) -> IdentityReport:
         raise ValueError("t >= 2 required")
     window = {"t": t, "q_order": q_order}
     p0 = partial_theta(theta_spec_t(t, 0), q_order)
-    tp = torus_product(t, q_order)
+    # the product side at (2^(t+1), 2^t - 1) is torus_product(t, q_order)
     bilateral, product5 = quintiple_sides(2 ** (t + 1), 2**t - 1, q_order)
     parts = [
-        _series_report("partial_theta_equals_product", window, p0, tp),
+        _series_report("partial_theta_equals_product", window, p0, product5),
         _series_report("partial_theta_equals_bilateral", window, p0, bilateral),
         _series_report("quintiple_product_sides", window, bilateral, product5),
     ]

@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterator, Optional
 
-from .backend import mul_trunc
+from .backend import mul_trunc, pool_dp
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, knot_index, theta_spec_t
@@ -236,6 +236,10 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
     in j, as one at or past the order ends the j-loop.  The factors are
     only read; every pool the DP writes into is its own.
     """
+    if lift is _q_lift and pool_dp is not None:
+        ends = pool_dp(p.m, p.a, fac_n, fac_np1, order, graded)
+        if ends is not NotImplemented:
+            return ends
     m = p.m
     inv = pow(m - 1, -1, m)  # m - 1 is odd, hence invertible mod m = 2^(t-1)
     dm = m if graded else 0

@@ -134,6 +134,7 @@ def test_criterion_07_identity_suite():
         assert verify_rewrite2(3, 8, 20).passed
         assert verify_key_identity(2, 30).passed
         assert verify_key_identity(3, 20).passed
+        assert verify_key_identity(4, 20).passed
         assert verify_theta_product(2, 60).passed
         assert verify_theta_product(3, 60).passed
         rep = verify_slater(40, 30)

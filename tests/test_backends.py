@@ -7,6 +7,7 @@ temporary directory, so these tests skip only on a machine without a
 compiler.
 """
 
+import copy
 import importlib.machinery
 import importlib.util
 import os
@@ -15,11 +16,13 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfish.torus as torus_mod
 from qfish.backend import available_backends
 
 BACKENDS = available_backends()
@@ -314,3 +317,105 @@ class TestAccumulate:
         assert out[0] is mid and out[1] == 1000 * big and out[2] == big + 1000
         assert sys.getrefcount(out) == before[0]
         assert sys.getrefcount(mid) == before[1]
+
+
+# -- the compiled (S, A)-pool DP ------------------------------------------------
+
+def _loop(f, s):
+    """A q-lift that is not torus._q_lift, so _pool_dp runs its Python loop."""
+    return [f[0] + s, f[1]]
+
+
+def _normalized(ends, order, graded):
+    if graded:
+        return {d: s for d, pool in ends.items() if (s := torus_mod._series(pool, order))}
+    return torus_mod._series(ends, order)
+
+
+def _dp_params(m, a):
+    return SimpleNamespace(m=m, a=a)
+
+
+small_pools = st.builds(lambda lo, cs: [lo, cs], st.integers(-2, 6),
+                        st.lists(st.integers(-5, 5), max_size=4))
+
+
+@st.composite
+def dp_inputs(draw):
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    nf = draw(st.integers(0, 6 if m < 8 else 4))
+    fac_np1 = [draw(small_pools) for _ in range(nf)]
+    fac_n = [draw(st.one_of(st.none(), small_pools)) for _ in range(nf)]
+    order = draw(st.one_of(st.none(), st.integers(-2, 15)))
+    return m, draw(st.integers(-20, 40)), fac_n, fac_np1, order, draw(st.booleans())
+
+
+class TestCompiledPoolDP:
+    """pool_dp runs torus._pool_dp's DP for the q-lift on int64: equal to the
+    Python loop after _series, NotImplemented wherever a value leaves int64
+    (and _pool_dp then answers by its loop), factors only read."""
+
+    @given(dp_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_python_loop(self, compiled, case):
+        m, a, fac_n, fac_np1, order, graded = case
+        before = copy.deepcopy((fac_n, fac_np1))
+        got = compiled.pool_dp(m, a, fac_n, fac_np1, order, graded)
+        assert got is not NotImplemented
+        assert (fac_n, fac_np1) == before
+        want = torus_mod._pool_dp(_dp_params(m, a), fac_n, fac_np1, order, graded, lift=_loop)
+        assert _normalized(got, order, graded) == _normalized(want, order, graded)
+        via = torus_mod._pool_dp(_dp_params(m, a), fac_n, fac_np1, order, graded)
+        assert _normalized(via, order, graded) == _normalized(want, order, graded)
+
+    @pytest.mark.parametrize("fac_np1,graded", [
+        ([[0, [1]], [0, [2**63]]], False),  # a coefficient past int64
+        ([[0, [1]], [0, [2**63]]], True),
+        ([[0, [1]], [0, [2**62]]], False),  # 1 * 2^62 * 1 breaks the product bound
+        ([[0, [1]], [0, [2**62]]], True),
+        # j = 1, 3, 5 land on one coefficient: (2^62 - 1) * 3 overflows its add
+        ([[0, [1]], [0, [2**62 - 1]], [0, [0]], [-1, [2**62 - 1]], [0, [0]], [-2, [2**62 - 1]]],
+         False),
+    ], ids=["coefficient", "coefficient-graded", "product_bound", "product_bound-graded",
+            "accumulate"])
+    def test_int64_fallbacks(self, compiled, fac_np1, graded):
+        p = _dp_params(2, 1)  # t = 2: one level, odd j only
+        fac_n = [None] * len(fac_np1)
+        assert compiled.pool_dp(p.m, p.a, fac_n, fac_np1, None, graded) is NotImplemented
+        want = torus_mod._pool_dp(p, fac_n, fac_np1, None, graded, lift=_loop)
+        got = torus_mod._pool_dp(p, fac_n, fac_np1, None, graded)
+        assert _normalized(got, None, graded) == _normalized(want, None, graded)
+        pools = want.values() if graded else [want]
+        assert max(abs(c) for pool in pools for c in pool[1]) >= 2**62
+
+    def test_non_int_raises_type_error(self, compiled):
+        fac_n = [None, None, None]
+        for bad in (1.5, None, "x"):
+            with pytest.raises(TypeError):
+                compiled.pool_dp(2, 1, fac_n, [[0, [1]], [0, [1, bad]]], None, False)
+            with pytest.raises(TypeError):  # a big int does not end the scan
+                compiled.pool_dp(2, 1, fac_n, [[0, [10**30]], [0, [bad]]], None, False)
+            with pytest.raises(TypeError):  # past the order cut, still read
+                compiled.pool_dp(2, 1, fac_n, [[0, [1]], [0, [1]], [9, [bad]]], 5, True)
+        for bad_pool in (None, [0], [0.0, [1]], 7):
+            with pytest.raises(TypeError):
+                compiled.pool_dp(2, 1, fac_n, [[0, [1]], bad_pool], None, False)
+        with pytest.raises(TypeError):
+            compiled.pool_dp(2, 1, fac_n, [[0, [1]], [0, [1]]], 3.0, False)
+
+    def test_refcounts_unchanged(self, compiled):
+        mid, big = 2**40, 10**30
+        fac_n = [[0, [1, mid]], None]
+        lanes = ([[0, [mid, 3]], [1, [mid]]], [[0, [big]], [0, [big]]], [[0, [1]], [0, [1.5]]])
+        before = [sys.getrefcount(x) for x in (mid, big, fac_n, *lanes)]
+        for _ in range(1000):
+            for graded in (False, True):
+                assert compiled.pool_dp(2, 1, fac_n, lanes[0], None, graded)
+                assert compiled.pool_dp(2, 1, fac_n, lanes[1], None, graded) is NotImplemented
+                with pytest.raises(TypeError):
+                    compiled.pool_dp(2, 1, fac_n, lanes[2], None, graded)
+        assert [sys.getrefcount(x) for x in (mid, big, fac_n, *lanes)] == before
+        # each pool and coefficient is owned by the result alone
+        res = compiled.pool_dp(2, 1, fac_n, lanes[0], None, False)
+        refs = sys.getrefcount(res[1]), sys.getrefcount(res[1][0])
+        assert refs == (2, 2)

@@ -188,6 +188,56 @@ class TestXi:
         finally:
             fb._xi_cached.cache_clear()
 
+    @pytest.fixture
+    def cold_xi(self, monkeypatch):
+        """Empty xi stores, and the list of (t, count) the engine is asked for."""
+        import qfish.fishburn as fb
+
+        asked = []
+
+        def recording(t, count):
+            asked.append((t, count))
+            return xi_lvalues(t, count)
+
+        monkeypatch.setattr(fb, "_xi_tables", {})
+        monkeypatch.setattr(fb, "xi_lvalues", recording)
+        fb._xi_cached.cache_clear()
+        yield asked
+        fb._xi_cached.cache_clear()
+
+    def test_counts_sliced_from_the_longest_table(self, cold_xi):
+        # the session menu's t = 2 counts, longest first: one engine call
+        assert xi_coefficients(2, 49) == xi_lvalues(2, 49)
+        for c in (25, 22, 21, 20, 15, 14, 10, 7, 5):
+            assert xi_coefficients(2, c) == xi_lvalues(2, c)
+        assert cold_xi == [(2, 49)]
+        # a longer count builds a longer table, then serves the shorter ones
+        for c in (10, 15, 20, 21, 24, 25, 24):
+            assert xi_coefficients(3, c) == xi_lvalues(3, c)
+        assert cold_xi == [(2, 49), (3, 10), (3, 15), (3, 20), (3, 21), (3, 24), (3, 25)]
+
+    def test_slices_stay_typed(self, cold_xi):
+        for call in (lambda: xi_coefficients(2.0, 5), lambda: xi_coefficients(2, 5.0)):
+            with pytest.raises(TypeError):  # cold
+                call()
+            xi_coefficients(2, 30)
+            with pytest.raises(TypeError):  # a longer t = 2 table warm
+                call()
+        with pytest.raises(ValueError):
+            xi_coefficients(2, 0)
+        assert cold_xi == [(2, 30)]
+
+    def test_table_store_bounded(self, cold_xi, monkeypatch):
+        import qfish.fishburn as fb
+
+        monkeypatch.setattr(fb, "_XI_TABLES_MAX", 2)
+        for t in (1, 2, 3):
+            xi_coefficients(t, 4)
+        assert list(fb._xi_tables) == [2, 3]
+        fb._xi_cached.cache_clear()
+        assert xi_coefficients(1, 3) == xi_lvalues(1, 3)  # rebuilt after eviction
+        assert cold_xi[-1] == (1, 3) and list(fb._xi_tables) == [3, 1]
+
 
 class TestXiLvalues:
     """The strange-identity engine against the multisum DP, its oracle."""

@@ -145,12 +145,13 @@ class TestSensitivity:
 
     def test_theta_product_detects_perturbation(self, monkeypatch):
         import qfish.identities as idm
-        from qfish.qseries import torus_product as real_tp
+        from qfish.qseries import quintiple_sides as real_sides
 
-        def perturbed(t, order):
-            return real_tp(t, order) + IntSeries.monomial(5, 1, order)
+        def perturbed(q_power, x_power, order):
+            bilateral, product = real_sides(q_power, x_power, order)
+            return bilateral, product + IntSeries.monomial(5, 1, order)
 
-        monkeypatch.setattr(idm, "torus_product", perturbed)
+        monkeypatch.setattr(idm, "quintiple_sides", perturbed)
         rep = verify_theta_product(2, 30)
         assert not rep.passed
         assert rep.first_discrepancy["exponent"] == 5

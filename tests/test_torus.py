@@ -7,7 +7,7 @@ import pytest
 
 import qfish.fishburn as fishburn_mod
 import qfish.torus as torus_mod
-from qfish.backend import mul_trunc
+from qfish.backend import mul_trunc, pool_dp
 from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
@@ -329,9 +329,24 @@ class TestFactorsAreOnlyRead:
     @pytest.mark.parametrize("order", [None, 9])
     @pytest.mark.parametrize("graded", [False, True])
     def test_q_factors(self, t, order, graded):
+        # the q-lift runs the compiled DP where the extension is built
+        p = torus_params(t)
         fac = torus_mod._q_setup(5, order)
         before = copy.deepcopy(fac)
-        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded)
+        if pool_dp is not None:
+            assert pool_dp(p.m, p.a, *fac, order, graded) is not NotImplemented
+        assert torus_mod._pool_dp(p, *fac, order, graded=graded)
+        assert fac == before
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("order", [None, 9])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_q_factors_python_loop(self, t, order, graded):
+        # any other lift runs the Python loop
+        fac = torus_mod._q_setup(5, order)
+        before = copy.deepcopy(fac)
+        lift = lambda f, s: [f[0] + s, f[1]]  # noqa: E731
+        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded, lift=lift)
         assert fac == before
 
     @pytest.mark.parametrize("t", [2, 3, 4])
