@@ -1,13 +1,20 @@
-/* Compiled dense polynomial kernel (schoolbook, exact).
+/* Compiled dense polynomial kernel (schoolbook, exact), and the inner-sum
+ * DP built on it.
  *
- * Same contract as qfish._kernels, whose one entry point mul_trunc(a, b, n)
- * takes sequences of ints and returns a new list of ints, bit for bit equal
- * to the pure module; mul_trunc(a, b, n, out, off) adds the nonzero ones into
- * the list out[off:] instead (checked before any write) and returns out.  A
- * product runs here on C arrays when every coefficient fits
- * in a long long other than LLONG_MIN and max|a| * max|b| * overlap < 2^62,
- * so no partial sum can overflow.  Any other product is handed, with out,
- * to qfish._kernels.mul_trunc, the one big-integer convolution.
+ * mul_trunc has the same contract as qfish._kernels, whose one entry point
+ * mul_trunc(a, b, n) takes sequences of ints and returns a new list of
+ * ints, bit for bit equal to the pure module; mul_trunc(a, b, n, out, off)
+ * adds the nonzero ones into the list out[off:] instead (checked before any
+ * write) and returns out.  A product runs here on C arrays when every
+ * coefficient fits in a long long other than LLONG_MIN and
+ * max|a| * max|b| * overlap < 2^62, so no partial sum can overflow.  Any
+ * other product is handed, with out, to qfish._kernels.mul_trunc, the one
+ * big-integer convolution.
+ *
+ * pool_dp(m, a, fac_n, fac_np1, order, graded) is the (S, A)-pool DP of
+ * qfish.torus._pool_dp for q-series factors, on int64 arrays under the same
+ * product bound; it returns NotImplemented, and the caller runs its Python
+ * loop, wherever a value would leave int64.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -47,13 +54,36 @@ read_coeffs(PyObject **xs, Py_ssize_t len, long long *buf,
     return fits;
 }
 
-/* ma * mb * overlap < 2^62, decided without overflowing 64 bits. */
+#define BITS(x) (64 - __builtin_clzll(x))
+
+/* ma * mb * overlap < 2^62 for nonzero ma, mb and overlap, decided without
+ * overflowing 64 bits: by bit lengths when they settle it, else exactly. */
 static int
 below_fast_limit(unsigned long long ma, unsigned long long mb,
                  unsigned long long overlap)
 {
     const unsigned long long lim = ((unsigned long long)1 << 62) - 1;
+    if (BITS(ma) + BITS(mb) + BITS(overlap) <= 62)
+        return 1;
     return ma <= lim / mb && ma * mb <= lim / overlap;
+}
+
+/* acc[0..n) = the first n coefficients of pa[0..la) * pb[0..lb), la, lb <= n,
+ * under the product bound, so no partial sum overflows. */
+static void
+conv_int64(const long long *pa, Py_ssize_t la, const long long *pb,
+           Py_ssize_t lb, long long *acc, Py_ssize_t n)
+{
+    memset(acc, 0, (size_t)n * sizeof(long long));
+    for (Py_ssize_t i = 0; i < la; i++) {
+        const long long ai = pa[i];
+        const Py_ssize_t jmax = lb < n - i ? lb : n - i;
+        long long *row = acc + i;
+        if (ai == 0)
+            continue;
+        for (Py_ssize_t j = 0; j < jmax; j++)
+            row[j] += ai * pb[j];
+    }
 }
 
 /* out[i] += x, by a checked C add when out[i] is an exact int in range.  Code
@@ -86,16 +116,7 @@ mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
           Py_ssize_t off)
 {
     PyObject *res;
-    memset(acc, 0, (size_t)n * sizeof(long long));
-    for (Py_ssize_t i = 0; i < la; i++) {
-        const long long ai = pa[i];
-        const Py_ssize_t jmax = lb < n - i ? lb : n - i;
-        long long *row = acc + i;
-        if (ai == 0)
-            continue;
-        for (Py_ssize_t j = 0; j < jmax; j++)
-            row[j] += ai * pb[j];
-    }
+    conv_int64(pa, la, pb, lb, acc, n);
     if (out != NULL) {
         for (Py_ssize_t k = 0; k < n; k++)
             if (acc[k] != 0 && add_into(out, off + k, acc[k]) < 0)
@@ -213,7 +234,7 @@ kernel_mul_trunc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
  * gives up, returning NotImplemented so that the caller runs its loop, when
  * a coefficient or a low exponent does not fit, when a product breaks the
  * mul_trunc bound max|a| * max|b| * overlap < 2^62, when a checked add
- * overflows, or when the state table would pass TABLE_MAX keys. */
+ * overflows, or when m or the state table would pass M_MAX or TABLE_MAX. */
 
 #define EXP_MAX ((long long)1 << 40)    /* |factor low| and |a| */
 #define ORDER_MAX ((long long)1 << 62)  /* order clamped into [-ORDER_MAX, ORDER_MAX] */
@@ -223,8 +244,10 @@ kernel_mul_trunc(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 typedef struct {
     long long lo;       /* exponent of c[0] */
-    Py_ssize_t len, cap;
-    long long *c;       /* NULL: the zero pool, None in Python */
+    Py_ssize_t len;
+    long long *c;       /* buf + front; NULL: the zero pool, None in Python */
+    long long *buf;     /* cap slots, zero outside c[0..len) */
+    Py_ssize_t front, cap;
 } pool_t;
 
 typedef struct {
@@ -250,9 +273,9 @@ typedef struct {
 static void
 pool_free(pool_t *p)
 {
-    PyMem_Free(p->c);
-    p->c = NULL;
-    p->len = p->cap = 0;
+    PyMem_Free(p->buf);
+    p->c = p->buf = NULL;
+    p->len = p->front = p->cap = 0;
 }
 
 static void
@@ -334,38 +357,43 @@ max_abs(const long long *c, Py_ssize_t len, unsigned long long *out)
 }
 
 /* Grow p to cover q^lo .. q^(lo+n-1); returns the index of q^lo in p->c,
- * or -1 with MemoryError. */
+ * or -1 with MemoryError.  A pool that outgrows its buffer at either end
+ * moves to one twice its new length, centred, as products reach a pool at
+ * falling low exponents as often as at rising ones. */
 static Py_ssize_t
 pool_cover(pool_t *p, long long lo, Py_ssize_t n)
 {
     long long new_lo, hi;
-    Py_ssize_t len;
+    Py_ssize_t len, front;
     if (p->c == NULL) {
-        if ((p->c = PyMem_Calloc((size_t)n, sizeof(long long))) == NULL) {
+        if ((p->buf = PyMem_Calloc((size_t)n, sizeof(long long))) == NULL) {
             PyErr_NoMemory();
             return -1;
         }
+        p->c = p->buf;
         p->lo = lo;
         p->len = p->cap = n;
+        p->front = 0;
         return 0;
     }
     new_lo = lo < p->lo ? lo : p->lo;
     hi = lo + n > p->lo + p->len ? lo + n : p->lo + p->len;
     len = (Py_ssize_t)(hi - new_lo);
-    if (new_lo < p->lo || len > p->cap) {
-        Py_ssize_t cap = len > 2 * p->cap ? len : 2 * p->cap;
-        long long *c = PyMem_Calloc((size_t)cap, sizeof(long long));
-        if (c == NULL) {
+    front = p->front - (Py_ssize_t)(p->lo - new_lo);
+    if (front < 0 || front + len > p->cap) {
+        long long *buf = PyMem_Calloc((size_t)(2 * len), sizeof(long long));
+        if (buf == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        memcpy(c + (p->lo - new_lo), p->c, (size_t)p->len * sizeof(long long));
-        PyMem_Free(p->c);
-        p->c = c;
-        p->cap = cap;
+        front = len / 2;
+        memcpy(buf + front + (p->lo - new_lo), p->c, (size_t)p->len * sizeof(long long));
+        PyMem_Free(p->buf);
+        p->buf = buf;
+        p->cap = 2 * len;
     }
-    else if (len > p->len)
-        memset(p->c + p->len, 0, (size_t)(len - p->len) * sizeof(long long));
+    p->front = front;
+    p->c = p->buf + front;
     p->lo = new_lo;
     p->len = len;
     return (Py_ssize_t)(lo - new_lo);
@@ -420,16 +448,7 @@ acc_mul(dp_t *dp, pool_t *dst, const pool_t *src, unsigned long long src_max,
         }
         dp->acc_cap = n;
     }
-    memset(dp->acc, 0, (size_t)n * sizeof(long long));
-    for (Py_ssize_t i = 0; i < la; i++) {
-        const long long ai = src->c[i];
-        const Py_ssize_t jmax = lb < n - i ? lb : n - i;
-        long long *row = dp->acc + i;
-        if (ai == 0)
-            continue;
-        for (Py_ssize_t j = 0; j < jmax; j++)
-            row[j] += ai * f->c[j];
-    }
+    conv_int64(src->c, la, f->c, lb, dp->acc, n);
     return pool_add(dst, lo, dp->acc, n);
 }
 

@@ -158,14 +158,25 @@ def admissible_jvectors(
 # one q^order (None = exact), which is honest because exponents never fall
 # along a path: lifts and factor lows are >= 0.
 #
-# A step's product goes straight into its destination pool: _acc_mul grows
-# the pool's list once to cover the product's exponents, and one kernel call
-# mul_trunc(src, f, n, pool, off) adds the product into it, so no product
-# list is built and no Python loop adds it.  A state's S + A, and the end
-# S + A, is added into its S pool in place (_ladd).  Every pool the DP writes
-# is private to its run, and the factors are only read, so the in-place adds
-# are safe.  The exact G_n that callers ask for again are immutable IntSeries
-# kept in kz_inner_sum's bounded lru_cache, so a process builds each once.
+# For the q-series lift the whole DP is one call to backend.pool_dp where the
+# compiled extension is built: the same steps on int64 arrays, whose q-lift
+# moves a low exponent.  Most of its products are tiny (8.5 coefficients on
+# average over the 22 graded summands at t = 3, order 21), so one C call
+# replaces thousands of kernel calls and their Python glue.  It returns
+# NotImplemented where a coefficient, a product (the mul_trunc bound
+# max|a| max|b| overlap < 2^62) or a checked add leaves int64, and the Python
+# loop below then runs.  The loop is the DP on the pure lane, for the
+# product-lift of xi_series and for big integers, and the tests' reference.
+#
+# In the loop, a step's product goes straight into its destination pool:
+# _acc_mul grows the pool's list once to cover the product's exponents, and
+# one kernel call mul_trunc(src, f, n, pool, off) adds the product into it,
+# so no product list is built and no Python loop adds it.  A state's S + A,
+# and the end S + A, is added into its S pool in place (_ladd).  Every pool
+# the DP writes is private to its run, and the factors are only read, so the
+# in-place adds are safe.  The exact G_n that callers ask for again are
+# immutable IntSeries kept in kz_inner_sum's bounded lru_cache, so a process
+# builds each once.
 
 
 def _grow(dst, lo, n) -> int:
@@ -234,7 +245,8 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
     f times q^s in the factors' domain.  Every product is cut below q^order
     (None = exact); the lifted factor low exponents must then not decrease
     in j, as one at or past the order ends the j-loop.  The factors are
-    only read; every pool the DP writes into is its own.
+    only read; every pool the DP writes into is its own.  With the q-lift
+    the compiled pool_dp answers when it can (see above).
     """
     if lift is _q_lift and pool_dp is not None:
         ends = pool_dp(p.m, p.a, fac_n, fac_np1, order, graded)
