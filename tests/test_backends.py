@@ -332,10 +332,6 @@ def _normalized(ends, order, graded):
     return torus_mod._series(ends, order)
 
 
-def _dp_params(m, a):
-    return SimpleNamespace(m=m, a=a)
-
-
 small_pools = st.builds(lambda lo, cs: [lo, cs], st.integers(-2, 6),
                         st.lists(st.integers(-5, 5), max_size=4))
 
@@ -363,9 +359,9 @@ class TestCompiledPoolDP:
         got = compiled.pool_dp(m, a, fac_n, fac_np1, order, graded)
         assert got is not NotImplemented
         assert (fac_n, fac_np1) == before
-        want = torus_mod._pool_dp(_dp_params(m, a), fac_n, fac_np1, order, graded, lift=_loop)
+        want = torus_mod._pool_dp(SimpleNamespace(m=m, a=a), fac_n, fac_np1, order, graded, lift=_loop)
         assert _normalized(got, order, graded) == _normalized(want, order, graded)
-        via = torus_mod._pool_dp(_dp_params(m, a), fac_n, fac_np1, order, graded)
+        via = torus_mod._pool_dp(SimpleNamespace(m=m, a=a), fac_n, fac_np1, order, graded)
         assert _normalized(via, order, graded) == _normalized(want, order, graded)
 
     @pytest.mark.parametrize("fac_np1,graded", [
@@ -379,7 +375,7 @@ class TestCompiledPoolDP:
     ], ids=["coefficient", "coefficient-graded", "product_bound", "product_bound-graded",
             "accumulate"])
     def test_int64_fallbacks(self, compiled, fac_np1, graded):
-        p = _dp_params(2, 1)  # t = 2: one level, odd j only
+        p = SimpleNamespace(m=2, a=1)  # t = 2: one level, odd j only
         fac_n = [None] * len(fac_np1)
         assert compiled.pool_dp(p.m, p.a, fac_n, fac_np1, None, graded) is NotImplemented
         want = torus_mod._pool_dp(p, fac_n, fac_np1, None, graded, lift=_loop)
