@@ -13,8 +13,11 @@ warm, the Slater identities cold, (q)_inf to order 400, the exact partial
 sum F_t(q; N) warm and the dissection check on it cold, cold runs of the
 graded summands, the key identity at t = 3 and 4 and the exact G_n at
 t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
-(where the prefix store serves the later ones), and the xi_series
-oracle.  Times are CPU seconds of this process,
+(where the prefix store serves the later ones), cold runs of the
+difference equation at (3, 10, 24), the key identity at (2, 30) and the
+DP's factor rows at order 21 for n <= 21, and the xi_series oracle.  The
+cold rows empty each cache through getattr, so the script also times a
+checkout that lacks some of them.  Times are CPU seconds of this process,
 best of k.  Running the script against two checkouts' src/, alternately,
 gives the engine layer's speedup between them: benchmarks/pair.py does
 that and writes the paired BENCH_<n>.json entry.  End-to-end numbers come
@@ -151,57 +154,75 @@ def kernel_bench(quick: bool) -> None:
 
 def engine_cases() -> list:
     """(name, call) for the engine layer, each call past its lru_cache (the
-    Gaussian-binomial rows stay cached, as in a long-lived process) unless
-    the name says cold."""
+    Gaussian-binomial rows and the (x; q)_n factor rows stay cached, as in a
+    long-lived process) unless the name says cold."""
     import qfish.fishburn as fishburn
+    import qfish.qseries as qseries
+    import qfish.torus as torus
     from qfish.fishburn import divisibility_check, xi_coefficients
-    from qfish.identities import _b_sums, verify_key_identity, verify_root_match, verify_slater
-    from qfish.qseries import binom_row_trunc
+    from qfish.identities import (
+        _b_sums, verify_difference_equation, verify_key_identity, verify_root_match, verify_slater,
+    )
     from qfish.series import euler_product
     from qfish.torus import (
-        _m_graded, a_n_t, colored_jones, kz_full_polynomial, kz_inner_sum, torus_params,
+        _m_graded, colored_jones, kz_full_polynomial, kz_inner_sum, torus_params,
     )
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
+    mods = {"torus": torus, "qseries": qseries, "fishburn": fishburn}
+    rows = ("qseries.binom_row_trunc", "torus._xq_tables")  # the factor rows of either checkout
+    a_windows = ("torus.a_n_t", "torus._a_window", "torus._m_graded")
+
+    def clear(*names):
+        """Empty each named cache (cache_clear) or table store (clear) that
+        the checkout under test has, so the script also times one that
+        predates a name."""
+        for name in names:
+            mod, attr = name.split(".")
+            obj = getattr(mods[mod], attr, None)
+            empty = getattr(obj, "cache_clear", None) or getattr(obj, "clear", None)
+            if empty is not None:
+                empty()
 
     def b_sums(p, q_order, cold):
         if cold:  # every a_{n,t} and graded summand rebuilt
-            a_n_t.cache_clear()
-            _m_graded.cache_clear()
+            clear(*a_windows)
         return _b_sums(p, q_order + p.h_d)
 
     def root_match_cold(t, n_max):  # as the first call in a process
-        for cache in (kz_inner_sum, binom_row_trunc):
-            cache.cache_clear()
+        clear("torus.kz_inner_sum", *rows)
         return verify_root_match(t, n_max)
 
     def divisibility_cold(t, s, n_index):  # every exact G_n and row rebuilt
-        for cache in (kz_inner_sum, binom_row_trunc):
-            cache.cache_clear()
+        clear("torus.kz_inner_sum", *rows)
         return divisibility_check(t, s, n_index)
 
-    def slater_cold(q_order, gen_q_order):  # the Gaussian-binomial rows rebuilt
-        binom_row_trunc.cache_clear()
+    def slater_cold(q_order, gen_q_order):  # the factor rows rebuilt
+        clear(*rows)
         return verify_slater(q_order, gen_q_order)
 
     def m_graded_cold(p, k_top, q_order):  # the graded summands and their rows rebuilt
-        for cache in (_m_graded, binom_row_trunc):
-            cache.cache_clear()
+        clear("torus._m_graded", *rows)
         return [_m_graded(p, k, q_order) for k in range(k_top + 1)]
 
     def key_identity_cold(t, q_order):  # as the first call in a process
-        for cache in (a_n_t, _m_graded, kz_inner_sum, binom_row_trunc):
-            cache.cache_clear()
+        clear("torus.kz_inner_sum", *a_windows, *rows)
         return verify_key_identity(t, q_order)
 
+    def difference_equation_cold(t, x_bound, q_order):  # every row rebuilt
+        clear(*rows)
+        return verify_difference_equation(t, x_bound, q_order)
+
+    def factor_rows_cold(q_order, n_top):  # the DP's factors for n <= n_top, rebuilt
+        clear(*rows)
+        return [torus._q_setup(n, q_order) for n in range(n_top + 1)]
+
     def inner_sums_cold(p, n_top):  # every exact G_n and row rebuilt
-        for cache in (kz_inner_sum, binom_row_trunc):
-            cache.cache_clear()
+        clear("torus.kz_inner_sum", *rows)
         return [kz_inner_sum(p, n, None) for n in range(n_top + 1)]
 
     def xi_cold(t, counts):  # every xi table rebuilt (the prefix store where there is one)
-        fishburn._xi_cached.cache_clear()
-        getattr(fishburn, "_xi_tables", {}).clear()
+        clear("fishburn._xi_cached", "fishburn._xi_tables")
         return [xi_coefficients(t, c) for c in counts]
 
     xi_counts = (5, 7, 10, 14, 15, 20, 21, 22, 25, 49)  # the session menu's t = 2 counts
@@ -233,6 +254,9 @@ def engine_cases() -> list:
         ("kz_inner_sum t=2 n<=34 exact cold", lambda: inner_sums_cold(p2, 34)),
         ("xi_coefficients t=2 growing counts cold", lambda: xi_cold(2, xi_counts)),
         ("xi_coefficients t=2 falling counts cold", lambda: xi_cold(2, xi_counts[::-1])),
+        ("verify_difference_equation 3 10 24 cold", lambda: difference_equation_cold(3, 10, 24)),
+        ("verify_key_identity t=2 q_order=30 cold", lambda: key_identity_cold(2, 30)),
+        ("factor rows q_order=21 n<=21 cold", lambda: factor_rows_cold(21, 21)),
     ]
 
 

@@ -291,15 +291,14 @@ def S_set(spec: ThetaSpec, s: int) -> set:
     """Residues mod s of (n^2 - a)/b over the support of the character.
 
     n -> exponent mod s has period period(chi) * s, so one scan of that
-    range is exhaustive.
+    range is exhaustive; it steps through the support residues of chi by
+    the period.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    out = set()
-    for n in range(spec.char.period * s):
-        if spec.char(n):
-            out.add(spec.exponent(n) % s)
-    return out
+    period = spec.char.period
+    return {spec.exponent(n) % s for r in spec.char.support_residues()
+            for n in range(r, period * s, period)}
 
 
 class DivisibilityReport(Record):

@@ -39,10 +39,9 @@ from .series import (
 from .torus import (
     M_series,
     _a_stable,
+    _a_sums,
     _acc_mul,
-    _padd,
     _series,
-    a_n_t,
     b_n_t,
     colored_jones,
     H_multisum,
@@ -162,29 +161,28 @@ def _b_sums(p, work: int) -> tuple:
     period and the sums diverge (ArithmeticError).  Otherwise b_n = 0 past
     stable, and the sums over every n are those to N = stable + 1.  They
     equal those of summing the b-terms one by one, which
-    tests/test_identities.py keeps as the oracle.
+    tests/test_identities.py keeps as the oracle.  The a_n and their prefix
+    sums are read from the a-window (torus._a_sums), so a warm call adds
+    nothing up again.
     """
     m = p.m
     stable = _a_stable(p, work)
-    a = [a_n_t(p, n, work) for n in range(stable + m + 1)]
-    if any(an != a[stable] for an in a[stable + 1:]):
+    a, sums = _a_sums(p, work, stable + m + 1)
+    if any(an != a[stable] for an in a[stable + 1:stable + m + 1]):
         raise ArithmeticError("b_{n,t} sum failed to stabilize")
     run = n = 0
-    prev = IntSeries.zero(work)
+    prev = (0,) * work
     while run < 2 * m or n <= p.h:
         cur = a[min(n, stable)]
         run = run + 1 if cur == prev else 0
         prev, n = cur, n + 1
     n_cut = n
-    sums = []
-    acc, done = None, 0
+    out = []
     for top in (n_cut - 1, 2 * n_cut - 1, stable):  # the sums to N = top + 1
-        for an in a[done:min(top, stable)]:
-            acc = _padd(acc, an.min_exp, an.coeffs)
-        done = min(top, stable)
-        total = _series(acc, work) + a[stable].scale(max(top - stable, 0))
-        sums.append((a[done], a[done].scale(top - p.h) - total))
-    return (*sums[2], n_cut, sums[0] == sums[1])
+        done, past = min(top, stable), max(top - stable, 0)
+        tw = [(top - p.h) * x - s - past * y for x, s, y in zip(a[done], sums[done], a[stable])]
+        out.append((IntSeries.make(0, a[done], work), IntSeries.make(0, tw, work)))
+    return (*out[2], n_cut, out[0] == out[1])
 
 
 def verify_key_identity(t: int, q_order: int) -> IdentityReport:

@@ -52,9 +52,11 @@ def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
 
     Built along the row by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j),
     so no other row is touched; the division is exact on any prefix, and
-    the second half of the row mirrors the first.  This is the package's
-    one Gaussian-binomial builder: since deg [n, j] = j(n-j) <= n^2/4, a
-    length of n^2//4 + 1 gives the exact rows.
+    the second half of the row mirrors the first.  It builds the rows of
+    q_binomial and of the per-vector walks; the inner-sum DP reads its
+    signed rows off the (x; q)_n table in qfish.torus, a second algorithm
+    on purpose.  Since deg [n, j] = j(n-j) <= n^2/4, a length of
+    n^2//4 + 1 gives the exact rows.
     """
     cur = [1]
     rows = [(1,)]

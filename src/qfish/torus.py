@@ -22,7 +22,7 @@ to the trefoil Jones polynomial.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, index, sub
 from typing import Iterator, Optional
 
 from .backend import mul_trunc, pool_dp
@@ -145,12 +145,15 @@ def admissible_jvectors(
 # applying the step's power of q; each lifted pair (f_n[j], f_np1[j]) is
 # built once per (j, shift) within one DP run:
 #   - q-series (kz_inner_sum, a_n_t): f[j] = (-1)^j q^C(j,2) [n(+1), j]_q,
-#     lifted by moving its low exponent.
+#     the coefficient of x^j in (x; q)_n (resp. (x; q)_{n+1}) by the
+#     q-binomial theorem, read off the rows of _XqRows (below); lifted by
+#     moving its low exponent.
 #   - the image of q -> 1-q (qfish.fishburn.xi_series): f[j] =
 #     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q, lifted by a product with
 #     (1-q)^shift; every low exponent is 0.
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
-#     (-1)^j q^C(j,2) / (q)_j.
+#     (-1)^j q^C(j,2) / (q)_j, the x^j coefficient of (x; q)_inf (Euler),
+#     which below q^order is row `order` of the same table.
 # Graded mode also keys by the x-degree d = sum j + k of M_t: the state key
 # is r + m d.  A step by j adds j to d, and A gains one more per level until
 # k is fixed (on the A -> S step at level l = k + 1, or at the end for
@@ -176,7 +179,8 @@ def admissible_jvectors(
 # the DP writes is private to its run, and the factors are only read, so the
 # in-place adds are safe.  The exact G_n that callers ask for again are
 # immutable IntSeries kept in kz_inner_sum's bounded lru_cache, so a process
-# builds each once.
+# builds each once.  The graded summands of M_t stay end pools, summed into
+# a_{n,t} once per n by the a-window (_a_sums).
 
 
 def _grow(dst, lo, n) -> int:
@@ -294,28 +298,89 @@ def _jmax(q_order: int) -> int:
     return j
 
 
-def _q_factors(rows: tuple, jmax: int) -> list:
-    """(-1)^j q^C(j,2) rows[j] for j = 0..jmax, None past the row."""
-    return [
-        [j * (j - 1) // 2, [-c for c in rows[j]] if j & 1 else rows[j]]
-        if j < len(rows) else None
-        for j in range(jmax + 1)
-    ]
+class _XqRows:
+    """The rows of (x; q)_n = sum_j F_n[j] x^j, F_n[j] = (-1)^j q^C(j,2)
+    [n, j]_q, for one order: row n holds the factor pools
+    [C(j, 2), coeffs] for j = 0..min(n, J), each cut below q^order (None =
+    exact, no cut and J = n; else J = _jmax(order), since an entry with
+    C(j, 2) >= order is cut away whole).
+
+    Row n + 1 is row n times 1 - x q^n, F_{n+1}[j] = F_n[j] - q^n F_n[j-1],
+    one subtraction per entry; an entry the cut leaves unchanged is shared
+    with the row before.  A cut table keeps rows 0..order: from n = order on
+    the q^n term lies past the cut, so every later row is row order.  An
+    exact table keeps only its newest two rows (row n holds about n^3/6
+    coefficients) and rebuilds an earlier one from F_0 = 1.  The entries
+    are only read.
+    """
+
+    __slots__ = ("order", "jmax", "n0", "rows")
+    built = 0  # rows built by every table
+
+    def __init__(self, order):
+        self.order = order
+        self.jmax = None if order is None else _jmax(order)
+        self.n0, self.rows = 0, [[[0, [1]]]]
+
+    def row(self, n: int) -> list:
+        """Row n (n >= 0)."""
+        if self.order is not None:
+            n = min(n, self.order)
+        if n < self.n0:
+            self.n0, self.rows = 0, [[[0, [1]]]]
+        while self.n0 + len(self.rows) <= n:
+            self.rows.append(self._next())
+            _XqRows.built += 1
+            if self.order is None and len(self.rows) > 2:
+                del self.rows[0]
+                self.n0 += 1
+        return self.rows[n - self.n0]
+
+    def _next(self) -> list:
+        """Row n + 1 from the newest row n."""
+        n = self.n0 + len(self.rows) - 1
+        prev, cut = self.rows[-1], self.order
+        row = [prev[0]]
+        for j in range(1, n + 2 if cut is None else min(n + 1, self.jmax) + 1):
+            lo, off = j * (j - 1) // 2, n - j + 1
+            width = j * (n + 1 - j) + 1 if cut is None else min(j * (n + 1 - j) + 1, cut - lo)
+            if off >= width:  # q^n F_n[j-1] lies past the cut
+                row.append(prev[j])
+                continue
+            cs = prev[j][1] if j <= n else []
+            cs = cs + [0] * (width - len(cs))
+            d = prev[j - 1][1][:width - off]
+            cs[off:off + len(d)] = map(sub, cs[off:off + len(d)], d)
+            row.append([lo, cs])
+        return row
+
+
+_XQ_TABLES_MAX = 8
+_xq_tables: dict = {}  # order -> its _XqRows, least recently used first
+
+
+def _xq_rows(order) -> _XqRows:
+    """The (x; q)_n table at order (None = exact), kept for at most
+    _XQ_TABLES_MAX orders.  The order goes through operator.index first, so
+    9.0 never reads the table of 9."""
+    if order is not None:
+        order = index(order)
+        if order < 1:
+            raise ValueError("order must be None or >= 1")
+    tab = _xq_tables.pop(order, None) or _XqRows(order)
+    _xq_tables[order] = tab
+    if len(_xq_tables) > _XQ_TABLES_MAX:
+        del _xq_tables[next(iter(_xq_tables))]
+    return tab
 
 
 def _q_setup(n: int, order) -> tuple:
     """(fac_n, fac_np1) of the n-th q-series summand, truncated below
-    ``order`` (None = exact)."""
-    if order is None:
-        jmax = n + 1
-        rows_n = binom_row_trunc(n, n, n * n // 4 + 1)
-        rows_np1 = binom_row_trunc(n + 1, n + 1, (n + 1) ** 2 // 4 + 1)
-    else:
-        # only j(j-1)/2 < order and q^i, i < order, are read
-        jmax = min(n + 1, _jmax(order))
-        rows_n = binom_row_trunc(n, min(n, jmax), order)
-        rows_np1 = binom_row_trunc(n + 1, jmax, order)
-    return _q_factors(rows_n, jmax), _q_factors(rows_np1, jmax)
+    ``order`` (None = exact): rows n and n + 1 of the (x; q)_n table, the
+    first padded with None for [n, n + 1] = 0."""
+    xq = _xq_rows(order)
+    fac_n, fac_np1 = xq.row(n), xq.row(n + 1)
+    return fac_n + [None] * (len(fac_np1) - len(fac_n)), fac_np1
 
 
 def _series(pool, order) -> IntSeries:
@@ -325,22 +390,21 @@ def _series(pool, order) -> IntSeries:
 
 
 @lru_cache(maxsize=32, typed=True)
-def _m_graded(p: TorusParams, n: int, q_order: int) -> tuple:
-    """The n-th summand of M_t by x-degree: slot d is the coefficient of
-    x^(nm + d), cut below q^q_order.  The slots cover every d = sum j + k
-    with j_l <= jmax, so their number does not decrease in n."""
-    fac_n, fac_np1 = _q_setup(n, q_order)
-    ends = _pool_dp(p, fac_n, fac_np1, q_order, graded=True)
-    return tuple(_series(ends.get(d), q_order) for d in range((p.m - 1) * len(fac_np1) + 1))
+def _m_graded(p: TorusParams, n: int, q_order: int) -> dict:
+    """The n-th summand of M_t by x-degree, as the DP's end pools: the pool
+    at d (None is zero) is the coefficient of x^(nm + d), cut below
+    q^q_order.  Every d is a sum j + k with j_l <= jmax = min(n + 1, J), so
+    d < (m - 1)(jmax + 1) + 1.  The pools are only read."""
+    return _pool_dp(p, *_q_setup(n, q_order), q_order, graded=True)
 
 
 def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     """sum'_{jv} (-1)^(sum j) q^v / prod_l (q)_{j_l}, cut below q^order: the
-    DP with A pools only.  The rows 1/(q)_j are the Gaussian binomials
-    [order + jmax, j], which equal 1/(q)_j below q^(order + jmax - j + 1)."""
-    jmax = _jmax(order)
-    fac = _q_factors(binom_row_trunc(order + jmax, jmax, order), jmax)
-    return _series(_pool_dp(p, [None] * (jmax + 1), fac, order), order)
+    DP with A pools only.  Its factors (-1)^j q^C(j,2) / (q)_j are the
+    coefficients of (x; q)_inf, which below q^order is row ``order`` of the
+    (x; q)_n table."""
+    fac = _xq_rows(order).row(order)
+    return _series(_pool_dp(p, [None] * len(fac), fac, order), order)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -461,38 +525,38 @@ def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
 
 
 def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tuple]:
-    """(x-degree, q-series) terms of the n-th summand of M_t,
+    """(x-degree, pool) terms of the n-th summand of M_t,
 
         x^(nm) sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [n + I(l<=k), j_l],
 
-    with x-degree < x_stop and each series cut below q^q_order.  The k-sum
-    reads prefix products over tops n+1 and suffix products over tops n.
-    M_series and H_multisum keep this per-vector walk on purpose, so that
-    verify_rewrite2 compares it with a different algorithm, the DP of a_n_t.
+    with x-degree < x_stop and each pool [v, coeffs] cut below q^q_order.
+    The k-sum reads prefix products over tops n+1 and suffix products over
+    tops n.  M_series and H_multisum keep this per-vector walk on purpose,
+    so that verify_rewrite2 compares it with a different algorithm, the DP
+    of a_n_t.  A vector's products are cut below q^(q_order - v): past that
+    nothing survives its q^v shift.  Every row starts with q^0 and has
+    positive coefficients, so every product is a nonempty list from q^0
+    unless a row [n, n+1] = 0 enters it.
     """
     jmax = min(n + 1, _jmax(q_order))
-    b_n, b_np1 = (
-        [IntSeries.make(0, r, q_order) for r in binom_row_trunc(top, min(top, jmax), q_order)]
-        for top in (n, n + 1)
-    )
-    b_n.append(IntSeries.zero(q_order))  # [n, n+1], read only when jmax = n+1
-    one = IntSeries.one(q_order)
+    b_n = binom_row_trunc(n, min(n, jmax), q_order) + ((),)  # [n, n+1] = 0, read only when jmax = n+1
+    b_np1 = binom_row_trunc(n + 1, jmax, q_order)
     for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
         sj = sum(jv)
-        sign = -1 if sj & 1 else 1
-        pre = [one]
+        w = q_order - v
+        pre = [(1,)]
         for l in range(1, p.m):
-            pre.append(pre[-1] * b_np1[jv[l - 1]])
-        sufs = [one] * p.m
+            pre.append(mul_trunc(pre[-1], b_np1[jv[l - 1]], w))
+        sufs = [(1,)] * p.m
         for k in range(p.m - 2, -1, -1):
-            sufs[k] = sufs[k + 1] * b_n[jv[k]]
+            sufs[k] = mul_trunc(sufs[k + 1], b_n[jv[k]], w)
         for k in range(p.m):
             x_deg = n * p.m + sj + k
             if x_deg >= x_stop:
                 break
-            prod = pre[k] * sufs[k]
-            if not prod.is_zero():
-                yield x_deg, prod.shift(v).scale(sign)
+            cs = mul_trunc(pre[k], sufs[k], w)
+            if cs:
+                yield x_deg, [v, [-c for c in cs] if sj & 1 else cs]
 
 
 def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
@@ -502,31 +566,34 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
             sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [n + I(l<=k), j_l],
 
     that is sign * q^(-h') x^(-h) times the n-th summand of M_t convolved
-    with (x)_{n+1}.  The x^(-h) prefactor must cancel, so negative x-degrees
-    are accumulated and verified to vanish rather than assumed away.
+    with (x)_{n+1}.  The summand's terms are summed by x-degree first, and
+    the columns of (x)_{n+1} = (x; q)_{n+1} are the rows of the factor
+    table.  The x^(-h) prefactor must cancel, so negative x-degrees are
+    accumulated and verified to vanish rather than assumed away.
     """
     if p.t < 2:
         raise ValueError("the multisum form needs t >= 2")
     _check_window(x_bound, q_order)
     work = q_order + p.h_d
-    acc = BiAccumulator(x_bound + p.h, work)
-    poch_x = [IntSeries.one(work)]  # (x)_n columns by x-degree, here n = 0
+    top = x_bound + p.h  # x-degrees before the x^(-h) shift stay below top
+    xq = _xq_rows(work)
+    cols: dict = {}  # x-degree before the shift -> pool
     n = 0
     while n * p.m - p.h < x_bound:
-        # (x)_{n+1} = (x)_n * (1 - x q^n), column d minus column d - 1 times q^n
-        zero = IntSeries.zero(work)
-        poch_x = [c - c1.shift(n) for c, c1 in zip(poch_x + [zero], [zero] + poch_x)]
-        poch_x = poch_x[: x_bound + p.h + 1]
-        for x_deg, term in _m_summand(p, n, x_bound + p.h, work):
-            piece = term.scale(p.sign)
-            for d, col in enumerate(poch_x):
-                if x_deg - p.h + d >= x_bound:
-                    break
-                if not col.is_zero():
-                    acc.add(x_deg - p.h + d, col * piece)
+        by_deg: dict = {}
+        for x_deg, term in _m_summand(p, n, top, work):
+            by_deg[x_deg] = _padd(by_deg.get(x_deg), *term)
+        poch = xq.row(n + 1)
+        for x_deg, pool in by_deg.items():
+            for e, col in enumerate(poch[:top - x_deg], x_deg):
+                cols[e] = _acc_mul(cols.get(e), pool, col, work)
         n += 1
-    bis = acc.finish()
-    return BiSeries.make(x_bound, q_order, [c.shift(-p.h_d) for c in bis.cols[:x_bound]])
+    for e, pool in cols.items():
+        if e < p.h and pool and any(pool[1]):
+            raise ArithmeticError(f"nonzero coefficient at negative x-degree {e - p.h}")
+    return BiSeries.make(x_bound, q_order, [
+        _series(cols.get(e + p.h), work).shift(-p.h_d).scale(p.sign) for e in range(x_bound)
+    ])
 
 
 def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
@@ -534,13 +601,13 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     if p.t < 2:
         raise ValueError("M_t needs t >= 2")
     _check_window(x_bound, q_order)
-    acc = BiAccumulator(x_bound, q_order)
+    cols: dict = {}  # x-degree -> pool
     n = 0
     while n * p.m < x_bound:
         for x_deg, term in _m_summand(p, n, x_bound, q_order):
-            acc.add(x_deg, term)
+            cols[x_deg] = _padd(cols.get(x_deg), *term)
         n += 1
-    return acc.finish()
+    return BiSeries.make(x_bound, q_order, [_series(cols.get(d), q_order) for d in range(x_bound)])
 
 
 def _a_stable(p: TorusParams, q_order: int) -> int:
@@ -549,11 +616,51 @@ def _a_stable(p: TorusParams, q_order: int) -> int:
     return (q_order - 1) * p.m + (p.m - 1) * (_jmax(q_order) + 1) + 1
 
 
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=32, typed=True)
+def _a_window(p: TorusParams, q_order: int) -> list:
+    """[a, sums, run] of (p, q_order), grown by _a_sums: a_{n,t} and
+    sum_{i<n} a_{i,t} for every n built so far, and the running sum of
+    them all, as dense coefficient lists over q^0 .. q^(q_order-1)."""
+    return [[], [], [0] * q_order]
+
+
+def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
+    """(a, sums), with at least count entries each: a[n] = a_{n,t} and
+    sums[n] = sum_{i<n} a_{i,t}, cut below q^q_order (see a_n_t), as dense
+    coefficient lists over q^0 .. q^(q_order-1).  Both lists, and every
+    list in them, belong to the a-window and are only read.
+
+    An extension, to count or to twice the length built (at most
+    stable + m + 1), is one pass over the graded summands k <= n/m of the
+    new n: the end pool at x-degree d of summand k lands on a_{km+d}.
+    """
+    window = _a_window(p, q_order)
+    a, sums, run = window
+    if len(a) < count:
+        m, lo = p.m, len(a)
+        hi = max(count, min(2 * lo, _a_stable(p, q_order) + m + 1))
+        slots = (m - 1) * (_jmax(q_order) + 1) + 1
+        new = [[0] * q_order for _ in range(hi - lo)]
+        # summand k fills n = km .. km + slots - 1, so those before the
+        # first k here lie wholly below lo
+        for k in range(max(0, (lo - slots) // m + 1), (hi - 1) // m + 1):
+            base = k * m - lo
+            for d, pool in _m_graded(p, min(k, q_order), q_order).items():
+                if pool and 0 <= base + d < hi - lo:
+                    e, cs = pool
+                    acc = new[base + d]
+                    acc[e:e + len(cs)] = map(add, acc[e:e + len(cs)], cs)
+        for acc in new:
+            sums.append(run)
+            a.append(acc)
+            run = list(map(add, run, acc))
+        window[2] = run
+    return a, sums
+
+
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, the sum of slot n - km of the
-    graded summands k <= n/m.  As k falls the slot index grows and the slot
-    count shrinks, so the first k whose slots the index passes ends the sum.
+    graded summands k <= n/m, read from the a-window of (p, q_order).
 
     Below q^L, L = q_order, the summands stop depending on k from K = L on:
     the DP reads the factor [k, j] only below q^(L - C(j,2)), and [k, j] is
@@ -566,19 +673,12 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     if p.t < 2:
         raise ValueError("a_{n,t} needs t >= 2")
     _check_window(1, q_order)
-    m = p.m
     stable = _a_stable(p, q_order)
-    if n >= stable + m:
-        return a_n_t(p, stable + (n - stable) % m, q_order)
-    acc = None
-    for k in range(n // m, -1, -1):  # empty for n < 0
-        slots = _m_graded(p, min(k, q_order), q_order)
-        if n - k * m >= len(slots):
-            break
-        slot = slots[n - k * m]
-        if slot.coeffs:
-            acc = _padd(acc, slot.min_exp, slot.coeffs)
-    return _series(acc, q_order)
+    if n >= stable + p.m:
+        n = stable + (n - stable) % p.m
+    if n < 0:
+        return IntSeries.zero(q_order)
+    return IntSeries.make(0, _a_sums(p, q_order, n + 1)[0][n], q_order)
 
 
 def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:

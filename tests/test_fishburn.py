@@ -445,6 +445,14 @@ class TestSSet:
     def test_s_equal_one(self):
         assert S_set(theta_spec_t(2, 0), 1) == {0}
 
+    @given(st.integers(1, 5), st.integers(0, 1), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_support_scan_equals_full_period_scan(self, t, nu, s):
+        # oracle: the scan of every n in one period(chi) * s range
+        spec = theta_spec_t(t, nu)
+        full = {spec.exponent(n) % s for n in range(spec.char.period * s) if spec.char(n)}
+        assert S_set(spec, s) == full
+
     def test_classical_j_ranges(self):
         # the S-set rule at t=1 reproduces the classical congruence ranges
         assert congruence_j_range(1, 5) == [1, 2]

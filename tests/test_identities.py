@@ -17,7 +17,7 @@ from qfish.identities import (
 )
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
-from qfish.torus import a_n_t, b_n_t, kz_at_root_of_unity, torus_params
+from qfish.torus import b_n_t, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
@@ -226,6 +226,16 @@ def _b_sums_two_pass(p, work, n_stop=None):
     return total_b, total_w, n
 
 
+def _window_of(a_fn):
+    """The a-window seam _b_sums reads (torus._a_sums), taken from the per-n
+    function a_fn: a_n and sum_{i<n} a_i as dense coefficient tuples."""
+    def seam(p, work, count):
+        a = [tuple(a_fn(p, n, work).coeff(e) for e in range(work)) for n in range(count)]
+        sums = [tuple(map(sum, zip((0,) * work, *a[:n]))) for n in range(count)]
+        return a, sums
+    return seam
+
+
 class TestBSums:
     @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (2, 70), (2, 12), (3, 14), (4, 4)])
     def test_one_pass_matches_two_passes(self, t, qo):
@@ -251,7 +261,7 @@ class TestBSums:
             return a + IntSeries.monomial(0, 1, q_order) if n >= 0 and n % p_.m == 0 else a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(idm, "a_n_t", bumped)
+        monkeypatch.setattr(idm, "_a_sums", _window_of(bumped))
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             _b_sums_two_pass(p, work)
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
@@ -260,9 +270,9 @@ class TestBSums:
     def test_cold_reads_stop_at_the_period(self):
         # a_{n,t} is read for n <= stable + m only
         p, work = torus_params(2), 70
-        a_n_t.cache_clear()
+        torus_mod._a_window.cache_clear()
         assert _b_sums(p, work)[2] == 145
-        assert a_n_t.cache_info().currsize <= torus_mod._a_stable(p, work) + p.m + 1
+        assert len(torus_mod._a_window(p, work)[0]) == torus_mod._a_stable(p, work) + p.m + 1
 
     def test_period_past_stable_checked_after_early_cutoff(self, monkeypatch):
         # a_{n,t} + 1 on n = stable + 1 (mod m), n > stable: the cutoff (37)
@@ -279,7 +289,7 @@ class TestBSums:
             return a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(idm, "a_n_t", bumped)
+        monkeypatch.setattr(idm, "_a_sums", _window_of(bumped))
         assert _b_sums_two_pass(p, work)[2] < stable
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             _b_sums(p, work)
@@ -298,7 +308,7 @@ class TestBSums:
             return IntSeries.make(0, [1, 1 if n >= 20 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", stepped)
-        monkeypatch.setattr(idm, "a_n_t", stepped)
+        monkeypatch.setattr(idm, "_a_sums", _window_of(stepped))
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert 2 * n_cut <= 20 < stable
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)

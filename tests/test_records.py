@@ -24,7 +24,8 @@ from qfish.cyclotomic import _phi_coeffs
 from qfish.fishburn import _xi_cached, xi_coefficients
 from qfish.qseries import binom_row_trunc, chi_t, q_binomial
 from qfish.series import DivisionWitness
-from qfish.torus import _m_graded, kz_inner_sum
+import qfish.torus as torus_mod
+from qfish.torus import _a_window, _m_graded, kz_inner_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -119,13 +120,13 @@ def test_record_keywords_and_arity():
 
 def test_torus_params_is_a_cache_key():
     a_n_t(torus_params(3), 2, 6)
-    hits = a_n_t.cache_info().hits
+    hits = _a_window.cache_info().hits
     a_n_t(torus_params(3), 2, 6)
-    assert a_n_t.cache_info().hits == hits + 1
+    assert _a_window.cache_info().hits == hits + 1
 
 
 def test_engine_caches_bounded():
-    assert a_n_t.cache_info().maxsize == 1024
+    assert _a_window.cache_info().maxsize == 32
     assert _xi_cached.cache_info().maxsize == 64
     assert _m_graded.cache_info().maxsize == 32
     assert _phi_coeffs.cache_info().maxsize == 256
@@ -140,6 +141,13 @@ def test_engine_caches_bounded():
     assert all(obj.cache_info().maxsize is not None for obj in cached)
     # and every one is typed: a float key equals its int key
     assert all(obj.cache_parameters()["typed"] for obj in cached)
+    # the (x; q)_n factor tables: one per order, at most _XQ_TABLES_MAX of
+    # them, and an order that is not an int is refused before any lookup
+    for order in range(1, torus_mod._XQ_TABLES_MAX + 3):
+        torus_mod._xq_rows(order).row(order)
+    assert len(torus_mod._xq_tables) == torus_mod._XQ_TABLES_MAX
+    with pytest.raises(TypeError):
+        torus_mod._xq_rows(9.0)
 
 
 @pytest.mark.parametrize("call,warm", [
@@ -152,8 +160,9 @@ def test_engine_caches_bounded():
 def test_float_argument_refused_cold_and_warm(call, warm):
     # the checked cold path raises; once the int entry is filled, the float
     # call must still take that path rather than read the int's entry
-    for cache in (a_n_t, kz_inner_sum, binom_row_trunc, _xi_cached):
+    for cache in (_a_window, kz_inner_sum, binom_row_trunc, _xi_cached):
         cache.cache_clear()
+    torus_mod._xq_tables.clear()
     with pytest.raises(TypeError):
         call()
     warm()

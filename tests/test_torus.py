@@ -4,11 +4,13 @@ import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfish.fishburn as fishburn_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
-from qfish.biseries import BiSeries, bi_first_difference
+from qfish.biseries import BiAccumulator, BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
@@ -155,6 +157,66 @@ def slater_walk(p, order):
             term = term * invert_unit(pochhammer(1, j, order), order)
         total = total + term.shift(v).scale(-1 if sum(jv) & 1 else 1).truncate(order)
     return total
+
+
+def q_factors(rows, jmax):
+    """Oracle (the factor builder the (x; q)_n table replaced):
+    (-1)^j q^C(j,2) rows[j] for j = 0..jmax, None past the row."""
+    return [
+        [j * (j - 1) // 2, [-c for c in rows[j]] if j & 1 else list(rows[j])]
+        if j < len(rows) else None
+        for j in range(jmax + 1)
+    ]
+
+
+def m_summand_full(p, n, x_stop, q_order):
+    """Oracle (the walk before the q^v cut): the (x-degree, IntSeries)
+    terms of the n-th summand of M_t, every product cut below q^q_order."""
+    jmax = min(n + 1, torus_mod._jmax(q_order))
+    b_n, b_np1 = (
+        [IntSeries.make(0, r, q_order) for r in binom_row_trunc(top, min(top, jmax), q_order)]
+        for top in (n, n + 1)
+    )
+    b_n.append(IntSeries.zero(q_order))
+    one = IntSeries.one(q_order)
+    for jv, v in admissible_jvectors(p, j_cap=n + 1, v_cap=q_order):
+        sj = sum(jv)
+        pre = [one]
+        for l in range(1, p.m):
+            pre.append(pre[-1] * b_np1[jv[l - 1]])
+        sufs = [one] * p.m
+        for k in range(p.m - 2, -1, -1):
+            sufs[k] = sufs[k + 1] * b_n[jv[k]]
+        for k in range(p.m):
+            x_deg = n * p.m + sj + k
+            if x_deg >= x_stop:
+                break
+            prod = pre[k] * sufs[k]
+            if not prod.is_zero():
+                yield x_deg, prod.shift(v).scale(-1 if sj & 1 else 1)
+
+
+def h_multisum_per_term(p, x_bound, q_order):
+    """Oracle (the accumulation H_multisum replaced): every term of every
+    summand convolved on its own with the IntSeries columns of (x)_{n+1}."""
+    work = q_order + p.h_d
+    acc = BiAccumulator(x_bound + p.h, work)
+    poch_x = [IntSeries.one(work)]
+    n = 0
+    while n * p.m - p.h < x_bound:
+        zero = IntSeries.zero(work)
+        poch_x = [c - c1.shift(n) for c, c1 in zip(poch_x + [zero], [zero] + poch_x)]
+        poch_x = poch_x[: x_bound + p.h + 1]
+        for x_deg, term in m_summand_full(p, n, x_bound + p.h, work):
+            piece = term.scale(p.sign)
+            for d, col in enumerate(poch_x):
+                if x_deg - p.h + d >= x_bound:
+                    break
+                if not col.is_zero():
+                    acc.add(x_deg - p.h + d, col * piece)
+        n += 1
+    bis = acc.finish()
+    return BiSeries.make(x_bound, q_order, [c.shift(-p.h_d) for c in bis.cols[:x_bound]])
 
 
 class TestParams:
@@ -491,9 +553,10 @@ class TestMortonClosedForm:
             raise AssertionError("colored_jones reached the product kernel")
 
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
-        misses = binom_row_trunc.cache_info().misses
+        misses, built = binom_row_trunc.cache_info().misses, torus_mod._XqRows.built
         assert colored_jones(torus_params(4), 12).coeffs
         assert binom_row_trunc.cache_info().misses == misses
+        assert torus_mod._XqRows.built == built
 
 
 class TestT1HasNoLevels:
@@ -518,9 +581,10 @@ class TestT1HasNoLevels:
 
     def test_root_match_builds_no_rows(self):
         kz_inner_sum.cache_clear()
-        misses = binom_row_trunc.cache_info().misses
+        misses, built = binom_row_trunc.cache_info().misses, torus_mod._XqRows.built
         assert verify_root_match(1, 30).passed
         assert binom_row_trunc.cache_info().misses == misses
+        assert torus_mod._XqRows.built == built
 
 
 class TestRootEvaluation:
@@ -654,10 +718,15 @@ class TestStableSummand:
     def test_summands_equal_past_k(self, t, qo):
         p = torus_params(t)
         top, slots = _stable_window(p, qo)
-        table = torus_mod._m_graded.__wrapped__(p, top, qo)
-        assert len(table) == slots
+
+        def summand(n):  # the end pools as series, every x-degree a slot
+            ends = torus_mod._m_graded.__wrapped__(p, n, qo)
+            assert max(ends) < slots
+            return [torus_mod._series(ends.get(d), qo) for d in range(slots)]
+
+        table = summand(top)
         for n in range(top, top + 3):
-            assert torus_mod._m_graded.__wrapped__(p, n, qo) == table, n
+            assert summand(n) == table, n
 
     @pytest.mark.parametrize("t,qo", STABLE_CASES)
     def test_a_n_against_walk_past_period_start(self, t, qo):
@@ -672,10 +741,67 @@ class TestStableSummand:
         p = torus_params(t)
         top, _ = _stable_window(p, qo + p.h_d)
         assert top + 1 == most
-        a_n_t.cache_clear()
+        torus_mod._a_window.cache_clear()
         torus_mod._m_graded.cache_clear()
         assert verify_key_identity(t, qo).passed
         assert torus_mod._m_graded.cache_info().misses <= most
+
+
+class TestXqRows:
+    """The factor rows of the DP are the coefficients of (x; q)_n, built by
+    F_{n+1}[j] = F_n[j] - q^n F_n[j-1]; the signed Gaussian-binomial rows
+    are the oracle."""
+
+    @given(st.integers(0, 40), st.one_of(st.none(), st.integers(1, 60)))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_signed_binomial_rows(self, n, order):
+        row = torus_mod._xq_rows(order).row(n)
+        if order is None:
+            expect = q_factors(binom_row_trunc(n, n, n * n // 4 + 1), n)
+        else:
+            jmax = min(n, torus_mod._jmax(order))
+            expect = [[lo, cs[:order - lo]]
+                      for lo, cs in q_factors(binom_row_trunc(n, jmax, order), jmax)]
+        assert [[lo, list(cs)] for lo, cs in row] == expect
+
+    @pytest.mark.parametrize("order", [None, 1, 7, 30])
+    def test_rows_read_in_any_order(self, order):
+        # an exact table keeps two rows and rebuilds from F_0; a cut one
+        # keeps rows 0..order and answers row order past it
+        table = torus_mod._XqRows(order)
+        for n in (9, 3, 4, 12, 0, 12, 40, 35):
+            assert table.row(n) == torus_mod._XqRows(order).row(n), n
+        if order is None:
+            assert len(table.rows) <= 2
+        else:
+            assert len(table.rows) <= order + 1
+            assert table.row(order + 5) is table.row(order)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_order_below_one_refused(self, bad):
+        with pytest.raises(ValueError):
+            torus_mod._xq_rows(bad)
+
+
+class TestCutWalk:
+    """The per-vector walk cuts a vector's products below q^(q_order - v),
+    and H_multisum sums a summand by x-degree before its (x)_{n+1}
+    convolution; the full-length walk and the per-term accumulation are the
+    oracles."""
+
+    @pytest.mark.parametrize("t,n_top,x_stop", [(2, 8, 30), (3, 5, 30), (4, 2, 30), (3, 4, 14)])
+    @pytest.mark.parametrize("qo", [1, 2, 7, 25])
+    def test_terms_are_full_terms_truncated(self, t, n_top, x_stop, qo):
+        p = torus_params(t)
+        for n in range(n_top + 1):
+            got = [(x, torus_mod._series(pool, qo)) for x, pool in torus_mod._m_summand(p, n, x_stop, qo)]
+            want = [(x, term.truncate(qo)) for x, term in m_summand_full(p, n, x_stop, qo)]
+            assert got == want, n
+
+    @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 10, 24), (3, 4, 7), (4, 6, 8), (2, 1, 1)])
+    def test_h_multisum_equals_per_term_accumulation(self, t, xb, qo):
+        p = torus_params(t)
+        assert H_multisum(p, xb, qo) == h_multisum_per_term(p, xb, qo)
 
 
 class TestSlaterMultisum:
@@ -687,17 +813,24 @@ class TestSlaterMultisum:
 
     @pytest.mark.parametrize("order", [1, 2, 5, 17, 40, 90])
     def test_rows_are_unit_inverses(self, order, monkeypatch):
-        # the rows 1/(q)_j come from one Gaussian-binomial row; the generic
-        # unit inverse is the oracle
+        # the factors (-1)^j q^C(j,2) / (q)_j are row `order` of a freshly
+        # built (x; q)_n table; the generic unit inverse is the oracle
         seen = []
-        real = torus_mod._q_factors
-        monkeypatch.setattr(torus_mod, "_q_factors",
-                            lambda rows, jmax: seen.append(rows) or real(rows, jmax))
+        real = torus_mod._pool_dp
+        monkeypatch.setattr(torus_mod, "_pool_dp",
+                            lambda p, fac_n, fac_np1, order: seen.append(fac_np1)
+                            or real(p, fac_n, fac_np1, order))
+        torus_mod._xq_tables.clear()
+        built = torus_mod._XqRows.built
         slater_multisum(torus_params(2), order)
+        assert torus_mod._XqRows.built == built + order
         (rows,) = seen
+        assert rows is torus_mod._xq_rows(order).row(order)
         assert len(rows) == torus_mod._jmax(order) + 1
         for j, row in enumerate(rows):
-            assert IntSeries.make(0, row, order) == invert_unit(pochhammer(1, j, order), order), j
+            expect = invert_unit(pochhammer(1, j, order), order).shift(j * (j - 1) // 2)
+            expect = expect.truncate(order).scale(-1 if j & 1 else 1)
+            assert torus_mod._series(row, order) == expect, j
 
 
 class TestWindowValidation:
