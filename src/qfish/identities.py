@@ -171,7 +171,7 @@ def _b_sums(p, work: int) -> tuple:
     if any(an != a[stable] for an in a[stable + 1:stable + m + 1]):
         raise ArithmeticError("b_{n,t} sum failed to stabilize")
     run = n = 0
-    prev = (0,) * work
+    prev = [0] * work  # a_{-1} = 0
     while run < 2 * m or n <= p.h:
         cur = a[min(n, stable)]
         run = run + 1 if cur == prev else 0

@@ -228,10 +228,10 @@ def _b_sums_two_pass(p, work, n_stop=None):
 
 def _window_of(a_fn):
     """The a-window seam _b_sums reads (torus._a_sums), taken from the per-n
-    function a_fn: a_n and sum_{i<n} a_i as dense coefficient tuples."""
+    function a_fn: a_n and sum_{i<n} a_i as dense coefficient lists."""
     def seam(p, work, count):
-        a = [tuple(a_fn(p, n, work).coeff(e) for e in range(work)) for n in range(count)]
-        sums = [tuple(map(sum, zip((0,) * work, *a[:n]))) for n in range(count)]
+        a = [[a_fn(p, n, work).coeff(e) for e in range(work)] for n in range(count)]
+        sums = [list(map(sum, zip([0] * work, *a[:n]))) for n in range(count)]
         return a, sums
     return seam
 
@@ -314,6 +314,25 @@ class TestBSums:
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
         assert (tb, tw) != (cut_b, cut_w)
         assert _b_sums(p, work) == (tb, tw, n_cut, True)
+
+    def test_vanishing_a0_starts_the_run(self, monkeypatch):
+        # a_n = 0 for n < 6 and 1 from n = 6 on: b_0 = a_0 - a_{-1} = 0
+        # already counts toward the run of vanishing terms, so the cutoff is 4
+        import qfish.identities as idm
+
+        p, work = torus_params(2), 12
+        stable = torus_mod._a_stable(p, work)
+
+        def late(p_, n, q_order):
+            return IntSeries.make(0, [1 if n >= 6 else 0], q_order)
+
+        monkeypatch.setattr(torus_mod, "a_n_t", late)
+        monkeypatch.setattr(idm, "_a_sums", _window_of(late))
+        cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
+        assert n_cut == 4
+        doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)
+        tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
+        assert _b_sums(p, work) == (tb, tw, n_cut, doubled)
 
 
 class TestWindowValidation:

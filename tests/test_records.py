@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qfish.torus as torus_mod
 from qfish import (
     BiSeries,
     CongruenceReport,
@@ -24,7 +25,6 @@ from qfish.cyclotomic import _phi_coeffs
 from qfish.fishburn import _xi_cached, xi_coefficients
 from qfish.qseries import binom_row_trunc, chi_t, q_binomial
 from qfish.series import DivisionWitness
-import qfish.torus as torus_mod
 from qfish.torus import _a_window, _m_graded, kz_inner_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
