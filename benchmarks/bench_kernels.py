@@ -14,10 +14,10 @@ sum F_t(q; N) warm and the dissection check on it cold, cold runs of the
 graded summands, the key identity at t = 3 and 4 and the exact G_n at
 t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
 (where the prefix store serves the later ones), cold runs of the
-difference equation at (3, 10, 24), the key identity at (2, 30) and the
-DP's factor rows at order 21 for n <= 21, and the xi_series oracle.  The
-cold rows empty each cache through getattr, so the script also times a
-checkout that lacks some of them.  Times are CPU seconds of this process,
+difference equation at (3, 10, 24) and (4, 12, 30), the key identity at
+(2, 30) and the DP's factor rows at order 21 for n <= 21, and the
+xi_series oracle.  The cold rows empty each cache through getattr, so the
+script also times a checkout that lacks some of them.  Times are CPU seconds of this process,
 best of k.  Running the script against two checkouts' src/, alternately,
 gives the engine layer's speedup between them: benchmarks/pair.py does
 that and writes the paired BENCH_<n>.json entry.  End-to-end numbers come
@@ -170,7 +170,9 @@ def engine_cases() -> list:
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
     mods = {"torus": torus, "qseries": qseries, "fishburn": fishburn}
-    rows = ("qseries.binom_row_trunc", "torus._xq_tables")  # the factor rows of either checkout
+    # the factor rows of any checkout: the Gaussian-binomial rows, the table
+    # store of (x; q)_n, or its lru_cache
+    rows = ("qseries.binom_row_trunc", "torus._xq_tables", "torus._xq_rows")
     a_windows = ("torus.a_n_t", "torus._a_window", "torus._m_graded")
 
     def clear(*names):
@@ -209,8 +211,8 @@ def engine_cases() -> list:
         clear("torus.kz_inner_sum", *a_windows, *rows)
         return verify_key_identity(t, q_order)
 
-    def difference_equation_cold(t, x_bound, q_order):  # every row rebuilt
-        clear(*rows)
+    def difference_equation_cold(t, x_bound, q_order):  # every row and graded summand rebuilt
+        clear("torus._m_graded", *rows)
         return verify_difference_equation(t, x_bound, q_order)
 
     def factor_rows_cold(q_order, n_top):  # the DP's factors for n <= n_top, rebuilt
@@ -255,6 +257,7 @@ def engine_cases() -> list:
         ("xi_coefficients t=2 growing counts cold", lambda: xi_cold(2, xi_counts)),
         ("xi_coefficients t=2 falling counts cold", lambda: xi_cold(2, xi_counts[::-1])),
         ("verify_difference_equation 3 10 24 cold", lambda: difference_equation_cold(3, 10, 24)),
+        ("verify_difference_equation 4 12 30 cold", lambda: difference_equation_cold(4, 12, 30)),
         ("verify_key_identity t=2 q_order=30 cold", lambda: key_identity_cold(2, 30)),
         ("factor rows q_order=21 n<=21 cold", lambda: factor_rows_cold(21, 21)),
     ]

@@ -226,32 +226,23 @@ def xi_lvalues(t: int, count: int) -> list:
     return _xi_from_lvalues(spec.char.values, spec.a, spec.b, count)
 
 
-_XI_TABLES_MAX = 16
-_xi_tables: dict = {}  # t -> the longest xi_t table built, in the order built
+@lru_cache(maxsize=16, typed=True)
+def _xi_cached(t: int) -> list:
+    """The longest xi_t table built so far, grown by xi_coefficients."""
+    return []
 
 
-@lru_cache(maxsize=64, typed=True)
-def _xi_cached(t: int, count: int) -> tuple:
+def xi_coefficients(t: int, count: int) -> list:
     """xi_t(0 .. count-1), sliced from the longest table built for t when
     that one is long enough.  t and count are checked before the table is
     read, so (2.0, c) and (2, 5.0) raise however warm t = 2 is."""
     t, count = knot_index(t), index(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    table = _xi_tables.get(t, ())
+    table = _xi_cached(t)
     if len(table) < count:
-        table = tuple(xi_lvalues(t, count))
-        _xi_tables.pop(t, None)
-        _xi_tables[t] = table
-        if len(_xi_tables) > _XI_TABLES_MAX:
-            del _xi_tables[next(iter(_xi_tables))]
+        table[:] = xi_lvalues(t, count)
     return table[:count]
-
-
-def xi_coefficients(t: int, count: int) -> list:
-    """xi_t(0 .. count-1); the cache is typed, so (2.0, c) is checked cold
-    rather than answered as (2, c)."""
-    return list(_xi_cached(t, count))
 
 
 # -- dissection and divisibility ---------------------------------------------

@@ -10,7 +10,9 @@ from the inner-sum dynamic program (``torus._pool_dp``) and J_N from
 Morton's closed form for torus knots, two different polynomials that meet
 only after evaluation at zeta_N.  In the (1 - x) M_t
 rewrite, M_t comes from the per-vector summand walk and b_{n,t} from the
-same DP graded by x-degree.
+same DP graded by x-degree.  The multisum form of H_t reads that graded DP
+too; in the difference equation its independent partner is the theta form,
+a sum of monomials over chi_t with no DP and no product.
 """
 
 from __future__ import annotations

@@ -180,7 +180,8 @@ def admissible_jvectors(
 # in-place adds are safe.  The exact G_n that callers ask for again are
 # immutable IntSeries kept in kz_inner_sum's bounded lru_cache, so a process
 # builds each once.  The graded summands of M_t stay end pools, summed into
-# a_{n,t} once per n by the a-window (_a_sums).
+# a_{n,t} once per n by the a-window (_a_sums) and convolved with (x)_{n+1}
+# by H_multisum.
 
 
 def _grow(dst, lo, n) -> int:
@@ -355,23 +356,16 @@ class _XqRows:
         return row
 
 
-_XQ_TABLES_MAX = 8
-_xq_tables: dict = {}  # order -> its _XqRows, least recently used first
-
-
+@lru_cache(maxsize=8, typed=True)
 def _xq_rows(order) -> _XqRows:
-    """The (x; q)_n table at order (None = exact), kept for at most
-    _XQ_TABLES_MAX orders.  The order goes through operator.index first, so
-    9.0 never reads the table of 9."""
+    """The (x; q)_n table at order (None = exact).  The cache is typed and
+    the order goes through operator.index, so 9.0 never reads the table
+    of 9."""
     if order is not None:
         order = index(order)
         if order < 1:
             raise ValueError("order must be None or >= 1")
-    tab = _xq_tables.pop(order, None) or _XqRows(order)
-    _xq_tables[order] = tab
-    if len(_xq_tables) > _XQ_TABLES_MAX:
-        del _xq_tables[next(iter(_xq_tables))]
-    return tab
+    return _XqRows(order)
 
 
 def _q_setup(n: int, order) -> tuple:
@@ -531,12 +525,13 @@ def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tu
 
     with x-degree < x_stop and each pool [v, coeffs] cut below q^q_order.
     The k-sum reads prefix products over tops n+1 and suffix products over
-    tops n.  M_series and H_multisum keep this per-vector walk on purpose,
-    so that verify_rewrite2 compares it with a different algorithm, the DP
-    of a_n_t.  A vector's products are cut below q^(q_order - v): past that
-    nothing survives its q^v shift.  Every row starts with q^0 and has
-    positive coefficients, so every product is a nonempty list from q^0
-    unless a row [n, n+1] = 0 enters it.
+    tops n.  Only M_series keeps this per-vector walk, on purpose: in
+    verify_rewrite2 it is the side independent of b_n_t, which reads the
+    graded DP (as H_multisum does, whose independent partner in the
+    difference equation is the theta form).  A vector's products are cut
+    below q^(q_order - v): past that nothing survives its q^v shift.  Every
+    row starts with q^0 and has positive coefficients, so every product is
+    a nonempty list from q^0 unless a row [n, n+1] = 0 enters it.
     """
     jmax = min(n + 1, _jmax(q_order))
     b_n = binom_row_trunc(n, min(n, jmax), q_order) + ((),)  # [n, n+1] = 0, read only when jmax = n+1
@@ -566,10 +561,12 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
             sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [n + I(l<=k), j_l],
 
     that is sign * q^(-h') x^(-h) times the n-th summand of M_t convolved
-    with (x)_{n+1}.  The summand's terms are summed by x-degree first, and
-    the columns of (x)_{n+1} = (x; q)_{n+1} are the rows of the factor
-    table.  The x^(-h) prefactor must cancel, so negative x-degrees are
-    accumulated and verified to vanish rather than assumed away.
+    with (x)_{n+1}.  The summand comes by x-degree from the graded DP
+    (_m_graded), and past n = work, the working order, it is summand work
+    (a_n_t has why); the columns of (x)_{n+1} = (x; q)_{n+1} are the rows
+    of the factor table.  The x^(-h) prefactor must cancel, so negative
+    x-degrees are accumulated and verified to vanish rather than assumed
+    away.
     """
     if p.t < 2:
         raise ValueError("the multisum form needs t >= 2")
@@ -580,13 +577,12 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     cols: dict = {}  # x-degree before the shift -> pool
     n = 0
     while n * p.m - p.h < x_bound:
-        by_deg: dict = {}
-        for x_deg, term in _m_summand(p, n, top, work):
-            by_deg[x_deg] = _padd(by_deg.get(x_deg), *term)
         poch = xq.row(n + 1)
-        for x_deg, pool in by_deg.items():
-            for e, col in enumerate(poch[:top - x_deg], x_deg):
-                cols[e] = _acc_mul(cols.get(e), pool, col, work)
+        for d, pool in _m_graded(p, min(n, work), work).items():
+            x_deg = n * p.m + d
+            if pool and x_deg < top:
+                for e, col in enumerate(poch[:top - x_deg], x_deg):
+                    cols[e] = _acc_mul(cols.get(e), pool, col, work)
         n += 1
     for e, pool in cols.items():
         if e < p.h and pool and any(pool[1]):

@@ -190,7 +190,7 @@ class TestXi:
 
     @pytest.fixture
     def cold_xi(self, monkeypatch):
-        """Empty xi stores, and the list of (t, count) the engine is asked for."""
+        """An empty xi store, and the list of (t, count) the engine is asked for."""
         import qfish.fishburn as fb
 
         asked = []
@@ -199,7 +199,6 @@ class TestXi:
             asked.append((t, count))
             return xi_lvalues(t, count)
 
-        monkeypatch.setattr(fb, "_xi_tables", {})
         monkeypatch.setattr(fb, "xi_lvalues", recording)
         fb._xi_cached.cache_clear()
         yield asked
@@ -230,13 +229,22 @@ class TestXi:
     def test_table_store_bounded(self, cold_xi, monkeypatch):
         import qfish.fishburn as fb
 
-        monkeypatch.setattr(fb, "_XI_TABLES_MAX", 2)
-        for t in (1, 2, 3):
+        # one table per t, at most 16, the least recently read dropped first;
+        # a stand-in engine keeps t up to 19 cheap
+        monkeypatch.setattr(fb, "xi_lvalues", lambda t, count: cold_xi.append((t, count))
+                            or [t] * count)
+        for t in range(1, 19):
             xi_coefficients(t, 4)
-        assert list(fb._xi_tables) == [2, 3]
-        fb._xi_cached.cache_clear()
-        assert xi_coefficients(1, 3) == xi_lvalues(1, 3)  # rebuilt after eviction
-        assert cold_xi[-1] == (1, 3) and list(fb._xi_tables) == [3, 1]
+        assert fb._xi_cached.cache_info().currsize == 16
+        xi_coefficients(3, 2)  # t = 3 read again, so t = 4 is the oldest
+        xi_coefficients(19, 4)
+        del cold_xi[:]
+        for t in (3, 18, 19):
+            assert xi_coefficients(t, 3) == [t] * 3
+        assert cold_xi == []
+        assert xi_coefficients(4, 3) == [4] * 3  # rebuilt after eviction
+        assert xi_coefficients(1, 3) == [1] * 3
+        assert cold_xi == [(4, 3), (1, 3)]
 
 
 class TestXiLvalues:

@@ -21,7 +21,7 @@ from qfish.torus import b_n_t, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
-    @pytest.mark.parametrize("t,xb,qo", [(2, 14, 40), (3, 10, 24)])
+    @pytest.mark.parametrize("t,xb,qo", [(2, 14, 40), (3, 10, 24), (4, 20, 40), (5, 12, 24)])
     def test_difference_equation(self, t, xb, qo):
         rep = verify_difference_equation(t, xb, qo)
         assert rep.passed, rep.as_dict()

@@ -127,7 +127,8 @@ def test_torus_params_is_a_cache_key():
 
 def test_engine_caches_bounded():
     assert _a_window.cache_info().maxsize == 32
-    assert _xi_cached.cache_info().maxsize == 64
+    assert _xi_cached.cache_info().maxsize == 16
+    assert torus_mod._xq_rows.cache_info().maxsize == 8
     assert _m_graded.cache_info().maxsize == 32
     assert _phi_coeffs.cache_info().maxsize == 256
     assert chi_t.cache_info().maxsize == 16
@@ -137,15 +138,19 @@ def test_engine_caches_bounded():
 
     engines = [mod for name, mod in sys.modules.items() if name.startswith("qfish.")]
     cached = [obj for mod in engines for obj in vars(mod).values() if hasattr(obj, "cache_info")]
-    assert len({id(obj) for obj in cached}) >= 7
+    assert len({id(obj) for obj in cached}) >= 8
+    assert {id(torus_mod._xq_rows), id(_xi_cached)} <= {id(obj) for obj in cached}
     assert all(obj.cache_info().maxsize is not None for obj in cached)
     # and every one is typed: a float key equals its int key
     assert all(obj.cache_parameters()["typed"] for obj in cached)
-    # the (x; q)_n factor tables: one per order, at most _XQ_TABLES_MAX of
-    # them, and an order that is not an int is refused before any lookup
-    for order in range(1, torus_mod._XQ_TABLES_MAX + 3):
+    # the (x; q)_n factor tables: one per order, at most 8 of them, and an
+    # order that is not an int is refused cold and with its int's table warm
+    torus_mod._xq_rows.cache_clear()
+    with pytest.raises(TypeError):
+        torus_mod._xq_rows(9.0)
+    for order in range(1, 11):
         torus_mod._xq_rows(order).row(order)
-    assert len(torus_mod._xq_tables) == torus_mod._XQ_TABLES_MAX
+    assert torus_mod._xq_rows.cache_info().currsize == 8
     with pytest.raises(TypeError):
         torus_mod._xq_rows(9.0)
 
@@ -160,9 +165,8 @@ def test_engine_caches_bounded():
 def test_float_argument_refused_cold_and_warm(call, warm):
     # the checked cold path raises; once the int entry is filled, the float
     # call must still take that path rather than read the int's entry
-    for cache in (_a_window, kz_inner_sum, binom_row_trunc, _xi_cached):
+    for cache in (_a_window, kz_inner_sum, binom_row_trunc, _xi_cached, torus_mod._xq_rows):
         cache.cache_clear()
-    torus_mod._xq_tables.clear()
     with pytest.raises(TypeError):
         call()
     warm()

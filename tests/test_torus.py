@@ -746,6 +746,15 @@ class TestStableSummand:
         assert verify_key_identity(t, qo).passed
         assert torus_mod._m_graded.cache_info().misses <= most
 
+    @pytest.mark.parametrize("t,xb,qo", [(2, 30, 3), (3, 20, 4), (3, 10, 24), (4, 12, 30)])
+    def test_h_multisum_dp_count(self, t, xb, qo):
+        # one DP per summand n <= n_top, and past n = work none at all
+        p = torus_params(t)
+        work, n_top = qo + p.h_d, (xb + p.h - 1) // p.m
+        torus_mod._m_graded.cache_clear()
+        H_multisum(p, xb, qo)
+        assert torus_mod._m_graded.cache_info().misses == min(n_top, work) + 1
+
 
 class TestXqRows:
     """The factor rows of the DP are the coefficients of (x; q)_n, built by
@@ -785,8 +794,8 @@ class TestXqRows:
 
 class TestCutWalk:
     """The per-vector walk cuts a vector's products below q^(q_order - v),
-    and H_multisum sums a summand by x-degree before its (x)_{n+1}
-    convolution; the full-length walk and the per-term accumulation are the
+    and H_multisum convolves the graded DP's summands, by x-degree, with
+    (x)_{n+1}; the full-length walk and the per-term accumulation are the
     oracles."""
 
     @pytest.mark.parametrize("t,n_top,x_stop", [(2, 8, 30), (3, 5, 30), (4, 2, 30), (3, 4, 14)])
@@ -798,7 +807,10 @@ class TestCutWalk:
             want = [(x, term.truncate(qo)) for x, term in m_summand_full(p, n, x_stop, qo)]
             assert got == want, n
 
-    @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 10, 24), (3, 4, 7), (4, 6, 8), (2, 1, 1)])
+    @pytest.mark.parametrize("t,xb,qo", [
+        (2, 12, 30), (3, 10, 24), (3, 4, 7), (4, 6, 8), (2, 1, 1),
+        (2, 30, 3), (3, 20, 4), (2, 40, 1), (4, 30, 2),  # summands past n = work
+    ])
     def test_h_multisum_equals_per_term_accumulation(self, t, xb, qo):
         p = torus_params(t)
         assert H_multisum(p, xb, qo) == h_multisum_per_term(p, xb, qo)
@@ -820,7 +832,7 @@ class TestSlaterMultisum:
         monkeypatch.setattr(torus_mod, "_pool_dp",
                             lambda p, fac_n, fac_np1, order: seen.append(fac_np1)
                             or real(p, fac_n, fac_np1, order))
-        torus_mod._xq_tables.clear()
+        torus_mod._xq_rows.cache_clear()
         built = torus_mod._XqRows.built
         slater_multisum(torus_params(2), order)
         assert torus_mod._XqRows.built == built + order
