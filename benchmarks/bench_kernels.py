@@ -17,10 +17,11 @@ t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
 difference equation at (3, 10, 24) and (4, 12, 30), the key identity at
 (2, 30) and the DP's factor rows at order 21 for n <= 21, and the
 xi_series oracle.  The cold rows empty each cache through getattr, so the
-script also times a checkout that lacks some of them.  Times are CPU seconds of this process,
-best of k.  Running the script against two checkouts' src/, alternately,
-gives the engine layer's speedup between them: benchmarks/pair.py does
-that and writes the paired BENCH_<n>.json entry.  End-to-end numbers come
+script also times a checkout that lacks some of them.  Times are CPU
+seconds of this process, best of k.  Running the script against two
+checkouts' src/, alternately, gives the engine layer's speedup between
+them: benchmarks/pair.py does that and writes the paired BENCH_<n>.json
+entry.  End-to-end numbers come
 from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick] [--json FILE] [--src DIR]

@@ -228,7 +228,8 @@ def xi_lvalues(t: int, count: int) -> list:
 
 @lru_cache(maxsize=16, typed=True)
 def _xi_cached(t: int) -> list:
-    """The longest xi_t table built so far, grown by xi_coefficients."""
+    """The longest xi_t table built so far, grown in place by
+    xi_coefficients, which hands out slices of it."""
     return []
 
 
