@@ -110,24 +110,15 @@ add_into(PyObject *out, Py_ssize_t i, long long x)
     return sum ? PyList_SetItem(out, i, sum) : -1;
 }
 
-static PyObject *
-mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
-          Py_ssize_t lb, long long *acc, Py_ssize_t n, PyObject *out,
-          Py_ssize_t off)
+/* The n values c[0 .. n-1] as a new list of ints. */
+static inline PyObject *
+int64_list(const long long *c, Py_ssize_t n)
 {
-    PyObject *res;
-    conv_int64(pa, la, pb, lb, acc, n);
-    if (out != NULL) {
-        for (Py_ssize_t k = 0; k < n; k++)
-            if (acc[k] != 0 && add_into(out, off + k, acc[k]) < 0)
-                return NULL;
-        return Py_NewRef(out);
-    }
-    res = PyList_New(n);
+    PyObject *res = PyList_New(n);
     if (res == NULL)
         return NULL;
     for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *v = PyLong_FromLongLong(acc[k]);
+        PyObject *v = PyLong_FromLongLong(c[k]);
         if (v == NULL) {
             Py_DECREF(res);
             return NULL;
@@ -135,6 +126,20 @@ mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
         PyList_SET_ITEM(res, k, v);
     }
     return res;
+}
+
+static PyObject *
+mul_int64(const long long *pa, Py_ssize_t la, const long long *pb,
+          Py_ssize_t lb, long long *acc, Py_ssize_t n, PyObject *out,
+          Py_ssize_t off)
+{
+    conv_int64(pa, la, pb, lb, acc, n);
+    if (out == NULL)
+        return int64_list(acc, n);
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (acc[k] != 0 && add_into(out, off + k, acc[k]) < 0)
+            return NULL;
+    return Py_NewRef(out);
 }
 
 static PyObject *
@@ -462,16 +467,8 @@ pool_to_py(const pool_t *p)
         i0++;
     while (i1 > i0 && p->c[i1 - 1] == 0)
         i1--;
-    if ((cs = PyList_New(i1 - i0)) == NULL)
+    if ((cs = int64_list(p->c + i0, i1 - i0)) == NULL)
         return NULL;
-    for (Py_ssize_t i = i0; i < i1; i++) {
-        PyObject *v = PyLong_FromLongLong(p->c[i]);
-        if (v == NULL) {
-            Py_DECREF(cs);
-            return NULL;
-        }
-        PyList_SET_ITEM(cs, i - i0, v);
-    }
     res = PyList_New(2);
     lo = PyLong_FromLongLong(p->lo + (long long)i0);
     if (res == NULL || lo == NULL) {

@@ -70,33 +70,19 @@ def is_prime(n: int) -> bool:
 # -- substituted-domain engine ----------------------------------------------
 
 
-class _SubTables:
-    """Shared data for arithmetic in the image of q -> 1-q, truncated at count."""
-
-    def __init__(self, count: int):
-        self.count = count
-        self.pw: dict = {}  # pw[e] = (1-q)^e, for the e that are asked for
-
-    def power(self, e: int) -> list:
-        got = self.pw.get(e)
-        if got is None:
-            got = list(one_minus_q_power(e, min(e + 1, self.count)).coeffs)
-            self.pw[e] = got
-        return got
-
-
-def _sub_row(prev: Optional[list], n: int, length: int, tab: _SubTables) -> list:
+def _sub_row(prev: Optional[list], n: int, length: int, pw: list) -> list:
     """Row n of the substituted DP factors, as pools [0, coeffs] cut below
     q^length: F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q, j = 0..n.
 
     q^C(j,2) [n, j] = q^(j-1) (q^C(j-1,2) [n-1, j-1] + q q^C(j,2) [n-1, j])
     by the q-Pascal rule, so F[n][j] = (1-q)^j F[n-1][j] - (1-q)^(j-1)
-    F[n-1][j-1], with F[n-1][n] = 0; prev is row n-1 to at least length.
+    F[n-1][j-1], with F[n-1][n] = 0; prev is row n-1 to at least length,
+    and pw[e], e < n, is (1-q)^e cut no lower than q^length.
     """
     row = [[0, [1]]]
     for j in range(1, n + 1):
-        pool = [0, [-c for c in mul_trunc(tab.power(j - 1), prev[j - 1][1], length)]]
-        row.append(pool if j == n else _acc_mul(pool, [0, tab.power(j)], prev[j], length))
+        pool = [0, [-c for c in mul_trunc(pw[j - 1], prev[j - 1][1], length)]]
+        row.append(pool if j == n else _acc_mul(pool, [0, pw[j]], prev[j], length))
     return row
 
 
@@ -112,14 +98,17 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     if n_top < 0:
         raise ValueError("N must be >= 0")
     p = torus_params(t)
-    tab = _SubTables(count)
+    n_last = min(n_top, count - 1)
+    # (1-q)^e cut below q^count: the rows read e <= n_last, and a DP step
+    # at n lifts by (1-q)^s with s <= n + 1
+    pw = [list(one_minus_q_power(e, min(e + 1, count)).coeffs) for e in range(n_last + 2)]
     total = [0] * count
     poch_tail = [1]  # (q)_n at q -> 1-q equals q^n * poch_tail
     row = [[0, [1]]]  # F[0]
-    for n in range(min(n_top, count - 1) + 1):
+    for n in range(n_last + 1):
         if n:
             # (1 - (1-q)^n)/q
-            u = [-c for c in one_minus_q_power(n, count - n + 1).coeffs[1:]]
+            u = [-c for c in pw[n][1:]]
             poch_tail = mul_trunc(poch_tail, u, count - n)
         if p.m == 1:
             inner = [1]  # empty vector; its (1-q)^(-1) cancels the global prefactor
@@ -127,9 +116,9 @@ def xi_series(t: int, n_top: int, count: int) -> list:
             # the inner sum at q -> 1-q: the q-domain DP with substituted
             # factors, each q^s of a step lifted to (1-q)^s
             order = count - n
-            row_next = _sub_row(row, n + 1, order, tab)
+            row_next = _sub_row(row, n + 1, order, pw)
             pool = _pool_dp(p, row + [None], row_next, order,
-                            lift=lambda f, s: [0, mul_trunc(tab.power(s), f[1], order)])
+                            lift=lambda f, s: [0, mul_trunc(pw[s], f[1], order)])
             inner = pool[1] if pool else []
             row = row_next
         mul_trunc(poch_tail, inner, count - n, total, n)

@@ -12,12 +12,14 @@ only after evaluation at zeta_N.  In the (1 - x) M_t
 rewrite, M_t comes from the per-vector summand walk and b_{n,t} from the
 same DP graded by x-degree.  The multisum form of H_t reads that graded DP
 too; in the difference equation its independent partner is the theta form,
-a sum of monomials over chi_t with no DP and no product.
+a sum of monomials over chi_t with no DP and no product.  The key
+identity's multisum side comes whole from torus (kz_tail_sum, and b_sums
+over the a-window); its partner is a partial theta and a product, no DP.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add
 from typing import Optional
 
 from .biseries import BiAccumulator, BiSeries, bi_first_difference
@@ -36,20 +38,16 @@ from .series import (
     first_difference,
     over_one_minus_qk,
     progression_product,
-    times_one_minus_qk,
 )
 from .torus import (
     M_series,
-    _a_stable,
-    _a_sums,
-    _acc_mul,
-    _series,
     b_n_t,
+    b_sums,
     colored_jones,
     H_multisum,
     H_theta,
-    kz_inner_sum,
     kz_partial_polynomials,
+    kz_tail_sum,
     slater_multisum,
     torus_params,
 )
@@ -147,46 +145,6 @@ def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
 # -- the key identity ----------------------------------------------------------
 
 
-def _b_sums(p, work: int) -> tuple:
-    """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) over every n, truncated below
-    work; the cutoff n_cut, the first n past h that ends 2m consecutive
-    vanishing terms; and whether the sums to n_cut and to 2 n_cut agree.
-
-    No b-term is built: b_n = a_n - a_{n-1} (a_{-1} = 0) vanishes exactly
-    when a_n == a_{n-1}, and the sums to N are closed forms in the a_n,
-
-        sum_{n<N} b_n = a_{N-1},
-        sum_{n<N} (n - h) b_n = (N - 1 - h) a_{N-1} - sum_{n<N-1} a_n.
-
-    From stable = _a_stable(p, work) on, a_n depends only on n mod m, so a
-    nonzero b_n in the period stable + 1 .. stable + m recurs in every
-    period and the sums diverge (ArithmeticError).  Otherwise b_n = 0 past
-    stable, and the sums over every n are those to N = stable + 1.  They
-    equal those of summing the b-terms one by one, which
-    tests/test_identities.py keeps as the oracle.  The a_n and their prefix
-    sums are read from the a-window (torus._a_sums), so a warm call adds
-    nothing up again.
-    """
-    m = p.m
-    stable = _a_stable(p, work)
-    a, sums = _a_sums(p, work, stable + m + 1)
-    if any(an != a[stable] for an in a[stable + 1:stable + m + 1]):
-        raise ArithmeticError("b_{n,t} sum failed to stabilize")
-    run = n = 0
-    prev = [0] * work  # a_{-1} = 0
-    while run < 2 * m or n <= p.h:
-        cur = a[min(n, stable)]
-        run = run + 1 if cur == prev else 0
-        prev, n = cur, n + 1
-    n_cut = n
-    out = []
-    for top in (n_cut - 1, 2 * n_cut - 1, stable):  # the sums to N = top + 1
-        done, past = min(top, stable), max(top - stable, 0)
-        tw = [(top - p.h) * x - s - past * y for x, s, y in zip(a[done], sums[done], a[stable])]
-        out.append((IntSeries.make(0, a[done], work), IntSeries.make(0, tw, work)))
-    return (*out[2], n_cut, out[0] == out[1])
-
-
 def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     """The two-variable identity behind the partial-theta asymptotics,
     multiplied by 2 so both sides stay in Z[[q]]:
@@ -196,8 +154,9 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
           + s q^(-h') (q)_inf (sum_i q^i/(1-q^i)) sum_n b_{n,t}
           - s q^(-h') (q)_inf sum_n (n - h) b_{n,t} ],  s = (-1)^(h''+1).
 
-    The two b-sums are the exact sums over every n from _b_sums (in closed
-    form over a_{n,t}; no b-term is built), which raises if they diverge.
+    The first sum is torus.kz_tail_sum.  The two b-sums are the exact sums
+    over every n from torus.b_sums (in closed form over a_{n,t}; no b-term
+    is built), which raises if they diverge.
     The report also carries the heuristic cutoff n_cut (``b_sum_cutoff``)
     and whether the sums to n_cut and to 2 n_cut agree
     (``cutoff_doubling_stable``); a pass needs that agreement too, so the
@@ -212,19 +171,8 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     )
     work = q_order + p.h_d
     eul = euler_product(work)
-    s1 = None
-    poch = [1] + [0] * (work - 1)  # (q)_n below q^work
-    for n in range(work + 1):
-        if n:
-            times_one_minus_qk(poch, n)
-        # (q)_n - (q)_inf = O(q^(n+1))
-        diffp = list(map(sub, poch[n + 1:], eul.coeffs[n + 1:]))
-        if n and not any(diffp):
-            break
-        inner = kz_inner_sum(p, n, work)
-        s1 = _acc_mul(s1, [n + 1, diffp], [inner.min_exp, inner.coeffs], work)
-    s1 = _series(s1, work)
-    tb, tw, n_cut, cutoff_stable = _b_sums(p, work)
+    s1 = kz_tail_sum(p, eul)
+    tb, tw, n_cut, cutoff_stable = b_sums(p, work)
     s2 = eul * divisor_sum_series(work) * tb
     s3 = eul * tw
     sigma = -p.sign

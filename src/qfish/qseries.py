@@ -13,7 +13,7 @@ from itertools import count
 from operator import index
 from typing import Iterator, Optional
 
-from .cyclotomic import CycInt, _reduce
+from .cyclotomic import cyc_eval
 from .series import IntSeries, Record, over_one_minus_qk, progression_product, times_one_minus_qk
 
 
@@ -178,8 +178,9 @@ def partial_theta(spec: ThetaSpec, out_order: int) -> IntSeries:
 def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
     """Exact check that n -> zeta_M^((n^2-a)/b) chi(n) sums to zero over a period.
 
-    The sum runs over M * period(chi) consecutive integers and is evaluated
-    in Z[zeta_M]; no floating point is involved.
+    The sum runs over M * period(chi) consecutive integers, gathered by
+    exponent mod M, and is evaluated in Z[zeta_M] by cyc_eval; no floating
+    point is involved.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
@@ -188,7 +189,7 @@ def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
         c = spec.char(n)
         if c:
             acc[spec.exponent(n) % m] += c
-    return CycInt(m, _reduce(acc, m)).is_zero()
+    return cyc_eval(IntSeries.make(0, acc), m).is_zero()
 
 
 def _quintiple_pairs(q_power: int, x_power: int) -> list:

@@ -29,7 +29,7 @@ from .backend import mul_trunc, pool_dp
 from .biseries import BiAccumulator, BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, knot_index, theta_spec_t
-from .series import IntSeries, Record, over_one_minus_qk
+from .series import IntSeries, Record, over_one_minus_qk, times_one_minus_qk
 
 
 class TorusParams(Record):
@@ -177,11 +177,11 @@ def admissible_jvectors(
 # so no product list is built and no Python loop adds it.  A state's S + A,
 # and the end S + A, is added into its S pool in place (_ladd).  Every pool
 # the DP writes is private to its run, and the factors are only read, so the
-# in-place adds are safe.  The exact G_n that callers ask for again are
-# immutable IntSeries kept in kz_inner_sum's bounded lru_cache, so a process
-# builds each once.  The graded summands of M_t stay end pools, summed into
-# a_{n,t} once per n by the a-window (_a_sums) and convolved with (x)_{n+1}
-# by H_multisum.
+# in-place adds are safe.  The G_n that callers ask for again are immutable
+# IntSeries kept in kz_inner_sum's bounded lru_cache, so a process builds
+# each once (kz_tail_sum reads the cut ones).  The graded summands of M_t
+# stay end pools, summed into a_{n,t} once per n by the a-window (_a_sums),
+# which b_sums reads, and convolved with (x)_{n+1} by H_multisum.
 
 
 def _grow(dst, lo, n) -> int:
@@ -195,17 +195,6 @@ def _grow(dst, lo, n) -> int:
     if len(cs) < off + n:
         cs.extend([0] * (off + n - len(cs)))
     return off
-
-
-def _padd(dst, lo, coeffs):
-    """dst + q^lo coeffs for a pool dst [lo, coeffs] (None is zero), updated
-    in place; a new pool gets its own copy of coeffs."""
-    if dst is None:
-        return [lo, list(coeffs)]
-    cs = dst[1]
-    i = _grow(dst, lo, len(coeffs))
-    cs[i:i + len(coeffs)] = map(add, cs[i:i + len(coeffs)], coeffs)
-    return dst
 
 
 def _acc_mul(dst, src, f, lim):
@@ -228,11 +217,14 @@ def _acc_mul(dst, src, f, lim):
 
 def _ladd(a, b):
     """a + b for pools [lo, coeffs] (None is zero): b added into a in place,
-    or the nonzero side when one is zero.  a must be a pool of the running
-    DP, never a factor."""
-    if a is None:
-        return b
-    return a if b is None else _padd(a, *b)
+    or the nonzero side when one is zero.  a must be a pool the caller owns
+    (the running DP's, or M_series' fresh ones), never a factor."""
+    if a is None or b is None:
+        return b if a is None else a
+    lo, coeffs = b
+    i = _grow(a, lo, len(coeffs))
+    a[1][i:i + len(coeffs)] = map(add, a[1][i:i + len(coeffs)], coeffs)
+    return a
 
 
 def _q_lift(f, s):
@@ -435,6 +427,25 @@ def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
     return poly
 
 
+def kz_tail_sum(p: TorusParams, eul: IntSeries) -> IntSeries:
+    """sum_n ((q)_n - (q)_inf) G_n(q), the key identity's first multisum
+    term, cut below q^work, where eul is (q)_inf cut there.  (q)_n -
+    (q)_inf = O(q^(n+1)), so the sum ends at n = work - 2; each product is
+    added into one pool (_acc_mul)."""
+    work = eul.order
+    total = None
+    poch = [1] + [0] * (work - 1)  # (q)_n below q^work
+    for n in range(work + 1):
+        if n:
+            times_one_minus_qk(poch, n)
+        diffp = list(map(sub, poch[n + 1:], eul.coeffs[n + 1:]))
+        if n and not any(diffp):
+            break
+        inner = kz_inner_sum(p, n, work)
+        total = _acc_mul(total, [n + 1, diffp], [inner.min_exp, inner.coeffs], work)
+    return _series(total, work)
+
+
 def _over_one_minus_q_n(lo: int, coeffs: list, n: int) -> IntSeries:
     """The Laurent polynomial q^lo coeffs divided by 1 - q^n, exactly.
 
@@ -601,7 +612,7 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     n = 0
     while n * p.m < x_bound:
         for x_deg, term in _m_summand(p, n, x_bound, q_order):
-            cols[x_deg] = _padd(cols.get(x_deg), *term)
+            cols[x_deg] = _ladd(cols.get(x_deg), term)
         n += 1
     return BiSeries.make(x_bound, q_order, [_series(cols.get(d), q_order) for d in range(x_bound)])
 
@@ -613,11 +624,11 @@ def _a_stable(p: TorusParams, q_order: int) -> int:
 
 
 @lru_cache(maxsize=32, typed=True)
-def _a_window(p: TorusParams, q_order: int) -> list:
-    """[a, sums, run] of (p, q_order), grown by _a_sums: a_{n,t} and
-    sum_{i<n} a_{i,t} for every n built so far, and the running sum of
-    them all, as dense coefficient lists over q^0 .. q^(q_order-1)."""
-    return [[], [], [0] * q_order]
+def _a_window(p: TorusParams, q_order: int) -> tuple:
+    """(a, sums) of (p, q_order), grown by _a_sums: a_{n,t} and
+    sum_{i<n} a_{i,t} for every n built so far, as dense coefficient lists
+    over q^0 .. q^(q_order-1)."""
+    return [], []
 
 
 def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
@@ -630,15 +641,14 @@ def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
     stable + m + 1), is one pass over the graded summands k <= n/m of the
     new n: the end pool at x-degree d of summand k lands on a_{km+d}.
     """
-    window = _a_window(p, q_order)
-    a, sums, run = window
+    a, sums = _a_window(p, q_order)
     if len(a) < count:
-        m, lo = p.m, len(a)
-        hi = max(count, min(2 * lo, _a_stable(p, q_order) + m + 1))
-        slots = (m - 1) * (_jmax(q_order) + 1) + 1
+        m, lo, stable = p.m, len(a), _a_stable(p, q_order)
+        hi = max(count, min(2 * lo, stable + m + 1))
+        slots = stable - (q_order - 1) * m  # S, the slots of one summand
         new = [[0] * q_order for _ in range(hi - lo)]
-        # summand k fills n = km .. km + slots - 1, so those before the
-        # first k here lie wholly below lo
+        # summand k fills n = km .. km + S - 1, so those before the first k
+        # here lie wholly below lo
         for k in range(max(0, (lo - slots) // m + 1), (hi - 1) // m + 1):
             base = k * m - lo
             for d, pool in _m_graded(p, min(k, q_order), q_order).items():
@@ -647,10 +657,8 @@ def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
                     acc = new[base + d]
                     acc[e:e + len(cs)] = map(add, acc[e:e + len(cs)], cs)
         for acc in new:
-            sums.append(run)
+            sums.append(list(map(add, sums[-1], a[-1])) if a else [0] * q_order)
             a.append(acc)
-            run = list(map(add, run, acc))
-        window[2] = run
     return a, sums
 
 
@@ -682,3 +690,43 @@ def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     if n < 0:
         raise ValueError("n must be >= 0")
     return a_n_t(p, n, q_order) - a_n_t(p, n - 1, q_order)
+
+
+def b_sums(p: TorusParams, work: int) -> tuple:
+    """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) over every n, truncated below
+    work; the cutoff n_cut, the first n past h that ends 2m consecutive
+    vanishing terms; and whether the sums to n_cut and to 2 n_cut agree.
+
+    No b-term is built: b_n = a_n - a_{n-1} (a_{-1} = 0) vanishes exactly
+    when a_n == a_{n-1}, and the sums to N are closed forms in the a_n,
+
+        sum_{n<N} b_n = a_{N-1},
+        sum_{n<N} (n - h) b_n = (N - 1 - h) a_{N-1} - sum_{n<N-1} a_n.
+
+    From stable = _a_stable(p, work) on, a_n depends only on n mod m, so a
+    nonzero b_n in the period stable + 1 .. stable + m recurs in every
+    period and the sums diverge (ArithmeticError).  Otherwise b_n = 0 past
+    stable, and the sums over every n are those to N = stable + 1.  They
+    equal those of summing the b-terms one by one, which
+    tests/test_identities.py keeps as the oracle.  The a_n and their prefix
+    sums are read from the a-window (_a_sums), so a warm call adds nothing
+    up again.
+    """
+    m = p.m
+    stable = _a_stable(p, work)
+    a, sums = _a_sums(p, work, stable + m + 1)
+    if any(an != a[stable] for an in a[stable + 1:stable + m + 1]):
+        raise ArithmeticError("b_{n,t} sum failed to stabilize")
+    run = n = 0
+    prev = [0] * work  # a_{-1} = 0
+    while run < 2 * m or n <= p.h:
+        cur = a[min(n, stable)]
+        run = run + 1 if cur == prev else 0
+        prev, n = cur, n + 1
+    n_cut = n
+    out = []
+    for top in (n_cut - 1, 2 * n_cut - 1, stable):  # the sums to N = top + 1
+        done, past = min(top, stable), max(top - stable, 0)
+        tw = [(top - p.h) * x - s - past * y for x, s, y in zip(a[done], sums[done], a[stable])]
+        out.append((IntSeries.make(0, a[done], work), IntSeries.make(0, tw, work)))
+    return (*out[2], n_cut, out[0] == out[1])

@@ -15,7 +15,6 @@ from qfish.fishburn import (
     S_set,
     _exact_div,
     _sub_row,
-    _SubTables,
     _xi_from_lvalues,
     binom_congruence,
     congruence_j_range,
@@ -30,7 +29,7 @@ from qfish.fishburn import (
 )
 from qfish.oeis import parse_bfile
 from qfish.qseries import q_binomial, theta_spec_t
-from qfish.series import IntSeries, NotPolynomialError, substitute_one_minus_q
+from qfish.series import IntSeries, NotPolynomialError, one_minus_q_power, substitute_one_minus_q
 from qfish.torus import _acc_mul, kz_partial_polynomials, torus_params
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -39,23 +38,28 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The retired two-pass builder, kept as an oracle for _sub_row: first the
 # Gaussian binomial row at q -> 1-q by the Pascal rule, then the factors.
-def _sub_pascal_row(prev, n, tab):
+def _powers(top, count):
+    """(1-q)^e cut below q^count for e = 0 .. top - 1, as lists."""
+    return [list(one_minus_q_power(e, min(e + 1, count)).coeffs) for e in range(top)]
+
+
+def _sub_pascal_row(prev, n, pw, count):
     """Row n of [n, k] at q -> 1-q, as pools [0, coeffs]:
     [n, k] = [n-1, k-1] + q^k [n-1, k], and q^k maps to (1-q)^k."""
     if n == 0:
         return [[0, [1]]]
     row = [[0, [1]]]
     for k in range(1, n):
-        row.append(_acc_mul([0, list(prev[k - 1][1])], [0, tab.power(k)], prev[k], tab.count))
+        row.append(_acc_mul([0, list(prev[k - 1][1])], [0, pw[k]], prev[k], count))
     row.append([0, [1]])
     return row
 
 
-def _sub_factors(row, order, tab):
+def _sub_factors(row, order, pw):
     """(-1)^j (1-q)^C(j,2) row[j] cut below q^order."""
     out = []
     for j, (_, cs) in enumerate(row):
-        prod = mul_trunc(tab.power(j * (j - 1) // 2), cs, order)
+        prod = mul_trunc(pw[j * (j - 1) // 2], cs, order)
         out.append([-c for c in prod] if j & 1 else prod)
     return out
 
@@ -373,22 +377,22 @@ class TestSubRow:
     COUNT = 16
 
     def _rows(self, length):
-        tab = _SubTables(self.COUNT)
-        rows = [_sub_row(None, 0, length, tab)]
+        pw = _powers(92, self.COUNT)  # e <= C(14, 2) for _sub_factors
+        rows = [_sub_row(None, 0, length, pw)]
         for n in range(1, 15):
-            rows.append(_sub_row(rows[-1], n, length, tab))
-        return tab, rows
+            rows.append(_sub_row(rows[-1], n, length, pw))
+        return pw, rows
 
     def test_matches_retired_builder(self):
         # every j <= n for n <= 14, cut at lengths 1, 2, 5 and count - n + 1
-        tab, full = self._rows(self.COUNT)
-        pascal = _sub_pascal_row(None, 0, tab)
+        pw, full = self._rows(self.COUNT)
+        pascal = _sub_pascal_row(None, 0, pw, self.COUNT)
         for n in range(15):
             if n:
-                pascal = _sub_pascal_row(pascal, n, tab)
+                pascal = _sub_pascal_row(pascal, n, pw, self.COUNT)
             for length in sorted({1, 2, 5, min(self.COUNT - n + 1, self.COUNT)}):
-                row = full[0] if n == 0 else _sub_row(full[n - 1], n, length, tab)
-                want = _sub_factors(pascal, length, tab)
+                row = full[0] if n == 0 else _sub_row(full[n - 1], n, length, pw)
+                want = _sub_factors(pascal, length, pw)
                 assert len(row) == n + 1
                 for j, (lo, cs) in enumerate(row):
                     assert lo == 0 and cs
@@ -487,6 +491,19 @@ class TestDivisibility:
     def test_lambda_zero_trivial(self):
         rep = divisibility_check(2, 5, 3)
         assert rep.lam == 0 and rep.passed
+
+    def test_detects_perturbation(self, monkeypatch):
+        # 1 + q^1 lands on piece 1 as a constant: (q)_2 cannot divide it
+        import qfish.fishburn as fishburn_mod
+
+        real = fishburn_mod.kz_full_polynomial
+        monkeypatch.setattr(fishburn_mod, "kz_full_polynomial",
+                            lambda p, n: real(p, n) + IntSeries.monomial(1))
+        rep = divisibility_check(2, 5, 9)
+        assert not rep.passed and not rep.as_dict()["pass"]
+        bad = [e for e in rep.entries if not e["divisible"]]
+        assert [e["i"] for e in bad] == [1]
+        assert isinstance(bad[0]["remainder_degree"], int) and "quotient_degree" not in bad[0]
 
     def test_odd_t_laurent_pieces(self):
         rep = divisibility_check(3, 7, 13)

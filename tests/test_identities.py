@@ -6,7 +6,6 @@ import qfish.torus as torus_mod
 from qfish.cyclotomic import CycInt, _reduce
 from qfish.identities import (
     IdentityReport,
-    _b_sums,
     _series_report,
     verify_difference_equation,
     verify_key_identity,
@@ -17,7 +16,7 @@ from qfish.identities import (
 )
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
-from qfish.torus import b_n_t, kz_at_root_of_unity, torus_params
+from qfish.torus import b_n_t, b_sums, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
@@ -198,6 +197,36 @@ class TestSensitivity:
         rep = verify_key_identity(2, 16)
         assert not rep.passed
 
+    def test_failing_report_carries_first_discrepancy(self, monkeypatch):
+        import qfish.identities as idm
+        from qfish.series import divisor_sum_series as real_d
+
+        monkeypatch.setattr(idm, "divisor_sum_series",
+                            lambda order: real_d(order) + IntSeries.monomial(3, 1, order))
+        out = verify_key_identity(2, 16).as_dict()
+        assert not out["pass"]
+        assert out["first_discrepancy"] == {"exponent": 3, "lhs": -8, "rhs": -10}
+
+    def test_key_identity_fails_on_unstable_cutoff(self, monkeypatch):
+        # a_0 + q^15 and a_37 - q^15 at (2, 16), where the cutoff is 37 and
+        # stable 38: the exact sums, and so the identity, do not change, but
+        # the sums to the cutoff do, so the doubling check turns the pass
+        # into a fail
+        p, work = torus_params(2), 16
+        stable, real = torus_mod._a_stable(p, work), _real_a(p, work)
+        n_cut = b_sums(p, work)[2]
+        assert n_cut < stable
+        delta = IntSeries.monomial(work - 1, 1, work)
+
+        def moved(p_, n, q_order):
+            return real(n) + delta if n == 0 else real(n) - delta if n == n_cut else real(n)
+
+        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(moved))
+        assert b_sums(p, work)[2:] == (n_cut, False)
+        rep = verify_key_identity(2, work)
+        assert not rep.passed and rep.first_discrepancy is None
+        assert rep.details == {"b_sum_cutoff": n_cut, "cutoff_doubling_stable": False}
+
 
 def _b_sums_two_pass(p, work, n_stop=None):
     """Oracle: the b-sums as they were, one pass to the cutoff and, with
@@ -227,13 +256,21 @@ def _b_sums_two_pass(p, work, n_stop=None):
 
 
 def _window_of(a_fn):
-    """The a-window seam _b_sums reads (torus._a_sums), taken from the per-n
+    """The a-window seam b_sums reads (torus._a_sums), taken from the per-n
     function a_fn: a_n and sum_{i<n} a_i as dense coefficient lists."""
     def seam(p, work, count):
         a = [[a_fn(p, n, work).coeff(e) for e in range(work)] for n in range(count)]
         sums = [list(map(sum, zip([0] * work, *a[:n]))) for n in range(count)]
         return a, sums
     return seam
+
+
+def _real_a(p, work):
+    """a_n_t at (p, work), n -> a_{n,t}, read off the real a-window before a
+    test patches its seam (torus._a_sums), which a_n_t itself reads."""
+    stable = torus_mod._a_stable(p, work)
+    a = [IntSeries.make(0, cs, work) for cs in torus_mod._a_sums(p, work, stable + p.m)[0]]
+    return lambda n: IntSeries.zero(work) if n < 0 else a[min(n, stable + (n - stable) % p.m)]
 
 
 class TestBSums:
@@ -246,59 +283,53 @@ class TestBSums:
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stop)
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)
-        assert _b_sums(p, work) == (tb, tw, n_cut, doubled)
+        assert b_sums(p, work) == (tb, tw, n_cut, doubled)
 
     def test_divergent_period_raises_like_oracle(self, monkeypatch):
         # a_{n,t} + 1 on n = 0 (mod m) keeps a periodic past stable, but with
         # a nonzero b in every period, so no run of 2m vanishing terms comes
-        import qfish.identities as idm
-
         p, work = torus_params(2), 12
-        stable, real = torus_mod._a_stable(p, work), torus_mod.a_n_t
+        real = _real_a(p, work)
 
         def bumped(p_, n, q_order):
-            a = real(p_, n if n < stable else stable + (n - stable) % p_.m, q_order)
+            a = real(n)
             return a + IntSeries.monomial(0, 1, q_order) if n >= 0 and n % p_.m == 0 else a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(idm, "_a_sums", _window_of(bumped))
+        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(bumped))
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             _b_sums_two_pass(p, work)
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
-            _b_sums(p, work)
+            b_sums(p, work)
 
     def test_cold_reads_stop_at_the_period(self):
         # a_{n,t} is read for n <= stable + m only
         p, work = torus_params(2), 70
         torus_mod._a_window.cache_clear()
-        assert _b_sums(p, work)[2] == 145
+        assert b_sums(p, work)[2] == 145
         assert len(torus_mod._a_window(p, work)[0]) == torus_mod._a_stable(p, work) + p.m + 1
 
     def test_period_past_stable_checked_after_early_cutoff(self, monkeypatch):
         # a_{n,t} + 1 on n = stable + 1 (mod m), n > stable: the cutoff (37)
         # comes before stable (38), but a nonzero b recurs in every period
-        import qfish.identities as idm
-
         p, work = torus_params(2), 16
-        stable, real = torus_mod._a_stable(p, work), torus_mod.a_n_t
+        stable, real = torus_mod._a_stable(p, work), _real_a(p, work)
 
         def bumped(p_, n, q_order):
-            a = real(p_, n, q_order)
+            a = real(n)
             if n > stable and (n - stable) % p_.m == 1:
                 return a + IntSeries.monomial(0, 1, q_order)
             return a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(idm, "_a_sums", _window_of(bumped))
+        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(bumped))
         assert _b_sums_two_pass(p, work)[2] < stable
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
-            _b_sums(p, work)
+            b_sums(p, work)
 
     def test_step_past_doubled_cutoff_is_summed(self, monkeypatch):
         # a_n = 1 for n < 20 and 1 + q from n = 20 on: the cutoff is 5, the
         # sums to 5 and to 10 agree, and only the exact sums see the step
-        import qfish.identities as idm
-
         p, work = torus_params(2), 12
         stable = torus_mod._a_stable(p, work)
 
@@ -308,18 +339,16 @@ class TestBSums:
             return IntSeries.make(0, [1, 1 if n >= 20 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", stepped)
-        monkeypatch.setattr(idm, "_a_sums", _window_of(stepped))
+        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(stepped))
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert 2 * n_cut <= 20 < stable
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
         assert (tb, tw) != (cut_b, cut_w)
-        assert _b_sums(p, work) == (tb, tw, n_cut, True)
+        assert b_sums(p, work) == (tb, tw, n_cut, True)
 
     def test_vanishing_a0_starts_the_run(self, monkeypatch):
         # a_n = 0 for n < 6 and 1 from n = 6 on: b_0 = a_0 - a_{-1} = 0
         # already counts toward the run of vanishing terms, so the cutoff is 4
-        import qfish.identities as idm
-
         p, work = torus_params(2), 12
         stable = torus_mod._a_stable(p, work)
 
@@ -327,12 +356,12 @@ class TestBSums:
             return IntSeries.make(0, [1 if n >= 6 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", late)
-        monkeypatch.setattr(idm, "_a_sums", _window_of(late))
+        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(late))
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert n_cut == 4
         doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
-        assert _b_sums(p, work) == (tb, tw, n_cut, doubled)
+        assert b_sums(p, work) == (tb, tw, n_cut, doubled)
 
 
 class TestWindowValidation:

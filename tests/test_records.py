@@ -1,5 +1,7 @@
-"""Value semantics of the record types, and what a fresh process imports."""
+"""Value semantics of the record types, what a fresh process imports, and
+which private names one module may import from another."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -48,6 +50,39 @@ UNHASHABLE = {"IdentityReport"}  # its window is a dict, as with the dataclass
 
 def _fields(rec):
     return [getattr(rec, name) for name in rec.__slots__]
+
+
+# The underscore names a module may import from a sibling: fishburn's two
+# hooks into the one inner-sum DP (the xi_series oracle), and backend's
+# kernel modules.
+PRIVATE_IMPORTS = {
+    ("fishburn", "torus", "_acc_mul"),
+    ("fishburn", "torus", "_pool_dp"),
+    ("backend", "", "_kernels"),
+    ("backend", "", "_speedups"),
+}
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    found = set()
+    for path in sorted((SRC / "qfish").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    source = node.module or ""
+                elif (node.module or "").startswith("qfish"):
+                    source = node.module.removeprefix("qfish").removeprefix(".")
+                else:
+                    continue
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                source = ""
+                names = [alias.name.removeprefix("qfish.") for alias in node.names
+                         if alias.name.startswith("qfish.")]
+            else:
+                continue
+            found |= {(path.stem, source, name) for name in names if name.startswith("_")}
+    assert found - PRIVATE_IMPORTS == set()
 
 
 def test_cold_start_imports_no_heavy_stdlib():

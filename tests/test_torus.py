@@ -14,7 +14,7 @@ from qfish.biseries import BiAccumulator, BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
-from qfish.series import IntSeries, first_difference, substitute_one_minus_q
+from qfish.series import IntSeries, first_difference, one_minus_q_power, substitute_one_minus_q
 from test_series import invert_unit
 from qfish.torus import (
     H_multisum,
@@ -367,13 +367,6 @@ class TestPoolAdd:
         kz_inner_sum.cache_clear()
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
 
-    def test_padd_copies_new_pool(self, no_kernel):
-        cs = [1, 2]
-        pool = torus_mod._padd(None, 3, cs)
-        pool[1][0] = 7
-        assert cs == [1, 2]
-        assert torus_mod._padd(pool, 1, [5, 0, 1]) == [1, [5, 0, 8, 2]]
-
     def test_ladd(self, no_kernel):
         # the sum lands in the left pool; the right one is untouched
         a, b = [2, [1, 1]], [0, [4]]
@@ -381,6 +374,8 @@ class TestPoolAdd:
         assert got is a and a == [0, [4, 0, 1, 1]]
         assert b == [0, [4]]
         assert torus_mod._ladd(None, b) is b and torus_mod._ladd(a, None) is a
+        # a right pool that overlaps the left one and runs past its end
+        assert torus_mod._ladd([3, [7, 2]], [1, [5, 0, 1]]) == [1, [5, 0, 8, 2]]
 
 
 class TestFactorsAreOnlyRead:
@@ -416,15 +411,15 @@ class TestFactorsAreOnlyRead:
     @pytest.mark.parametrize("graded", [False, True])
     def test_substituted_factors(self, t, order, graded):
         # the list-based rows of xi_series, lifted as it lifts them
-        tab = fishburn_mod._SubTables(12)
+        pw = [list(one_minus_q_power(e, min(e + 1, 12)).coeffs) for e in range(6)]
         row = [[0, [1]]]
         for n in range(1, 4):
-            row = fishburn_mod._sub_row(row, n, 12, tab)
-        fac = row + [None], fishburn_mod._sub_row(row, 4, 12, tab)
+            row = fishburn_mod._sub_row(row, n, 12, pw)
+        fac = row + [None], fishburn_mod._sub_row(row, 4, 12, pw)
         before = copy.deepcopy(fac)
 
         def lift(f, s):
-            a = tab.power(s)
+            a = pw[s]
             return [0, mul_trunc(a, f[1], order or len(a) + len(f[1]) - 1)]
 
         assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded, lift=lift)
@@ -651,6 +646,19 @@ class TestHSeries:
         for t in (2, 3):
             p = torus_params(t)
             assert H_multisum(p, 4, 8).cols[0].coeff(0) == 1
+
+    def test_multisum_checks_negative_degrees(self, monkeypatch):
+        # summand 0 of M_2 starts at x^2 = x^h; a pool put at x^0 survives
+        # the x^(-h) shift at degree -2, and the check must refuse it
+        real = torus_mod._m_graded
+
+        def perturbed(p, n, q_order):
+            ends = real(p, n, q_order)
+            return {**ends, 0: [0, [1]]} if n == 0 else ends
+
+        monkeypatch.setattr(torus_mod, "_m_graded", perturbed)
+        with pytest.raises(ArithmeticError, match="negative x-degree -2"):
+            H_multisum(torus_params(2), 4, 8)
 
 
 class TestMSeries:
