@@ -215,7 +215,7 @@ class TestSensitivity:
         p, work = torus_params(2), 16
         stable, real = torus_mod._a_stable(p, work), _real_a(p, work)
         n_cut = b_sums(p, work)[2]
-        assert n_cut < stable
+        assert (n_cut, stable) == (37, 38)
         delta = IntSeries.monomial(work - 1, 1, work)
 
         def moved(p_, n, q_order):
