@@ -16,8 +16,8 @@ t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
 (where the prefix store serves the later ones), cold runs of the
 difference equation at (3, 10, 24) and (4, 12, 30), the key identity at
 (2, 30) and the DP's factor rows at order 21 for n <= 21, and the
-xi_series oracle.  The cold rows empty each cache through getattr, so the
-script also times a checkout that lacks some of them.  Times are CPU
+xi_series oracle.  The cold rows empty each lru_cache they name, so the
+checkout under test must have them all.  Times are CPU
 seconds of this process, best of k.  Running the script against two
 checkouts' src/, alternately, gives the engine layer's speedup between
 them: benchmarks/pair.py does that and writes the paired BENCH_<n>.json
@@ -158,7 +158,6 @@ def engine_cases() -> list:
     Gaussian-binomial rows and the (x; q)_n factor rows stay cached, as in a
     long-lived process) unless the name says cold."""
     import qfish.fishburn as fishburn
-    import qfish.identities as identities
     import qfish.qseries as qseries
     import qfish.torus as torus
     from qfish.fishburn import divisibility_check, xi_coefficients
@@ -172,30 +171,20 @@ def engine_cases() -> list:
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
     mods = {"torus": torus, "qseries": qseries, "fishburn": fishburn}
-    # the factor rows of any checkout: the Gaussian-binomial rows, the table
-    # store of (x; q)_n, or its lru_cache
-    rows = ("qseries.binom_row_trunc", "torus._xq_tables", "torus._xq_rows")
-    a_windows = ("torus.a_n_t", "torus._a_window", "torus._m_graded")
+    # the factor rows: the Gaussian-binomial rows and the (x; q)_n tables
+    rows = ("qseries.binom_row_trunc", "torus._xq_rows")
+    a_windows = ("torus._a_window", "torus._m_graded")
 
     def clear(*names):
-        """Empty each named cache (cache_clear) or table store (clear) that
-        the checkout under test has, so the script also times one that
-        predates a name."""
+        """Empty each named lru_cache."""
         for name in names:
             mod, attr = name.split(".")
-            obj = getattr(mods[mod], attr, None)
-            empty = getattr(obj, "cache_clear", None) or getattr(obj, "clear", None)
-            if empty is not None:
-                empty()
-
-    # the key identity's b-sums: torus.b_sums, or identities._b_sums in a
-    # checkout from before they joined the a-window in torus
-    b_sums_of = getattr(torus, "b_sums", None) or identities._b_sums
+            getattr(mods[mod], attr).cache_clear()
 
     def b_sums(p, q_order, cold):
         if cold:  # every a_{n,t} and graded summand rebuilt
             clear(*a_windows)
-        return b_sums_of(p, q_order + p.h_d)
+        return torus.b_sums(p, q_order + p.h_d)
 
     def root_match_cold(t, n_max):  # as the first call in a process
         clear("torus.kz_inner_sum", *rows)
@@ -229,8 +218,8 @@ def engine_cases() -> list:
         clear("torus.kz_inner_sum", *rows)
         return [kz_inner_sum(p, n, None) for n in range(n_top + 1)]
 
-    def xi_cold(t, counts):  # every xi table rebuilt (the prefix store where there is one)
-        clear("fishburn._xi_cached", "fishburn._xi_tables")
+    def xi_cold(t, counts):  # every xi table rebuilt
+        clear("fishburn._xi_cached")
         return [xi_coefficients(t, c) for c in counts]
 
     xi_counts = (5, 7, 10, 14, 15, 20, 21, 22, 25, 49)  # the session menu's t = 2 counts

@@ -1,7 +1,10 @@
 """Series truncated in two variables x and q.
 
 Carrier for H_t(x, q) and M_t(x, q): a column of q-series, one per x-degree
-below ``x_bound``, all sharing a common q-order.
+below ``x_bound``, all sharing a common q-order.  Every engine builds one
+with ``BiSeries.make`` from its list of columns; those in torus collect
+their terms as pools by x-degree first and check there that an x^(-h)
+prefactor cancels.
 """
 
 from __future__ import annotations
@@ -35,34 +38,6 @@ class BiSeries(Record):
                 c = c - self.cols[j - 1]
             cols.append(c)
         return BiSeries(self.x_bound, self.q_order, tuple(cols))
-
-
-class BiAccumulator:
-    """Mutable helper for building a BiSeries from (x-degree, q-series) pieces.
-
-    Accepts transiently negative x-degrees so that engines with an x**(-h)
-    prefactor can verify cancellation instead of assuming it.
-    """
-
-    def __init__(self, x_bound: int, q_order: int):
-        self.x_bound = x_bound
-        self.q_order = q_order
-        self._cols: dict = {}
-
-    def add(self, x_deg: int, piece: IntSeries) -> None:
-        if x_deg >= self.x_bound or piece.is_zero():
-            return
-        cur = self._cols.get(x_deg)
-        self._cols[x_deg] = piece if cur is None else cur + piece
-
-    def finish(self) -> BiSeries:
-        for x_deg, piece in self._cols.items():
-            if x_deg < 0 and not piece.truncate(self.q_order).is_zero():
-                raise ArithmeticError(f"nonzero coefficient at negative x-degree {x_deg}")
-        cols = [
-            self._cols.get(j, IntSeries.zero(self.q_order)) for j in range(self.x_bound)
-        ]
-        return BiSeries.make(self.x_bound, self.q_order, cols)
 
 
 def bi_first_difference(a: BiSeries, b: BiSeries):

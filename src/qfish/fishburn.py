@@ -246,7 +246,6 @@ class Dissection(Record):
     """
 
     __slots__ = ("s", "pieces", "n_index")
-    _defaults = {"n_index": None}
 
     def reconstruct(self) -> IntSeries:
         total = IntSeries.zero()
@@ -337,7 +336,6 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
 
 class CongruenceReport(Record):
     __slots__ = ("t", "p", "r", "m_max", "j_range", "entries", "passed", "vacuous", "scanned")
-    _defaults = {"vacuous": False, "scanned": ()}
 
     def as_dict(self) -> dict:
         out = {
@@ -377,7 +375,7 @@ def verify_congruence(t: int, p: int, r: int, m_max: int, scan_all_j: bool = Fal
     j_range = congruence_j_range(t, p)
     modulus = p**r
     if not j_range and not scan_all_j:
-        return CongruenceReport(t, p, r, m_max, (), (), True, vacuous=True)
+        return CongruenceReport(t, p, r, m_max, (), (), True, True, ())
     xs = xi_coefficients(t, modulus * m_max)
     entries = []
     scanned = []
@@ -394,10 +392,8 @@ def verify_congruence(t: int, p: int, r: int, m_max: int, scan_all_j: bool = Fal
                     ok = False
             else:
                 scanned.append(ent)
-    return CongruenceReport(
-        t, p, r, m_max, tuple(j_range), tuple(entries), ok, vacuous=not j_range,
-        scanned=tuple(scanned)
-    )
+    return CongruenceReport(t, p, r, m_max, tuple(j_range), tuple(entries), ok, not j_range,
+                            tuple(scanned))
 
 
 def straub_order_bound(p: int, r: int, n: int) -> bool:
@@ -422,6 +418,8 @@ def straub_order_bound(p: int, r: int, n: int) -> bool:
 def binom_congruence(i: int, l: int, p: int, r: int, m: int, j: int) -> bool:
     """binom(i + l*p, p^r m - j) == 0 (mod p^r), the coefficient lemma used
     with 0 <= i < p and j < p - i."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     if r < 1:
         raise ValueError("r must be >= 1")
     bottom = p**r * m - j

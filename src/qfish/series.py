@@ -45,37 +45,27 @@ class Record:
     A subclass names its fields, in constructor order, in ``__slots__`` and
     gets field-by-field equality (with objects of the same class only), hash
     and repr; a further subclass appends the fields it names to its parent's.
-    ``_defaults`` maps trailing fields to their defaults; a callable default
-    (``dict``) is called to give each instance a fresh value.  The two hot
-    value types, ``IntSeries`` and ``CycInt``, replace the generic
-    ``__init__`` with direct assignments.  Fields are never assigned after
-    construction.
+    The constructor takes exactly the fields, positionally: any other count,
+    or a keyword, is a TypeError, so each record has one way to be built.
+    The two hot value types, ``IntSeries`` and ``CycInt``, replace the
+    generic ``__init__`` with direct assignments.  Fields are never assigned
+    after construction.
     """
 
     __slots__ = ()
     _names: tuple = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._names = cls._names + cls.__dict__.get("__slots__", ())
         cls._fields = attrgetter(*cls._names)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self._names
-        rest = names[len(args):]
-        if len(args) > len(names) or not kwargs.keys() <= set(rest):
-            raise TypeError(f"{type(self).__name__}() got too many or unknown arguments")
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes its {len(names)} fields "
+                            f"{names}, got {len(args)} arguments")
         for name, value in zip(names, args):
-            setattr(self, name, value)
-        for name in rest:
-            if name in kwargs:
-                value = kwargs[name]
-            elif name in self._defaults:
-                value = self._defaults[name]
-                value = value() if callable(value) else value
-            else:
-                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
             setattr(self, name, value)
 
     def __eq__(self, other):
@@ -303,11 +293,13 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     The (1-q)^min_exp prefactor is |min_exp| passes of ``times_one_minus_qk``
     or, for negative min_exp, ``over_one_minus_qk`` at k = 1.
     """
+    if out_order < 1:
+        raise ValueError("out_order must be >= 1")
     if a.order is not None and out_order > a.order:
         raise TruncationError(
             f"composition to order {out_order} needs input known to that order (have {a.order})"
         )
-    if out_order <= 0 or not a.coeffs:
+    if not a.coeffs:
         return IntSeries.zero(out_order)
     # a = q^min_exp * P(q); evaluate P at u = 1-q by Horner, then fix the
     # (1-q)^min_exp prefactor.
@@ -429,8 +421,15 @@ def first_difference(a: IntSeries, b: IntSeries):
     hi = max(a.min_exp + len(a.coeffs), b.min_exp + len(b.coeffs))
     if order is not None:
         hi = min(hi, order)
-    for e in range(lo, hi):
-        ca, cb = a.coeff(e), b.coeff(e)
-        if ca != cb:
-            return (e, ca, cb)
-    return None
+    wa, wb = _window(a, lo, hi), _window(b, lo, hi)
+    if wa == wb:
+        return None
+    i = next(i for i, (ca, cb) in enumerate(zip(wa, wb)) if ca != cb)
+    return (lo + i, wa[i], wb[i])
+
+
+def _window(a: IntSeries, lo: int, hi: int) -> list:
+    """The coefficients of q^lo .. q^(hi - 1) in a, for lo <= a.min_exp."""
+    k = min(a.min_exp, hi) - lo
+    cs = a.coeffs[:hi - lo - k]
+    return [0] * k + list(cs) + [0] * (hi - lo - k - len(cs))

@@ -26,7 +26,7 @@ from operator import add, index, sub
 from typing import Iterator, Optional
 
 from .backend import mul_trunc, pool_dp
-from .biseries import BiAccumulator, BiSeries
+from .biseries import BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, knot_index, theta_spec_t
 from .series import IntSeries, Record, over_one_minus_qk, times_one_minus_qk
@@ -218,7 +218,8 @@ def _acc_mul(dst, src, f, lim):
 def _ladd(a, b):
     """a + b for pools [lo, coeffs] (None is zero): b added into a in place,
     or the nonzero side when one is zero.  a must be a pool the caller owns
-    (the running DP's, or M_series' fresh ones), never a factor."""
+    (the running DP's, or the fresh ones of M_series and H_theta), never a
+    factor."""
     if a is None or b is None:
         return b if a is None else a
     lo, coeffs = b
@@ -515,18 +516,30 @@ def _check_window(x_bound: int, q_order: int) -> None:
         raise ValueError("x_bound and q_order must be >= 1")
 
 
+def _check_cancelled(cols: dict, low: int) -> None:
+    """The pools by x-degree ``cols`` (None is zero) stand before an x^(-low)
+    prefactor, which must cancel: a nonzero pool below x-degree low is
+    refused rather than assumed away."""
+    for e, pool in cols.items():
+        if e < low and pool and any(pool[1]):
+            raise ArithmeticError(f"nonzero coefficient at negative x-degree {e - low}")
+
+
 def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """H_t(x, q) = sum_{n>=0} chi_t(n) q^((n^2-(2^(t+1)-3)^2)/(3*2^(t+2)))
     x^((n-(2^(t+1)-3))/2), truncated in both variables: the terms of
-    P^(0), each at its x-degree (add drops those at or past x_bound)."""
+    P^(0), each a monomial pool at its x-degree below x_bound.  A term at
+    a negative x-degree is refused (_check_cancelled with low = 0)."""
     if p.t < 2:
         raise ValueError("H_t needs t >= 2")
     _check_window(x_bound, q_order)
     n0 = 2 ** (p.t + 1) - 3
-    acc = BiAccumulator(x_bound, q_order)
+    cols: dict = {}  # x-degree -> pool
     for n, sign, qe in theta_spec_t(p.t, 0).terms(q_order):
-        acc.add((n - n0) // 2, IntSeries.monomial(qe, sign, q_order))
-    return acc.finish()
+        if (d := (n - n0) // 2) < x_bound:
+            cols[d] = _ladd(cols.get(d), [qe, [sign]])
+    _check_cancelled(cols, 0)
+    return BiSeries.make(x_bound, q_order, [_series(cols.get(d), q_order) for d in range(x_bound)])
 
 
 def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tuple]:
@@ -575,9 +588,8 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     with (x)_{n+1}.  The summand comes by x-degree from the graded DP
     (_m_graded), and past n = work, the working order, it is summand work
     (a_n_t has why); the columns of (x)_{n+1} = (x; q)_{n+1} are the rows
-    of the factor table.  The x^(-h) prefactor must cancel, so negative
-    x-degrees are accumulated and verified to vanish rather than assumed
-    away.
+    of the factor table.  The x^(-h) prefactor must cancel: negative
+    x-degrees are accumulated and checked by _check_cancelled with low = h.
     """
     if p.t < 2:
         raise ValueError("the multisum form needs t >= 2")
@@ -595,9 +607,7 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
                 for e, col in enumerate(poch[:top - x_deg], x_deg):
                     cols[e] = _acc_mul(cols.get(e), pool, col, work)
         n += 1
-    for e, pool in cols.items():
-        if e < p.h and pool and any(pool[1]):
-            raise ArithmeticError(f"nonzero coefficient at negative x-degree {e - p.h}")
+    _check_cancelled(cols, p.h)
     return BiSeries.make(x_bound, q_order, [
         _series(cols.get(e + p.h), work).shift(-p.h_d).scale(p.sign) for e in range(x_bound)
     ])

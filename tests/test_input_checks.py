@@ -6,6 +6,7 @@ import pytest
 
 from qfish.fishburn import (
     S_set,
+    binom_congruence,
     dissection,
     divisibility_check,
     straub_order_bound,
@@ -14,7 +15,13 @@ from qfish.fishburn import (
 )
 from qfish.identities import verify_key_identity, verify_theta_product
 from qfish.qseries import pochhammer, theta_spec_t
-from qfish.series import IntSeries, one_minus_q_power, poly_divides, progression_product
+from qfish.series import (
+    IntSeries,
+    one_minus_q_power,
+    poly_divides,
+    progression_product,
+    substitute_one_minus_q,
+)
 from qfish.torus import (
     H_multisum,
     H_theta,
@@ -38,11 +45,15 @@ CASES = [
     ("verify_congruence r 0", lambda: verify_congruence(2, 5, 0, 1), "r, m_max"),
     ("verify_congruence m_max 0", lambda: verify_congruence(2, 5, 1, 0), "r, m_max"),
     ("straub_order_bound p 9", lambda: straub_order_bound(9, 1, 1), "prime"),
+    ("binom_congruence p 4", lambda: binom_congruence(0, 1, 4, 1, 1, 1), "prime"),
+    ("binom_congruence p 0", lambda: binom_congruence(0, 1, 0, 1, 1, 1), "prime"),
     ("verify_key_identity t 1", lambda: verify_key_identity(1, 10), "t >= 2"),
     ("verify_theta_product t 1", lambda: verify_theta_product(1, 10), "t >= 2"),
     ("pochhammer n -1", lambda: pochhammer(1, -1), "n must be"),
     ("one_minus_q_power e -1", lambda: one_minus_q_power(-1, 5), "nonnegative"),
     ("progression_product start 0", lambda: progression_product([(0, 2)], 5), "positive"),
+    ("substitute_one_minus_q order 0", lambda: substitute_one_minus_q(POLY, 0), "out_order"),
+    ("substitute_one_minus_q order -3", lambda: substitute_one_minus_q(POLY, -3), "out_order"),
     ("poly_divides by zero", lambda: poly_divides(IntSeries.zero(), POLY), "nonzero"),
     ("colored_jones N 0", lambda: colored_jones(T2, 0), "N must be"),
     ("kz_at_root_of_unity N 0", lambda: kz_at_root_of_unity(T2, 0), "N must be"),

@@ -130,27 +130,16 @@ def test_repr_literal():
     assert repr(IntSeries(1, (2, 3), 5)) == "IntSeries(min_exp=1, coeffs=(2, 3), order=5)"
 
 
-def test_record_defaults():
-    assert Dissection(2, ()).n_index is None
-    rep = CongruenceReport(2, 5, 1, 3, (1, 2), (), True)
-    assert rep.vacuous is False and rep.scanned == ()
-    a, b = IdentityReport("x", {}, True), IdentityReport("x", {}, True)
-    assert a.first_discrepancy is None and a.details == {}
-    assert a.details is not b.details
-
-
-def test_record_keywords_and_arity():
-    rep = IdentityReport("x", {}, True, details={"n": 1})
-    assert rep.first_discrepancy is None and rep.details == {"n": 1}
-    assert Dissection(s=3, pieces=(), n_index=4) == Dissection(3, (), 4)
+@pytest.mark.parametrize("args,kwargs", [
+    ((2, ()), {}),
+    ((2, (), 4, 5), {}),
+    ((2, ()), {"n_index": 4}),
+    ((), {"s": 3, "pieces": (), "n_index": 4}),
+], ids=["too_few", "too_many", "keyword_field", "all_keywords"])
+def test_record_takes_exactly_its_fields(args, kwargs):
+    assert Dissection(3, (), 4).n_index == 4
     with pytest.raises(TypeError):
-        Dissection(2)
-    with pytest.raises(TypeError):
-        Dissection(2, (), 4, 5)
-    with pytest.raises(TypeError):
-        Dissection(2, (), s=3)
-    with pytest.raises(TypeError):
-        Dissection(2, (), size=3)
+        Dissection(*args, **kwargs)
 
 
 def test_torus_params_is_a_cache_key():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qfish.fishburn as fishburn_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
-from qfish.biseries import BiAccumulator, BiSeries, bi_first_difference
+from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
@@ -198,25 +198,26 @@ def m_summand_full(p, n, x_stop, q_order):
 
 def h_multisum_per_term(p, x_bound, q_order):
     """Oracle (the accumulation H_multisum replaced): every term of every
-    summand convolved on its own with the IntSeries columns of (x)_{n+1}."""
+    summand convolved on its own with the IntSeries columns of (x)_{n+1},
+    summed by x-degree after the x^(-h) shift; the negative degrees must
+    cancel."""
     work = q_order + p.h_d
-    acc = BiAccumulator(x_bound + p.h, work)
+    zero = IntSeries.zero(work)
+    cols = {}
     poch_x = [IntSeries.one(work)]
     n = 0
     while n * p.m - p.h < x_bound:
-        zero = IntSeries.zero(work)
         poch_x = [c - c1.shift(n) for c, c1 in zip(poch_x + [zero], [zero] + poch_x)]
         poch_x = poch_x[: x_bound + p.h + 1]
         for x_deg, term in m_summand_full(p, n, x_bound + p.h, work):
             piece = term.scale(p.sign)
-            for d, col in enumerate(poch_x):
-                if x_deg - p.h + d >= x_bound:
+            for e, col in enumerate(poch_x, x_deg - p.h):
+                if e >= x_bound:
                     break
-                if not col.is_zero():
-                    acc.add(x_deg - p.h + d, col * piece)
+                cols[e] = cols.get(e, zero) + col * piece
         n += 1
-    bis = acc.finish()
-    return BiSeries.make(x_bound, q_order, [c.shift(-p.h_d) for c in bis.cols[:x_bound]])
+    assert all(c.is_zero() for e, c in cols.items() if e < 0)
+    return BiSeries.make(x_bound, q_order, [cols.get(e, zero).shift(-p.h_d) for e in range(x_bound)])
 
 
 class TestParams:
@@ -659,6 +660,22 @@ class TestHSeries:
         monkeypatch.setattr(torus_mod, "_m_graded", perturbed)
         with pytest.raises(ArithmeticError, match="negative x-degree -2"):
             H_multisum(torus_params(2), 4, 8)
+
+    def test_theta_checks_negative_degrees(self, monkeypatch):
+        # the terms of H_2 start at n = n0 = 5, x^0; a term put at n = 1
+        # lands at x^(-2), and the check must refuse it rather than drop it
+        real = torus_mod.theta_spec_t
+
+        class Perturbed:
+            def __init__(self, t, nu):
+                self.spec = real(t, nu)
+
+            def terms(self, out_order):
+                return itertools.chain([(1, 1, 0)], self.spec.terms(out_order))
+
+        monkeypatch.setattr(torus_mod, "theta_spec_t", Perturbed)
+        with pytest.raises(ArithmeticError, match="negative x-degree -2"):
+            H_theta(torus_params(2), 4, 8)
 
 
 class TestMSeries:
