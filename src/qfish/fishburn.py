@@ -19,14 +19,10 @@ polynomial instead, factor by factor: the image of
 the n-th summand is divisible by q^n because 1 - (1-q)^k = kq + O(q^2),
 which both truncates the computation at `count` coefficients and makes the
 result independent of the summation bound once it reaches count - 1.
-The inner sum of the n-th summand runs through the (S, A)-pool dynamic
-program of qfish.torus, fed with the substituted factor rows
-F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q.  Each row is built once,
-from the one before by the q-Pascal recurrence
-F[n][j] = (1-q)^j F[n-1][j] - (1-q)^(j-1) F[n-1][j-1], and only to the
-count - n + 1 coefficients the DP reads.  The power q^s that a DP step
-carries becomes (1-q)^s, which the DP multiplies into the factor pair of
-j once per (j, s).
+The inner sums G_n(1-q) come from qfish.torus (`inner_sums_at_one_minus_q`),
+which runs its one inner-sum dynamic program on the factor rows of
+(x; q)_n at q -> 1-q; here are the (q)_n factor, the sum over n and the
+(1-q)^(-h') prefactor.
 
 Also here: s-dissections, the S-sets of exponent residues, the
 (q)_lambda-divisibility checker for dissection pieces, the prime-power
@@ -51,7 +47,7 @@ from .series import (
     over_one_minus_qk,
     poly_divides,
 )
-from .torus import _acc_mul, _pool_dp, kz_full_polynomial, torus_params
+from .torus import inner_sums_at_one_minus_q, kz_full_polynomial, torus_params
 
 
 def is_prime(n: int) -> bool:
@@ -67,23 +63,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- substituted-domain engine ----------------------------------------------
-
-
-def _sub_row(prev: Optional[list], n: int, length: int, pw: list) -> list:
-    """Row n of the substituted DP factors, as pools [0, coeffs] cut below
-    q^length: F[n][j] = (-1)^j (1-q)^C(j,2) [n, j] at q -> 1-q, j = 0..n.
-
-    q^C(j,2) [n, j] = q^(j-1) (q^C(j-1,2) [n-1, j-1] + q q^C(j,2) [n-1, j])
-    by the q-Pascal rule, so F[n][j] = (1-q)^j F[n-1][j] - (1-q)^(j-1)
-    F[n-1][j-1], with F[n-1][n] = 0; prev is row n-1 to at least length,
-    and pw[e], e < n, is (1-q)^e cut no lower than q^length.
-    """
-    row = [[0, [1]]]
-    for j in range(1, n + 1):
-        pool = [0, [-c for c in mul_trunc(pw[j - 1], prev[j - 1][1], length)]]
-        row.append(pool if j == n else _acc_mul(pool, [0, pw[j]], prev[j], length))
-    return row
+# -- the multisum at q -> 1-q ----------------------------------------------
 
 
 def xi_series(t: int, n_top: int, count: int) -> list:
@@ -99,35 +79,20 @@ def xi_series(t: int, n_top: int, count: int) -> list:
         raise ValueError("N must be >= 0")
     p = torus_params(t)
     n_last = min(n_top, count - 1)
-    # (1-q)^e cut below q^count: the rows read e <= n_last, and a DP step
-    # at n lifts by (1-q)^s with s <= n + 1
+    # (1-q)^e cut below q^count: the inner sums read e <= n_last + 1
     pw = [list(one_minus_q_power(e, min(e + 1, count)).coeffs) for e in range(n_last + 2)]
     total = [0] * count
     poch_tail = [1]  # (q)_n at q -> 1-q equals q^n * poch_tail
-    row = [[0, [1]]]  # F[0]
-    for n in range(n_last + 1):
+    for n, inner in zip(range(n_last + 1), inner_sums_at_one_minus_q(p, pw, count)):
         if n:
             # (1 - (1-q)^n)/q
             u = [-c for c in pw[n][1:]]
             poch_tail = mul_trunc(poch_tail, u, count - n)
-        if p.m == 1:
-            inner = [1]  # empty vector; its (1-q)^(-1) cancels the global prefactor
-        else:
-            # the inner sum at q -> 1-q: the q-domain DP with substituted
-            # factors, each q^s of a step lifted to (1-q)^s
-            order = count - n
-            row_next = _sub_row(row, n + 1, order, pw)
-            pool = _pool_dp(p, row + [None], row_next, order,
-                            lift=lambda f, s: [0, mul_trunc(pw[s], f[1], order)])
-            inner = pool[1] if pool else []
-            row = row_next
         mul_trunc(poch_tail, inner, count - n, total, n)
-    if p.m > 1:
-        for _ in range(p.h_d):  # the global prefactor (1-q)^(-h')
-            over_one_minus_qk(total, 1)
-        if p.sign < 0:
-            total = [-c for c in total]
-    return total
+    # the prefactor q^(-h') and the inner sums' q^(-(a div m)), which cancel at t = 1
+    for _ in range(p.h_d + p.a // p.m):
+        over_one_minus_qk(total, 1)
+    return [-c for c in total] if p.sign < 0 else total
 
 
 # -- the strange identity: xi_t from L-values ----------------------------------

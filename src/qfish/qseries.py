@@ -22,10 +22,12 @@ def pochhammer(base_exp: int, n: int, out_order: Optional[int] = None) -> IntSer
 
     base_exp may be <= 0, giving a Laurent polynomial; for base_exp = 1-N
     and n >= N the factor (1 - q^0) makes the product identically zero.
-    ``out_order`` None returns the exact polynomial.
+    ``out_order`` None returns the exact polynomial, else it is >= 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if out_order is not None and out_order < 1:
+        raise ValueError("out_order must be >= 1")
     acc = IntSeries.one(out_order)
     for k in range(1, n + 1):
         e = base_exp + k - 1

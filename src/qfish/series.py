@@ -290,8 +290,8 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     """Composition a(1-q), expanded as a power series in q.
 
     Exact for polynomial content: every stored coefficient participates.
-    The (1-q)^min_exp prefactor is |min_exp| passes of ``times_one_minus_qk``
-    or, for negative min_exp, ``over_one_minus_qk`` at k = 1.
+    Each Horner step in 1-q, and each factor of the (1-q)^min_exp prefactor,
+    is a pass of ``times_one_minus_qk`` (or ``over_one_minus_qk``) at k = 1.
     """
     if out_order < 1:
         raise ValueError("out_order must be >= 1")
@@ -303,9 +303,11 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
         return IntSeries.zero(out_order)
     # a = q^min_exp * P(q); evaluate P at u = 1-q by Horner, then fix the
     # (1-q)^min_exp prefactor.
-    acc = [0]
+    acc = []
     for c in reversed(a.coeffs):
-        acc = mul_trunc(acc, (1, -1), out_order)  # acc <- acc * (1-q) + c
+        if len(acc) < out_order:
+            acc.append(0)  # the slot the product by 1-q grows into
+        times_one_minus_qk(acc, 1)  # acc <- acc * (1-q) + c
         acc[0] += c
     acc += [0] * (out_order - len(acc))
     step = times_one_minus_qk if a.min_exp > 0 else over_one_minus_qk
@@ -315,9 +317,11 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
 
 
 def one_minus_q_power(e: int, out_order: int) -> IntSeries:
-    """(1-q)**e truncated, e >= 0, via binomial coefficients."""
+    """(1-q)**e cut below q^out_order >= 1, e >= 0, via binomial coefficients."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
+    if out_order < 1:
+        raise ValueError("out_order must be >= 1")
     out = [0] * out_order
     c = 1
     for i in range(min(e, out_order - 1) + 1):

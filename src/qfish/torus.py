@@ -148,9 +148,10 @@ def admissible_jvectors(
 #     the coefficient of x^j in (x; q)_n (resp. (x; q)_{n+1}) by the
 #     q-binomial theorem, read off the rows of _XqRows (below); lifted by
 #     moving its low exponent.
-#   - the image of q -> 1-q (qfish.fishburn.xi_series): f[j] =
-#     (-1)^j (1-q)^C(j,2) [n(+1), j] at q -> 1-q, lifted by a product with
-#     (1-q)^shift; every low exponent is 0.
+#   - the image of q -> 1-q (inner_sums_at_one_minus_q, for the oracle
+#     qfish.fishburn.xi_series): the same f[j] at q -> 1-q, built by the
+#     rule of _XqRows (_sub_row); lifted by a product with (1-q)^shift;
+#     every low exponent is 0.
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
 #     (-1)^j q^C(j,2) / (q)_j, the x^j coefficient of (x; q)_inf (Euler),
 #     which below q^order is row `order` of the same table.
@@ -169,7 +170,7 @@ def admissible_jvectors(
 # NotImplemented where a coefficient, a product (the mul_trunc bound
 # max|a| max|b| overlap < 2^62) or a checked add leaves int64, and the Python
 # loop below then runs.  The loop is the DP on the pure lane, for the
-# product-lift of xi_series and for big integers, and the tests' reference.
+# (1-q)-power lift and for big integers, and the tests' reference.
 #
 # In the loop, a step's product goes straight into its destination pool:
 # _acc_mul grows the pool's list once to cover the product's exponents, and
@@ -309,7 +310,6 @@ class _XqRows:
     """
 
     __slots__ = ("order", "jmax", "n0", "rows")
-    built = 0  # rows built by every table
 
     def __init__(self, order):
         self.order = order
@@ -324,7 +324,6 @@ class _XqRows:
             self.n0, self.rows = 0, [[[0, [1]]]]
         while self.n0 + len(self.rows) <= n:
             self.rows.append(self._next())
-            _XqRows.built += 1
             if self.order is None and len(self.rows) > 2:
                 del self.rows[0]
                 self.n0 += 1
@@ -347,6 +346,21 @@ class _XqRows:
             cs[off:off + len(d)] = map(sub, cs[off:off + len(d)], d)
             row.append([lo, cs])
         return row
+
+
+def _sub_row(prev: Optional[list], n: int, length: int, pw: list) -> list:
+    """Row n of (x; q)_n at q -> 1-q: F[n][j] = (-1)^j (1-q)^C(j,2) [n, j]
+    at q -> 1-q for j = 0..n, as pools [0, coeffs] cut below q^length.
+    It is the rule of _XqRows with (1-q)^(n-1) for q^(n-1),
+    F[n][j] = F[n-1][j] - (1-q)^(n-1) F[n-1][j-1] with F[n-1][n] = 0: one
+    product per entry, added into a copy of F[n-1][j].  prev is row n-1 and
+    pw[n-1] is (1-q)^(n-1), each cut no lower than q^length."""
+    neg = [0, [-c for c in pw[n - 1]]]
+    row = [[0, [1]]]
+    for j in range(1, n + 1):
+        cs = prev[j][1][:length] if j < n else []  # F[n-1][n] = 0
+        row.append(_acc_mul([0, cs], neg, prev[j - 1], length))
+    return row
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -401,6 +415,25 @@ def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     no levels, so the DP returns its start pool q^(-1) and no factor row is
     built."""
     return _series(_pool_dp(p, *(_q_setup(n, order) if p.m > 1 else ((), ())), order), order)
+
+
+def inner_sums_at_one_minus_q(p: TorusParams, pw: list, count: int) -> Iterator[list]:
+    """q^(a div m) G_n(q) at q -> 1-q for n = 0 .. count - 1, each a list
+    from q^0 cut below q^(count - n).  For t >= 2 (a < m) that is G_n(1-q),
+    the DP on the rows of _sub_row, each q^s of a step lifted to (1-q)^s;
+    t = 1 has no levels, and its G_n = q^(-1) gives 1.  pw[e] is (1-q)^e
+    cut no lower than q^count, for e <= n + 1 at the n-th sum."""
+    row = [[0, [1]]]  # F[0]
+    for n in range(count):
+        if p.m == 1:
+            yield [1]
+            continue
+        order = count - n
+        row_next = _sub_row(row, n + 1, order, pw)
+        pool = _pool_dp(p, row + [None], row_next, order,
+                        lift=lambda f, s: [0, mul_trunc(pw[s], f[1], order)])
+        yield pool[1] if pool else []
+        row = row_next
 
 
 def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
@@ -510,8 +543,10 @@ def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
 # -- the two-variable series -------------------------------------------------
 
 
-def _check_window(x_bound: int, q_order: int) -> None:
-    """An empty window would pass with nothing compared."""
+def _check_window(p: TorusParams, x_bound: int, q_order: int) -> None:
+    """Refuse t < 2 and an empty window, which would pass with nothing compared."""
+    if p.t < 2:
+        raise ValueError("the two-variable series and a_{n,t} need t >= 2")
     if x_bound < 1 or q_order < 1:
         raise ValueError("x_bound and q_order must be >= 1")
 
@@ -530,9 +565,7 @@ def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     x^((n-(2^(t+1)-3))/2), truncated in both variables: the terms of
     P^(0), each a monomial pool at its x-degree below x_bound.  A term at
     a negative x-degree is refused (_check_cancelled with low = 0)."""
-    if p.t < 2:
-        raise ValueError("H_t needs t >= 2")
-    _check_window(x_bound, q_order)
+    _check_window(p, x_bound, q_order)
     n0 = 2 ** (p.t + 1) - 3
     cols: dict = {}  # x-degree -> pool
     for n, sign, qe in theta_spec_t(p.t, 0).terms(q_order):
@@ -591,9 +624,7 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     of the factor table.  The x^(-h) prefactor must cancel: negative
     x-degrees are accumulated and checked by _check_cancelled with low = h.
     """
-    if p.t < 2:
-        raise ValueError("the multisum form needs t >= 2")
-    _check_window(x_bound, q_order)
+    _check_window(p, x_bound, q_order)
     work = q_order + p.h_d
     top = x_bound + p.h  # x-degrees before the x^(-h) shift stay below top
     xq = _xq_rows(work)
@@ -615,9 +646,7 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
 
 def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
     """M_t(x, q) = sum_n x^(nm) sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [...]."""
-    if p.t < 2:
-        raise ValueError("M_t needs t >= 2")
-    _check_window(x_bound, q_order)
+    _check_window(p, x_bound, q_order)
     cols: dict = {}  # x-degree -> pool
     n = 0
     while n * p.m < x_bound:
@@ -684,9 +713,7 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     n >= (L - 1)m + S, so a_{n,t} depends only on n mod m there and is read
     from the first such n in its class.
     """
-    if p.t < 2:
-        raise ValueError("a_{n,t} needs t >= 2")
-    _check_window(1, q_order)
+    _check_window(p, 1, q_order)
     stable = _a_stable(p, q_order)
     if n >= stable + p.m:
         n = stable + (n - stable) % p.m

@@ -14,7 +14,6 @@ from qfish.backend import mul_trunc
 from qfish.fishburn import (
     S_set,
     _exact_div,
-    _sub_row,
     _xi_from_lvalues,
     binom_congruence,
     congruence_j_range,
@@ -30,7 +29,7 @@ from qfish.fishburn import (
 from qfish.oeis import parse_bfile
 from qfish.qseries import q_binomial, theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, one_minus_q_power, substitute_one_minus_q
-from qfish.torus import _acc_mul, kz_partial_polynomials, torus_params
+from qfish.torus import _acc_mul, _sub_row, kz_partial_polynomials, torus_params
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"

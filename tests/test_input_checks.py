@@ -50,7 +50,11 @@ CASES = [
     ("verify_key_identity t 1", lambda: verify_key_identity(1, 10), "t >= 2"),
     ("verify_theta_product t 1", lambda: verify_theta_product(1, 10), "t >= 2"),
     ("pochhammer n -1", lambda: pochhammer(1, -1), "n must be"),
+    ("pochhammer order 0", lambda: pochhammer(1, 3, 0), "out_order"),
+    ("pochhammer order -2", lambda: pochhammer(1, 3, -2), "out_order"),
     ("one_minus_q_power e -1", lambda: one_minus_q_power(-1, 5), "nonnegative"),
+    ("one_minus_q_power order 0", lambda: one_minus_q_power(2, 0), "out_order"),
+    ("one_minus_q_power order -3", lambda: one_minus_q_power(2, -3), "out_order"),
     ("progression_product start 0", lambda: progression_product([(0, 2)], 5), "positive"),
     ("substitute_one_minus_q order 0", lambda: substitute_one_minus_q(POLY, 0), "out_order"),
     ("substitute_one_minus_q order -3", lambda: substitute_one_minus_q(POLY, -3), "out_order"),

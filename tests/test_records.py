@@ -52,12 +52,9 @@ def _fields(rec):
     return [getattr(rec, name) for name in rec.__slots__]
 
 
-# The underscore names a module may import from a sibling: fishburn's two
-# hooks into the one inner-sum DP (the xi_series oracle), and backend's
-# kernel modules.
+# The underscore names a module may import from a sibling: backend's kernel
+# modules.
 PRIVATE_IMPORTS = {
-    ("fishburn", "torus", "_acc_mul"),
-    ("fishburn", "torus", "_pool_dp"),
     ("backend", "", "_kernels"),
     ("backend", "", "_speedups"),
 }

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qfish.fishburn as fishburn_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
 from qfish.biseries import BiSeries, bi_first_difference
@@ -167,6 +166,15 @@ def q_factors(rows, jmax):
         if j < len(rows) else None
         for j in range(jmax + 1)
     ]
+
+
+def count_rows(monkeypatch):
+    """A list that gains one item per factor row any (x; q)_n table builds
+    from here on."""
+    built = []
+    real = torus_mod._XqRows._next
+    monkeypatch.setattr(torus_mod._XqRows, "_next", lambda self: built.append(1) or real(self))
+    return built
 
 
 def m_summand_full(p, n, x_stop, q_order):
@@ -411,12 +419,13 @@ class TestFactorsAreOnlyRead:
     @pytest.mark.parametrize("order", [None, 9])
     @pytest.mark.parametrize("graded", [False, True])
     def test_substituted_factors(self, t, order, graded):
-        # the list-based rows of xi_series, lifted as it lifts them
+        # the substituted rows of inner_sums_at_one_minus_q, lifted as it
+        # lifts them
         pw = [list(one_minus_q_power(e, min(e + 1, 12)).coeffs) for e in range(6)]
         row = [[0, [1]]]
         for n in range(1, 4):
-            row = fishburn_mod._sub_row(row, n, 12, pw)
-        fac = row + [None], fishburn_mod._sub_row(row, 4, 12, pw)
+            row = torus_mod._sub_row(row, n, 12, pw)
+        fac = row + [None], torus_mod._sub_row(row, 4, 12, pw)
         before = copy.deepcopy(fac)
 
         def lift(f, s):
@@ -549,10 +558,11 @@ class TestMortonClosedForm:
             raise AssertionError("colored_jones reached the product kernel")
 
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
-        misses, built = binom_row_trunc.cache_info().misses, torus_mod._XqRows.built
+        built = count_rows(monkeypatch)
+        misses = binom_row_trunc.cache_info().misses
         assert colored_jones(torus_params(4), 12).coeffs
         assert binom_row_trunc.cache_info().misses == misses
-        assert torus_mod._XqRows.built == built
+        assert built == []
 
 
 class TestT1HasNoLevels:
@@ -575,12 +585,13 @@ class TestT1HasNoLevels:
                 expect = expect + pochhammer(1 - big_n, n).shift(-n * big_n)
             assert colored_jones(torus_params(1), big_n) == expect.shift(1 - big_n)
 
-    def test_root_match_builds_no_rows(self):
+    def test_root_match_builds_no_rows(self, monkeypatch):
         kz_inner_sum.cache_clear()
-        misses, built = binom_row_trunc.cache_info().misses, torus_mod._XqRows.built
+        built = count_rows(monkeypatch)
+        misses = binom_row_trunc.cache_info().misses
         assert verify_root_match(1, 30).passed
         assert binom_row_trunc.cache_info().misses == misses
-        assert torus_mod._XqRows.built == built
+        assert built == []
 
 
 class TestRootEvaluation:
@@ -858,9 +869,9 @@ class TestSlaterMultisum:
                             lambda p, fac_n, fac_np1, order: seen.append(fac_np1)
                             or real(p, fac_n, fac_np1, order))
         torus_mod._xq_rows.cache_clear()
-        built = torus_mod._XqRows.built
+        built = count_rows(monkeypatch)
         slater_multisum(torus_params(2), order)
-        assert torus_mod._XqRows.built == built + order
+        assert len(built) == order
         (rows,) = seen
         assert rows is torus_mod._xq_rows(order).row(order)
         assert len(rows) == torus_mod._jmax(order) + 1
