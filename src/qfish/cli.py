@@ -23,52 +23,30 @@ from .oeis import BFileError, check_bfile
 
 SCHEMA = 1
 
-# (q_order or (x_bound, q_order) or n_max) defaults per identity and t
-_WINDOWS = {
-    ("diff", 2): (14, 40),
-    ("diff", 3): (10, 24),
-    ("rewrite2", 2): (12, 30),
-    ("rewrite2", 3): (8, 20),
-    ("key", 2): 30,
-    ("key", 3): 20,
-    ("theta", 2): 60,
-    ("theta", 3): 60,
-    ("slater", 2): (40, 30),
-    ("slater", 3): (40, 30),
-    ("root", 2): 8,
-    ("root", 3): 8,
+# name -> (checker, window flags, default window at t = 2, at t = 3, at any
+# other t).  A checker takes (t, *window); each flag names the option that
+# overrides its window slot, None a slot that keeps its default.  The
+# checkers look identities' functions up when called, so a wrapper put on
+# that module sees the call.
+_IDENTITIES = {
+    "diff": (lambda *a: identities.verify_difference_equation(*a),
+             ("x_bound", "order"), (14, 40), (10, 24), (8, 16)),
+    "rewrite2": (lambda *a: identities.verify_rewrite2(*a),
+                 ("x_bound", "order"), (12, 30), (8, 20), (6, 12)),
+    "key": (lambda *a: identities.verify_key_identity(*a), ("order",), (30,), (20,), (12,)),
+    "theta": (lambda *a: identities.verify_theta_product(*a), ("order",), (60,), (60,), (40,)),
+    "slater": (lambda t, qo, gen: identities.verify_slater(qo, gen_q_order=min(qo, gen)),
+               ("order", None), (40, 30), (40, 30), (24, 16)),
+    "root": (lambda *a: identities.verify_root_match(*a), ("n_max",), (8,), (8,), (3,)),
 }
-_FALLBACK = {"diff": (8, 16), "rewrite2": (6, 12), "key": 12, "theta": 40,
-             "slater": (24, 16), "root": 3}
-
-IDENTITY_NAMES = ("diff", "rewrite2", "key", "theta", "slater", "root")
-
-
-def _or_default(value, default):
-    return default if value is None else value
 
 
 def _run_identity(name: str, t: int, order, x_bound, n_max):
-    default = _WINDOWS.get((name, t), _FALLBACK[name])
-    if name == "diff":
-        xb, qo = default
-        return identities.verify_difference_equation(
-            t, _or_default(x_bound, xb), _or_default(order, qo)
-        )
-    if name == "rewrite2":
-        xb, qo = default
-        return identities.verify_rewrite2(t, _or_default(x_bound, xb), _or_default(order, qo))
-    if name == "key":
-        return identities.verify_key_identity(t, _or_default(order, default))
-    if name == "theta":
-        return identities.verify_theta_product(t, _or_default(order, default))
-    if name == "slater":
-        qo, gen = default
-        qo = _or_default(order, qo)
-        return identities.verify_slater(qo, gen_q_order=min(qo, gen))
-    if name == "root":
-        return identities.verify_root_match(t, _or_default(n_max, default))
-    raise ValueError(name)
+    check, flags, at_2, at_3, other = _IDENTITIES[name]
+    given = {"order": order, "x_bound": x_bound, "n_max": n_max}
+    window = [d if given.get(f) is None else given[f]
+              for f, d in zip(flags, {2: at_2, 3: at_3}.get(t, other))]
+    return check(t, *window)
 
 
 def _emit(report: dict, fmt: str, row_fields) -> None:
@@ -104,9 +82,24 @@ def _finish(args, command: str, params: dict, results: list, passed: bool,
     return 0 if passed else 1
 
 
+def _int_where(holds, rule: str):
+    """An argparse type: an int for which ``holds`` is true, else the usage
+    error ``rule``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _at_least(low: int, flag: str):
+    return _int_where(lambda v: v >= low, f"{flag} must be >= {low}")
+
+
 def _check_t(parser, args) -> None:
-    if args.t < 1:
-        parser.error("--t must be >= 1")
     if args.t >= 4 and not args.deep:
         parser.error("t >= 4 workloads are gated behind --deep")
     if args.t > 4:
@@ -127,57 +120,51 @@ def main(argv=None) -> int:
 
     p_xi = sub.add_parser("xi", parents=[common],
                           help="table of generalized Fishburn numbers")
-    p_xi.add_argument("--t", type=int, required=True)
-    p_xi.add_argument("--count", type=int, required=True)
+    p_xi.add_argument("--t", type=_at_least(1, "--t"), required=True)
+    p_xi.add_argument("--count", type=_at_least(1, "--count"), required=True)
 
     p_cong = sub.add_parser("congruence", parents=[common],
                             help="verify xi_t(p^r m - j) = 0 mod p^r")
-    p_cong.add_argument("--t", type=int, required=True)
-    p_cong.add_argument("--p", type=int, required=True)
-    p_cong.add_argument("--r", type=int, default=1)
-    p_cong.add_argument("--m-max", type=int, default=1)
+    p_cong.add_argument("--t", type=_at_least(1, "--t"), required=True)
+    p_cong.add_argument("--p", required=True, type=_int_where(
+        lambda v: v >= 5 and is_prime(v), "--p must be a prime >= 5"))
+    p_cong.add_argument("--r", type=_at_least(1, "--r"), default=1)
+    p_cong.add_argument("--m-max", type=_at_least(1, "--m-max"), default=1)
     p_cong.add_argument("--scan-j", action="store_true",
                         help="also record residues for j beyond the claimed range "
                         "(experimental, no expectation attached)")
 
     p_dis = sub.add_parser("dissect", parents=[common],
                            help="dissection divisibility of a partial sum")
-    p_dis.add_argument("--t", type=int, required=True)
-    p_dis.add_argument("--s", type=int, required=True)
-    p_dis.add_argument("--n", type=int, required=True, help="partial-sum index N")
+    p_dis.add_argument("--t", type=_at_least(1, "--t"), required=True)
+    p_dis.add_argument("--s", type=_at_least(2, "--s"), required=True)
+    p_dis.add_argument("--n", type=_at_least(0, "--n"), required=True,
+                       help="partial-sum index N")
 
     p_ver = sub.add_parser("verify", parents=[common], help="identity checks")
-    p_ver.add_argument("--identity", required=True,
-                       help="one of %s or 'all'" % (", ".join(IDENTITY_NAMES)))
-    p_ver.add_argument("--t", type=int, default=2)
-    p_ver.add_argument("--order", type=int, default=None)
-    p_ver.add_argument("--x-bound", type=int, default=None)
-    p_ver.add_argument("--n-max", type=int, default=None)
+    p_ver.add_argument("--identity", required=True, choices=(*_IDENTITIES, "all"))
+    p_ver.add_argument("--t", type=_at_least(1, "--t"), default=2)
+    for flag in ("--order", "--x-bound", "--n-max"):
+        p_ver.add_argument(flag, type=_at_least(1, flag))
 
     p_bf = sub.add_parser("bfile-check", parents=[common],
                           help="cross-check classical Fishburn numbers against "
                           "a local OEIS b-file (A022493)")
     p_bf.add_argument("--path", required=True)
-    p_bf.add_argument("--count", type=int, required=True)
+    p_bf.add_argument("--count", type=_at_least(1, "--count"), required=True)
 
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    if args.command != "bfile-check":
+        _check_t(parser, args)
 
     if args.command == "xi":
-        _check_t(parser, args)
-        if args.count < 1:
-            parser.error("--count must be >= 1")
         values = xi_coefficients(args.t, args.count)
         results = [{"n": i, "xi": v} for i, v in enumerate(values)]
         params = {"t": args.t, "count": args.count, "sign_convention": "included"}
         return _finish(args, "xi", params, results, True, started, ("n", "xi"))
 
     if args.command == "congruence":
-        _check_t(parser, args)
-        if not is_prime(args.p) or args.p < 5:
-            parser.error("--p must be a prime >= 5")
-        if args.r < 1 or args.m_max < 1:
-            parser.error("--r and --m-max must be >= 1")
         rep = verify_congruence(args.t, args.p, args.r, args.m_max,
                                 scan_all_j=args.scan_j)
         d = rep.as_dict()
@@ -189,11 +176,6 @@ def main(argv=None) -> int:
                        ("m", "j", "index", "xi", "residue"))
 
     if args.command == "dissect":
-        _check_t(parser, args)
-        if args.s < 2:
-            parser.error("--s must be >= 2")
-        if args.n < 0:
-            parser.error("--n must be >= 0")
         rep = divisibility_check(args.t, args.s, args.n)
         d = rep.as_dict()
         results = d.pop("entries")
@@ -203,19 +185,9 @@ def main(argv=None) -> int:
                        ("i", "divisible", "unit_exp", "quotient_degree"))
 
     if args.command == "verify":
-        _check_t(parser, args)
-        if args.identity != "all" and args.identity not in IDENTITY_NAMES:
-            parser.error(
-                f"unknown identity {args.identity!r}; valid names: "
-                + ", ".join(IDENTITY_NAMES) + ", all"
-            )
         if args.t == 1 and args.identity not in ("root", "slater"):
             parser.error(f"identity {args.identity!r} needs --t >= 2")
-        for flag, value in (("--order", args.order), ("--x-bound", args.x_bound),
-                            ("--n-max", args.n_max)):
-            if value is not None and value < 1:
-                parser.error(f"{flag} must be >= 1")
-        names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
+        names = list(_IDENTITIES) if args.identity == "all" else [args.identity]
         reports = [_run_identity(n, args.t, args.order, args.x_bound, args.n_max)
                    for n in names]
         results = [r.as_dict() for r in reports]
@@ -224,25 +196,19 @@ def main(argv=None) -> int:
                        {"identity": args.identity, "t": args.t},
                        results, passed, started, ("identity", "pass"))
 
-    if args.command == "bfile-check":
-        if args.count < 1:
-            parser.error("--count must be >= 1")
-        try:
-            rep = check_bfile(args.path, args.count)
-        except OSError as exc:
-            print(f"error: cannot read b-file: {exc}", file=sys.stderr)
-            return 1
-        except BFileError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        params = {"path": str(args.path), "count": args.count}
-        if "first_mismatch" in rep:
-            params["first_mismatch"] = rep["first_mismatch"]
-        return _finish(args, "bfile-check", params, rep["results"], rep["pass"],
-                       started, ("n", "engine", "file", "match"))
-
-    parser.error("no command")
-    return 2
+    try:  # bfile-check
+        rep = check_bfile(args.path, args.count)
+    except OSError as exc:
+        print(f"error: cannot read b-file: {exc}", file=sys.stderr)
+        return 1
+    except BFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    params = {"path": str(args.path), "count": args.count}
+    if "first_mismatch" in rep:
+        params["first_mismatch"] = rep["first_mismatch"]
+    return _finish(args, "bfile-check", params, rep["results"], rep["pass"],
+                   started, ("n", "engine", "file", "match"))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import index
-from typing import Optional
 
 from .backend import mul_trunc
 from .qseries import ThetaSpec, knot_index, pochhammer, theta_spec_t
@@ -210,7 +209,7 @@ class Dissection(Record):
     exponents are handled consistently.
     """
 
-    __slots__ = ("s", "pieces", "n_index")
+    __slots__ = ("s", "pieces")
 
     def reconstruct(self) -> IntSeries:
         total = IntSeries.zero()
@@ -220,7 +219,7 @@ class Dissection(Record):
         return total
 
 
-def dissection(series: IntSeries, s: int, n_index: Optional[int] = None) -> Dissection:
+def dissection(series: IntSeries, s: int) -> Dissection:
     if s < 1:
         raise ValueError("s must be >= 1")
     if series.order is not None:
@@ -229,7 +228,7 @@ def dissection(series: IntSeries, s: int, n_index: Optional[int] = None) -> Diss
     lo, cs = series.min_exp, series.coeffs
     pieces = tuple(IntSeries.make((lo + k) // s, cs[k::s], None)
                    for k in ((i - lo) % s for i in range(s)))
-    return Dissection(s, pieces, n_index)
+    return Dissection(s, pieces)
 
 
 def S_set(spec: ThetaSpec, s: int) -> set:
@@ -267,7 +266,7 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
     class i outside the S-set, whether (q)_lambda divides the piece A_i up
     to a monomial unit, lambda = floor((N+1)/s).
 
-    Failures are recorded in the report rather than raised: for odd t the
+    Failures are recorded in the report rather than raised: for t >= 3 the
     pieces are Laurent and the divisibility statement's exact scope is an
     open question, so outcomes are data.
     """
@@ -275,7 +274,7 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
         raise ValueError("s must be >= 2")
     p = torus_params(t)
     poly = kz_full_polynomial(p, n_index)
-    dis = dissection(poly, s, n_index)
+    dis = dissection(poly, s)
     lam = (n_index + 1) // s
     divisor = pochhammer(1, lam)
     sset = tuple(sorted(S_set(theta_spec_t(t, 0), s)))
@@ -381,14 +380,17 @@ def straub_order_bound(p: int, r: int, n: int) -> bool:
 
 
 def binom_congruence(i: int, l: int, p: int, r: int, m: int, j: int) -> bool:
-    """binom(i + l*p, p^r m - j) == 0 (mod p^r), the coefficient lemma used
-    with 0 <= i < p and j < p - i."""
+    """binom(i + l*p, p^r m - j) == 0 (mod p^r), the coefficient lemma,
+    stated for 0 <= i < p, l >= 0, m >= 1 and j < p - i.  Outside that
+    domain the binomial is not the lemma's coefficient, so it is refused."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     if r < 1:
         raise ValueError("r must be >= 1")
-    bottom = p**r * m - j
-    if bottom < 0:
-        return True
-    value = math.comb(i + l * p, bottom) if i + l * p >= 0 else 0
-    return value % p**r == 0
+    if not 0 <= i < p:
+        raise ValueError("i must be in 0 .. p - 1")
+    if l < 0 or m < 1:
+        raise ValueError("need l >= 0 and m >= 1")
+    if j >= p - i:
+        raise ValueError("j must be < p - i")
+    return math.comb(i + l * p, p**r * m - j) % p**r == 0

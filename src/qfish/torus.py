@@ -440,7 +440,8 @@ def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
     """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q) for
     N = 0..n_top as exact Laurent polynomials, one inner sum per N.
 
-    Laurent for odd t (min exponent -h'); for t = 1 this is sum (q)_n.
+    Laurent for every t >= 3 (min exponent -h' = -1, -4, -9 at t = 3, 4, 5);
+    for t = 1 this is sum (q)_n.
     """
     if n_top < 0:
         raise ValueError("N must be >= 0")

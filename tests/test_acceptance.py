@@ -117,11 +117,11 @@ def test_criterion_06_dissection_divisibility():
         for n_index in (13, 20):
             rep = divisibility_check(3, 7, n_index)
             assert [e["i"] for e in rep.entries] == [1, 5, 6]
-            # Laurent pieces: divisibility holds up to a monomial unit; the
-            # exact odd-t scope of the divisibility statement is an open
-            # question, so a failure must surface loudly, not silently.
+            # Laurent pieces (every t >= 3): divisibility holds up to a
+            # monomial unit; its exact scope at t >= 3 is an open question,
+            # so a failure must surface loudly, not silently.
             assert rep.passed, (
-                "odd-t divisibility failed; bears on the documented open "
+                "t >= 3 divisibility failed; bears on the documented open "
                 f"question: {rep.as_dict()}"
             )
 

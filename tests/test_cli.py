@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qfish.cli import _run_identity
+from qfish.cli import _run_identity, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -138,6 +138,37 @@ class TestVerify:
         assert _run_identity("root", 2, None, None, 1).window == {"t": 2, "N_max": 1}
         assert _run_identity("root", 2, None, None, None).window["N_max"] == 8
 
+    # the windows run when no window flag is given, per identity and t
+    @pytest.mark.parametrize("name,t,window", [
+        ("slater", 1, {"q_order": 24, "gen_q_order": 16}),
+        ("root", 1, {"t": 1, "N_max": 3}),
+        ("diff", 2, {"t": 2, "x_bound": 14, "q_order": 40}),
+        ("rewrite2", 2, {"t": 2, "x_bound": 12, "q_order": 30}),
+        ("key", 2, {"t": 2, "q_order": 30}),
+        ("theta", 2, {"t": 2, "q_order": 60}),
+        ("slater", 2, {"q_order": 40, "gen_q_order": 30}),
+        ("root", 2, {"t": 2, "N_max": 8}),
+        ("diff", 3, {"t": 3, "x_bound": 10, "q_order": 24}),
+        ("rewrite2", 3, {"t": 3, "x_bound": 8, "q_order": 20}),
+        ("key", 3, {"t": 3, "q_order": 20}),
+        ("theta", 3, {"t": 3, "q_order": 60}),
+        ("slater", 3, {"q_order": 40, "gen_q_order": 30}),
+        ("root", 3, {"t": 3, "N_max": 8}),
+        ("diff", 4, {"t": 4, "x_bound": 8, "q_order": 16}),
+        ("rewrite2", 4, {"t": 4, "x_bound": 6, "q_order": 12}),
+        ("key", 4, {"t": 4, "q_order": 12}),
+        ("theta", 4, {"t": 4, "q_order": 40}),
+        ("slater", 4, {"q_order": 24, "gen_q_order": 16}),
+        ("root", 4, {"t": 4, "N_max": 3}),
+    ])
+    def test_default_window(self, name, t, window):
+        rep = _run_identity(name, t, None, None, None)
+        assert rep.window == window and rep.passed
+
+    def test_slater_generating_side_capped_by_order(self):
+        assert _run_identity("slater", 2, 20, None, None).window == {
+            "q_order": 20, "gen_q_order": 20}
+
 
 class TestDissect:
     def test_report(self):
@@ -218,6 +249,45 @@ class TestBFile:
         assert proc.returncode == 1
         assert "cannot read b-file" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# A rule on one flag is that flag's argparse type: the subcommand's parser
+# reports it against the flag, with exit status 2 and no traceback.
+@pytest.mark.parametrize("args,message", [
+    (("xi", "--t", "0", "--count", "3"), "xi: error: argument --t: --t must be >= 1"),
+    (("congruence", "--t", "0", "--p", "5"),
+     "congruence: error: argument --t: --t must be >= 1"),
+    (("dissect", "--t", "0", "--s", "5", "--n", "3"),
+     "dissect: error: argument --t: --t must be >= 1"),
+    (("verify", "--identity", "root", "--t", "0"),
+     "verify: error: argument --t: --t must be >= 1"),
+    (("congruence", "--t", "2", "--p", "5", "--r", "0"),
+     "congruence: error: argument --r: --r must be >= 1"),
+    (("congruence", "--t", "2", "--p", "5", "--m-max", "0"),
+     "congruence: error: argument --m-max: --m-max must be >= 1"),
+    (("congruence", "--t", "2", "--p", "9"),
+     "congruence: error: argument --p: --p must be a prime >= 5"),
+    (("dissect", "--t", "2", "--s", "1", "--n", "3"),
+     "dissect: error: argument --s: --s must be >= 2"),
+    (("bfile-check", "--path", "b.txt", "--count", "0"),
+     "bfile-check: error: argument --count: --count must be >= 1"),
+    (("verify", "--identity", "all", "--t", "x"),
+     "verify: error: argument --t: invalid int value: 'x'"),
+], ids=["xi-t", "congruence-t", "dissect-t", "verify-t", "r", "m-max", "p", "s",
+        "bfile-count", "t-not-int"])
+def test_flag_bound_usage_error(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert f"qfish {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["xi", "congruence", "dissect", "verify", "bfile-check"])
+def test_subcommand_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: qfish {command}" in capsys.readouterr().out
 
 
 class TestDeterminism:

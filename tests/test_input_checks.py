@@ -47,6 +47,11 @@ CASES = [
     ("straub_order_bound p 9", lambda: straub_order_bound(9, 1, 1), "prime"),
     ("binom_congruence p 4", lambda: binom_congruence(0, 1, 4, 1, 1, 1), "prime"),
     ("binom_congruence p 0", lambda: binom_congruence(0, 1, 0, 1, 1, 1), "prime"),
+    ("binom_congruence i -3", lambda: binom_congruence(-3, 0, 5, 1, 1, 1), "i must be"),
+    ("binom_congruence l -1", lambda: binom_congruence(0, -1, 5, 1, 1, 1), "l >= 0"),
+    ("binom_congruence m 0", lambda: binom_congruence(0, 1, 5, 1, 0, 1), "m >= 1"),
+    ("binom_congruence j 9", lambda: binom_congruence(0, 1, 5, 1, 1, 9), "j must be"),
+    ("binom_congruence j p - i", lambda: binom_congruence(2, 1, 5, 1, 1, 3), "j must be"),
     ("verify_key_identity t 1", lambda: verify_key_identity(1, 10), "t >= 2"),
     ("verify_theta_product t 1", lambda: verify_theta_product(1, 10), "t >= 2"),
     ("pochhammer n -1", lambda: pochhammer(1, -1), "n must be"),

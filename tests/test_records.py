@@ -40,7 +40,7 @@ MAKERS = {
     "PeriodicChar": lambda: PeriodicChar(2, (1, -1)),
     "ThetaSpec": lambda: ThetaSpec(1, 24, 0, PeriodicChar(2, (1, -1))),
     "TorusParams": lambda: torus_params(3),
-    "Dissection": lambda: Dissection(2, (IntSeries(0, (1,), None),), 7),
+    "Dissection": lambda: Dissection(2, (IntSeries(0, (1,), None),)),
     "DivisibilityReport": lambda: DivisibilityReport(2, 7, 27, 4, (0, 3), (), True),
     "CongruenceReport": lambda: CongruenceReport(2, 5, 1, 3, (1, 2), (), True, True, ()),
     "IdentityReport": lambda: IdentityReport("key", {"t": 2}, True, None, {"n": 1}),
@@ -128,10 +128,10 @@ def test_repr_literal():
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((2, ()), {}),
-    ((2, (), 4, 5), {}),
-    ((2, ()), {"n_index": 4}),
-    ((), {"s": 3, "pieces": (), "n_index": 4}),
+    ((2,), {}),
+    ((2, (), 4), {}),
+    ((2,), {"pieces": ()}),
+    ((), {"s": 3, "pieces": ()}),
 ], ids=["too_few", "too_many", "keyword_field", "all_keywords"])
 def test_record_takes_exactly_its_fields(args, kwargs):
     with pytest.raises(TypeError):
