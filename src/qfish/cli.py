@@ -114,16 +114,16 @@ def main(argv=None) -> int:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--deep", action="store_true",
-                        help="allow the heavy t=4 workloads")
+    knot = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands with --t
+    knot.add_argument("--deep", action="store_true", help="allow the heavy t=4 workloads")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_xi = sub.add_parser("xi", parents=[common],
+    p_xi = sub.add_parser("xi", parents=[knot],
                           help="table of generalized Fishburn numbers")
     p_xi.add_argument("--t", type=_at_least(1, "--t"), required=True)
     p_xi.add_argument("--count", type=_at_least(1, "--count"), required=True)
 
-    p_cong = sub.add_parser("congruence", parents=[common],
+    p_cong = sub.add_parser("congruence", parents=[knot],
                             help="verify xi_t(p^r m - j) = 0 mod p^r")
     p_cong.add_argument("--t", type=_at_least(1, "--t"), required=True)
     p_cong.add_argument("--p", required=True, type=_int_where(
@@ -134,14 +134,14 @@ def main(argv=None) -> int:
                         help="also record residues for j beyond the claimed range "
                         "(experimental, no expectation attached)")
 
-    p_dis = sub.add_parser("dissect", parents=[common],
+    p_dis = sub.add_parser("dissect", parents=[knot],
                            help="dissection divisibility of a partial sum")
     p_dis.add_argument("--t", type=_at_least(1, "--t"), required=True)
     p_dis.add_argument("--s", type=_at_least(2, "--s"), required=True)
     p_dis.add_argument("--n", type=_at_least(0, "--n"), required=True,
                        help="partial-sum index N")
 
-    p_ver = sub.add_parser("verify", parents=[common], help="identity checks")
+    p_ver = sub.add_parser("verify", parents=[knot], help="identity checks")
     p_ver.add_argument("--identity", required=True, choices=(*_IDENTITIES, "all"))
     p_ver.add_argument("--t", type=_at_least(1, "--t"), default=2)
     for flag in ("--order", "--x-bound", "--n-max"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .backend import mul_trunc
-from .series import IntSeries, NotPolynomialError, Record, poly_divides
+from .series import IntSeries, NotPolynomialError, Record, poly_divides, require
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -121,6 +121,7 @@ def cyc_eval(p: IntSeries, m: int) -> CycInt:
     Negative exponents go through zeta**(-1) = zeta**(M-1); truncated input
     is rejected because its evaluation would not be well-defined.
     """
+    require(p, IntSeries, "p")
     if m < 1:
         raise ValueError("M must be >= 1")
     if p.order is not None:

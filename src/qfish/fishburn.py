@@ -45,6 +45,7 @@ from .series import (
     one_minus_q_power,
     over_one_minus_qk,
     poly_divides,
+    require,
 )
 from .torus import inner_sums_at_one_minus_q, kz_full_polynomial, torus_params
 
@@ -220,6 +221,7 @@ class Dissection(Record):
 
 
 def dissection(series: IntSeries, s: int) -> Dissection:
+    require(series, IntSeries, "series")
     if s < 1:
         raise ValueError("s must be >= 1")
     if series.order is not None:

@@ -57,8 +57,10 @@ def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     the second half of the row mirrors the first.  It builds the rows of
     q_binomial and of the per-vector walks; the inner-sum DP reads its
     signed rows off the (x; q)_n table in qfish.torus, a second algorithm
-    on purpose.  Since deg [n, j] = j(n-j) <= n^2/4, a length of
-    n^2//4 + 1 gives the exact rows.
+    on purpose (the generalized Slater sum, whose identity has no walk on
+    its other side, reads its 1/(q)_j off one row here).  Since
+    deg [n, j] = j(n-j) <= n^2/4, a length of n^2//4 + 1 gives the exact
+    rows.
     """
     cur = [1]
     rows = [(1,)]

@@ -39,6 +39,13 @@ class NotPolynomialError(SeriesError):
     """An exact (untruncated) Laurent polynomial was required."""
 
 
+def require(value, cls: type, name: str, hint: str = "") -> None:
+    """Refuse an argument ``name`` that is not a ``cls`` with a TypeError
+    naming it, before any attribute of it is read."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be of type {cls.__name__}, not {type(value).__name__}{hint}")
+
+
 class Record:
     """Base of the package's read-only record types.
 
@@ -293,6 +300,7 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     Each Horner step in 1-q, and each factor of the (1-q)^min_exp prefactor,
     is a pass of ``times_one_minus_qk`` (or ``over_one_minus_qk``) at k = 1.
     """
+    require(a, IntSeries, "a")
     if out_order < 1:
         raise ValueError("out_order must be >= 1")
     if a.order is not None and out_order > a.order:
@@ -382,6 +390,8 @@ def poly_divides(d: IntSeries, p: IntSeries) -> DivisionWitness:
     division remainder when the answer is no: zero when d divides p over
     Q[q] only, else a nonzero rational multiple of the remainder over Q[q].
     """
+    require(d, IntSeries, "d")
+    require(p, IntSeries, "p")
     if d.order is not None or p.order is not None:
         raise NotPolynomialError("poly_divides operates on exact polynomials")
     if d.is_zero():

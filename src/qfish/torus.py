@@ -29,7 +29,7 @@ from .backend import mul_trunc, pool_dp
 from .biseries import BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, knot_index, theta_spec_t
-from .series import IntSeries, Record, over_one_minus_qk, times_one_minus_qk
+from .series import IntSeries, Record, over_one_minus_qk, require, times_one_minus_qk
 
 
 class TorusParams(Record):
@@ -60,9 +60,15 @@ def torus_params(t: int) -> TorusParams:
     return p
 
 
+def _check_params(p) -> None:
+    """Refuse a p that is not the TorusParams of some t."""
+    require(p, TorusParams, "p", "; pass torus_params(t)")
+
+
 def v_exponent(jv: tuple, p: TorusParams) -> int:
     """v(jv) = (sum j_l l - a)/m + sum C(j_l, 2); integral iff jv is admissible.
     jv must have m - 1 nonnegative entries."""
+    _check_params(p)
     if len(jv) != p.m - 1 or any(j < 0 for j in jv):
         raise ValueError("index vector needs m - 1 nonnegative entries")
     total = sum(j * l for l, j in enumerate(jv, start=1))
@@ -83,6 +89,7 @@ def admissible_jvectors(
     and the last coordinate steps directly through its admissible residue
     class (m-1 is odd, hence invertible mod m = 2^(t-1)).
     """
+    _check_params(p)
     m = p.m
     if j_cap < 0:
         return
@@ -154,7 +161,8 @@ def admissible_jvectors(
 #     every low exponent is 0.
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
 #     (-1)^j q^C(j,2) / (q)_j, the x^j coefficient of (x; q)_inf (Euler),
-#     which below q^order is row `order` of the same table.
+#     which below q^order is row `order` of the same table, read off one
+#     Gaussian-binomial row without building the table (slater_multisum).
 # Graded mode also keys by the x-degree d = sum j + k of M_t: the state key
 # is r + m d.  A step by j adds j to d, and A gains one more per level until
 # k is fixed (on the A -> S step at level l = k + 1, or at the end for
@@ -401,10 +409,15 @@ def _m_graded(p: TorusParams, n: int, q_order: int) -> dict:
 
 def slater_multisum(p: TorusParams, order: int) -> IntSeries:
     """sum'_{jv} (-1)^(sum j) q^v / prod_l (q)_{j_l}, cut below q^order: the
-    DP with A pools only.  Its factors (-1)^j q^C(j,2) / (q)_j are the
-    coefficients of (x; q)_inf, which below q^order is row ``order`` of the
-    (x; q)_n table."""
-    fac = _xq_rows(order).row(order)
+    DP with A pools only.  Its factors (-1)^j q^C(j,2) / (q)_j, j <= J =
+    _jmax(order), are the coefficients of (x; q)_inf.  Below q^order,
+    [order + J, j] is 1/(q)_j (they differ from q^(order + J - j + 1) on),
+    so one Gaussian-binomial row gives them all, each signed and placed at
+    q^C(j, 2) and cut below q^order: row ``order`` of the (x; q)_n table,
+    without the table."""
+    big_j = _jmax(order)
+    fac = [[j * (j - 1) // 2, [-c if j & 1 else c for c in row[:order - j * (j - 1) // 2]]]
+           for j, row in enumerate(binom_row_trunc(order + big_j, big_j, order))]
     return _series(_pool_dp(p, [None] * len(fac), fac, order), order)
 
 
@@ -441,18 +454,19 @@ def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
     N = 0..n_top as exact Laurent polynomials, one inner sum per N.
 
     Laurent for every t >= 3 (min exponent -h' = -1, -4, -9 at t = 3, 4, 5);
-    for t = 1 this is sum (q)_n.
+    for t = 1 this is sum (q)_n.  Each product is added into one pool.
     """
+    _check_params(p)
     if n_top < 0:
         raise ValueError("N must be >= 0")
-    total, poch = IntSeries.zero(), IntSeries.one()
+    total, poch = [0, []], [p.sign]  # sign * sum_{n<=N} (q)_n G_n, sign * (q)_N
     for n in range(n_top + 1):
         if n:
-            poch = poch - poch.shift(n)
+            poch.extend([0] * n)
+            times_one_minus_qk(poch, n)
         inner = kz_inner_sum(p, n, None)
-        if inner:
-            total = total + poch * inner
-        yield total.shift(-p.h_d).scale(p.sign)
+        _acc_mul(total, [0, poch], [inner.min_exp, inner.coeffs], None)
+        yield _series([total[0] - p.h_d, total[1]], None)
 
 
 def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
@@ -512,6 +526,7 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     One formula covers every t; no inner-sum DP, kernel product or
     Gaussian-binomial row is involved.
     """
+    _check_params(p)
     if big_n < 1:
         raise ValueError("N must be >= 1")
     r = 2**p.t
@@ -546,6 +561,7 @@ def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
 
 def _check_window(p: TorusParams, x_bound: int, q_order: int) -> None:
     """Refuse t < 2 and an empty window, which would pass with nothing compared."""
+    _check_params(p)
     if p.t < 2:
         raise ValueError("the two-variable series and a_{n,t} need t >= 2")
     if x_bound < 1 or q_order < 1:

@@ -195,6 +195,17 @@ class TestBFile:
         )
         assert json_out(proc)["pass"] is True
 
+    def test_no_deep_flag(self, capsys):
+        # --deep gates the t >= 4 workloads, and bfile-check takes no t
+        with pytest.raises(SystemExit) as exc:
+            main(["bfile-check", "--help"])
+        assert exc.value.code == 0
+        assert "--deep" not in capsys.readouterr().out
+        proc = run_cli("bfile-check", "--deep", "--path", str(DATA / "b022493_sample.txt"),
+                       "--count", "10")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --deep" in proc.stderr
+
     def test_corrupted_entry_fails_at_index(self, tmp_path):
         lines = (DATA / "b022493_sample.txt").read_text().splitlines()
         lines[7] = "5 54"  # flip xi(5)

@@ -1,9 +1,11 @@
 """Library entry points refuse an argument outside their domain with
-ValueError, in process.  Each case names the message it must raise, so a
-check that goes away, or that another check now answers, fails here."""
+ValueError, and an argument of the wrong type with TypeError, in process.
+Each case names the message it must raise, so a check that goes away, or
+that another check now answers, fails here."""
 
 import pytest
 
+from qfish.cyclotomic import cyc_eval
 from qfish.fishburn import (
     S_set,
     binom_congruence,
@@ -27,10 +29,13 @@ from qfish.torus import (
     H_theta,
     M_series,
     a_n_t,
+    admissible_jvectors,
     b_n_t,
     colored_jones,
     kz_at_root_of_unity,
+    kz_full_polynomial,
     torus_params,
+    v_exponent,
 )
 
 T1, T2 = torus_params(1), torus_params(2)
@@ -77,4 +82,34 @@ CASES = [
 @pytest.mark.parametrize("call,match", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_refused(call, match):
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+# An int where a series or a TorusParams belongs is refused by name before
+# any attribute of it is read.
+PARAMS = "p must be of type TorusParams, not int; pass torus_params"
+TYPE_CASES = [
+    ("cyc_eval p", lambda: cyc_eval(3, 5), "p must be of type IntSeries"),
+    ("poly_divides d", lambda: poly_divides(3, IntSeries.one()), "d must be of type IntSeries"),
+    ("poly_divides p", lambda: poly_divides(IntSeries.one(), 3), "p must be of type IntSeries"),
+    ("dissection series", lambda: dissection(3, 2), "series must be of type IntSeries"),
+    ("substitute_one_minus_q a", lambda: substitute_one_minus_q(3, 5),
+     "a must be of type IntSeries"),
+    ("v_exponent p", lambda: v_exponent((1,), 3), PARAMS),
+    ("admissible_jvectors p", lambda: list(admissible_jvectors(3, 2)), PARAMS),
+    ("kz_full_polynomial p", lambda: kz_full_polynomial(3, 2), PARAMS),
+    ("colored_jones p", lambda: colored_jones(3, 2), PARAMS),
+    ("kz_at_root_of_unity p", lambda: kz_at_root_of_unity(3, 2), PARAMS),
+    ("H_theta p", lambda: H_theta(3, 4, 4), PARAMS),
+    ("H_multisum p", lambda: H_multisum(3, 4, 4), PARAMS),
+    ("M_series p", lambda: M_series(3, 4, 4), PARAMS),
+    ("a_n_t p", lambda: a_n_t(3, 2, 5), PARAMS),
+    ("b_n_t p", lambda: b_n_t(3, 2, 5), PARAMS),
+]
+
+
+@pytest.mark.parametrize("call,match", [c[1:] for c in TYPE_CASES],
+                         ids=[c[0] for c in TYPE_CASES])
+def test_wrong_type_refused(call, match):
+    with pytest.raises(TypeError, match=match):
         call()
