@@ -155,8 +155,9 @@ def kernel_bench(quick: bool) -> None:
 
 def engine_cases() -> list:
     """(name, call) for the engine layer, each call past its lru_cache (the
-    Gaussian-binomial rows and the (x; q)_n factor rows stay cached, as in a
-    long-lived process) unless the name says cold."""
+    (x; q)_n factor rows, and the Gaussian-binomial rows where a checkout
+    caches them, stay cached, as in a long-lived process) unless the name
+    says cold."""
     import qfish.fishburn as fishburn
     import qfish.qseries as qseries
     import qfish.torus as torus
@@ -171,15 +172,20 @@ def engine_cases() -> list:
 
     p1, p2, p3, p4, p5 = (torus_params(t) for t in (1, 2, 3, 4, 5))
     mods = {"torus": torus, "qseries": qseries, "fishburn": fishburn}
-    # the factor rows: the Gaussian-binomial rows and the (x; q)_n tables
+    # the factor rows: the Gaussian-binomial rows (a cache in older
+    # checkouts only) and the (x; q)_n tables
     rows = ("qseries.binom_row_trunc", "torus._xq_rows")
     a_windows = ("torus._a_window", "torus._m_graded")
 
     def clear(*names):
-        """Empty each named lru_cache."""
+        """Empty each named lru_cache.  A name that is not a cache is left
+        as it is (one side of a pair may cache what the other does not),
+        and a missing name raises AttributeError."""
         for name in names:
             mod, attr = name.split(".")
-            getattr(mods[mod], attr).cache_clear()
+            obj = getattr(mods[mod], attr)
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
     def b_sums(p, q_order, cold):
         if cold:  # every a_{n,t} and graded summand rebuilt

@@ -9,22 +9,26 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .backend import mul_trunc
-from .series import IntSeries, NotPolynomialError, Record, poly_divides, require
+from .series import IntSeries, NotPolynomialError, Record, over_one_minus_qk, require, times_one_minus_qk
 
 
 @lru_cache(maxsize=256, typed=True)
 def _phi_coeffs(m: int) -> tuple:
-    """Coefficients of Phi_M, by exact division of x^M - 1."""
+    """Phi_M = prod_{d | M squarefree} (x^(M/d) - 1)^mu(d): one pass of 1 - x^k or
+    1/(1 - x^k) per d, on one list cut above x^M (deg Phi_M = phi(M) <= M)."""
     if m < 1:
         raise ValueError("M must be >= 1")
-    poly = IntSeries.make(0, [-1] + [0] * (m - 1) + [1], None)  # x^M - 1
-    for d in range(1, m):
-        if m % d == 0:
-            wit = poly_divides(cyclotomic_poly(d), poly)
-            if not wit.divides:
-                raise ArithmeticError("division was not exact")
-            poly = wit.quotient
-    return poly.coeffs
+    passes = [(m, 1)]  # (M/d, mu(d)) for each squarefree d | M
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % r for r in range(2, p)):
+            passes += [(k // p, -mu) for k, mu in passes]
+    cs = [-1 if m == 1 else 1] + [0] * m  # x^k - 1 = -(1 - x^k); sum mu(d) = 0 for M > 1
+    for k, mu in passes:
+        (times_one_minus_qk if mu > 0 else over_one_minus_qk)(cs, k)
+    deg = sum(k * mu for k, mu in passes)  # phi(M)
+    if any(cs[deg + 1:]):
+        raise ArithmeticError(f"Phi_{m} has a term past x^{deg}")
+    return tuple(cs[:deg + 1])
 
 
 def cyclotomic_poly(m: int) -> IntSeries:

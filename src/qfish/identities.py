@@ -172,11 +172,7 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     eul = euler_product(work)
     s1 = kz_tail_sum(p, eul)
     tb, tw, n_cut, cutoff_stable = b_sums(p, work)
-    s2 = eul * divisor_sum_series(work) * tb
-    s3 = eul * tw
-    sigma = -p.sign
-    rhs_core = (s1 + s2).scale(sigma) + s3.scale(-sigma)
-    rhs = rhs_core.shift(-p.h_d).scale(2)
+    rhs = (s1 + eul * (divisor_sum_series(work) * tb - tw)).scale(-p.sign).shift(-p.h_d).scale(2)
     rep = _series_report("key_identity", window, lhs, rhs,
                          {"b_sum_cutoff": n_cut, "cutoff_doubling_stable": cutoff_stable})
     if not cutoff_stable and rep.passed:

@@ -8,7 +8,6 @@ identity.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import count
 from operator import index
 from typing import Iterator, Optional
@@ -41,14 +40,14 @@ def q_binomial(n: int, k: int) -> IntSeries:
     """The Gaussian binomial coefficient as an exact polynomial.
 
     Zero when k < 0 or k > n (in particular for any k >= 0 when n < 0),
-    matching the vanishing conventions the multisum engines rely on.
+    matching the vanishing conventions the multisum engines rely on.  As
+    [n, k] = [n, n-k], the row is built to column min(k, n-k) only.
     """
     if k < 0 or k > n:
         return IntSeries.zero()
-    return IntSeries.make(0, binom_row_trunc(n, n, n * n // 4 + 1)[k], None)
+    return IntSeries.make(0, binom_row_trunc(n, min(k, n - k), n * n // 4 + 1)[-1], None)
 
 
-@lru_cache(maxsize=128, typed=True)
 def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     """[n, j] for j = 0..min(jmax, n), each cut below q^length (length >= 1).
 
@@ -100,7 +99,6 @@ def knot_index(t) -> int:
     return t
 
 
-@lru_cache(maxsize=16, typed=True)
 def chi_t(t: int) -> PeriodicChar:
     """The sign character of modulus 3*2^(t+1) attached to T(3, 2^t).
 

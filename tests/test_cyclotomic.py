@@ -1,18 +1,37 @@
 """Cyclotomic polynomials and exact arithmetic in Z[zeta_M]."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfish.cyclotomic import CycInt, cyc_eval, cyclotomic_poly
-from qfish.series import IntSeries, NotPolynomialError
+from qfish.cyclotomic import CycInt, _phi_coeffs, cyc_eval, cyclotomic_poly
+from qfish.series import IntSeries, NotPolynomialError, poly_divides
 
 
 def poly(*coeffs, min_exp=0):
     return IntSeries.make(min_exp, coeffs)
 
 
+@lru_cache(maxsize=None)
+def phi_by_division(m):
+    """Oracle (the recursion _phi_coeffs replaced): x^M - 1 divided
+    exactly by Phi_d for every proper divisor d of M."""
+    poly = IntSeries.make(0, [-1] + [0] * (m - 1) + [1])
+    for d in range(1, m):
+        if m % d == 0:
+            wit = poly_divides(IntSeries.make(0, phi_by_division(d)), poly)
+            assert wit.divides
+            poly = wit.quotient
+    return poly.coeffs
+
+
 class TestCyclotomicPoly:
+    @pytest.mark.parametrize("m", range(1, 200))
+    def test_moebius_product_matches_division(self, m):
+        assert _phi_coeffs(m) == phi_by_division(m)
+
     def test_small_cases(self):
         assert cyclotomic_poly(1) == poly(-1, 1)
         assert cyclotomic_poly(4) == poly(1, 0, 1)  # divide x^4-1 by (x-1)(x+1)

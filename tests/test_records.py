@@ -25,7 +25,7 @@ from qfish import (
 )
 from qfish.cyclotomic import _phi_coeffs
 from qfish.fishburn import _xi_cached, xi_coefficients
-from qfish.qseries import binom_row_trunc, chi_t, q_binomial
+from qfish.qseries import q_binomial
 from qfish.series import DivisionWitness
 from qfish.torus import _a_window, _m_graded, kz_inner_sum
 
@@ -151,15 +151,14 @@ def test_engine_caches_bounded():
     assert torus_mod._xq_rows.cache_info().maxsize == 8
     assert _m_graded.cache_info().maxsize == 32
     assert _phi_coeffs.cache_info().maxsize == 256
-    assert chi_t.cache_info().maxsize == 16
     assert kz_inner_sum.cache_info().maxsize == 256
-    # and no cache anywhere in the package is unbounded
+    # these six are the package's only caches, and none is unbounded
     import qfish.cli  # noqa: F401  (loads every engine module)
 
     engines = [mod for name, mod in sys.modules.items() if name.startswith("qfish.")]
     cached = [obj for mod in engines for obj in vars(mod).values() if hasattr(obj, "cache_info")]
-    assert len({id(obj) for obj in cached}) >= 8
-    assert {id(torus_mod._xq_rows), id(_xi_cached)} <= {id(obj) for obj in cached}
+    six = (_a_window, _xi_cached, torus_mod._xq_rows, _m_graded, _phi_coeffs, kz_inner_sum)
+    assert {id(obj) for obj in cached} == {id(obj) for obj in six}
     assert all(obj.cache_info().maxsize is not None for obj in cached)
     # and every one is typed: a float key equals its int key
     assert all(obj.cache_parameters()["typed"] for obj in cached)
@@ -185,7 +184,7 @@ def test_engine_caches_bounded():
 def test_float_argument_refused_cold_and_warm(call, warm):
     # the checked cold path raises; once the int entry is filled, the float
     # call must still take that path rather than read the int's entry
-    for cache in (_a_window, kz_inner_sum, binom_row_trunc, _xi_cached, torus_mod._xq_rows):
+    for cache in (_a_window, kz_inner_sum, _xi_cached, torus_mod._xq_rows):
         cache.cache_clear()
     with pytest.raises(TypeError):
         call()

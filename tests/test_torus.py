@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfish.qseries as qseries_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
 from qfish.biseries import BiSeries, bi_first_difference
@@ -175,6 +176,21 @@ def count_rows(monkeypatch):
     real = torus_mod._XqRows._next
     monkeypatch.setattr(torus_mod._XqRows, "_next", lambda self: built.append(1) or real(self))
     return built
+
+
+def count_binom_rows(monkeypatch):
+    """A list that gains the arguments of every binom_row_trunc call from
+    here on, through torus or through qseries."""
+    calls = []
+    real = qseries_mod.binom_row_trunc
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(torus_mod, "binom_row_trunc", counted)
+    monkeypatch.setattr(qseries_mod, "binom_row_trunc", counted)
+    return calls
 
 
 def m_summand_full(p, n, x_stop, q_order):
@@ -560,10 +576,9 @@ class TestMortonClosedForm:
             raise AssertionError("colored_jones reached the product kernel")
 
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
-        built = count_rows(monkeypatch)
-        misses = binom_row_trunc.cache_info().misses
+        built, binom_rows = count_rows(monkeypatch), count_binom_rows(monkeypatch)
         assert colored_jones(torus_params(4), 12).coeffs
-        assert binom_row_trunc.cache_info().misses == misses
+        assert binom_rows == []
         assert built == []
 
 
@@ -589,10 +604,9 @@ class TestT1HasNoLevels:
 
     def test_root_match_builds_no_rows(self, monkeypatch):
         kz_inner_sum.cache_clear()
-        built = count_rows(monkeypatch)
-        misses = binom_row_trunc.cache_info().misses
+        built, binom_rows = count_rows(monkeypatch), count_binom_rows(monkeypatch)
         assert verify_root_match(1, 30).passed
-        assert binom_row_trunc.cache_info().misses == misses
+        assert binom_rows == []
         assert built == []
 
 
@@ -792,6 +806,31 @@ class TestStableSummand:
         torus_mod._m_graded.cache_clear()
         H_multisum(p, xb, qo)
         assert torus_mod._m_graded.cache_info().misses == min(n_top, work) + 1
+
+
+# (t, n, order): every order at every n up to a top per t; exact t = 5 stops
+# at n = 3, the last summand whose exact DP stays on the int64 lane
+GRADED_CASES = [(t, n, order) for t, top in ((2, 12), (3, 12), (4, 8), (5, 5))
+                for n in range(top + 1) for order in (None, 10, 25)
+                if not (t == 5 and order is None and n > 3)]
+
+
+class TestGradedPools:
+    """Summed over the x-degree d, the graded DP's end pools are the
+    ungraded end pool (x -> 1), on the compiled lane and on the loop."""
+
+    @pytest.mark.parametrize("lane", ["compiled", "loop"])
+    @pytest.mark.parametrize("t,n,order", GRADED_CASES)
+    def test_grades_sum_to_the_ungraded_pool(self, monkeypatch, lane, t, n, order):
+        if lane == "loop":
+            monkeypatch.setattr(torus_mod, "pool_dp", None)
+        p = torus_params(t)
+        facs = torus_mod._q_setup(n, order)
+        total = IntSeries.zero(order)
+        for pool in torus_mod._pool_dp(p, *facs, order, graded=True).values():
+            total = total + torus_mod._series(pool, order)
+        assert total.coeffs
+        assert total == torus_mod._series(torus_mod._pool_dp(p, *facs, order), order)
 
 
 class TestXqRows:
