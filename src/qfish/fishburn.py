@@ -36,7 +36,7 @@ from functools import lru_cache
 from operator import index
 
 from .backend import mul_trunc
-from .qseries import ThetaSpec, knot_index, pochhammer, theta_spec_t
+from .qseries import ThetaSpec, int_arg, knot_index, pochhammer, theta_spec_t
 from .series import (
     DivisionWitness,
     IntSeries,
@@ -73,6 +73,7 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     summands with n >= count are invisible below q^count and are skipped,
     which is also why the result stabilizes in N.
     """
+    n_top = int_arg(n_top, "N")
     if count < 1:
         raise ValueError("count must be >= 1")
     if n_top < 0:
@@ -336,6 +337,7 @@ def verify_congruence(t: int, p: int, r: int, m_max: int, scan_all_j: bool = Fal
     """
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
+    r, m_max = int_arg(r, "r"), int_arg(m_max, "m_max")
     if r < 1 or m_max < 1 or t < 1:
         raise ValueError("r, m_max must be >= 1 and t >= 1")
     j_range = congruence_j_range(t, p)

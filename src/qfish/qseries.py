@@ -88,12 +88,17 @@ class PeriodicChar(Record):
         return [r for r, v in enumerate(self.values) if v]
 
 
-def knot_index(t) -> int:
-    """The t of T(3, 2^t) as an int >= 1, through operator.index; 2.0 and
+def int_arg(value, name: str) -> int:
+    """The argument ``name`` as an int, through operator.index; 2.0 and
     True raise TypeError rather than act as 2 and 1."""
-    if isinstance(t, bool):
-        raise TypeError("t must be an int, not bool")
-    t = index(t)
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not bool")
+    return index(value)
+
+
+def knot_index(t) -> int:
+    """The t of T(3, 2^t) as an int >= 1 (int_arg)."""
+    t = int_arg(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
     return t

@@ -157,8 +157,8 @@ def admissible_jvectors(
 #     moving its low exponent.
 #   - the image of q -> 1-q (inner_sums_at_one_minus_q, for the oracle
 #     qfish.fishburn.xi_series): the same f[j] at q -> 1-q, built by the
-#     rule of _XqRows (_sub_row); lifted by a product with (1-q)^shift;
-#     every low exponent is 0.
+#     step of _XqRows (_row_step) with the DP's own lift, a product with
+#     (1-q)^shift; every low exponent is 0.
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
 #     (-1)^j q^C(j,2) / (q)_j, the x^j coefficient of (x; q)_inf (Euler),
 #     which below q^order is row `order` of the same table, read off one
@@ -227,8 +227,8 @@ def _acc_mul(dst, src, f, lim):
 def _ladd(a, b):
     """a + b for pools [lo, coeffs] (None is zero): b added into a in place,
     or the nonzero side when one is zero.  a must be a pool the caller owns
-    (the running DP's, or the fresh ones of M_series and H_theta), never a
-    factor."""
+    (the running DP's, the fresh ones of M_series and H_theta, or a new row
+    of the a-window), never a factor."""
     if a is None or b is None:
         return b if a is None else a
     lo, coeffs = b
@@ -301,27 +301,44 @@ def _jmax(q_order: int) -> int:
     return j
 
 
+def _row_step(prev: list, n: int, cut, lift) -> list:
+    """Row n + 1 of (x; X)_n = sum_j F_n[j] x^j from row n, prev:
+    F_{n+1}[j] = F_n[j] - X^n F_n[j-1] for j = 1..len(prev), F_n[n+1] = 0,
+    where lift(f, n) is X^n f, the lift _pool_dp takes.  Every entry is cut
+    below q^cut (None = exact): one whose X^n term starts at or past the cut
+    is shared with prev, and a new top entry past the cut is dropped.  The
+    entries of prev are only read."""
+    row = [prev[0]]
+    for j, f in enumerate(prev, 1):
+        lo, cs = lift(f, n)
+        if cut is not None:
+            if lo >= cut:  # F_{n+1}[j] = F_n[j] below the cut; no new top entry
+                row += prev[j:j + 1]
+                continue
+            cs = cs[:cut - lo]
+        ent = [prev[j][0], prev[j][1][:cut and cut - prev[j][0]]] if j < len(prev) else [lo, []]
+        i = _grow(ent, lo, len(cs))
+        ent[1][i:i + len(cs)] = map(sub, ent[1][i:i + len(cs)], cs)
+        row.append(ent)
+    return row
+
+
 class _XqRows:
     """The rows of (x; q)_n = sum_j F_n[j] x^j, F_n[j] = (-1)^j q^C(j,2)
-    [n, j]_q, for one order: row n holds the factor pools
-    [C(j, 2), coeffs] for j = 0..min(n, J), each cut below q^order (None =
-    exact, no cut and J = n; else J = _jmax(order), since an entry with
-    C(j, 2) >= order is cut away whole).
+    [n, j]_q, for one order: row n holds the factor pools [C(j, 2), coeffs]
+    for the j with C(j, 2) below the order, each cut below q^order (None =
+    exact, every j <= n), built by _row_step with the q-lift.
 
-    Row n + 1 is row n times 1 - x q^n, F_{n+1}[j] = F_n[j] - q^n F_n[j-1],
-    one subtraction per entry; an entry the cut leaves unchanged is shared
-    with the row before.  A cut table keeps rows 0..order: from n = order on
-    the q^n term lies past the cut, so every later row is row order.  An
-    exact table keeps only its newest two rows (row n holds about n^3/6
-    coefficients) and rebuilds an earlier one from F_0 = 1.  The entries
-    are only read.
+    A cut table keeps rows 0..order: from n = order on the q^n term lies
+    past the cut, so every later row is row order.  An exact table keeps
+    only its newest two rows (row n holds about n^3/6 coefficients) and
+    rebuilds an earlier one from F_0 = 1.  The entries are only read.
     """
 
-    __slots__ = ("order", "jmax", "n0", "rows")
+    __slots__ = ("order", "n0", "rows")
 
     def __init__(self, order):
         self.order = order
-        self.jmax = None if order is None else _jmax(order)
         self.n0, self.rows = 0, [[[0, [1]]]]
 
     def row(self, n: int) -> list:
@@ -330,45 +347,12 @@ class _XqRows:
             n = min(n, self.order)
         if n < self.n0:
             self.n0, self.rows = 0, [[[0, [1]]]]
-        while self.n0 + len(self.rows) <= n:
-            self.rows.append(self._next())
+        while (top := self.n0 + len(self.rows) - 1) < n:
+            self.rows.append(_row_step(self.rows[-1], top, self.order, _q_lift))
             if self.order is None and len(self.rows) > 2:
                 del self.rows[0]
                 self.n0 += 1
         return self.rows[n - self.n0]
-
-    def _next(self) -> list:
-        """Row n + 1 from the newest row n."""
-        n = self.n0 + len(self.rows) - 1
-        prev, cut = self.rows[-1], self.order
-        row = [prev[0]]
-        for j in range(1, n + 2 if cut is None else min(n + 1, self.jmax) + 1):
-            lo, off = j * (j - 1) // 2, n - j + 1
-            width = j * (n + 1 - j) + 1 if cut is None else min(j * (n + 1 - j) + 1, cut - lo)
-            if off >= width:  # q^n F_n[j-1] lies past the cut
-                row.append(prev[j])
-                continue
-            cs = prev[j][1] if j <= n else []
-            cs = cs + [0] * (width - len(cs))
-            d = prev[j - 1][1][:width - off]
-            cs[off:off + len(d)] = map(sub, cs[off:off + len(d)], d)
-            row.append([lo, cs])
-        return row
-
-
-def _sub_row(prev: Optional[list], n: int, length: int, pw: list) -> list:
-    """Row n of (x; q)_n at q -> 1-q: F[n][j] = (-1)^j (1-q)^C(j,2) [n, j]
-    at q -> 1-q for j = 0..n, as pools [0, coeffs] cut below q^length.
-    It is the rule of _XqRows with (1-q)^(n-1) for q^(n-1),
-    F[n][j] = F[n-1][j] - (1-q)^(n-1) F[n-1][j-1] with F[n-1][n] = 0: one
-    product per entry, added into a copy of F[n-1][j].  prev is row n-1 and
-    pw[n-1] is (1-q)^(n-1), each cut no lower than q^length."""
-    neg = [0, [-c for c in pw[n - 1]]]
-    row = [[0, [1]]]
-    for j in range(1, n + 1):
-        cs = prev[j][1][:length] if j < n else []  # F[n-1][n] = 0
-        row.append(_acc_mul([0, cs], neg, prev[j - 1], length))
-    return row
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -433,18 +417,19 @@ def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
 def inner_sums_at_one_minus_q(p: TorusParams, pw: list, count: int) -> Iterator[list]:
     """q^(a div m) G_n(q) at q -> 1-q for n = 0 .. count - 1, each a list
     from q^0 cut below q^(count - n).  For t >= 2 (a < m) that is G_n(1-q),
-    the DP on the rows of _sub_row, each q^s of a step lifted to (1-q)^s;
-    t = 1 has no levels, and its G_n = q^(-1) gives 1.  pw[e] is (1-q)^e
-    cut no lower than q^count, for e <= n + 1 at the n-th sum."""
+    the DP on the rows of (x; 1-q)_n, whose step and whose DP lift each q^s
+    to (1-q)^s through one lift; t = 1 has no levels, and its G_n = q^(-1)
+    gives 1.  pw[e] is (1-q)^e cut no lower than q^count, for e <= n + 1 at
+    the n-th sum."""
     row = [[0, [1]]]  # F[0]
     for n in range(count):
         if p.m == 1:
             yield [1]
             continue
         order = count - n
-        row_next = _sub_row(row, n + 1, order, pw)
-        pool = _pool_dp(p, row + [None], row_next, order,
-                        lift=lambda f, s: [0, mul_trunc(pw[s], f[1], order)])
+        lift = lambda f, s: [0, mul_trunc(pw[s], f[1], order)]  # (1-q)^s f
+        row_next = _row_step(row, n, order, lift)
+        pool = _pool_dp(p, row + [None], row_next, order, lift=lift)
         yield pool[1] if pool else []
         row = row_next
 
@@ -708,10 +693,8 @@ def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
         for k in range(max(0, (lo - slots) // m + 1), (hi - 1) // m + 1):
             base = k * m - lo
             for d, pool in _m_graded(p, min(k, q_order), q_order).items():
-                if pool and 0 <= base + d < hi - lo:
-                    e, cs = pool
-                    acc = new[base + d]
-                    acc[e:e + len(cs)] = map(add, acc[e:e + len(cs)], cs)
+                if 0 <= base + d < hi - lo:
+                    _ladd([0, new[base + d]], pool)
         for acc in new:
             sums.append(list(map(add, sums[-1], a[-1])) if a else [0] * q_order)
             a.append(acc)

@@ -29,17 +29,23 @@ from qfish.fishburn import (
 from qfish.oeis import parse_bfile
 from qfish.qseries import q_binomial, theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, one_minus_q_power, substitute_one_minus_q
-from qfish.torus import _acc_mul, _sub_row, kz_partial_polynomials, torus_params
+from qfish.torus import _acc_mul, _row_step, kz_partial_polynomials, torus_params
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-# The retired two-pass builder, kept as an oracle for _sub_row: first the
-# Gaussian binomial row at q -> 1-q by the Pascal rule, then the factors.
+# The retired two-pass builder, kept as an oracle for the substituted rows of
+# _row_step: first the Gaussian binomial row at q -> 1-q by the Pascal rule,
+# then the factors.
 def _powers(top, count):
     """(1-q)^e cut below q^count for e = 0 .. top - 1, as lists."""
     return [list(one_minus_q_power(e, min(e + 1, count)).coeffs) for e in range(top)]
+
+
+def _sub_lift(pw, length):
+    """The lift of inner_sums_at_one_minus_q: f times (1-q)^s cut below q^length."""
+    return lambda f, s: [0, mul_trunc(pw[s], f[1], length)]
 
 
 def _sub_pascal_row(prev, n, pw, count):
@@ -377,9 +383,9 @@ class TestSubRow:
 
     def _rows(self, length):
         pw = _powers(92, self.COUNT)  # e <= C(14, 2) for _sub_factors
-        rows = [_sub_row(None, 0, length, pw)]
-        for n in range(1, 15):
-            rows.append(_sub_row(rows[-1], n, length, pw))
+        rows = [[[0, [1]]]]
+        for n in range(14):
+            rows.append(_row_step(rows[-1], n, length, _sub_lift(pw, length)))
         return pw, rows
 
     def test_matches_retired_builder(self):
@@ -390,7 +396,8 @@ class TestSubRow:
             if n:
                 pascal = _sub_pascal_row(pascal, n, pw, self.COUNT)
             for length in sorted({1, 2, 5, min(self.COUNT - n + 1, self.COUNT)}):
-                row = full[0] if n == 0 else _sub_row(full[n - 1], n, length, pw)
+                row = full[0] if n == 0 else _row_step(full[n - 1], n - 1, length,
+                                                       _sub_lift(pw, length))
                 want = _sub_factors(pascal, length, pw)
                 assert len(row) == n + 1
                 for j, (lo, cs) in enumerate(row):

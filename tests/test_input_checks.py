@@ -105,6 +105,11 @@ TYPE_CASES = [
     ("M_series p", lambda: M_series(3, 4, 4), PARAMS),
     ("a_n_t p", lambda: a_n_t(3, 2, 5), PARAMS),
     ("b_n_t p", lambda: b_n_t(3, 2, 5), PARAMS),
+    ("verify_congruence r bool", lambda: verify_congruence(2, 5, True, 1), "r must be an int"),
+    ("verify_congruence m_max bool", lambda: verify_congruence(2, 5, 1, True),
+     "m_max must be an int"),
+    ("xi_series N float", lambda: xi_series(2, 5.0, 3), "'float' object cannot be interpreted"),
+    ("xi_series N bool", lambda: xi_series(2, True, 3), "N must be an int"),
 ]
 
 

@@ -170,11 +170,11 @@ def q_factors(rows, jmax):
 
 
 def count_rows(monkeypatch):
-    """A list that gains one item per factor row any (x; q)_n table builds
-    from here on."""
+    """A list that gains one item per factor row built through _row_step
+    (by an (x; q)_n table or by the substituted rows) from here on."""
     built = []
-    real = torus_mod._XqRows._next
-    monkeypatch.setattr(torus_mod._XqRows, "_next", lambda self: built.append(1) or real(self))
+    real = torus_mod._row_step
+    monkeypatch.setattr(torus_mod, "_row_step", lambda *args: built.append(1) or real(*args))
     return built
 
 
@@ -438,10 +438,11 @@ class TestFactorsAreOnlyRead:
         # the substituted rows of inner_sums_at_one_minus_q, lifted as it
         # lifts them
         pw = [list(one_minus_q_power(e, min(e + 1, 12)).coeffs) for e in range(6)]
+        sub = lambda f, s: [0, mul_trunc(pw[s], f[1], 12)]  # noqa: E731
         row = [[0, [1]]]
-        for n in range(1, 4):
-            row = torus_mod._sub_row(row, n, 12, pw)
-        fac = row + [None], torus_mod._sub_row(row, 4, 12, pw)
+        for n in range(3):
+            row = torus_mod._row_step(row, n, 12, sub)
+        fac = row + [None], torus_mod._row_step(row, 3, 12, sub)
         before = copy.deepcopy(fac)
 
         def lift(f, s):
