@@ -7,7 +7,6 @@ identities connecting them.
 """
 
 from .backend import backend_name
-from .biseries import BiSeries
 from .cyclotomic import CycInt, cyc_eval, cyclotomic_poly
 from .fishburn import (
     CongruenceReport,
@@ -71,7 +70,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiSeries",
     "CongruenceReport",
     "CycInt",
     "Dissection",

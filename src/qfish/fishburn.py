@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import index
 
 from .backend import mul_trunc
 from .qseries import ThetaSpec, int_arg, knot_index, pochhammer, theta_spec_t
@@ -73,7 +72,7 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     summands with n >= count are invisible below q^count and are skipped,
     which is also why the result stabilizes in N.
     """
-    n_top = int_arg(n_top, "N")
+    n_top, count = int_arg(n_top, "N"), int_arg(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     if n_top < 0:
@@ -192,7 +191,7 @@ def xi_coefficients(t: int, count: int) -> list:
     """xi_t(0 .. count-1), sliced from the longest table built for t when
     that one is long enough.  t and count are checked before the table is
     read, so (2.0, c) and (2, 5.0) raise however warm t = 2 is."""
-    t, count = knot_index(t), index(count)
+    t, count = knot_index(t), int_arg(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     table = _xi_cached(t)
@@ -273,6 +272,7 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
     pieces are Laurent and the divisibility statement's exact scope is an
     open question, so outcomes are data.
     """
+    n_index = int_arg(n_index, "n_index")
     if s < 2:
         raise ValueError("s must be >= 2")
     p = torus_params(t)

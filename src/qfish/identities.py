@@ -20,9 +20,7 @@ over the a-window); its partner is a partial theta and a product, no DP.
 from __future__ import annotations
 
 from operator import add
-from typing import Optional
 
-from .biseries import BiSeries, bi_first_difference
 from .cyclotomic import cyc_eval
 from .qseries import (
     partial_theta,
@@ -70,7 +68,7 @@ class IdentityReport(Record):
 
 
 def _report(name: str, window: dict, diff, keys: tuple,
-            details: Optional[dict] = None) -> IdentityReport:
+            details: dict | None = None) -> IdentityReport:
     """The report of a comparison whose first difference (None if the sides
     agree) is the tuple ``diff``, named field by field by ``keys``."""
     first = None if diff is None else dict(zip(keys, diff))
@@ -78,13 +76,17 @@ def _report(name: str, window: dict, diff, keys: tuple,
 
 
 def _series_report(name: str, window: dict, lhs: IntSeries, rhs: IntSeries,
-                   details: Optional[dict] = None) -> IdentityReport:
+                   details: dict | None = None) -> IdentityReport:
     return _report(name, window, first_difference(lhs, rhs), ("exponent", "lhs", "rhs"), details)
 
 
-def _bi_report(name: str, window: dict, lhs: BiSeries, rhs: BiSeries) -> IdentityReport:
-    return _report(name, window, bi_first_difference(lhs, rhs),
-                   ("x_exponent", "q_exponent", "lhs", "rhs"))
+def _bi_report(name: str, window: dict, lhs, rhs) -> IdentityReport:
+    """Compare two sequences of x-columns (IntSeries, index j the coefficient
+    of x^j) on their common window: the first column that differs names the
+    x-exponent, its first difference the rest."""
+    diff = next(((j, *d) for j, (a, b) in enumerate(zip(lhs, rhs))
+                 if (d := first_difference(a, b)) is not None), None)
+    return _report(name, window, diff, ("x_exponent", "q_exponent", "lhs", "rhs"))
 
 
 def _merge(name: str, window: dict, parts: list) -> IdentityReport:
@@ -100,19 +102,19 @@ def _merge(name: str, window: dict, parts: list) -> IdentityReport:
 # -- difference equation and the theta/multisum match -------------------------
 
 
-def _diff_rhs(t: int, f: BiSeries, x_bound: int, q_order: int) -> BiSeries:
-    """1 - q^2 x^3 - q^(2^t-1) x^(2^t) + q^(3+2^t) x^(3+2^t)
-    + q^(5*2^t-3) x^(3*2^t) f(q^2 x)."""
+def _diff_rhs(t: int, f: tuple, x_bound: int, q_order: int) -> list:
+    """The x-columns of 1 - q^2 x^3 - q^(2^t-1) x^(2^t) + q^(3+2^t) x^(3+2^t)
+    + q^(5*2^t-3) x^(3*2^t) f(q^2 x), for the x-columns f."""
     p2 = 2**t
     cols = [IntSeries.zero(q_order)] * x_bound
     # the four monomials sit at distinct x-degrees below 3 * 2^t for t >= 2
     for x_deg, q_exp, c in ((0, 0, 1), (3, 2, -1), (p2, p2 - 1, -1), (3 + p2, 3 + p2, 1)):
         if x_deg < x_bound:
             cols[x_deg] = IntSeries.monomial(q_exp, c, q_order)
-    shifted = f.substitute_x_times_qk(2)
-    for j in range(min(f.x_bound, x_bound - 3 * p2)):
-        cols[3 * p2 + j] = shifted.cols[j].shift(5 * p2 - 3)
-    return BiSeries.make(x_bound, q_order, cols)
+    # x -> q^2 x gives column j of f a factor q^(2j)
+    for j in range(min(len(f), x_bound - 3 * p2)):
+        cols[3 * p2 + j] = f[j].shift(2 * j + 5 * p2 - 3).truncate(q_order)
+    return cols
 
 
 def verify_difference_equation(t: int, x_bound: int, q_order: int) -> IdentityReport:
@@ -136,8 +138,9 @@ def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
     """(1 - x) M_t(x, q) = sum_n b_{n,t}(q) x^n, both sides independently."""
     p = torus_params(t)
     window = {"t": t, "x_bound": x_bound, "q_order": q_order}
-    lhs = M_series(p, x_bound, q_order).mul_one_minus_x()
-    rhs = BiSeries.make(x_bound, q_order, [b_n_t(p, n, q_order) for n in range(x_bound)])
+    m = M_series(p, x_bound, q_order)
+    lhs = m[:1] + tuple(c - prev for prev, c in zip(m, m[1:]))
+    rhs = [b_n_t(p, n, q_order) for n in range(x_bound)]
     return _bi_report("m_series_rewrite", window, lhs, rhs)
 
 
@@ -230,7 +233,7 @@ def _gen_slater(t: int, q_order: int) -> IdentityReport:
     return _series_report(f"generalized_slater_t{t}", window, lhs, rhs)
 
 
-def verify_slater(q_order: int, gen_q_order: Optional[int] = None) -> IdentityReport:
+def verify_slater(q_order: int, gen_q_order: int | None = None) -> IdentityReport:
     """Slater (86) at q_order plus the generalized product identity for
     t = 2 and t = 3 (at gen_q_order, default q_order)."""
     go = q_order if gen_q_order is None else gen_q_order

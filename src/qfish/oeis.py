@@ -7,8 +7,6 @@ the network.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .fishburn import xi_coefficients
 
 
@@ -20,7 +18,8 @@ def parse_bfile(path) -> dict:
     """Map index -> value from a b-file; raises BFileError with the line
     number on malformed input and without one on text that is not UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise BFileError(f"cannot read b-file: {exc}") from None
     entries: dict = {}

@@ -8,15 +8,15 @@ identity.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import count
 from operator import index
-from typing import Iterator, Optional
 
 from .cyclotomic import cyc_eval
 from .series import IntSeries, Record, over_one_minus_qk, progression_product, times_one_minus_qk
 
 
-def pochhammer(base_exp: int, n: int, out_order: Optional[int] = None) -> IntSeries:
+def pochhammer(base_exp: int, n: int, out_order: int | None = None) -> IntSeries:
     """(q^base_exp; q)_n = prod_{k=1..n} (1 - q^(base_exp+k-1)).
 
     base_exp may be <= 0, giving a Laurent polynomial; for base_exp = 1-N

@@ -20,9 +20,9 @@ in place on a list the caller owns.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, attrgetter, sub
-from typing import Iterable, Optional
 
 from .backend import mul_trunc
 
@@ -88,7 +88,7 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
-def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
+def _min_order(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
     if b is None:
@@ -107,7 +107,7 @@ class IntSeries(Record):
 
     __slots__ = ("min_exp", "coeffs", "order")
 
-    def __init__(self, min_exp: int, coeffs: tuple, order: Optional[int]):
+    def __init__(self, min_exp: int, coeffs: tuple, order: int | None):
         self.min_exp = min_exp
         self.coeffs = coeffs
         self.order = order
@@ -115,7 +115,7 @@ class IntSeries(Record):
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def make(min_exp: int, coeffs: Iterable[int], order: Optional[int] = None) -> "IntSeries":
+    def make(min_exp: int, coeffs: Iterable[int], order: int | None = None) -> "IntSeries":
         cs = list(coeffs)
         if order is not None:
             width = order - min_exp
@@ -143,15 +143,15 @@ class IntSeries(Record):
         return IntSeries(min_exp, tuple(cs), order)
 
     @staticmethod
-    def zero(order: Optional[int] = None) -> "IntSeries":
+    def zero(order: int | None = None) -> "IntSeries":
         return IntSeries.make(0, (), order)
 
     @staticmethod
-    def one(order: Optional[int] = None) -> "IntSeries":
+    def one(order: int | None = None) -> "IntSeries":
         return IntSeries.make(0, (1,), order)
 
     @staticmethod
-    def monomial(exp: int, coeff: int = 1, order: Optional[int] = None) -> "IntSeries":
+    def monomial(exp: int, coeff: int = 1, order: int | None = None) -> "IntSeries":
         return IntSeries.make(exp, (coeff,), order)
 
     # -- inspection --------------------------------------------------------
@@ -258,7 +258,7 @@ class IntSeries(Record):
             None if self.order is None else self.order + k,
         )
 
-    def truncate(self, order: Optional[int]) -> "IntSeries":
+    def truncate(self, order: int | None) -> "IntSeries":
         """Narrow the window to ``order`` (never widens)."""
         if order is None or (self.order is not None and order >= self.order):
             return self

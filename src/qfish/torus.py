@@ -21,12 +21,11 @@ to the trefoil Jones polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, index, sub
-from typing import Iterator, Optional
 
 from .backend import mul_trunc, pool_dp
-from .biseries import BiSeries
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, knot_index, theta_spec_t
 from .series import IntSeries, Record, over_one_minus_qk, require, times_one_minus_qk
@@ -79,7 +78,7 @@ def v_exponent(jv: tuple, p: TorusParams) -> int:
 
 
 def admissible_jvectors(
-    p: TorusParams, j_cap: int, v_cap: Optional[int] = None
+    p: TorusParams, j_cap: int, v_cap: int | None = None
 ) -> Iterator[tuple]:
     """Stream of (jv, v) over admissible vectors with every j_l <= j_cap and,
     when v_cap is given, v < v_cap.
@@ -542,6 +541,9 @@ def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
 
 
 # -- the two-variable series -------------------------------------------------
+#
+# H_theta, H_multisum and M_series return a tuple of x_bound IntSeries
+# columns: index j is the coefficient of x^j, cut below q^q_order.
 
 
 def _check_window(p: TorusParams, x_bound: int, q_order: int) -> None:
@@ -562,7 +564,7 @@ def _check_cancelled(cols: dict, low: int) -> None:
             raise ArithmeticError(f"nonzero coefficient at negative x-degree {e - low}")
 
 
-def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
+def H_theta(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     """H_t(x, q) = sum_{n>=0} chi_t(n) q^((n^2-(2^(t+1)-3)^2)/(3*2^(t+2)))
     x^((n-(2^(t+1)-3))/2), truncated in both variables: the terms of
     P^(0), each a monomial pool at its x-degree below x_bound.  A term at
@@ -574,7 +576,7 @@ def H_theta(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
         if (d := (n - n0) // 2) < x_bound:
             cols[d] = _ladd(cols.get(d), [qe, [sign]])
     _check_cancelled(cols, 0)
-    return BiSeries.make(x_bound, q_order, [_series(cols.get(d), q_order) for d in range(x_bound)])
+    return tuple(_series(cols.get(d), q_order) for d in range(x_bound))
 
 
 def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tuple]:
@@ -613,7 +615,7 @@ def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tu
                 yield x_deg, [v, [-c for c in cs] if sj & 1 else cs]
 
 
-def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
+def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     """The multisum side of H_t:
 
         sign * q^(-h') x^(-h) sum_n (x)_{n+1} x^(nm)
@@ -641,12 +643,11 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
                     cols[e] = _acc_mul(cols.get(e), pool, col, work)
         n += 1
     _check_cancelled(cols, p.h)
-    return BiSeries.make(x_bound, q_order, [
-        _series(cols.get(e + p.h), work).shift(-p.h_d).scale(p.sign) for e in range(x_bound)
-    ])
+    return tuple(_series(cols.get(e + p.h), work).shift(-p.h_d).scale(p.sign)
+                 for e in range(x_bound))
 
 
-def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
+def M_series(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     """M_t(x, q) = sum_n x^(nm) sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [...]."""
     _check_window(p, x_bound, q_order)
     cols: dict = {}  # x-degree -> pool
@@ -655,7 +656,7 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> BiSeries:
         for x_deg, term in _m_summand(p, n, x_bound, q_order):
             cols[x_deg] = _ladd(cols.get(x_deg), term)
         n += 1
-    return BiSeries.make(x_bound, q_order, [_series(cols.get(d), q_order) for d in range(x_bound)])
+    return tuple(_series(cols.get(d), q_order) for d in range(x_bound))
 
 
 def _a_stable(p: TorusParams, q_order: int) -> int:

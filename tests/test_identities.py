@@ -20,7 +20,11 @@ from qfish.torus import b_n_t, b_sums, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
-    @pytest.mark.parametrize("t,xb,qo", [(2, 14, 40), (3, 10, 24), (4, 20, 40), (5, 12, 24)])
+    # (2, 16, 40) and (3, 28, 60) reach x-degree 3 * 2^t + 3, the first
+    # column the x -> q^2 x step shifts (columns 1 and 2 of H_2, H_3 are 0)
+    @pytest.mark.parametrize("t,xb,qo", [
+        (2, 14, 40), (3, 10, 24), (4, 20, 40), (5, 12, 24), (2, 16, 40), (3, 28, 60),
+    ])
     def test_difference_equation(self, t, xb, qo):
         rep = verify_difference_equation(t, xb, qo)
         assert rep.passed, rep.as_dict()
@@ -154,6 +158,24 @@ class TestSensitivity:
         rep = verify_theta_product(2, 30)
         assert not rep.passed
         assert rep.first_discrepancy["exponent"] == 5
+
+    def test_difference_equation_detects_perturbation(self, monkeypatch):
+        import qfish.identities as idm
+        from qfish.torus import H_multisum as real_h
+
+        def perturbed(p, x_bound, q_order):
+            cols = list(real_h(p, x_bound, q_order))
+            cols[2] = cols[2] + IntSeries.monomial(3, 1, q_order)
+            return tuple(cols)
+
+        monkeypatch.setattr(idm, "H_multisum", perturbed)
+        rep = verify_difference_equation(2, 8, 16)
+        assert not rep.passed
+        assert rep.first_discrepancy["x_exponent"] == 2
+        assert rep.first_discrepancy["q_exponent"] == 3
+        assert rep.details["theta_form_difference_eq"] == "pass"
+        assert rep.details["multisum_form_difference_eq"] == "fail"
+        assert rep.details["theta_equals_multisum"] == "fail"
 
     def test_rewrite2_detects_perturbation(self, monkeypatch):
         import qfish.identities as idm

@@ -13,6 +13,7 @@ from qfish.fishburn import (
     divisibility_check,
     straub_order_bound,
     verify_congruence,
+    xi_coefficients,
     xi_series,
 )
 from qfish.identities import verify_key_identity, verify_theta_product
@@ -110,6 +111,10 @@ TYPE_CASES = [
      "m_max must be an int"),
     ("xi_series N float", lambda: xi_series(2, 5.0, 3), "'float' object cannot be interpreted"),
     ("xi_series N bool", lambda: xi_series(2, True, 3), "N must be an int"),
+    ("xi_series count bool", lambda: xi_series(2, 5, True), "count must be an int"),
+    ("xi_coefficients count bool", lambda: xi_coefficients(2, True), "count must be an int"),
+    ("divisibility_check n_index bool", lambda: divisibility_check(2, 5, True),
+     "n_index must be an int"),
 ]
 
 

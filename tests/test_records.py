@@ -11,7 +11,6 @@ import pytest
 
 import qfish.torus as torus_mod
 from qfish import (
-    BiSeries,
     CongruenceReport,
     CycInt,
     Dissection,
@@ -35,7 +34,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MAKERS = {
     "IntSeries": lambda: IntSeries(1, (2, 3), 5),
     "DivisionWitness": lambda: DivisionWitness(False, None, 2, IntSeries(0, (1,), None)),
-    "BiSeries": lambda: BiSeries(1, 3, (IntSeries(0, (1,), 3),)),
     "CycInt": lambda: CycInt(4, (1, -1)),
     "PeriodicChar": lambda: PeriodicChar(2, (1, -1)),
     "ThetaSpec": lambda: ThetaSpec(1, 24, 0, PeriodicChar(2, (1, -1))),
@@ -86,8 +84,8 @@ def test_cold_start_imports_no_heavy_stdlib():
     # -S keeps site hooks of the host interpreter out of the module set
     code = (
         "import qfish, qfish.cli, sys; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')"
-        " if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal',"
+        " 'typing', 'pathlib') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

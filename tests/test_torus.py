@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import qfish.qseries as qseries_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
-from qfish.biseries import BiSeries, bi_first_difference
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
@@ -220,6 +219,14 @@ def m_summand_full(p, n, x_stop, q_order):
                 yield x_deg, prod.shift(v).scale(-1 if sj & 1 else 1)
 
 
+def column_difference(a, b):
+    """First (x-exponent, q-exponent, a_coeff, b_coeff) where the x-columns
+    a and b (equally many) differ, or None."""
+    assert len(a) == len(b)
+    return next(((j, *d) for j, (ca, cb) in enumerate(zip(a, b))
+                 if (d := first_difference(ca, cb)) is not None), None)
+
+
 def h_multisum_per_term(p, x_bound, q_order):
     """Oracle (the accumulation H_multisum replaced): every term of every
     summand convolved on its own with the IntSeries columns of (x)_{n+1},
@@ -241,7 +248,7 @@ def h_multisum_per_term(p, x_bound, q_order):
                 cols[e] = cols.get(e, zero) + col * piece
         n += 1
     assert all(c.is_zero() for e, c in cols.items() if e < 0)
-    return BiSeries.make(x_bound, q_order, [cols.get(e, zero).shift(-p.h_d) for e in range(x_bound)])
+    return tuple(cols.get(e, zero).shift(-p.h_d) for e in range(x_bound))
 
 
 class TestParams:
@@ -634,20 +641,28 @@ class TestRootEvaluation:
         assert kz_at_root_of_unity(torus_params(t), 1) == CycInt.integer(1, 1)
 
 
+@pytest.mark.parametrize("build", [H_theta, H_multisum, M_series])
+@pytest.mark.parametrize("t,xb,qo", [(2, 1, 1), (2, 9, 13), (3, 14, 5)])
+def test_two_variable_series_are_x_bound_columns(build, t, xb, qo):
+    cols = build(torus_params(t), xb, qo)
+    assert type(cols) is tuple and len(cols) == xb
+    assert all(type(c) is IntSeries and c.order == qo for c in cols)
+
+
 class TestHSeries:
     def test_h_theta_t2_leading(self):
         h = H_theta(torus_params(2), 8, 20)
-        assert h.cols[0] == IntSeries.one(20)
-        assert h.cols[3] == IntSeries.monomial(2, -1, 20)
-        assert h.cols[4] == IntSeries.monomial(3, -1, 20)
-        assert h.cols[7] == IntSeries.monomial(7, 1, 20)
+        assert h[0] == IntSeries.one(20)
+        assert h[3] == IntSeries.monomial(2, -1, 20)
+        assert h[4] == IntSeries.monomial(3, -1, 20)
+        assert h[7] == IntSeries.monomial(7, 1, 20)
 
     def test_h_theta_t3_leading(self):
         h = H_theta(torus_params(3), 12, 20)
-        assert h.cols[0] == IntSeries.one(20)
-        assert h.cols[3] == IntSeries.monomial(2, -1, 20)
-        assert h.cols[8] == IntSeries.monomial(7, -1, 20)
-        assert h.cols[11] == IntSeries.monomial(11, 1, 20)
+        assert h[0] == IntSeries.one(20)
+        assert h[3] == IntSeries.monomial(2, -1, 20)
+        assert h[8] == IntSeries.monomial(7, -1, 20)
+        assert h[11] == IntSeries.monomial(11, 1, 20)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("xb,qo", [(1, 1), (6, 40), (30, 12), (9, 9)])
@@ -663,18 +678,18 @@ class TestHSeries:
                 assert n >= n0 and (n - n0) % 2 == 0 and (n * n - a) % b == 0, n
                 if (n * n - a) // b < qo:
                     cols[(n - n0) // 2][(n * n - a) // b] += chi(n)
-        expect = BiSeries.make(xb, qo, [IntSeries.make(0, c, qo) for c in cols])
+        expect = tuple(IntSeries.make(0, c, qo) for c in cols)
         assert H_theta(torus_params(t), xb, qo) == expect
 
     @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 10, 20)])
     def test_multisum_equals_theta_form(self, t, xb, qo):
         p = torus_params(t)
-        assert bi_first_difference(H_theta(p, xb, qo), H_multisum(p, xb, qo)) is None
+        assert column_difference(H_theta(p, xb, qo), H_multisum(p, xb, qo)) is None
 
     def test_constant_terms(self):
         for t in (2, 3):
             p = torus_params(t)
-            assert H_multisum(p, 4, 8).cols[0].coeff(0) == 1
+            assert H_multisum(p, 4, 8)[0].coeff(0) == 1
 
     def test_multisum_checks_negative_degrees(self, monkeypatch):
         # summand 0 of M_2 starts at x^2 = x^h; a pool put at x^0 survives
@@ -710,14 +725,15 @@ class TestMSeries:
     @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 8, 20)])
     def test_one_minus_x_m_equals_b_sum(self, t, xb, qo):
         p = torus_params(t)
-        lhs = M_series(p, xb, qo).mul_one_minus_x()
-        rhs = BiSeries.make(xb, qo, [b_n_t(p, n, qo) for n in range(xb)])
-        assert bi_first_difference(lhs, rhs) is None
+        m = M_series(p, xb, qo)
+        lhs = (m[0],) + tuple(c - prev for prev, c in zip(m, m[1:]))
+        rhs = tuple(b_n_t(p, n, qo) for n in range(xb))
+        assert column_difference(lhs, rhs) is None
 
     def test_x0_coefficient_is_a0(self):
         for t in (2, 3):
             p = torus_params(t)
-            assert first_difference(M_series(p, 3, 15).cols[0], a_n_t(p, 0, 15)) is None
+            assert first_difference(M_series(p, 3, 15)[0], a_n_t(p, 0, 15)) is None
 
     @pytest.mark.parametrize("t,xb", [(2, 12), (3, 10)])
     @pytest.mark.parametrize("qo", [3, 20])
@@ -725,7 +741,7 @@ class TestMSeries:
         p = torus_params(t)
         m = M_series(p, xb, qo)
         for n in range(xb):
-            assert first_difference(m.cols[n], a_n_t(p, n, qo)) is None
+            assert first_difference(m[n], a_n_t(p, n, qo)) is None
 
     def test_b0_equals_a0(self):
         p = torus_params(2)
