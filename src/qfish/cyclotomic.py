@@ -9,18 +9,31 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .backend import mul_trunc
-from .series import IntSeries, NotPolynomialError, Record, over_one_minus_qk, require, times_one_minus_qk
+from .series import (IntSeries, NotPolynomialError, Record, int_arg, over_one_minus_qk, require,
+                     times_one_minus_qk)
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 @lru_cache(maxsize=256, typed=True)
 def _phi_coeffs(m: int) -> tuple:
     """Phi_M = prod_{d | M squarefree} (x^(M/d) - 1)^mu(d): one pass of 1 - x^k or
     1/(1 - x^k) per d, on one list cut above x^M (deg Phi_M = phi(M) <= M)."""
-    if m < 1:
-        raise ValueError("M must be >= 1")
+    m = int_arg(m, "M", 1)
     passes = [(m, 1)]  # (M/d, mu(d)) for each squarefree d | M
     for p in range(2, m + 1):
-        if m % p == 0 and all(p % r for r in range(2, p)):
+        if m % p == 0 and is_prime(p):
             passes += [(k // p, -mu) for k, mu in passes]
     cs = [-1 if m == 1 else 1] + [0] * m  # x^k - 1 = -(1 - x^k); sum mu(d) = 0 for M > 1
     for k, mu in passes:
@@ -126,8 +139,7 @@ def cyc_eval(p: IntSeries, m: int) -> CycInt:
     is rejected because its evaluation would not be well-defined.
     """
     require(p, IntSeries, "p")
-    if m < 1:
-        raise ValueError("M must be >= 1")
+    m = int_arg(m, "M", 1)
     if p.order is not None:
         raise NotPolynomialError("cyc_eval needs an exact Laurent polynomial")
     acc = [0] * m

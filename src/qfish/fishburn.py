@@ -35,31 +35,20 @@ import math
 from functools import lru_cache
 
 from .backend import mul_trunc
-from .qseries import ThetaSpec, int_arg, knot_index, pochhammer, theta_spec_t
+from .cyclotomic import is_prime
+from .qseries import ThetaSpec, pochhammer, theta_spec_t
 from .series import (
     DivisionWitness,
     IntSeries,
     NotPolynomialError,
     Record,
+    int_arg,
     one_minus_q_power,
     over_one_minus_qk,
     poly_divides,
     require,
 )
 from .torus import inner_sums_at_one_minus_q, kz_full_polynomial, torus_params
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # -- the multisum at q -> 1-q ----------------------------------------------
@@ -72,11 +61,7 @@ def xi_series(t: int, n_top: int, count: int) -> list:
     summands with n >= count are invisible below q^count and are skipped,
     which is also why the result stabilizes in N.
     """
-    n_top, count = int_arg(n_top, "N"), int_arg(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if n_top < 0:
-        raise ValueError("N must be >= 0")
+    n_top, count = int_arg(n_top, "N", 0), int_arg(count, "count", 1)
     p = torus_params(t)
     n_last = min(n_top, count - 1)
     # (1-q)^e cut below q^count: the inner sums read e <= n_last + 1
@@ -174,8 +159,7 @@ def xi_lvalues(t: int, count: int) -> list:
 
     A non-integral intermediate raises ArithmeticError; nothing is rounded.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = int_arg(count, "count", 1)
     spec = theta_spec_t(t, 1)
     return _xi_from_lvalues(spec.char.values, spec.a, spec.b, count)
 
@@ -191,9 +175,7 @@ def xi_coefficients(t: int, count: int) -> list:
     """xi_t(0 .. count-1), sliced from the longest table built for t when
     that one is long enough.  t and count are checked before the table is
     read, so (2.0, c) and (2, 5.0) raise however warm t = 2 is."""
-    t, count = knot_index(t), int_arg(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    t, count = int_arg(t, "t", 1), int_arg(count, "count", 1)
     table = _xi_cached(t)
     if len(table) < count:
         table[:] = xi_lvalues(t, count)
@@ -222,8 +204,7 @@ class Dissection(Record):
 
 def dissection(series: IntSeries, s: int) -> Dissection:
     require(series, IntSeries, "series")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    s = int_arg(s, "s", 1)
     if series.order is not None:
         raise NotPolynomialError("dissection needs a completed (exact) polynomial")
     # exponents e = i (mod s) sit s apart in the window, at powers e // s
@@ -240,8 +221,7 @@ def S_set(spec: ThetaSpec, s: int) -> set:
     range is exhaustive; it steps through the support residues of chi by
     the period.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    s = int_arg(s, "s", 1)
     period = spec.char.period
     return {spec.exponent(n) % s for r in spec.char.support_residues()
             for n in range(r, period * s, period)}
@@ -272,9 +252,7 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
     pieces are Laurent and the divisibility statement's exact scope is an
     open question, so outcomes are data.
     """
-    n_index = int_arg(n_index, "n_index")
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    s, n_index = int_arg(s, "s", 2), int_arg(n_index, "n_index", 0)
     p = torus_params(t)
     poly = kz_full_polynomial(p, n_index)
     dis = dissection(poly, s)
@@ -335,11 +313,10 @@ def verify_congruence(t: int, p: int, r: int, m_max: int, scan_all_j: bool = Fal
     With ``scan_all_j`` the report also records residues for j beyond the
     claimed range; those carry no expectation and do not affect `pass`.
     """
+    t, p = int_arg(t, "t", 1), int_arg(p, "p")
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
-    r, m_max = int_arg(r, "r"), int_arg(m_max, "m_max")
-    if r < 1 or m_max < 1 or t < 1:
-        raise ValueError("r, m_max must be >= 1 and t >= 1")
+    r, m_max = int_arg(r, "r", 1), int_arg(m_max, "m_max", 1)
     j_range = congruence_j_range(t, p)
     modulus = p**r
     if not j_range and not scan_all_j:
@@ -370,10 +347,9 @@ def straub_order_bound(p: int, r: int, n: int) -> bool:
     Expands the power exactly and reduces; this is the order bound that
     turns dissection divisibility into prime-power congruences.
     """
+    p, r, n = int_arg(p, "p"), int_arg(r, "r", 1), int_arg(n, "n", 0)
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
     base = IntSeries.one() - IntSeries.make(0, one_minus_q_power(p, p + 1).coeffs)
     pw = IntSeries.one()
     for _ in range(n):
@@ -387,14 +363,12 @@ def binom_congruence(i: int, l: int, p: int, r: int, m: int, j: int) -> bool:
     """binom(i + l*p, p^r m - j) == 0 (mod p^r), the coefficient lemma,
     stated for 0 <= i < p, l >= 0, m >= 1 and j < p - i.  Outside that
     domain the binomial is not the lemma's coefficient, so it is refused."""
+    i, l, p = int_arg(i, "i"), int_arg(l, "l", 0), int_arg(p, "p")
+    r, m, j = int_arg(r, "r", 1), int_arg(m, "m", 1), int_arg(j, "j")
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
     if not 0 <= i < p:
         raise ValueError("i must be in 0 .. p - 1")
-    if l < 0 or m < 1:
-        raise ValueError("need l >= 0 and m >= 1")
     if j >= p - i:
         raise ValueError("j must be < p - i")
     return math.comb(i + l * p, p**r * m - j) % p**r == 0

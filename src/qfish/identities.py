@@ -34,6 +34,7 @@ from .series import (
     divisor_sum_series,
     euler_product,
     first_difference,
+    int_arg,
     over_one_minus_qk,
     progression_product,
 )
@@ -121,6 +122,7 @@ def verify_difference_equation(t: int, x_bound: int, q_order: int) -> IdentityRe
     """Check that both forms of H_t satisfy the defining difference equation
     and that they agree with each other on the window."""
     p = torus_params(t)
+    x_bound, q_order = int_arg(x_bound, "x_bound", 1), int_arg(q_order, "q_order", 1)
     window = {"t": t, "x_bound": x_bound, "q_order": q_order}
     h_series = H_theta(p, x_bound, q_order)
     h_multi = H_multisum(p, x_bound, q_order)
@@ -137,6 +139,7 @@ def verify_difference_equation(t: int, x_bound: int, q_order: int) -> IdentityRe
 def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
     """(1 - x) M_t(x, q) = sum_n b_{n,t}(q) x^n, both sides independently."""
     p = torus_params(t)
+    x_bound, q_order = int_arg(x_bound, "x_bound", 1), int_arg(q_order, "q_order", 1)
     window = {"t": t, "x_bound": x_bound, "q_order": q_order}
     m = M_series(p, x_bound, q_order)
     lhs = m[:1] + tuple(c - prev for prev, c in zip(m, m[1:]))
@@ -167,6 +170,7 @@ def verify_key_identity(t: int, q_order: int) -> IdentityReport:
     p = torus_params(t)
     if p.t < 2:
         raise ValueError("the key identity needs t >= 2")
+    q_order = int_arg(q_order, "q_order", 1)
     window = {"t": t, "q_order": q_order}
     lhs = partial_theta(theta_spec_t(t, 1), q_order) - torus_product(t, q_order).scale(
         2 ** (t + 1) - 3
@@ -192,6 +196,7 @@ def verify_theta_product(t: int, q_order: int) -> IdentityReport:
     p = torus_params(t)
     if p.t < 2:
         raise ValueError("t >= 2 required")
+    q_order = int_arg(q_order, "q_order", 1)
     window = {"t": t, "q_order": q_order}
     p0 = partial_theta(theta_spec_t(t, 0), q_order)
     # the product side at (2^(t+1), 2^t - 1) is torus_product(t, q_order)
@@ -236,9 +241,8 @@ def _gen_slater(t: int, q_order: int) -> IdentityReport:
 def verify_slater(q_order: int, gen_q_order: int | None = None) -> IdentityReport:
     """Slater (86) at q_order plus the generalized product identity for
     t = 2 and t = 3 (at gen_q_order, default q_order)."""
-    go = q_order if gen_q_order is None else gen_q_order
-    if q_order < 1 or go < 1:
-        raise ValueError("q_order and gen_q_order must be >= 1")
+    q_order = int_arg(q_order, "q_order", 1)
+    go = q_order if gen_q_order is None else int_arg(gen_q_order, "gen_q_order", 1)
     window = {"q_order": q_order, "gen_q_order": go}
     parts = [_slater86(q_order), _gen_slater(2, go), _gen_slater(3, go)]
     return _merge("slater", window, parts)
@@ -254,8 +258,7 @@ def verify_root_match(t: int, n_max: int) -> IdentityReport:
     F_t(zeta_N) is F_t(q; N-1) at zeta_N (see kz_at_root_of_unity); the
     partial sums for every N come from one pass over n.
     """
-    if n_max < 1:
-        raise ValueError("N_max must be >= 1")
+    n_max = int_arg(n_max, "N_max", 1)
     p = torus_params(t)
     window = {"t": t, "N_max": n_max}
     results = {}

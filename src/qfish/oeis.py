@@ -8,6 +8,7 @@ the network.
 from __future__ import annotations
 
 from .fishburn import xi_coefficients
+from .series import int_arg
 
 
 class BFileError(ValueError):
@@ -45,8 +46,7 @@ def parse_bfile(path) -> dict:
 def check_bfile(path, count: int) -> dict:
     """Compare the classical Fishburn numbers against a local b-file
     (A022493 convention: offset 0).  Returns a machine-readable report."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = int_arg(count, "count", 1)
     entries = parse_bfile(path)
     missing = [n for n in range(count) if n not in entries]
     if missing:

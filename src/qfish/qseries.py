@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import count
-from operator import index
 
 from .cyclotomic import cyc_eval
-from .series import IntSeries, Record, over_one_minus_qk, progression_product, times_one_minus_qk
+from .series import IntSeries, Record, int_arg, over_one_minus_qk, progression_product, times_one_minus_qk
 
 
 def pochhammer(base_exp: int, n: int, out_order: int | None = None) -> IntSeries:
@@ -23,10 +22,8 @@ def pochhammer(base_exp: int, n: int, out_order: int | None = None) -> IntSeries
     and n >= N the factor (1 - q^0) makes the product identically zero.
     ``out_order`` None returns the exact polynomial, else it is >= 1.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if out_order is not None and out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    base_exp, n = int_arg(base_exp, "base_exp"), int_arg(n, "n", 0)
+    out_order = None if out_order is None else int_arg(out_order, "out_order", 1)
     acc = IntSeries.one(out_order)
     for k in range(1, n + 1):
         e = base_exp + k - 1
@@ -43,6 +40,7 @@ def q_binomial(n: int, k: int) -> IntSeries:
     matching the vanishing conventions the multisum engines rely on.  As
     [n, k] = [n, n-k], the row is built to column min(k, n-k) only.
     """
+    n, k = int_arg(n, "n"), int_arg(k, "k")
     if k < 0 or k > n:
         return IntSeries.zero()
     return IntSeries.make(0, binom_row_trunc(n, min(k, n - k), n * n // 4 + 1)[-1], None)
@@ -88,22 +86,6 @@ class PeriodicChar(Record):
         return [r for r, v in enumerate(self.values) if v]
 
 
-def int_arg(value, name: str) -> int:
-    """The argument ``name`` as an int, through operator.index; 2.0 and
-    True raise TypeError rather than act as 2 and 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, not bool")
-    return index(value)
-
-
-def knot_index(t) -> int:
-    """The t of T(3, 2^t) as an int >= 1 (int_arg)."""
-    t = int_arg(t, "t")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return t
-
-
 def chi_t(t: int) -> PeriodicChar:
     """The sign character of modulus 3*2^(t+1) attached to T(3, 2^t).
 
@@ -111,7 +93,7 @@ def chi_t(t: int) -> PeriodicChar:
     admitted and reproduces the conductor-12 character with support
     {1, 5, 7, 11}.
     """
-    t = knot_index(t)
+    t = int_arg(t, "t", 1)
     period = 3 * 2 ** (t + 1)
     vals = [0] * period
     vals[(2 ** (t + 1) - 3) % period] = 1
@@ -151,7 +133,7 @@ def theta_spec_t(t: int, nu: int) -> ThetaSpec:
     The support condition ((n^2-a)/b integral wherever chi(n) != 0) is
     verified over a full period at construction.
     """
-    t = knot_index(t)
+    t, nu = int_arg(t, "t", 1), int_arg(nu, "nu")
     if nu not in (0, 1):
         raise ValueError("nu must be 0 or 1")
     char = chi_t(t)
@@ -168,8 +150,7 @@ def partial_theta(spec: ThetaSpec, out_order: int) -> IntSeries:
 
     Only the arithmetic progressions supporting chi are scanned.
     """
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    out_order = int_arg(out_order, "out_order", 1)
     terms = {}
     for n, sign, e in spec.terms(out_order):
         terms[e] = terms.get(e, 0) + sign * (n if spec.nu else 1)
@@ -189,8 +170,7 @@ def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
     exponent mod M, and is evaluated in Z[zeta_M] by cyc_eval; no floating
     point is involved.
     """
-    if m < 1:
-        raise ValueError("M must be >= 1")
+    m = int_arg(m, "M", 1)
     acc = [0] * m
     for n in range(1, m * spec.char.period + 1):
         c = spec.char(n)
@@ -210,7 +190,7 @@ def _quintiple_pairs(q_power: int, x_power: int) -> list:
 def torus_product(t: int, out_order: int) -> IntSeries:
     """(q^(2^t-1), q^(2^t+1), q^(2^(t+1)); q^(2^(t+1)))_inf (q^2, q^(2^(t+2)-2); q^(2^(t+2)))_inf:
     the product side of quintiple_sides(2^(t+1), 2^t - 1)."""
-    t = knot_index(t)
+    t = int_arg(t, "t", 1)
     return progression_product(_quintiple_pairs(2 ** (t + 1), 2**t - 1), out_order)
 
 
@@ -222,8 +202,8 @@ def quintiple_sides(q_power: int, x_power: int, out_order: int) -> tuple:
     The two sides are computed independently.  Raises if the substitution
     does not give series bounded below / genuine power series.
     """
-    if q_power < 1:
-        raise ValueError("q substitution must have positive exponent (sum unbounded below)")
+    q_power, x_power = int_arg(q_power, "q_power", 1), int_arg(x_power, "x_power")
+    out_order = int_arg(out_order, "out_order", 1)
     pairs = _quintiple_pairs(q_power, x_power)
     if any(start < 1 for start, _ in pairs):
         raise ValueError("substitution gives a product factor with nonpositive exponent")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate
-from operator import add, attrgetter, sub
+from operator import add, attrgetter, index, sub
 
 from .backend import mul_trunc
 
@@ -44,6 +44,21 @@ def require(value, cls: type, name: str, hint: str = "") -> None:
     naming it, before any attribute of it is read."""
     if not isinstance(value, cls):
         raise TypeError(f"{name} must be of type {cls.__name__}, not {type(value).__name__}{hint}")
+
+
+def int_arg(value, name: str, low: int | None = None) -> int:
+    """The integer argument ``name`` as an int, through operator.index, and
+    at least ``low`` when that is given.  True and 2.0 raise TypeError
+    rather than act as 1 and 2; a value below ``low`` raises ValueError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not bool")
+    try:
+        value = index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name} must be an int: {exc}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 class Record:
@@ -301,8 +316,7 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     is a pass of ``times_one_minus_qk`` (or ``over_one_minus_qk``) at k = 1.
     """
     require(a, IntSeries, "a")
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    out_order = int_arg(out_order, "out_order", 1)
     if a.order is not None and out_order > a.order:
         raise TruncationError(
             f"composition to order {out_order} needs input known to that order (have {a.order})"
@@ -326,10 +340,7 @@ def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
 
 def one_minus_q_power(e: int, out_order: int) -> IntSeries:
     """(1-q)**e cut below q^out_order >= 1, e >= 0, via binomial coefficients."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    e, out_order = int_arg(e, "e", 0), int_arg(out_order, "out_order", 1)
     out = [0] * out_order
     c = 1
     for i in range(min(e, out_order - 1) + 1):
@@ -340,8 +351,7 @@ def one_minus_q_power(e: int, out_order: int) -> IntSeries:
 
 def divisor_sum_series(out_order: int) -> IntSeries:
     """sum_{i>=1} q^i/(1-q^i) = sum_n d(n) q^n with d the divisor count."""
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    out_order = int_arg(out_order, "out_order", 1)
     out = [0] * out_order
     for i in range(1, out_order):
         for n in range(i, out_order, i):
@@ -355,8 +365,7 @@ def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
     Each factor whose exponent stays below out_order is one pass of
     ``times_one_minus_qk`` over the window.
     """
-    if out_order < 1:
-        raise ValueError("out_order must be >= 1")
+    out_order = int_arg(out_order, "out_order", 1)
     out = [1] + [0] * (out_order - 1)
     for start, step in pairs:
         if start < 1 or step < 1:

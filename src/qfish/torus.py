@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import add, index, sub
+from operator import add, sub
 
 from .backend import mul_trunc, pool_dp
 from .cyclotomic import CycInt, cyc_eval
-from .qseries import binom_row_trunc, knot_index, theta_spec_t
-from .series import IntSeries, Record, over_one_minus_qk, require, times_one_minus_qk
+from .qseries import binom_row_trunc, theta_spec_t
+from .series import IntSeries, Record, int_arg, over_one_minus_qk, require, times_one_minus_qk
 
 
 class TorusParams(Record):
@@ -44,7 +44,7 @@ class TorusParams(Record):
 
 
 def torus_params(t: int) -> TorusParams:
-    t = knot_index(t)
+    t = int_arg(t, "t", 1)
     p2 = 2**t
     if t % 2 == 0:
         nums = (p2 - 1, p2 - 4, 2 ** (t - 1) + 1)
@@ -68,8 +68,9 @@ def v_exponent(jv: tuple, p: TorusParams) -> int:
     """v(jv) = (sum j_l l - a)/m + sum C(j_l, 2); integral iff jv is admissible.
     jv must have m - 1 nonnegative entries."""
     _check_params(p)
-    if len(jv) != p.m - 1 or any(j < 0 for j in jv):
-        raise ValueError("index vector needs m - 1 nonnegative entries")
+    jv = [int_arg(j, f"jv[{i}]", 0) for i, j in enumerate(jv)]
+    if len(jv) != p.m - 1:
+        raise ValueError("index vector needs m - 1 entries")
     total = sum(j * l for l, j in enumerate(jv, start=1))
     num = total - p.a
     if num % p.m:
@@ -89,6 +90,8 @@ def admissible_jvectors(
     class (m-1 is odd, hence invertible mod m = 2^(t-1)).
     """
     _check_params(p)
+    j_cap = int_arg(j_cap, "j_cap")
+    v_cap = None if v_cap is None else int_arg(v_cap, "v_cap")
     m = p.m
     if j_cap < 0:
         return
@@ -357,13 +360,8 @@ class _XqRows:
 @lru_cache(maxsize=8, typed=True)
 def _xq_rows(order) -> _XqRows:
     """The (x; q)_n table at order (None = exact).  The cache is typed and
-    the order goes through operator.index, so 9.0 never reads the table
-    of 9."""
-    if order is not None:
-        order = index(order)
-        if order < 1:
-            raise ValueError("order must be None or >= 1")
-    return _XqRows(order)
+    the order goes through int_arg, so 9.0 never reads the table of 9."""
+    return _XqRows(None if order is None else int_arg(order, "order", 1))
 
 
 def _q_setup(n: int, order) -> tuple:
@@ -441,8 +439,7 @@ def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
     for t = 1 this is sum (q)_n.  Each product is added into one pool.
     """
     _check_params(p)
-    if n_top < 0:
-        raise ValueError("N must be >= 0")
+    n_top = int_arg(n_top, "N", 0)
     total, poch = [0, []], [p.sign]  # sign * sum_{n<=N} (q)_n G_n, sign * (q)_N
     for n in range(n_top + 1):
         if n:
@@ -511,8 +508,7 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     Gaussian-binomial row is involved.
     """
     _check_params(p)
-    if big_n < 1:
-        raise ValueError("N must be >= 1")
+    big_n = int_arg(big_n, "N", 1)
     r = 2**p.t
     base = 2 * big_n - 3 * r * (big_n * big_n - 1)
     terms = []
@@ -535,8 +531,7 @@ def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
     (q)_n vanishes at zeta_N from n = N on, so the exact partial sum
     F_t(q; N-1) evaluated at zeta_N is the whole value.
     """
-    if big_n < 1:
-        raise ValueError("N must be >= 1")
+    big_n = int_arg(big_n, "N", 1)
     return cyc_eval(kz_full_polynomial(p, big_n - 1), big_n)
 
 
@@ -546,13 +541,13 @@ def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
 # columns: index j is the coefficient of x^j, cut below q^q_order.
 
 
-def _check_window(p: TorusParams, x_bound: int, q_order: int) -> None:
-    """Refuse t < 2 and an empty window, which would pass with nothing compared."""
+def _check_window(p: TorusParams, x_bound: int, q_order: int) -> tuple:
+    """The checked (x_bound, q_order): t < 2 and an empty window, which would
+    pass with nothing compared, are refused."""
     _check_params(p)
     if p.t < 2:
         raise ValueError("the two-variable series and a_{n,t} need t >= 2")
-    if x_bound < 1 or q_order < 1:
-        raise ValueError("x_bound and q_order must be >= 1")
+    return int_arg(x_bound, "x_bound", 1), int_arg(q_order, "q_order", 1)
 
 
 def _check_cancelled(cols: dict, low: int) -> None:
@@ -569,7 +564,7 @@ def H_theta(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     x^((n-(2^(t+1)-3))/2), truncated in both variables: the terms of
     P^(0), each a monomial pool at its x-degree below x_bound.  A term at
     a negative x-degree is refused (_check_cancelled with low = 0)."""
-    _check_window(p, x_bound, q_order)
+    x_bound, q_order = _check_window(p, x_bound, q_order)
     n0 = 2 ** (p.t + 1) - 3
     cols: dict = {}  # x-degree -> pool
     for n, sign, qe in theta_spec_t(p.t, 0).terms(q_order):
@@ -628,7 +623,7 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     of the factor table.  The x^(-h) prefactor must cancel: negative
     x-degrees are accumulated and checked by _check_cancelled with low = h.
     """
-    _check_window(p, x_bound, q_order)
+    x_bound, q_order = _check_window(p, x_bound, q_order)
     work = q_order + p.h_d
     top = x_bound + p.h  # x-degrees before the x^(-h) shift stay below top
     xq = _xq_rows(work)
@@ -649,7 +644,7 @@ def H_multisum(p: TorusParams, x_bound: int, q_order: int) -> tuple:
 
 def M_series(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     """M_t(x, q) = sum_n x^(nm) sum'_{jv} (-x)^(sum j) q^v sum_k x^k prod_l [...]."""
-    _check_window(p, x_bound, q_order)
+    x_bound, q_order = _check_window(p, x_bound, q_order)
     cols: dict = {}  # x-degree -> pool
     n = 0
     while n * p.m < x_bound:
@@ -714,7 +709,8 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     n >= (L - 1)m + S, so a_{n,t} depends only on n mod m there and is read
     from the first such n in its class.
     """
-    _check_window(p, 1, q_order)
+    _, q_order = _check_window(p, 1, q_order)
+    n = int_arg(n, "n")
     stable = _a_stable(p, q_order)
     if n >= stable + p.m:
         n = stable + (n - stable) % p.m
@@ -725,8 +721,7 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
 
 def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """b_{n,t} = a_{n,t} - a_{n-1,t} with a_{-1,t} = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = int_arg(n, "n", 0)
     return a_n_t(p, n, q_order) - a_n_t(p, n - 1, q_order)
 
 

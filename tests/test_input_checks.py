@@ -3,9 +3,12 @@ ValueError, and an argument of the wrong type with TypeError, in process.
 Each case names the message it must raise, so a check that goes away, or
 that another check now answers, fails here."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from qfish.cyclotomic import cyc_eval
+from qfish.cyclotomic import cyc_eval, cyclotomic_poly
 from qfish.fishburn import (
     S_set,
     binom_congruence,
@@ -14,12 +17,32 @@ from qfish.fishburn import (
     straub_order_bound,
     verify_congruence,
     xi_coefficients,
+    xi_lvalues,
     xi_series,
 )
-from qfish.identities import verify_key_identity, verify_theta_product
-from qfish.qseries import pochhammer, theta_spec_t
+from qfish.identities import (
+    verify_difference_equation,
+    verify_key_identity,
+    verify_rewrite2,
+    verify_root_match,
+    verify_slater,
+    verify_theta_product,
+)
+from qfish.oeis import check_bfile
+from qfish.qseries import (
+    chi_t,
+    mean_value_zero,
+    partial_theta,
+    pochhammer,
+    q_binomial,
+    quintiple_sides,
+    theta_spec_t,
+    torus_product,
+)
 from qfish.series import (
     IntSeries,
+    divisor_sum_series,
+    euler_product,
     one_minus_q_power,
     poly_divides,
     progression_product,
@@ -35,12 +58,107 @@ from qfish.torus import (
     colored_jones,
     kz_at_root_of_unity,
     kz_full_polynomial,
+    kz_partial_polynomials,
     torus_params,
     v_exponent,
 )
 
 T1, T2 = torus_params(1), torus_params(2)
 POLY = IntSeries.make(0, [1, 2, 3])
+SPEC = theta_spec_t(2, 0)
+BFILE = Path(__file__).parent / "data" / "b022493_sample.txt"
+
+# Every integer argument of the public entry points goes through
+# series.int_arg: (function and argument name, call with the value, lowest
+# value or None).  True and 2.0 must raise TypeError "<name> must be an
+# int", and a value below the lowest ValueError "<name> must be >= <low>";
+# the cases are generated into CASES and TYPE_CASES below.
+INT_SLOTS = [
+    ("substitute_one_minus_q out_order", lambda v: substitute_one_minus_q(POLY, v), 1),
+    ("one_minus_q_power e", lambda v: one_minus_q_power(v, 5), 0),
+    ("one_minus_q_power out_order", lambda v: one_minus_q_power(2, v), 1),
+    ("divisor_sum_series out_order", lambda v: divisor_sum_series(v), 1),
+    ("progression_product out_order", lambda v: progression_product([(1, 1)], v), 1),
+    ("euler_product out_order", lambda v: euler_product(v), 1),
+    ("cyclotomic_poly M", lambda v: cyclotomic_poly(v), 1),
+    ("cyc_eval M", lambda v: cyc_eval(POLY, v), 1),
+    ("pochhammer base_exp", lambda v: pochhammer(v, 3), None),
+    ("pochhammer n", lambda v: pochhammer(1, v), 0),
+    ("pochhammer out_order", lambda v: pochhammer(1, 3, v), 1),
+    ("q_binomial n", lambda v: q_binomial(v, 2), None),
+    ("q_binomial k", lambda v: q_binomial(4, v), None),
+    ("chi_t t", lambda v: chi_t(v), 1),
+    ("theta_spec_t t", lambda v: theta_spec_t(v, 0), 1),
+    ("theta_spec_t nu", lambda v: theta_spec_t(2, v), None),
+    ("torus_product t", lambda v: torus_product(v, 5), 1),
+    ("torus_product out_order", lambda v: torus_product(2, v), 1),
+    ("partial_theta out_order", lambda v: partial_theta(SPEC, v), 1),
+    ("mean_value_zero M", lambda v: mean_value_zero(SPEC, v), 1),
+    ("quintiple_sides q_power", lambda v: quintiple_sides(v, 3, 5), 1),
+    ("quintiple_sides x_power", lambda v: quintiple_sides(8, v, 5), None),
+    ("quintiple_sides out_order", lambda v: quintiple_sides(8, 3, v), 1),
+    ("torus_params t", lambda v: torus_params(v), 1),
+    ("v_exponent jv[0]", lambda v: v_exponent((v,), T2), 0),
+    ("admissible_jvectors j_cap", lambda v: list(admissible_jvectors(T2, v)), None),
+    ("admissible_jvectors v_cap", lambda v: list(admissible_jvectors(T2, 3, v)), None),
+    ("kz_partial_polynomials N", lambda v: list(kz_partial_polynomials(T2, v)), 0),
+    ("kz_full_polynomial N", lambda v: kz_full_polynomial(T2, v), 0),
+    ("colored_jones N", lambda v: colored_jones(T2, v), 1),
+    ("kz_at_root_of_unity N", lambda v: kz_at_root_of_unity(T2, v), 1),
+    ("H_theta x_bound", lambda v: H_theta(T2, v, 4), 1),
+    ("H_theta q_order", lambda v: H_theta(T2, 4, v), 1),
+    ("H_multisum x_bound", lambda v: H_multisum(T2, v, 4), 1),
+    ("H_multisum q_order", lambda v: H_multisum(T2, 4, v), 1),
+    ("M_series x_bound", lambda v: M_series(T2, v, 4), 1),
+    ("M_series q_order", lambda v: M_series(T2, 4, v), 1),
+    ("a_n_t n", lambda v: a_n_t(T2, v, 5), None),
+    ("a_n_t q_order", lambda v: a_n_t(T2, 2, v), 1),
+    ("b_n_t n", lambda v: b_n_t(T2, v, 5), 0),
+    ("b_n_t q_order", lambda v: b_n_t(T2, 2, v), 1),
+    ("xi_series N", lambda v: xi_series(2, v, 3), 0),
+    ("xi_series count", lambda v: xi_series(2, 5, v), 1),
+    ("xi_lvalues t", lambda v: xi_lvalues(v, 3), 1),
+    ("xi_lvalues count", lambda v: xi_lvalues(2, v), 1),
+    ("xi_coefficients t", lambda v: xi_coefficients(v, 3), 1),
+    ("xi_coefficients count", lambda v: xi_coefficients(2, v), 1),
+    ("dissection s", lambda v: dissection(POLY, v), 1),
+    ("S_set s", lambda v: S_set(SPEC, v), 1),
+    ("divisibility_check t", lambda v: divisibility_check(v, 5, 9), 1),
+    ("divisibility_check s", lambda v: divisibility_check(2, v, 9), 2),
+    ("divisibility_check n_index", lambda v: divisibility_check(2, 5, v), 0),
+    ("verify_congruence t", lambda v: verify_congruence(v, 5, 1, 1), 1),
+    ("verify_congruence p", lambda v: verify_congruence(2, v, 1, 1), None),
+    ("verify_congruence r", lambda v: verify_congruence(2, 5, v, 1), 1),
+    ("verify_congruence m_max", lambda v: verify_congruence(2, 5, 1, v), 1),
+    ("straub_order_bound p", lambda v: straub_order_bound(v, 1, 2), None),
+    ("straub_order_bound r", lambda v: straub_order_bound(5, v, 2), 1),
+    ("straub_order_bound n", lambda v: straub_order_bound(5, 1, v), 0),
+    ("binom_congruence i", lambda v: binom_congruence(v, 1, 5, 1, 1, 1), None),
+    ("binom_congruence l", lambda v: binom_congruence(0, v, 5, 1, 1, 1), 0),
+    ("binom_congruence p", lambda v: binom_congruence(0, 1, v, 1, 1, 1), None),
+    ("binom_congruence r", lambda v: binom_congruence(0, 1, 5, v, 1, 1), 1),
+    ("binom_congruence m", lambda v: binom_congruence(0, 1, 5, 1, v, 1), 1),
+    ("binom_congruence j", lambda v: binom_congruence(0, 1, 5, 1, 1, v), None),
+    ("verify_difference_equation t", lambda v: verify_difference_equation(v, 4, 4), 1),
+    ("verify_difference_equation x_bound", lambda v: verify_difference_equation(2, v, 4), 1),
+    ("verify_difference_equation q_order", lambda v: verify_difference_equation(2, 4, v), 1),
+    ("verify_rewrite2 t", lambda v: verify_rewrite2(v, 4, 4), 1),
+    ("verify_rewrite2 x_bound", lambda v: verify_rewrite2(2, v, 4), 1),
+    ("verify_rewrite2 q_order", lambda v: verify_rewrite2(2, 4, v), 1),
+    ("verify_key_identity t", lambda v: verify_key_identity(v, 5), 1),
+    ("verify_key_identity q_order", lambda v: verify_key_identity(2, v), 1),
+    ("verify_theta_product t", lambda v: verify_theta_product(v, 5), 1),
+    ("verify_theta_product q_order", lambda v: verify_theta_product(2, v), 1),
+    ("verify_slater q_order", lambda v: verify_slater(v, 5), 1),
+    ("verify_slater gen_q_order", lambda v: verify_slater(5, v), 1),
+    ("verify_root_match t", lambda v: verify_root_match(v, 3), 1),
+    ("verify_root_match N_max", lambda v: verify_root_match(2, v), 1),
+    ("check_bfile count", lambda v: check_bfile(BFILE, v), 1),
+]
+
+
+def _slot_pattern(label: str) -> str:
+    return re.escape(label.rsplit(" ", 1)[1])
 
 CASES = [
     ("xi_series count 0", lambda: xi_series(2, 5, 0), "count"),
@@ -48,14 +166,14 @@ CASES = [
     ("dissection s 0", lambda: dissection(POLY, 0), "s must be"),
     ("S_set s 0", lambda: S_set(theta_spec_t(2, 0), 0), "s must be"),
     ("divisibility_check s 1", lambda: divisibility_check(2, 1, 9), "s must be"),
-    ("verify_congruence r 0", lambda: verify_congruence(2, 5, 0, 1), "r, m_max"),
-    ("verify_congruence m_max 0", lambda: verify_congruence(2, 5, 1, 0), "r, m_max"),
+    ("verify_congruence r 0", lambda: verify_congruence(2, 5, 0, 1), "r must be >= 1"),
+    ("verify_congruence m_max 0", lambda: verify_congruence(2, 5, 1, 0), "m_max must be >= 1"),
     ("straub_order_bound p 9", lambda: straub_order_bound(9, 1, 1), "prime"),
     ("binom_congruence p 4", lambda: binom_congruence(0, 1, 4, 1, 1, 1), "prime"),
     ("binom_congruence p 0", lambda: binom_congruence(0, 1, 0, 1, 1, 1), "prime"),
     ("binom_congruence i -3", lambda: binom_congruence(-3, 0, 5, 1, 1, 1), "i must be"),
-    ("binom_congruence l -1", lambda: binom_congruence(0, -1, 5, 1, 1, 1), "l >= 0"),
-    ("binom_congruence m 0", lambda: binom_congruence(0, 1, 5, 1, 0, 1), "m >= 1"),
+    ("binom_congruence l -1", lambda: binom_congruence(0, -1, 5, 1, 1, 1), "l must be >= 0"),
+    ("binom_congruence m 0", lambda: binom_congruence(0, 1, 5, 1, 0, 1), "m must be >= 1"),
     ("binom_congruence j 9", lambda: binom_congruence(0, 1, 5, 1, 1, 9), "j must be"),
     ("binom_congruence j p - i", lambda: binom_congruence(2, 1, 5, 1, 1, 3), "j must be"),
     ("verify_key_identity t 1", lambda: verify_key_identity(1, 10), "t >= 2"),
@@ -63,7 +181,7 @@ CASES = [
     ("pochhammer n -1", lambda: pochhammer(1, -1), "n must be"),
     ("pochhammer order 0", lambda: pochhammer(1, 3, 0), "out_order"),
     ("pochhammer order -2", lambda: pochhammer(1, 3, -2), "out_order"),
-    ("one_minus_q_power e -1", lambda: one_minus_q_power(-1, 5), "nonnegative"),
+    ("one_minus_q_power e -1", lambda: one_minus_q_power(-1, 5), "e must be >= 0"),
     ("one_minus_q_power order 0", lambda: one_minus_q_power(2, 0), "out_order"),
     ("one_minus_q_power order -3", lambda: one_minus_q_power(2, -3), "out_order"),
     ("progression_product start 0", lambda: progression_product([(0, 2)], 5), "positive"),
@@ -77,6 +195,10 @@ CASES = [
     ("M_series t 1", lambda: M_series(T1, 4, 4), "t >= 2"),
     ("a_n_t t 1", lambda: a_n_t(T1, 2, 5), "t >= 2"),
     ("b_n_t n -1", lambda: b_n_t(T2, -1, 5), "n must be"),
+] + [
+    (f"{label} below {low}", lambda call=call, low=low: call(low - 1),
+     f"^{_slot_pattern(label)} must be >= {low}$")
+    for label, call, low in INT_SLOTS if low is not None
 ]
 
 
@@ -115,6 +237,12 @@ TYPE_CASES = [
     ("xi_coefficients count bool", lambda: xi_coefficients(2, True), "count must be an int"),
     ("divisibility_check n_index bool", lambda: divisibility_check(2, 5, True),
      "n_index must be an int"),
+] + [
+    (f"{label} {value!r}", lambda call=call, value=value: call(value),
+     f"^{_slot_pattern(label)} must be an int{tail}")
+    for label, call, _ in INT_SLOTS
+    for value, tail in ((True, ", not bool$"),
+                        (2.0, ": 'float' object cannot be interpreted as an integer$"))
 ]
 
 
@@ -123,3 +251,10 @@ TYPE_CASES = [
 def test_wrong_type_refused(call, match):
     with pytest.raises(TypeError, match=match):
         call()
+
+
+def test_case_ids_unique():
+    # a repeated id would make pytest renumber the cases that share it
+    for cases in (CASES, TYPE_CASES):
+        ids = [c[0] for c in cases]
+        assert len(ids) == len(set(ids))
