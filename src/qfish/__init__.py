@@ -49,7 +49,6 @@ from .series import (
     TruncationError,
     divisor_sum_series,
     euler_product,
-    poly_divides,
     substitute_one_minus_q,
 )
 from .torus import (
@@ -104,7 +103,6 @@ __all__ = [
     "mean_value_zero",
     "partial_theta",
     "pochhammer",
-    "poly_divides",
     "q_binomial",
     "quintiple_sides",
     "straub_order_bound",

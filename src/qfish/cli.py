@@ -10,7 +10,6 @@ checked claim passed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -53,6 +52,8 @@ def _emit(report: dict, fmt: str, row_fields) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
     elif fmt == "csv":
+        import csv  # only here: the other formats skip its import at start-up
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(row_fields)

@@ -36,16 +36,15 @@ from functools import lru_cache
 
 from .backend import mul_trunc
 from .cyclotomic import is_prime
-from .qseries import ThetaSpec, pochhammer, theta_spec_t
+from .qseries import ThetaSpec, theta_spec_t
 from .series import (
-    DivisionWitness,
     IntSeries,
     NotPolynomialError,
     Record,
+    exact_over_one_minus_qk,
     int_arg,
     one_minus_q_power,
     over_one_minus_qk,
-    poly_divides,
     require,
 )
 from .torus import inner_sums_at_one_minus_q, kz_full_polynomial, torus_params
@@ -221,6 +220,7 @@ def S_set(spec: ThetaSpec, s: int) -> set:
     range is exhaustive; it steps through the support residues of chi by
     the period.
     """
+    require(spec, ThetaSpec, "spec")
     s = int_arg(s, "s", 1)
     period = spec.char.period
     return {spec.exponent(n) % s for r in spec.char.support_residues()
@@ -248,6 +248,12 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
     class i outside the S-set, whether (q)_lambda divides the piece A_i up
     to a monomial unit, lambda = floor((N+1)/s).
 
+    The piece q^u h(q), h(0) != 0, is divided by 1 - q, 1 - q^2, ...,
+    1 - q^lambda in turn, each pass checked exact.  A passing entry records
+    the unit exponent u and the degree of h / (q)_lambda; a failing one
+    records u and ``divisible_to``, the largest j < lambda with (q)_j | A_i,
+    which is where the first pass stopped.
+
     Failures are recorded in the report rather than raised: for t >= 3 the
     pieces are Laurent and the divisibility statement's exact scope is an
     open question, so outcomes are data.
@@ -257,7 +263,6 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
     poly = kz_full_polynomial(p, n_index)
     dis = dissection(poly, s)
     lam = (n_index + 1) // s
-    divisor = pochhammer(1, lam)
     sset = tuple(sorted(S_set(theta_spec_t(t, 0), s)))
     entries = []
     ok = True
@@ -265,13 +270,16 @@ def divisibility_check(t: int, s: int, n_index: int) -> DivisibilityReport:
         if i in sset:
             continue
         piece = dis.pieces[i]
-        wit: DivisionWitness = poly_divides(divisor, piece)
-        ent = {"i": i, "divisible": wit.divides, "unit_exp": wit.unit_exp}
-        if wit.divides:
-            ent["quotient_degree"] = wit.quotient.degree
+        cs = list(piece.coeffs)
+        j = 0
+        while j < lam and exact_over_one_minus_qk(cs, j + 1):
+            j += 1
+        ent = {"i": i, "divisible": j == lam, "unit_exp": piece.min_exp}
+        if j == lam:
+            ent["quotient_degree"] = len(cs) - 1
         else:
             ok = False
-            ent["remainder_degree"] = wit.remainder.degree if wit.remainder else None
+            ent["divisible_to"] = j
         entries.append(ent)
     return DivisibilityReport(t, s, n_index, lam, sset, tuple(entries), ok)
 

@@ -12,7 +12,8 @@ from collections.abc import Iterator
 from itertools import count
 
 from .cyclotomic import cyc_eval
-from .series import IntSeries, Record, int_arg, over_one_minus_qk, progression_product, times_one_minus_qk
+from .series import (IntSeries, Record, int_arg, over_one_minus_qk, progression_product, require,
+                     times_one_minus_qk)
 
 
 def pochhammer(base_exp: int, n: int, out_order: int | None = None) -> IntSeries:
@@ -150,6 +151,7 @@ def partial_theta(spec: ThetaSpec, out_order: int) -> IntSeries:
 
     Only the arithmetic progressions supporting chi are scanned.
     """
+    require(spec, ThetaSpec, "spec")
     out_order = int_arg(out_order, "out_order", 1)
     terms = {}
     for n, sign, e in spec.terms(out_order):
@@ -170,6 +172,7 @@ def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
     exponent mod M, and is evaluated in Z[zeta_M] by cyc_eval; no floating
     point is involved.
     """
+    require(spec, ThetaSpec, "spec")
     m = int_arg(m, "M", 1)
     acc = [0] * m
     for n in range(1, m * spec.char.period + 1):

@@ -15,7 +15,8 @@ importing ``dataclasses`` (with ``inspect``) adds to every process's start-up.
 
 Every product of cut coefficient lists by a factor 1 - q^k, and every
 division by one, is a pass of ``times_one_minus_qk`` or ``over_one_minus_qk``,
-in place on a list the caller owns.
+in place on a list the caller owns; ``exact_over_one_minus_qk`` is the one
+division of a polynomial by 1 - q^k that checks it is exact.
 """
 
 from __future__ import annotations
@@ -308,6 +309,20 @@ def over_one_minus_qk(cs: list, k: int) -> list:
     return cs
 
 
+def exact_over_one_minus_qk(cs: list, k: int) -> bool:
+    """Divide the polynomial coefficient list cs by 1 - q^k (k >= 1), in
+    place, checked exactly.  The quotient is the ``over_one_minus_qk`` pass
+    with its top k entries removed, and 1 - q^k divides cs iff those entries
+    vanish: then cs is cut to the quotient and True is returned, otherwise
+    cs keeps the whole pass and False is returned."""
+    over_one_minus_qk(cs, k)
+    top = max(len(cs) - k, 0)
+    if any(cs[top:]):
+        return False
+    del cs[top:]
+    return True
+
+
 def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
     """Composition a(1-q), expanded as a power series in q.
 
@@ -368,9 +383,7 @@ def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
     out_order = int_arg(out_order, "out_order", 1)
     out = [1] + [0] * (out_order - 1)
     for start, step in pairs:
-        if start < 1 or step < 1:
-            raise ValueError("progression exponents must be positive")
-        for e in range(start, out_order, step):
+        for e in range(int_arg(start, "start", 1), out_order, int_arg(step, "step", 1)):
             times_one_minus_qk(out, e)
     return IntSeries.make(0, out, out_order)
 
@@ -378,60 +391,6 @@ def progression_product(pairs: Iterable[tuple], out_order: int) -> IntSeries:
 def euler_product(out_order: int) -> IntSeries:
     """(q;q)_infinity, the progression product of (1 - q^k) over k >= 1."""
     return progression_product([(1, 1)], out_order)
-
-
-# -- exact polynomial division --------------------------------------------
-
-
-class DivisionWitness(Record):
-    """``quotient`` is h with p = d * h * q**unit_exp, or None; ``remainder``
-    is set when ``divides`` is False."""
-
-    __slots__ = ("divides", "quotient", "unit_exp", "remainder")
-
-
-def poly_divides(d: IntSeries, p: IntSeries) -> DivisionWitness:
-    """Does d divide p up to a monomial unit q**k?
-
-    True iff p = d * h * q**k with h an integer polynomial and k an integer.
-    The monomial unit accommodates Laurent inputs (dissection pieces of
-    series with negative exponents).  Returns the witness (h, k), or the
-    division remainder when the answer is no: zero when d divides p over
-    Q[q] only, else a nonzero rational multiple of the remainder over Q[q].
-    """
-    require(d, IntSeries, "d")
-    require(p, IntSeries, "p")
-    if d.order is not None or p.order is not None:
-        raise NotPolynomialError("poly_divides operates on exact polynomials")
-    if d.is_zero():
-        raise ValueError("divisor must be nonzero")
-    if p.is_zero():
-        return DivisionWitness(True, IntSeries.zero(), 0, None)
-    unit = p.min_exp - d.min_exp
-    den = d.coeffs
-    lead = den[-1]
-    # Fraction-free pseudo-division: scaled by lead**k, k the number of
-    # quotient terms, every step divides exactly and the quotient and
-    # remainder are lead**k times those over Q.  For the monic-up-to-sign
-    # divisors the engine feeds in, e.g. (q)_lambda, this is plain integer
-    # long division.
-    scale = lead ** max(len(p.coeffs) - len(den) + 1, 0)
-    rem = [c * scale for c in p.coeffs]
-    quo = [0] * max(len(rem) - len(den) + 1, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + len(den) - 1] // lead
-        quo[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    if any(rem):
-        rser = IntSeries.make(p.min_exp, rem, None)
-        return DivisionWitness(False, None, unit, rser)
-    if any(c % scale for c in quo):
-        # divisible over Q[q] but the quotient is not integral
-        return DivisionWitness(False, None, unit, IntSeries.zero())
-    h = IntSeries.make(0, [c // scale for c in quo], None)
-    return DivisionWitness(True, h, unit, None)
 
 
 def first_difference(a: IntSeries, b: IntSeries):

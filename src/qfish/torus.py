@@ -28,7 +28,7 @@ from operator import add, sub
 from .backend import mul_trunc, pool_dp
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, theta_spec_t
-from .series import IntSeries, Record, int_arg, over_one_minus_qk, require, times_one_minus_qk
+from .series import IntSeries, Record, exact_over_one_minus_qk, int_arg, require, times_one_minus_qk
 
 
 class TorusParams(Record):
@@ -476,19 +476,6 @@ def kz_tail_sum(p: TorusParams, eul: IntSeries) -> IntSeries:
     return _series(total, work)
 
 
-def _over_one_minus_q_n(lo: int, coeffs: list, n: int) -> IntSeries:
-    """The Laurent polynomial q^lo coeffs divided by 1 - q^n, exactly.
-
-    over_one_minus_qk divides coeffs in place; the division is exact iff
-    the top n prefix sums vanish, and otherwise ArithmeticError is raised."""
-    over_one_minus_qk(coeffs, n)
-    top = max(len(coeffs) - n, 0)
-    if any(coeffs[top:]):
-        raise ArithmeticError("1 - q^N does not divide the sum")
-    del coeffs[top:]
-    return IntSeries.make(lo, coeffs)
-
-
 def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     """J_N(T(3, r); q), r = 2^t, as an exact Laurent polynomial,
     J_N(unknot) = 1, from the closed form for torus knots (Rosso-Jones,
@@ -522,7 +509,9 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
     coeffs = [0] * (max(x for x, _ in terms) - lo + 1)
     for x, eps in terms:
         coeffs[x - lo] -= eps
-    return _over_one_minus_q_n(lo, coeffs, big_n)
+    if not exact_over_one_minus_qk(coeffs, big_n):
+        raise ArithmeticError("1 - q^N does not divide the sum")
+    return IntSeries.make(lo, coeffs)
 
 
 def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:

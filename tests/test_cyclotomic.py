@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfish.cyclotomic import CycInt, _phi_coeffs, cyc_eval, cyclotomic_poly
-from qfish.series import IntSeries, NotPolynomialError, poly_divides
+from qfish.series import IntSeries, NotPolynomialError
+from test_series import poly_divides
 
 
 def poly(*coeffs, min_exp=0):

@@ -27,9 +27,10 @@ from qfish.fishburn import (
     xi_series,
 )
 from qfish.oeis import parse_bfile
-from qfish.qseries import q_binomial, theta_spec_t
+from qfish.qseries import pochhammer, q_binomial, theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, one_minus_q_power, substitute_one_minus_q
 from qfish.torus import _acc_mul, _row_step, kz_partial_polynomials, torus_params
+from test_series import poly_divides
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -499,7 +500,8 @@ class TestDivisibility:
         assert rep.lam == 0 and rep.passed
 
     def test_detects_perturbation(self, monkeypatch):
-        # 1 + q^1 lands on piece 1 as a constant: (q)_2 cannot divide it
+        # 1 + q^1 lands on piece 1 as a constant: (q)_2 cannot divide it,
+        # and neither can its first factor 1 - q
         import qfish.fishburn as fishburn_mod
 
         real = fishburn_mod.kz_full_polynomial
@@ -509,7 +511,7 @@ class TestDivisibility:
         assert not rep.passed and not rep.as_dict()["pass"]
         bad = [e for e in rep.entries if not e["divisible"]]
         assert [e["i"] for e in bad] == [1]
-        assert isinstance(bad[0]["remainder_degree"], int) and "quotient_degree" not in bad[0]
+        assert bad[0]["divisible_to"] == 0 and "quotient_degree" not in bad[0]
 
     def test_odd_t_laurent_pieces(self):
         rep = divisibility_check(3, 7, 13)
@@ -517,6 +519,35 @@ class TestDivisibility:
         assert [e["i"] for e in rep.entries] == [1, 5, 6]
         # Laurent dissection: at least one piece needs a monomial unit
         assert any(e["unit_exp"] != 0 for e in rep.entries)
+
+    @given(st.integers(0, 8), st.integers(-6, 6), st.lists(st.integers(-5, 5), max_size=6),
+           st.integers(0, 40), st.sampled_from([-2, -1, 1, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_passes_match_the_division_oracle(self, lam, u, hcoeffs, offset, delta):
+        # At t = 2, s = 5 the checked classes are i = 1 and 4.  The partial
+        # sum is replaced by one whose piece 1 is q^u (q)_lam h and whose
+        # piece 4 is the same with one coefficient changed.
+        import qfish.fishburn as fishburn_mod
+
+        piece = (pochhammer(1, lam) * IntSeries.make(0, hcoeffs)).shift(u)
+        changed = piece + IntSeries.monomial(u + offset, delta)
+        poly = piece.inflate(5).shift(1) + changed.inflate(5).shift(4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fishburn_mod, "kz_full_polynomial", lambda p, n: poly)
+            rep = divisibility_check(2, 5, 5 * lam)
+        assert rep.lam == lam and [e["i"] for e in rep.entries] == [1, 4]
+        for ent, a in zip(rep.entries, (piece, changed)):
+            wit = poly_divides(pochhammer(1, lam), a)
+            assert ent["divisible"] == wit.divides and ent["unit_exp"] == wit.unit_exp
+            if wit.divides:
+                assert ent["quotient_degree"] == wit.quotient.degree
+                assert "divisible_to" not in ent
+            else:
+                to = max(j for j in range(lam) if poly_divides(pochhammer(1, j), a).divides)
+                assert ent["divisible_to"] == to and "quotient_degree" not in ent
+        assert rep.entries[0]["divisible"]
+        assert rep.entries[1]["divisible"] == (lam == 0)
+        assert rep.passed == (lam == 0)
 
 
 class TestCongruence:

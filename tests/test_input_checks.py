@@ -44,7 +44,6 @@ from qfish.series import (
     divisor_sum_series,
     euler_product,
     one_minus_q_power,
-    poly_divides,
     progression_product,
     substitute_one_minus_q,
 )
@@ -184,10 +183,12 @@ CASES = [
     ("one_minus_q_power e -1", lambda: one_minus_q_power(-1, 5), "e must be >= 0"),
     ("one_minus_q_power order 0", lambda: one_minus_q_power(2, 0), "out_order"),
     ("one_minus_q_power order -3", lambda: one_minus_q_power(2, -3), "out_order"),
-    ("progression_product start 0", lambda: progression_product([(0, 2)], 5), "positive"),
+    ("progression_product start 0", lambda: progression_product([(0, 2)], 5),
+     "^start must be >= 1$"),
+    ("progression_product step 0", lambda: progression_product([(1, 0)], 5),
+     "^step must be >= 1$"),
     ("substitute_one_minus_q order 0", lambda: substitute_one_minus_q(POLY, 0), "out_order"),
     ("substitute_one_minus_q order -3", lambda: substitute_one_minus_q(POLY, -3), "out_order"),
-    ("poly_divides by zero", lambda: poly_divides(IntSeries.zero(), POLY), "nonzero"),
     ("colored_jones N 0", lambda: colored_jones(T2, 0), "N must be"),
     ("kz_at_root_of_unity N 0", lambda: kz_at_root_of_unity(T2, 0), "N must be"),
     ("H_theta t 1", lambda: H_theta(T1, 4, 4), "t >= 2"),
@@ -213,8 +214,9 @@ def test_refused(call, match):
 PARAMS = "p must be of type TorusParams, not int; pass torus_params"
 TYPE_CASES = [
     ("cyc_eval p", lambda: cyc_eval(3, 5), "p must be of type IntSeries"),
-    ("poly_divides d", lambda: poly_divides(3, IntSeries.one()), "d must be of type IntSeries"),
-    ("poly_divides p", lambda: poly_divides(IntSeries.one(), 3), "p must be of type IntSeries"),
+    ("partial_theta spec", lambda: partial_theta(3, 5), "spec must be of type ThetaSpec"),
+    ("mean_value_zero spec", lambda: mean_value_zero(3, 5), "spec must be of type ThetaSpec"),
+    ("S_set spec", lambda: S_set(3, 5), "spec must be of type ThetaSpec"),
     ("dissection series", lambda: dissection(3, 2), "series must be of type IntSeries"),
     ("substitute_one_minus_q a", lambda: substitute_one_minus_q(3, 5),
      "a must be of type IntSeries"),
@@ -237,6 +239,12 @@ TYPE_CASES = [
     ("xi_coefficients count bool", lambda: xi_coefficients(2, True), "count must be an int"),
     ("divisibility_check n_index bool", lambda: divisibility_check(2, 5, True),
      "n_index must be an int"),
+    ("progression_product start bool", lambda: progression_product([(True, True)], 5),
+     "^start must be an int, not bool$"),
+    ("progression_product step bool", lambda: progression_product([(1, True)], 5),
+     "^step must be an int, not bool$"),
+    ("progression_product start 1.0", lambda: progression_product([(1.0, 1)], 5),
+     "^start must be an int: 'float' object cannot be interpreted as an integer$"),
 ] + [
     (f"{label} {value!r}", lambda call=call, value=value: call(value),
      f"^{_slot_pattern(label)} must be an int{tail}")

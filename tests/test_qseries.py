@@ -17,7 +17,8 @@ from qfish.qseries import (
     theta_spec_t,
     torus_product,
 )
-from qfish.series import IntSeries, first_difference, poly_divides
+from qfish.series import IntSeries, first_difference
+from test_series import poly_divides
 
 
 def poly(*coeffs, min_exp=0, order=None):

@@ -25,14 +25,15 @@ from qfish import (
 from qfish.cyclotomic import _phi_coeffs
 from qfish.fishburn import _xi_cached, xi_coefficients
 from qfish.qseries import q_binomial
-from qfish.series import DivisionWitness
 from qfish.torus import _a_window, _m_graded, kz_inner_sum
+from test_series import DivisionWitness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each maker returns a fresh object, equal to the one it returned before.
 MAKERS = {
     "IntSeries": lambda: IntSeries(1, (2, 3), 5),
+    # the witness of the poly_divides oracle in the tests, a record with None fields
     "DivisionWitness": lambda: DivisionWitness(False, None, 2, IntSeries(0, (1,), None)),
     "CycInt": lambda: CycInt(4, (1, -1)),
     "PeriodicChar": lambda: PeriodicChar(2, (1, -1)),
@@ -85,7 +86,7 @@ def test_cold_start_imports_no_heavy_stdlib():
     code = (
         "import qfish, qfish.cli, sys; "
         "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal',"
-        " 'typing', 'pathlib') if m in sys.modules))"
+        " 'typing', 'pathlib', 'csv') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

@@ -14,13 +14,14 @@ from qfish.qseries import quintiple_sides, torus_product
 from qfish.series import (
     IntSeries,
     NotPolynomialError,
+    Record,
     TruncationError,
     divisor_sum_series,
     euler_product,
+    exact_over_one_minus_qk,
     first_difference,
     one_minus_q_power,
     over_one_minus_qk,
-    poly_divides,
     progression_product,
     substitute_one_minus_q,
     times_one_minus_qk,
@@ -48,6 +49,50 @@ def invert_unit(a, out_order=None):
             s += a.coeffs[i] * out[k - i]
         out[k] = -c0 * s
     return IntSeries.make(0, out, order)
+
+
+class DivisionWitness(Record):
+    """``quotient`` is h with p = d * h * q**unit_exp, or None; ``remainder``
+    is set when ``divides`` is False."""
+
+    __slots__ = ("divides", "quotient", "unit_exp", "remainder")
+
+
+def poly_divides(d, p):
+    """Oracle: does d divide p up to a monomial unit q**k?
+
+    The general fraction-free pseudo-division the package once used to test
+    (q)_lambda-divisibility of dissection pieces.  True iff p = d * h * q**k
+    with h an integer polynomial and k an integer; returns the witness
+    (h, k), or the division remainder when the answer is no: zero when d
+    divides p over Q[q] only, else a nonzero rational multiple of the
+    remainder over Q[q]."""
+    if d.order is not None or p.order is not None:
+        raise NotPolynomialError("poly_divides operates on exact polynomials")
+    if d.is_zero():
+        raise ValueError("divisor must be nonzero")
+    if p.is_zero():
+        return DivisionWitness(True, IntSeries.zero(), 0, None)
+    unit = p.min_exp - d.min_exp
+    den = d.coeffs
+    lead = den[-1]
+    # scaled by lead**k, k the number of quotient terms, every step divides
+    # exactly and the quotient and remainder are lead**k times those over Q
+    scale = lead ** max(len(p.coeffs) - len(den) + 1, 0)
+    rem = [c * scale for c in p.coeffs]
+    quo = [0] * max(len(rem) - len(den) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(den) - 1] // lead
+        quo[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    if any(rem):
+        return DivisionWitness(False, None, unit, IntSeries.make(p.min_exp, rem, None))
+    if any(c % scale for c in quo):
+        # divisible over Q[q] but the quotient is not integral
+        return DivisionWitness(False, None, unit, IntSeries.zero())
+    return DivisionWitness(True, IntSeries.make(0, [c // scale for c in quo], None), unit, None)
 
 
 def poly(*coeffs, min_exp=0, order=None):
@@ -212,7 +257,7 @@ coeff_lists = st.lists(st.integers(-50, 50), max_size=24)
 
 
 class TestOneMinusQk:
-    """The two list primitives every factor 1 - q^k goes through."""
+    """The list primitives every factor 1 - q^k goes through."""
 
     @given(coeff_lists, st.integers(1, 30))
     @settings(max_examples=150, deadline=None)
@@ -253,6 +298,25 @@ class TestOneMinusQk:
     @settings(max_examples=80, deadline=None)
     def test_over_at_k1_is_accumulate(self, cs):
         assert over_one_minus_qk(list(cs), 1) == list(accumulate(cs))
+
+    @given(coeff_lists, st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_division_undoes_times(self, cs, k):
+        work = list(cs) + [0] * k
+        assert exact_over_one_minus_qk(times_one_minus_qk(work, k), k)
+        assert work == cs
+
+    @given(coeff_lists, st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_division_agrees_with_oracle(self, cs, k):
+        d = IntSeries.make(0, [1] + [0] * (k - 1) + [-1])
+        wit = poly_divides(d, IntSeries.make(0, cs))
+        work = list(cs)
+        assert exact_over_one_minus_qk(work, k) == wit.divides
+        if wit.divides:
+            assert IntSeries.make(0, work) == wit.quotient.shift(wit.unit_exp)
+        else:
+            assert work == over_one_minus_qk(list(cs), k)
 
     def test_geometric_and_pochhammer(self):
         assert over_one_minus_qk([1, 0, 0, 0, 0, 0, 0], 3) == [1, 0, 0, 1, 0, 0, 1]

@@ -13,7 +13,8 @@ from qfish.backend import mul_trunc, pool_dp
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
-from qfish.series import IntSeries, first_difference, one_minus_q_power, substitute_one_minus_q
+from qfish.series import (IntSeries, exact_over_one_minus_qk, first_difference, one_minus_q_power,
+                          substitute_one_minus_q)
 from test_series import invert_unit
 from qfish.torus import (
     H_multisum,
@@ -557,27 +558,32 @@ class TestMortonClosedForm:
             assert colored_jones(p, big_n) == colored_jones_dp(p, big_n), big_n
 
     def test_division_is_exact(self):
-        # (1 - q^3)(-1 - 2q) q^-2
-        assert torus_mod._over_one_minus_q_n(-2, [-1, -2, 0, 1, 2], 3) == IntSeries.make(-2, [-1, -2])
-        assert torus_mod._over_one_minus_q_n(0, [], 4) == IntSeries.zero()
+        # (1 - q^3)(-1 - 2q)
+        cs = [-1, -2, 0, 1, 2]
+        assert exact_over_one_minus_qk(cs, 3) and cs == [-1, -2]
+        cs = []
+        assert exact_over_one_minus_qk(cs, 4) and cs == []
 
     @pytest.mark.parametrize("coeffs,n", [([1, 1], 3), ([1, 0, 1, 0], 2), ([1], 1)])
     def test_division_refuses_a_remainder(self, coeffs, n):
-        with pytest.raises(ArithmeticError):
-            torus_mod._over_one_minus_q_n(0, coeffs, n)
+        assert not exact_over_one_minus_qk(coeffs, n)
 
-    def test_perturbed_morton_sum_is_refused(self):
-        # (1 - q^N) J_N plus one monomial leaves a remainder; the helper
-        # divides its list in place, so each call gets a copy
+    def test_perturbed_morton_sum_is_refused(self, monkeypatch):
+        # (1 - q^N) J_N plus one monomial leaves a remainder; the division
+        # works in place on its list, so each call gets a copy
         p, big_n = torus_params(3), 6
         jn = colored_jones(p, big_n)
         prod = list(jn.coeffs) + [0] * big_n
         for i, c in enumerate(jn.coeffs):
             prod[i + big_n] -= c
-        assert torus_mod._over_one_minus_q_n(jn.min_exp, list(prod), big_n) == jn
+        quotient = list(prod)
+        assert exact_over_one_minus_qk(quotient, big_n) and quotient == list(jn.coeffs)
         prod[len(prod) // 2] += 1
-        with pytest.raises(ArithmeticError):
-            torus_mod._over_one_minus_q_n(jn.min_exp, list(prod), big_n)
+        assert not exact_over_one_minus_qk(list(prod), big_n)
+        # colored_jones raises rather than return a value built on a remainder
+        monkeypatch.setattr(torus_mod, "exact_over_one_minus_qk", lambda cs, k: False)
+        with pytest.raises(ArithmeticError, match="1 - q\\^N does not divide"):
+            colored_jones(p, big_n)
 
     def test_no_product_and_no_row(self, monkeypatch):
         def boom(*args):
