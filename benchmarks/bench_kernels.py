@@ -10,8 +10,10 @@ times the engines built on the kernel: the inner-sum DP behind exact G_n,
 the graded summands of M_t, J_N (also at t = 1), the key identity's
 b-sums, cold and warm, the root-of-unity match cold, the key identity
 warm, the Slater identities cold, (q)_inf to order 400, the exact partial
-sum F_t(q; N) warm and the dissection check on it cold, cold runs of the
-graded summands, the key identity at t = 3 and 4 and the exact G_n at
+sum F_t(q; N) warm and the dissection check on it cold, the dissection
+check and the root match at t = 2 and N = 60 cold (where a product
+(q)_n G_n would leave int64), cold runs of the graded summands, the key
+identity at t = 3 and 4 and the exact G_n at
 t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
 (where the prefix store serves the later ones), cold runs of the
 difference equation at (3, 10, 24) and (4, 12, 30), the key identity at
@@ -251,6 +253,8 @@ def engine_cases() -> list:
         ("euler_product order=400", lambda: euler_product(400)),
         ("kz_full_polynomial t=2 N=34 warm", lambda: kz_full_polynomial(p2, 34)),
         ("divisibility_check 2 7 34 cold", lambda: divisibility_cold(2, 7, 34)),
+        ("divisibility_check 2 7 60 cold", lambda: divisibility_cold(2, 7, 60)),
+        ("verify_root_match t=2 N<=60 cold", lambda: root_match_cold(2, 60)),
         ("_m_graded t=3 k<=21 L=21 cold", lambda: m_graded_cold(p3, 21, 21)),
         ("verify_key_identity t=3 q_order=20 cold", lambda: key_identity_cold(3, 20)),
         ("verify_key_identity t=4 q_order=12 cold", lambda: key_identity_cold(4, 12)),

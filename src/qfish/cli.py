@@ -65,7 +65,7 @@ def _emit(report: dict, fmt: str, row_fields) -> None:
         for k, v in report["params"].items():
             print(f"#   {k} = {v}")
         for row in report["results"]:
-            print("  ".join(f"{f}={row.get(f, '')}" for f in row_fields))
+            print("  ".join(f"{f}={row[f]}" for f in row_fields if f in row))
         print(f"pass: {report['pass']}")
 
 
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         params = {k: d[k] for k in ("t", "s", "N", "lambda", "s_set")}
         params["sign_convention"] = "included"
         return _finish(args, "dissect", params, results, rep.passed, started,
-                       ("i", "divisible", "unit_exp", "quotient_degree"))
+                       ("i", "divisible", "unit_exp", "quotient_degree", "divisible_to"))
 
     if args.command == "verify":
         if args.t == 1 and args.identity not in ("root", "slater"):

@@ -142,8 +142,7 @@ def cyc_eval(p: IntSeries, m: int) -> CycInt:
     m = int_arg(m, "M", 1)
     if p.order is not None:
         raise NotPolynomialError("cyc_eval needs an exact Laurent polynomial")
-    acc = [0] * m
-    for i, c in enumerate(p.coeffs):
-        if c:
-            acc[(p.min_exp + i) % m] += c
+    cs, acc = p.coeffs, [0] * m
+    for i in range(min(m, len(cs))):  # one slice sum per residue class
+        acc[(p.min_exp + i) % m] = sum(cs[i::m])
     return CycInt(m, _reduce(acc, m))

@@ -45,7 +45,7 @@ from .torus import (
     colored_jones,
     H_multisum,
     H_theta,
-    kz_partial_polynomials,
+    kz_full_polynomial,
     kz_tail_sum,
     slater_multisum,
     torus_params,
@@ -255,15 +255,17 @@ def verify_root_match(t: int, n_max: int) -> IdentityReport:
     """zeta_N^(2^t - 1) F_t(zeta_N) = J_N(T(3, 2^t); zeta_N) exactly in
     Z[zeta_N] for N = 1 .. n_max (for t = 1: zeta_N F(zeta_N)).
 
-    F_t(zeta_N) is F_t(q; N-1) at zeta_N (see kz_at_root_of_unity); the
-    partial sums for every N come from one pass over n.
+    F_t(zeta_N) is F_t(q; N-1) at zeta_N (see kz_at_root_of_unity), and
+    so is F_t(q; N_max - 1): each of its terms (q)_n G_n with n >= N has
+    the factor 1 - q^N.  So one polynomial serves every N.
     """
     n_max = int_arg(n_max, "N_max", 1)
     p = torus_params(t)
     window = {"t": t, "N_max": n_max}
     results = {}
     first = None
-    for big_n, poly in enumerate(kz_partial_polynomials(p, n_max - 1), start=1):
+    poly = kz_full_polynomial(p, n_max - 1)
+    for big_n in range(1, n_max + 1):
         lhs = cyc_eval(poly, big_n).mul_root_power(2**t - 1)
         rhs = cyc_eval(colored_jones(p, big_n), big_n)
         same = (lhs - rhs).is_zero()

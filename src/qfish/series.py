@@ -295,8 +295,9 @@ class IntSeries(Record):
 
 def times_one_minus_qk(cs: list, k: int) -> list:
     """The coefficient list cs times 1 - q^k (k >= 1), in place on its
-    window len(cs); returns cs."""
-    cs[k:] = map(sub, cs[k:], cs[:len(cs) - k])
+    window len(cs); returns cs.  The map stops with cs[k:], and the
+    assignment reads all of it before it writes."""
+    cs[k:] = map(sub, cs[k:], cs)
     return cs
 
 

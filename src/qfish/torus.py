@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import add, sub
+from operator import add, neg, sub
 
 from .backend import mul_trunc, pool_dp
 from .cyclotomic import CycInt, cyc_eval
@@ -431,30 +431,27 @@ def inner_sums_at_one_minus_q(p: TorusParams, pw: list, count: int) -> Iterator[
         row = row_next
 
 
-def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
-    """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q) for
-    N = 0..n_top as exact Laurent polynomials, one inner sum per N.
+def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
+    """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q) as an exact
+    Laurent polynomial (no truncation anywhere).  Laurent for every t >= 3
+    (min exponent -h' = -1, -4, -9 at t = 3, 4, 5); for t = 1 this is
+    sum (q)_n.
 
-    Laurent for every t >= 3 (min exponent -h' = -1, -4, -9 at t = 3, 4, 5);
-    for t = 1 this is sum (q)_n.  Each product is added into one pool.
+    The sum runs by Horner's rule, G_0 + (1 - q)(G_1 + (1 - q^2)(G_2 + ..
+    + (1 - q^N) G_N)): one 1 - q^(n+1) pass and one add of G_n per n, and
+    no product.  The G_n are asked for in ascending order first, because
+    the exact (x; q)_n table keeps only its newest two rows.
     """
     _check_params(p)
     n_top = int_arg(n_top, "N", 0)
-    total, poch = [0, []], [p.sign]  # sign * sum_{n<=N} (q)_n G_n, sign * (q)_N
-    for n in range(n_top + 1):
-        if n:
-            poch.extend([0] * n)
-            times_one_minus_qk(poch, n)
-        inner = kz_inner_sum(p, n, None)
-        _acc_mul(total, [0, poch], [inner.min_exp, inner.coeffs], None)
-        yield _series([total[0] - p.h_d, total[1]], None)
-
-
-def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
-    """F_t(q; N) as an exact Laurent polynomial (no truncation anywhere)."""
-    for poly in kz_partial_polynomials(p, n_top):
-        pass
-    return poly
+    inners = [kz_inner_sum(p, n, None) for n in range(n_top + 1)]
+    acc = [inners[-1].min_exp, list(inners[-1].coeffs)]
+    for n in range(n_top - 1, -1, -1):
+        acc[1].extend([0] * (n + 1))
+        times_one_minus_qk(acc[1], n + 1)
+        _ladd(acc, [inners[n].min_exp, inners[n].coeffs])
+    lo, cs = acc
+    return IntSeries.make(lo - p.h_d, cs if p.sign > 0 else map(neg, cs))
 
 
 def kz_tail_sum(p: TorusParams, eul: IntSeries) -> IntSeries:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qfish.cli import _run_identity, main
+from qfish.series import IntSeries
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,6 +181,24 @@ class TestDissect:
         assert rep["pass"] is True
         assert rep["params"]["lambda"] == 2
         assert [row["i"] for row in rep["results"]] == [1, 4]
+
+    @pytest.mark.parametrize("fmt,bad,good", [
+        ("csv", "1,False,1,,0", "4,True,0,15,"),
+        ("text", "i=1  divisible=False  unit_exp=1  divisible_to=0",
+         "i=4  divisible=True  unit_exp=0  quotient_degree=15"),
+    ], ids=["csv", "text"])
+    def test_failing_entry_keeps_divisible_to(self, monkeypatch, capsys, fmt, bad, good):
+        # + q^1 lands on piece 1 as a constant, which 1 - q does not divide
+        import qfish.fishburn as fishburn_mod
+
+        real = fishburn_mod.kz_full_polynomial
+        monkeypatch.setattr(fishburn_mod, "kz_full_polynomial",
+                            lambda p, n: real(p, n) + IntSeries.monomial(1))
+        assert main(["dissect", "--t", "2", "--s", "5", "--n", "9", "--format", fmt]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        if fmt == "csv":
+            assert lines[0] == "i,divisible,unit_exp,quotient_degree,divisible_to"
+        assert bad in lines and good in lines
 
     def test_negative_n_usage_error(self):
         proc = run_cli("dissect", "--t", "2", "--s", "5", "--n", "-1")

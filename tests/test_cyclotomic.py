@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfish.cyclotomic import CycInt, _phi_coeffs, cyc_eval, cyclotomic_poly
+from qfish.cyclotomic import CycInt, _phi_coeffs, _reduce, cyc_eval, cyclotomic_poly
 from qfish.series import IntSeries, NotPolynomialError
 from test_series import poly_divides
 
@@ -106,6 +106,18 @@ class TestCycInt:
         rhs = cyc_eval(p, m) * cyc_eval(r, m)
         assert lhs == rhs
         assert cyc_eval(p + r, m) == cyc_eval(p, m) + cyc_eval(r, m)
+
+    @given(st.integers(-40, 40), st.lists(st.integers(-2**70, 2**70), max_size=80),
+           st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_eval_equals_the_coefficient_loop(self, min_exp, coeffs, m):
+        # cyc_eval takes one slice sum per residue class; the oracle adds
+        # each coefficient into its class mod M
+        p = IntSeries.make(min_exp, coeffs)
+        acc = [0] * m
+        for i, c in enumerate(p.coeffs):
+            acc[(p.min_exp + i) % m] += c
+        assert cyc_eval(p, m) == CycInt(m, _reduce(acc, m))
 
     @pytest.mark.parametrize("m", [1, 2, 7, 12, 30])
     def test_bigint_product(self, m):

@@ -29,8 +29,9 @@ from qfish.fishburn import (
 from qfish.oeis import parse_bfile
 from qfish.qseries import pochhammer, q_binomial, theta_spec_t
 from qfish.series import IntSeries, NotPolynomialError, one_minus_q_power, substitute_one_minus_q
-from qfish.torus import _acc_mul, _row_step, kz_partial_polynomials, torus_params
+from qfish.torus import _acc_mul, _row_step, torus_params
 from test_series import poly_divides
+from test_torus import kz_partial_polynomials
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"

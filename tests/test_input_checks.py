@@ -57,7 +57,6 @@ from qfish.torus import (
     colored_jones,
     kz_at_root_of_unity,
     kz_full_polynomial,
-    kz_partial_polynomials,
     torus_params,
     v_exponent,
 )
@@ -100,7 +99,6 @@ INT_SLOTS = [
     ("v_exponent jv[0]", lambda v: v_exponent((v,), T2), 0),
     ("admissible_jvectors j_cap", lambda v: list(admissible_jvectors(T2, v)), None),
     ("admissible_jvectors v_cap", lambda v: list(admissible_jvectors(T2, 3, v)), None),
-    ("kz_partial_polynomials N", lambda v: list(kz_partial_polynomials(T2, v)), 0),
     ("kz_full_polynomial N", lambda v: kz_full_polynomial(T2, v), 0),
     ("colored_jones N", lambda v: colored_jones(T2, v), 1),
     ("kz_at_root_of_unity N", lambda v: kz_at_root_of_unity(T2, v), 1),

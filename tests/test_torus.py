@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,17 @@ from qfish.backend import mul_trunc, pool_dp
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
-from qfish.series import (IntSeries, exact_over_one_minus_qk, first_difference, one_minus_q_power,
-                          substitute_one_minus_q)
+from qfish.series import (IntSeries, exact_over_one_minus_qk, first_difference, int_arg,
+                          one_minus_q_power, substitute_one_minus_q, times_one_minus_qk)
 from test_series import invert_unit
 from qfish.torus import (
     H_multisum,
     H_theta,
     M_series,
+    TorusParams,
+    _acc_mul,
+    _check_params,
+    _series,
     a_n_t,
     admissible_jvectors,
     b_n_t,
@@ -27,11 +32,32 @@ from qfish.torus import (
     kz_at_root_of_unity,
     kz_full_polynomial,
     kz_inner_sum,
-    kz_partial_polynomials,
     slater_multisum,
     torus_params,
     v_exponent,
 )
+
+
+def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
+    """F_t(q; N) = sign * q^(-h') * sum_{n=0}^{N} (q)_n G_n(q) for
+    N = 0..n_top as exact Laurent polynomials, one inner sum per N.
+
+    Laurent for every t >= 3 (min exponent -h' = -1, -4, -9 at t = 3, 4, 5);
+    for t = 1 this is sum (q)_n.  Each product is added into one pool.
+
+    The product route, kept here as the oracle for the Horner sum of
+    torus.kz_full_polynomial.
+    """
+    _check_params(p)
+    n_top = int_arg(n_top, "N", 0)
+    total, poch = [0, []], [p.sign]  # sign * sum_{n<=N} (q)_n G_n, sign * (q)_N
+    for n in range(n_top + 1):
+        if n:
+            poch.extend([0] * n)
+            times_one_minus_qk(poch, n)
+        inner = kz_inner_sum(p, n, None)
+        _acc_mul(total, [0, poch], [inner.min_exp, inner.coeffs], None)
+        yield _series([total[0] - p.h_d, total[1]], None)
 
 
 def brute_force_jvectors(p, j_cap, v_cap):
@@ -502,6 +528,23 @@ class TestKZSeries:
             prev = poly
         assert prev == kz_full_polynomial(p, 6)
 
+    @pytest.mark.parametrize("t,n_top", [(1, 40), (2, 50), (3, 20), (4, 12), (5, 8)])
+    def test_horner_equals_the_product_route(self, t, n_top):
+        # every N <= n_top; at t = 2 the oracle's last products leave int64
+        p = torus_params(t)
+        for n, poly in enumerate(kz_partial_polynomials(p, n_top)):
+            assert kz_full_polynomial(p, n) == poly
+
+    def test_inner_sums_are_built_in_ascending_order(self, monkeypatch):
+        # the exact (x; q)_n table keeps its newest two rows only, so asking
+        # for G_N first and then G_(N-1), .. would rebuild rows from row 0
+        # for every n (2556 rows at N = 70)
+        kz_inner_sum.cache_clear()
+        torus_mod._xq_rows.cache_clear()
+        built = count_rows(monkeypatch)
+        kz_full_polynomial(torus_params(2), 40)
+        assert 0 < len(built) <= 40 + 2
+
     def test_odd_t_is_laurent(self):
         p = torus_params(3)
         assert kz_full_polynomial(p, 3).min_exp == -1
@@ -638,6 +681,19 @@ class TestRootEvaluation:
         p = torus_params(t)
         direct = cyc_eval(kz_full_polynomial(p, big_n - 1), big_n)
         assert kz_at_root_of_unity(p, big_n) == direct
+
+    @pytest.mark.parametrize("t,n_max", [(1, 30), (2, 20), (3, 9), (4, 3)])
+    def test_root_match_reads_each_partial_sum(self, monkeypatch, t, n_max):
+        # The match evaluates F_t(q; N_max - 1) at every zeta_N.  With J_N
+        # replaced by q^(2^t - 1) F_t(q; N - 1) from the oracle, it passes at
+        # N exactly when that left side is F_t(q; N - 1) at zeta_N.
+        import qfish.identities as identities_mod
+
+        polys = list(kz_partial_polynomials(torus_params(t), n_max - 1))
+        monkeypatch.setattr(identities_mod, "colored_jones",
+                            lambda p, big_n: polys[big_n - 1].shift(2**t - 1))
+        rep = verify_root_match(t, n_max)
+        assert rep.details == {f"N={n}": "pass" for n in range(1, n_max + 1)}
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_at_n_equal_one(self, t):
