@@ -7,7 +7,7 @@ identities connecting them.
 """
 
 from .backend import backend_name
-from .cyclotomic import CycInt, cyc_eval, cyclotomic_poly
+from .cyclotomic import CycInt, cyc_eval
 from .fishburn import (
     CongruenceReport,
     Dissection,
@@ -36,8 +36,6 @@ from .qseries import (
     chi_t,
     mean_value_zero,
     partial_theta,
-    pochhammer,
-    q_binomial,
     quintiple_sides,
     theta_spec_t,
     torus_product,
@@ -49,7 +47,6 @@ from .series import (
     TruncationError,
     divisor_sum_series,
     euler_product,
-    substitute_one_minus_q,
 )
 from .torus import (
     TorusParams,
@@ -63,7 +60,6 @@ from .torus import (
     kz_at_root_of_unity,
     kz_full_polynomial,
     torus_params,
-    v_exponent,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +89,6 @@ __all__ = [
     "chi_t",
     "colored_jones",
     "cyc_eval",
-    "cyclotomic_poly",
     "dissection",
     "divisibility_check",
     "divisor_sum_series",
@@ -102,15 +97,11 @@ __all__ = [
     "kz_full_polynomial",
     "mean_value_zero",
     "partial_theta",
-    "pochhammer",
-    "q_binomial",
     "quintiple_sides",
     "straub_order_bound",
-    "substitute_one_minus_q",
     "theta_spec_t",
     "torus_params",
     "torus_product",
-    "v_exponent",
     "verify_congruence",
     "verify_difference_equation",
     "verify_key_identity",

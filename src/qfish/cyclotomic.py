@@ -44,11 +44,6 @@ def _phi_coeffs(m: int) -> tuple:
     return tuple(cs[:deg + 1])
 
 
-def cyclotomic_poly(m: int) -> IntSeries:
-    """Phi_M as an exact integer polynomial."""
-    return IntSeries.make(0, _phi_coeffs(m), None)
-
-
 def _reduce(coeffs: list, m: int) -> tuple:
     """Reduce a coefficient list modulo Phi_M to length deg Phi_M."""
     phi = _phi_coeffs(m)
@@ -95,10 +90,14 @@ class CycInt(Record):
             raise ValueError("cyclotomic levels differ")
 
     def __add__(self, other: "CycInt") -> "CycInt":
+        if not isinstance(other, CycInt):
+            return NotImplemented
         self._check(other)
         return CycInt(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycInt") -> "CycInt":
+        if not isinstance(other, CycInt):
+            return NotImplemented
         self._check(other)
         return CycInt(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -108,6 +107,8 @@ class CycInt(Record):
     def __mul__(self, other):
         if isinstance(other, int):
             return CycInt(self.level, tuple(other * a for a in self.coeffs))
+        if not isinstance(other, CycInt):
+            return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
         return CycInt(self.level, _reduce(mul_trunc(a, b, len(a) + len(b) - 1), self.level))

@@ -193,13 +193,6 @@ class Dissection(Record):
 
     __slots__ = ("s", "pieces")
 
-    def reconstruct(self) -> IntSeries:
-        total = IntSeries.zero()
-        for i, piece in enumerate(self.pieces):
-            if not piece.is_zero():
-                total = total + piece.inflate(self.s).shift(i)
-        return total
-
 
 def dissection(series: IntSeries, s: int) -> Dissection:
     require(series, IntSeries, "series")

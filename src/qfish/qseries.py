@@ -1,9 +1,8 @@
 """q-hypergeometric building blocks.
 
-Pochhammer symbols, Gaussian binomials, the periodic sign characters
-attached to the torus knots T(3, 2^t), partial theta functions, and the
-five-fold infinite products tied to them by Watson's quintiple product
-identity.
+The rows of Gaussian binomials, the periodic sign characters attached to
+the torus knots T(3, 2^t), partial theta functions, and the five-fold
+infinite products tied to them by Watson's quintiple product identity.
 """
 
 from __future__ import annotations
@@ -16,47 +15,16 @@ from .series import (IntSeries, Record, int_arg, over_one_minus_qk, progression_
                      times_one_minus_qk)
 
 
-def pochhammer(base_exp: int, n: int, out_order: int | None = None) -> IntSeries:
-    """(q^base_exp; q)_n = prod_{k=1..n} (1 - q^(base_exp+k-1)).
-
-    base_exp may be <= 0, giving a Laurent polynomial; for base_exp = 1-N
-    and n >= N the factor (1 - q^0) makes the product identically zero.
-    ``out_order`` None returns the exact polynomial, else it is >= 1.
-    """
-    base_exp, n = int_arg(base_exp, "base_exp"), int_arg(n, "n", 0)
-    out_order = None if out_order is None else int_arg(out_order, "out_order", 1)
-    acc = IntSeries.one(out_order)
-    for k in range(1, n + 1):
-        e = base_exp + k - 1
-        if e == 0:
-            return IntSeries.zero(out_order)
-        acc = acc - acc.shift(e)
-    return acc
-
-
-def q_binomial(n: int, k: int) -> IntSeries:
-    """The Gaussian binomial coefficient as an exact polynomial.
-
-    Zero when k < 0 or k > n (in particular for any k >= 0 when n < 0),
-    matching the vanishing conventions the multisum engines rely on.  As
-    [n, k] = [n, n-k], the row is built to column min(k, n-k) only.
-    """
-    n, k = int_arg(n, "n"), int_arg(k, "k")
-    if k < 0 or k > n:
-        return IntSeries.zero()
-    return IntSeries.make(0, binom_row_trunc(n, min(k, n - k), n * n // 4 + 1)[-1], None)
-
-
 def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     """[n, j] for j = 0..min(jmax, n), each cut below q^length (length >= 1).
 
     Built along the row by [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j),
     so no other row is touched; the division is exact on any prefix, and
     the second half of the row mirrors the first.  It builds the rows of
-    q_binomial and of the per-vector walks; the inner-sum DP reads its
-    signed rows off the (x; q)_n table in qfish.torus, a second algorithm
-    on purpose (the generalized Slater sum, whose identity has no walk on
-    its other side, reads its 1/(q)_j off one row here).  Since
+    the per-vector walks; the inner-sum DP reads its signed rows off the
+    (x; q)_n table in qfish.torus, a second algorithm on purpose (the
+    generalized Slater sum, whose identity has no walk on its other side,
+    reads its 1/(q)_j off one row here).  Since
     deg [n, j] = j(n-j) <= n^2/4, a length of n^2//4 + 1 gives the exact
     rows.
     """

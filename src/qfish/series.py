@@ -215,6 +215,8 @@ class IntSeries(Record):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntSeries", sign: int = 1) -> "IntSeries":
+        if not isinstance(other, IntSeries):
+            return NotImplemented
         order = _min_order(self.order, other.order)
         if not self.coeffs:
             return (other if sign > 0 else -other).truncate(order)
@@ -280,18 +282,6 @@ class IntSeries(Record):
             return self
         return IntSeries.make(self.min_exp, self.coeffs, order)
 
-    def inflate(self, k: int) -> "IntSeries":
-        """Substitute q -> q**k (exact polynomials only)."""
-        if self.order is not None:
-            raise NotPolynomialError("inflate needs an exact polynomial")
-        if k <= 0:
-            raise ValueError("inflation factor must be positive")
-        if not self.coeffs:
-            return self
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        out[::k] = self.coeffs
-        return IntSeries.make(self.min_exp * k, out, None)
-
 
 def times_one_minus_qk(cs: list, k: int) -> list:
     """The coefficient list cs times 1 - q^k (k >= 1), in place on its
@@ -322,36 +312,6 @@ def exact_over_one_minus_qk(cs: list, k: int) -> bool:
         return False
     del cs[top:]
     return True
-
-
-def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
-    """Composition a(1-q), expanded as a power series in q.
-
-    Exact for polynomial content: every stored coefficient participates.
-    Each Horner step in 1-q, and each factor of the (1-q)^min_exp prefactor,
-    is a pass of ``times_one_minus_qk`` (or ``over_one_minus_qk``) at k = 1.
-    """
-    require(a, IntSeries, "a")
-    out_order = int_arg(out_order, "out_order", 1)
-    if a.order is not None and out_order > a.order:
-        raise TruncationError(
-            f"composition to order {out_order} needs input known to that order (have {a.order})"
-        )
-    if not a.coeffs:
-        return IntSeries.zero(out_order)
-    # a = q^min_exp * P(q); evaluate P at u = 1-q by Horner, then fix the
-    # (1-q)^min_exp prefactor.
-    acc = []
-    for c in reversed(a.coeffs):
-        if len(acc) < out_order:
-            acc.append(0)  # the slot the product by 1-q grows into
-        times_one_minus_qk(acc, 1)  # acc <- acc * (1-q) + c
-        acc[0] += c
-    acc += [0] * (out_order - len(acc))
-    step = times_one_minus_qk if a.min_exp > 0 else over_one_minus_qk
-    for _ in range(abs(a.min_exp)):
-        step(acc, 1)
-    return IntSeries.make(0, acc, out_order)
 
 
 def one_minus_q_power(e: int, out_order: int) -> IntSeries:

@@ -64,20 +64,6 @@ def _check_params(p) -> None:
     require(p, TorusParams, "p", "; pass torus_params(t)")
 
 
-def v_exponent(jv: tuple, p: TorusParams) -> int:
-    """v(jv) = (sum j_l l - a)/m + sum C(j_l, 2); integral iff jv is admissible.
-    jv must have m - 1 nonnegative entries."""
-    _check_params(p)
-    jv = [int_arg(j, f"jv[{i}]", 0) for i, j in enumerate(jv)]
-    if len(jv) != p.m - 1:
-        raise ValueError("index vector needs m - 1 entries")
-    total = sum(j * l for l, j in enumerate(jv, start=1))
-    num = total - p.a
-    if num % p.m:
-        raise ValueError("inadmissible index vector: weighted sum fails the congruence")
-    return num // p.m + sum(j * (j - 1) // 2 for j in jv)
-
-
 def admissible_jvectors(
     p: TorusParams, j_cap: int, v_cap: int | None = None
 ) -> Iterator[tuple]:

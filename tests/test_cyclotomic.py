@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfish.cyclotomic import CycInt, _phi_coeffs, _reduce, cyc_eval, cyclotomic_poly
+from qfish.cyclotomic import CycInt, _phi_coeffs, _reduce, cyc_eval
 from qfish.series import IntSeries, NotPolynomialError
 from test_series import poly_divides
+
+
+def cyclotomic_poly(m: int) -> IntSeries:
+    """Phi_M as an exact integer polynomial."""
+    return IntSeries.make(0, _phi_coeffs(m), None)
 
 
 def poly(*coeffs, min_exp=0):

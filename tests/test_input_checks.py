@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qfish.cyclotomic import cyc_eval, cyclotomic_poly
+from qfish.cyclotomic import cyc_eval
 from qfish.fishburn import (
     S_set,
     binom_congruence,
@@ -33,8 +33,6 @@ from qfish.qseries import (
     chi_t,
     mean_value_zero,
     partial_theta,
-    pochhammer,
-    q_binomial,
     quintiple_sides,
     theta_spec_t,
     torus_product,
@@ -45,7 +43,6 @@ from qfish.series import (
     euler_product,
     one_minus_q_power,
     progression_product,
-    substitute_one_minus_q,
 )
 from qfish.torus import (
     H_multisum,
@@ -58,8 +55,11 @@ from qfish.torus import (
     kz_at_root_of_unity,
     kz_full_polynomial,
     torus_params,
-    v_exponent,
 )
+from test_cyclotomic import cyclotomic_poly
+from test_qseries import pochhammer, q_binomial
+from test_series import substitute_one_minus_q
+from test_torus import v_exponent
 
 T1, T2 = torus_params(1), torus_params(2)
 POLY = IntSeries.make(0, [1, 2, 3])
@@ -70,7 +70,10 @@ BFILE = Path(__file__).parent / "data" / "b022493_sample.txt"
 # series.int_arg: (function and argument name, call with the value, lowest
 # value or None).  True and 2.0 must raise TypeError "<name> must be an
 # int", and a value below the lowest ValueError "<name> must be >= <low>";
-# the cases are generated into CASES and TYPE_CASES below.
+# the cases are generated into CASES and TYPE_CASES below.  The oracles that
+# moved from the library into the tests (substitute_one_minus_q,
+# cyclotomic_poly, pochhammer, q_binomial, v_exponent) kept their checks
+# verbatim, and their rows keep an oracle from reading True or 2.0 as an int.
 INT_SLOTS = [
     ("substitute_one_minus_q out_order", lambda v: substitute_one_minus_q(POLY, v), 1),
     ("one_minus_q_power e", lambda v: one_minus_q_power(v, 5), 0),

@@ -11,14 +11,43 @@ from qfish.qseries import (
     chi_t,
     mean_value_zero,
     partial_theta,
-    pochhammer,
-    q_binomial,
     quintiple_sides,
     theta_spec_t,
     torus_product,
 )
-from qfish.series import IntSeries, first_difference
+from qfish.series import IntSeries, first_difference, int_arg
 from test_series import poly_divides
+
+
+def pochhammer(base_exp: int, n: int, out_order: int | None = None) -> IntSeries:
+    """(q^base_exp; q)_n = prod_{k=1..n} (1 - q^(base_exp+k-1)).
+
+    base_exp may be <= 0, giving a Laurent polynomial; for base_exp = 1-N
+    and n >= N the factor (1 - q^0) makes the product identically zero.
+    ``out_order`` None returns the exact polynomial, else it is >= 1.
+    """
+    base_exp, n = int_arg(base_exp, "base_exp"), int_arg(n, "n", 0)
+    out_order = None if out_order is None else int_arg(out_order, "out_order", 1)
+    acc = IntSeries.one(out_order)
+    for k in range(1, n + 1):
+        e = base_exp + k - 1
+        if e == 0:
+            return IntSeries.zero(out_order)
+        acc = acc - acc.shift(e)
+    return acc
+
+
+def q_binomial(n: int, k: int) -> IntSeries:
+    """The Gaussian binomial coefficient as an exact polynomial.
+
+    Zero when k < 0 or k > n (in particular for any k >= 0 when n < 0),
+    matching the vanishing conventions the multisum engines rely on.  As
+    [n, k] = [n, n-k], the row is built to column min(k, n-k) only.
+    """
+    n, k = int_arg(n, "n"), int_arg(k, "k")
+    if k < 0 or k > n:
+        return IntSeries.zero()
+    return IntSeries.make(0, binom_row_trunc(n, min(k, n - k), n * n // 4 + 1)[-1], None)
 
 
 def poly(*coeffs, min_exp=0, order=None):

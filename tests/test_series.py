@@ -20,10 +20,11 @@ from qfish.series import (
     euler_product,
     exact_over_one_minus_qk,
     first_difference,
+    int_arg,
     one_minus_q_power,
     over_one_minus_qk,
     progression_product,
-    substitute_one_minus_q,
+    require,
     times_one_minus_qk,
 )
 
@@ -93,6 +94,36 @@ def poly_divides(d, p):
         # divisible over Q[q] but the quotient is not integral
         return DivisionWitness(False, None, unit, IntSeries.zero())
     return DivisionWitness(True, IntSeries.make(0, [c // scale for c in quo], None), unit, None)
+
+
+def substitute_one_minus_q(a: IntSeries, out_order: int) -> IntSeries:
+    """Composition a(1-q), expanded as a power series in q.
+
+    Exact for polynomial content: every stored coefficient participates.
+    Each Horner step in 1-q, and each factor of the (1-q)^min_exp prefactor,
+    is a pass of ``times_one_minus_qk`` (or ``over_one_minus_qk``) at k = 1.
+    """
+    require(a, IntSeries, "a")
+    out_order = int_arg(out_order, "out_order", 1)
+    if a.order is not None and out_order > a.order:
+        raise TruncationError(
+            f"composition to order {out_order} needs input known to that order (have {a.order})"
+        )
+    if not a.coeffs:
+        return IntSeries.zero(out_order)
+    # a = q^min_exp * P(q); evaluate P at u = 1-q by Horner, then fix the
+    # (1-q)^min_exp prefactor.
+    acc = []
+    for c in reversed(a.coeffs):
+        if len(acc) < out_order:
+            acc.append(0)  # the slot the product by 1-q grows into
+        times_one_minus_qk(acc, 1)  # acc <- acc * (1-q) + c
+        acc[0] += c
+    acc += [0] * (out_order - len(acc))
+    step = times_one_minus_qk if a.min_exp > 0 else over_one_minus_qk
+    for _ in range(abs(a.min_exp)):
+        step(acc, 1)
+    return IntSeries.make(0, acc, out_order)
 
 
 def poly(*coeffs, min_exp=0, order=None):

@@ -13,10 +13,11 @@ import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
-from qfish.qseries import binom_row_trunc, chi_t, pochhammer, q_binomial
+from qfish.qseries import binom_row_trunc, chi_t
 from qfish.series import (IntSeries, exact_over_one_minus_qk, first_difference, int_arg,
-                          one_minus_q_power, substitute_one_minus_q, times_one_minus_qk)
-from test_series import invert_unit
+                          one_minus_q_power, times_one_minus_qk)
+from test_qseries import pochhammer, q_binomial
+from test_series import invert_unit, substitute_one_minus_q
 from qfish.torus import (
     H_multisum,
     H_theta,
@@ -34,8 +35,21 @@ from qfish.torus import (
     kz_inner_sum,
     slater_multisum,
     torus_params,
-    v_exponent,
 )
+
+
+def v_exponent(jv: tuple, p: TorusParams) -> int:
+    """v(jv) = (sum j_l l - a)/m + sum C(j_l, 2); integral iff jv is admissible.
+    jv must have m - 1 nonnegative entries."""
+    _check_params(p)
+    jv = [int_arg(j, f"jv[{i}]", 0) for i, j in enumerate(jv)]
+    if len(jv) != p.m - 1:
+        raise ValueError("index vector needs m - 1 entries")
+    total = sum(j * l for l, j in enumerate(jv, start=1))
+    num = total - p.a
+    if num % p.m:
+        raise ValueError("inadmissible index vector: weighted sum fails the congruence")
+    return num // p.m + sum(j * (j - 1) // 2 for j in jv)
 
 
 def kz_partial_polynomials(p: TorusParams, n_top: int) -> Iterator[IntSeries]:
