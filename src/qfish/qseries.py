@@ -121,16 +121,8 @@ def partial_theta(spec: ThetaSpec, out_order: int) -> IntSeries:
     """
     require(spec, ThetaSpec, "spec")
     out_order = int_arg(out_order, "out_order", 1)
-    terms = {}
-    for n, sign, e in spec.terms(out_order):
-        terms[e] = terms.get(e, 0) + sign * (n if spec.nu else 1)
-    if not terms:
-        return IntSeries.zero(out_order)
-    lo = min(terms)
-    out = [0] * (out_order - lo)
-    for e, c in terms.items():
-        out[e - lo] = c
-    return IntSeries.make(lo, out, out_order)
+    return IntSeries.from_terms(((e, sign * (n if spec.nu else 1))
+                                 for n, sign, e in spec.terms(out_order)), out_order)
 
 
 def mean_value_zero(spec: ThetaSpec, m: int) -> bool:
@@ -178,12 +170,7 @@ def quintiple_sides(q_power: int, x_power: int, out_order: int) -> tuple:
     pairs = _quintiple_pairs(q_power, x_power)
     if any(start < 1 for start, _ in pairs):
         raise ValueError("substitution gives a product factor with nonpositive exponent")
-    terms = {}
-
-    def _add(e: int, c: int) -> None:
-        if e < out_order:
-            terms[e] = terms.get(e, 0) + c
-
+    terms = []
     k = 0
     while True:
         hit = False
@@ -192,16 +179,10 @@ def quintiple_sides(q_power: int, x_power: int, out_order: int) -> tuple:
             e2 = e1 + x_power + q_power * kk
             if min(e1, e2) < out_order:
                 hit = True
-                _add(e1, 1)
-                _add(e2, -1)
+                terms += ((e1, 1), (e2, -1))
         if not hit and k > 0:
             break
         k += 1
-    out = [0] * out_order
-    for e, c in terms.items():
-        if e < 0:
-            raise ValueError("bilateral sum has exponents unbounded below")
-        out[e] = c
-    lhs = IntSeries.make(0, out, out_order)
-    rhs = progression_product(pairs, out_order)
-    return lhs, rhs
+    if any(e < 0 for e, _ in terms):
+        raise ValueError("bilateral sum has exponents unbounded below")
+    return IntSeries.from_terms(terms, out_order), progression_product(pairs, out_order)

@@ -13,6 +13,11 @@ enforced: the record types are plain ``__slots__`` classes (see ``Record``),
 because a frozen dataclass costs about three times as much to construct and
 importing ``dataclasses`` (with ``inspect``) adds to every process's start-up.
 
+A pool is a mutable coefficient window, a list [lo, coeffs]; ``pool_cover``
+grows one to cover a range of exponents and ``pool_add`` adds one into
+another in place.  They are the one rule for adding windows: the pools of
+qfish.torus and ``IntSeries`` addition both run on them.
+
 Every product of cut coefficient lists by a factor 1 - q^k, and every
 division by one, is a pass of ``times_one_minus_qk`` or ``over_one_minus_qk``,
 in place on a list the caller owns; ``exact_over_one_minus_qk`` is the one
@@ -112,6 +117,32 @@ def _min_order(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def pool_cover(dst: list, lo: int, n: int) -> int:
+    """Extend the pool dst [lo, coeffs] in place to cover q^lo .. q^(lo+n-1);
+    returns the index of q^lo in its coeffs."""
+    cs = dst[1]
+    if lo < dst[0]:
+        cs[:0] = [0] * (dst[0] - lo)
+        dst[0] = lo
+    off = lo - dst[0]
+    if len(cs) < off + n:
+        cs.extend([0] * (off + n - len(cs)))
+    return off
+
+
+def pool_add(a, b, op=add):
+    """a + b for pools [lo, coeffs] (None is zero), or a - b with op=sub:
+    b added into a in place, or the nonzero side when one is zero (op=sub
+    needs a pool a).  a must be a pool the caller owns, never one that is
+    shared; b is only read."""
+    if a is None or b is None:
+        return b if a is None else a
+    lo, coeffs = b
+    i = pool_cover(a, lo, len(coeffs))
+    a[1][i:i + len(coeffs)] = map(op, a[1][i:i + len(coeffs)], coeffs)
+    return a
+
+
 class IntSeries(Record):
     """Dense integer Laurent series truncated at ``order``.
 
@@ -170,6 +201,20 @@ class IntSeries(Record):
     def monomial(exp: int, coeff: int = 1, order: int | None = None) -> "IntSeries":
         return IntSeries.make(exp, (coeff,), order)
 
+    @staticmethod
+    def from_terms(terms: Iterable[tuple], order: int | None = None) -> "IntSeries":
+        """The series sum c q^e over the (exponent e, coefficient c) pairs
+        terms, cut below order (None = exact): repeated exponents are summed,
+        and terms at or past the order are dropped."""
+        pairs = [(e, c) for e, c in terms if order is None or e < order]
+        if not pairs:
+            return IntSeries.zero(order)
+        lo = min(e for e, _ in pairs)
+        cs = [0] * (max(e for e, _ in pairs) - lo + 1)
+        for e, c in pairs:
+            cs[e - lo] += c
+        return IntSeries.make(lo, cs, order)
+
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -214,32 +259,24 @@ class IntSeries(Record):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "IntSeries", sign: int = 1) -> "IntSeries":
+    def __add__(self, other: "IntSeries", op=add) -> "IntSeries":
         if not isinstance(other, IntSeries):
             return NotImplemented
         order = _min_order(self.order, other.order)
-        if not self.coeffs:
-            return (other if sign > 0 else -other).truncate(order)
-        if not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if order is not None:  # nothing at or past the order is added
+            a, b = a[:max(order - self.min_exp, 0)], b[:max(order - other.min_exp, 0)]
+        if not b:
             return self.truncate(order)
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
-        if order is not None:
-            hi = min(hi, order)
-        out = [0] * (hi - lo)
-        a = self.coeffs[:max(hi - self.min_exp, 0)]
-        i = self.min_exp - lo
-        out[i:i + len(a)] = a
-        b = other.coeffs[:max(hi - other.min_exp, 0)]
-        i = other.min_exp - lo
-        out[i:i + len(b)] = map(add if sign > 0 else sub, out[i:i + len(b)], b)
-        return IntSeries.make(lo, out, order)
+        if not a:
+            return (other if op is add else -other).truncate(order)
+        return IntSeries.make(*pool_add([self.min_exp, list(a)], [other.min_exp, b], op), order)
 
     def __neg__(self) -> "IntSeries":
         return IntSeries(self.min_exp, tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "IntSeries") -> "IntSeries":
-        return self.__add__(other, -1)
+        return self.__add__(other, sub)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -355,24 +392,11 @@ def euler_product(out_order: int) -> IntSeries:
 
 
 def first_difference(a: IntSeries, b: IntSeries):
-    """First exponent where a and b disagree on their common window.
+    """First exponent where a and b disagree on their common window: the
+    first nonzero coefficient of a - b.
 
     Returns None when equal there, else (exponent, a_coeff, b_coeff).
     """
-    order = _min_order(a.order, b.order)
-    lo = min(a.min_exp, b.min_exp)
-    hi = max(a.min_exp + len(a.coeffs), b.min_exp + len(b.coeffs))
-    if order is not None:
-        hi = min(hi, order)
-    wa, wb = _window(a, lo, hi), _window(b, lo, hi)
-    if wa == wb:
-        return None
-    i = next(i for i, (ca, cb) in enumerate(zip(wa, wb)) if ca != cb)
-    return (lo + i, wa[i], wb[i])
-
-
-def _window(a: IntSeries, lo: int, hi: int) -> list:
-    """The coefficients of q^lo .. q^(hi - 1) in a, for lo <= a.min_exp."""
-    k = min(a.min_exp, hi) - lo
-    cs = a.coeffs[:hi - lo - k]
-    return [0] * k + list(cs) + [0] * (hi - lo - k - len(cs))
+    d = a - b
+    e = next((d.min_exp + i for i, c in enumerate(d.coeffs) if c), None)
+    return None if e is None else (e, a.coeff(e), b.coeff(e))

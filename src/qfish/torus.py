@@ -28,7 +28,8 @@ from operator import add, neg, sub
 from .backend import mul_trunc, pool_dp
 from .cyclotomic import CycInt, cyc_eval
 from .qseries import binom_row_trunc, theta_spec_t
-from .series import IntSeries, Record, exact_over_one_minus_qk, int_arg, require, times_one_minus_qk
+from .series import (IntSeries, Record, exact_over_one_minus_qk, int_arg, pool_add, pool_cover,
+                     require, times_one_minus_qk)
 
 
 class TorusParams(Record):
@@ -169,29 +170,18 @@ def admissible_jvectors(
 # (1-q)-power lift and for big integers, and the tests' reference.
 #
 # In the loop, a step's product goes straight into its destination pool:
-# _acc_mul grows the pool's list once to cover the product's exponents, and
-# one kernel call mul_trunc(src, f, n, pool, off) adds the product into it,
-# so no product list is built and no Python loop adds it.  A state's S + A,
-# and the end S + A, is added into its S pool in place (_ladd).  Every pool
-# the DP writes is private to its run, and the factors are only read, so the
-# in-place adds are safe.  The G_n that callers ask for again are immutable
+# _acc_mul grows the pool's list once to cover the product's exponents
+# (series.pool_cover), and one kernel call mul_trunc(src, f, n, pool, off)
+# adds the product into it, so no product list is built and no Python loop
+# adds it.  A state's S + A, and the end S + A, is added into its S pool in
+# place (series.pool_add).  Every pool the DP writes is private to its run,
+# and the factors are only read, so the in-place adds are safe; so are the
+# adds into the fresh pools of M_series and H_theta and into a new row of
+# the a-window.  The G_n that callers ask for again are immutable
 # IntSeries kept in kz_inner_sum's bounded lru_cache, so a process builds
 # each once (kz_tail_sum reads the cut ones).  The graded summands of M_t
 # stay end pools, summed into a_{n,t} once per n by the a-window (_a_sums),
 # which b_sums reads, and convolved with (x)_{n+1} by H_multisum.
-
-
-def _grow(dst, lo, n) -> int:
-    """Extend the pool dst [lo, coeffs] in place to cover q^lo .. q^(lo+n-1);
-    returns the index of q^lo in its coeffs."""
-    cs = dst[1]
-    if lo < dst[0]:
-        cs[:0] = [0] * (dst[0] - lo)
-        dst[0] = lo
-    off = lo - dst[0]
-    if len(cs) < off + n:
-        cs.extend([0] * (off + n - len(cs)))
-    return off
 
 
 def _acc_mul(dst, src, f, lim):
@@ -207,22 +197,9 @@ def _acc_mul(dst, src, f, lim):
         return dst
     if dst is None:
         return [lo, mul_trunc(a, b, n)]
-    off = _grow(dst, lo, n)
+    off = pool_cover(dst, lo, n)
     mul_trunc(a, b, n, dst[1], off)
     return dst
-
-
-def _ladd(a, b):
-    """a + b for pools [lo, coeffs] (None is zero): b added into a in place,
-    or the nonzero side when one is zero.  a must be a pool the caller owns
-    (the running DP's, the fresh ones of M_series and H_theta, or a new row
-    of the a-window), never a factor."""
-    if a is None or b is None:
-        return b if a is None else a
-    lo, coeffs = b
-    i = _grow(a, lo, len(coeffs))
-    a[1][i:i + len(coeffs)] = map(add, a[1][i:i + len(coeffs)], coeffs)
-    return a
 
 
 def _q_lift(f, s):
@@ -256,7 +233,7 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
         nxt: dict = {}
         for key, (s_pool, a_pool) in states.items():
             r = key % m
-            sa = _ladd(s_pool, a_pool)
+            sa = pool_add(s_pool, a_pool)
             # on the last level only the steps landing on r = a (mod m) are kept
             j0, jstep = (((p.a - r) * inv) % m, m) if level == m - 1 else (0, 1)
             for j in range(j0, len(fac_np1), jstep):
@@ -276,7 +253,7 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
                     ent = nxt.get(k2 + dm) or nxt.setdefault(k2 + dm, [None, None])
                     ent[1] = _acc_mul(ent[1], a_pool, fp, order)
         states = nxt
-    ends = {key // m: _ladd(*pools) for key, pools in states.items()}
+    ends = {key // m: pool_add(*pools) for key, pools in states.items()}
     return ends if graded else ends.get(0)
 
 
@@ -305,9 +282,7 @@ def _row_step(prev: list, n: int, cut, lift) -> list:
                 continue
             cs = cs[:cut - lo]
         ent = [prev[j][0], prev[j][1][:cut and cut - prev[j][0]]] if j < len(prev) else [lo, []]
-        i = _grow(ent, lo, len(cs))
-        ent[1][i:i + len(cs)] = map(sub, ent[1][i:i + len(cs)], cs)
-        row.append(ent)
+        row.append(pool_add(ent, [lo, cs], sub))
     return row
 
 
@@ -435,7 +410,7 @@ def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:
     for n in range(n_top - 1, -1, -1):
         acc[1].extend([0] * (n + 1))
         times_one_minus_qk(acc[1], n + 1)
-        _ladd(acc, [inners[n].min_exp, inners[n].coeffs])
+        pool_add(acc, [inners[n].min_exp, inners[n].coeffs])
     lo, cs = acc
     return IntSeries.make(lo - p.h_d, cs if p.sign > 0 else map(neg, cs))
 
@@ -487,14 +462,12 @@ def colored_jones(p: TorusParams, big_n: int) -> IntSeries:
             x4 = base + 3 * r * k2 * k2 + 2 * (3 + eps * r) * k2 + 2 * eps
             if x4 % 4:
                 raise ArithmeticError("Morton exponent failed to be integral")
-            terms.append((x4 // 4, eps))
-    lo = min(x for x, _ in terms)
-    coeffs = [0] * (max(x for x, _ in terms) - lo + 1)
-    for x, eps in terms:
-        coeffs[x - lo] -= eps
+            terms.append((x4 // 4, -eps))
+    num = IntSeries.from_terms(terms)
+    coeffs = list(num.coeffs)
     if not exact_over_one_minus_qk(coeffs, big_n):
         raise ArithmeticError("1 - q^N does not divide the sum")
-    return IntSeries.make(lo, coeffs)
+    return IntSeries.make(num.min_exp, coeffs)
 
 
 def kz_at_root_of_unity(p: TorusParams, big_n: int) -> CycInt:
@@ -541,7 +514,7 @@ def H_theta(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     cols: dict = {}  # x-degree -> pool
     for n, sign, qe in theta_spec_t(p.t, 0).terms(q_order):
         if (d := (n - n0) // 2) < x_bound:
-            cols[d] = _ladd(cols.get(d), [qe, [sign]])
+            cols[d] = pool_add(cols.get(d), [qe, [sign]])
     _check_cancelled(cols, 0)
     return tuple(_series(cols.get(d), q_order) for d in range(x_bound))
 
@@ -621,7 +594,7 @@ def M_series(p: TorusParams, x_bound: int, q_order: int) -> tuple:
     n = 0
     while n * p.m < x_bound:
         for x_deg, term in _m_summand(p, n, x_bound, q_order):
-            cols[x_deg] = _ladd(cols.get(x_deg), term)
+            cols[x_deg] = pool_add(cols.get(x_deg), term)
         n += 1
     return tuple(_series(cols.get(d), q_order) for d in range(x_bound))
 
@@ -662,7 +635,7 @@ def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
             base = k * m - lo
             for d, pool in _m_graded(p, min(k, q_order), q_order).items():
                 if 0 <= base + d < hi - lo:
-                    _ladd([0, new[base + d]], pool)
+                    pool_add([0, new[base + d]], pool)
         for acc in new:
             sums.append(list(map(add, sums[-1], a[-1])) if a else [0] * q_order)
             a.append(acc)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfish.qseries as qseries_mod
+import qfish.series as series_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t
 from qfish.series import (IntSeries, exact_over_one_minus_qk, first_difference, int_arg,
-                          one_minus_q_power, times_one_minus_qk)
+                          one_minus_q_power, pool_add, times_one_minus_qk)
 from test_qseries import pochhammer, q_binomial
 from test_series import invert_unit, substitute_one_minus_q
 from qfish.torus import (
@@ -439,20 +440,21 @@ class TestPoolAdd:
         # a cached G_n would answer without running the DP
         kz_inner_sum.cache_clear()
         monkeypatch.setattr(torus_mod, "mul_trunc", boom)
+        monkeypatch.setattr(series_mod, "mul_trunc", boom)
 
     def test_ladd(self, no_kernel):
         # the sum lands in the left pool; the right one is untouched
         a, b = [2, [1, 1]], [0, [4]]
-        got = torus_mod._ladd(a, b)
+        got = pool_add(a, b)
         assert got is a and a == [0, [4, 0, 1, 1]]
         assert b == [0, [4]]
-        assert torus_mod._ladd(None, b) is b and torus_mod._ladd(a, None) is a
+        assert pool_add(None, b) is b and pool_add(a, None) is a
         # a right pool that overlaps the left one and runs past its end
-        assert torus_mod._ladd([3, [7, 2]], [1, [5, 0, 1]]) == [1, [5, 0, 8, 2]]
+        assert pool_add([3, [7, 2]], [1, [5, 0, 1]]) == [1, [5, 0, 8, 2]]
 
 
 class TestFactorsAreOnlyRead:
-    """_pool_dp never writes into its factor pools, so _ladd may add into
+    """_pool_dp never writes into its factor pools, so pool_add may add into
     its left pool in place: every pool it receives belongs to the DP run."""
 
     @pytest.mark.parametrize("t", [2, 3, 4])
