@@ -75,7 +75,7 @@ class CycInt(Record):
 
     @staticmethod
     def integer(m: int, value: int) -> "CycInt":
-        return CycInt(m, _reduce([value], m))
+        return CycInt(m, _reduce([int_arg(value, "value")], m))
 
     @staticmethod
     def root_power(m: int, exp: int, coeff: int = 1) -> "CycInt":
@@ -105,7 +105,7 @@ class CycInt(Record):
         return CycInt(self.level, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return CycInt(self.level, tuple(other * a for a in self.coeffs))
         if not isinstance(other, CycInt):
             return NotImplemented
@@ -117,7 +117,7 @@ class CycInt(Record):
 
     def mul_root_power(self, exp: int) -> "CycInt":
         """Multiply by zeta**exp (cheap monomial product)."""
-        e = exp % self.level
+        e = int_arg(exp, "exp") % self.level
         if e == 0:
             return self
         out = [0] * e + list(self.coeffs)

@@ -109,6 +109,11 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def _order_arg(order) -> int | None:
+    """A truncation order argument: None (exact) or an int, through int_arg."""
+    return None if order is None else int_arg(order, "order")
+
+
 def _min_order(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -191,22 +196,24 @@ class IntSeries(Record):
 
     @staticmethod
     def zero(order: int | None = None) -> "IntSeries":
-        return IntSeries.make(0, (), order)
+        return IntSeries.make(0, (), _order_arg(order))
 
     @staticmethod
     def one(order: int | None = None) -> "IntSeries":
-        return IntSeries.make(0, (1,), order)
+        return IntSeries.make(0, (1,), _order_arg(order))
 
     @staticmethod
     def monomial(exp: int, coeff: int = 1, order: int | None = None) -> "IntSeries":
-        return IntSeries.make(exp, (coeff,), order)
+        return IntSeries.make(int_arg(exp, "exp"), (int_arg(coeff, "coeff"),), _order_arg(order))
 
     @staticmethod
     def from_terms(terms: Iterable[tuple], order: int | None = None) -> "IntSeries":
         """The series sum c q^e over the (exponent e, coefficient c) pairs
         terms, cut below order (None = exact): repeated exponents are summed,
         and terms at or past the order are dropped."""
-        pairs = [(e, c) for e, c in terms if order is None or e < order]
+        order = _order_arg(order)
+        pairs = [(e, c) for e, c in ((int_arg(e, "exponent"), int_arg(c, "coefficient"))
+                                     for e, c in terms) if order is None or e < order]
         if not pairs:
             return IntSeries.zero(order)
         lo = min(e for e, _ in pairs)
@@ -228,6 +235,7 @@ class IntSeries(Record):
         return self.min_exp + len(self.coeffs) - 1 if self.coeffs else -1
 
     def coeff(self, exp: int) -> int:
+        exp = int_arg(exp, "exp")
         if self.order is not None and exp >= self.order:
             raise TruncationError(f"coefficient of q^{exp} unknown beyond order {self.order}")
         if exp < self.min_exp or exp >= self.min_exp + len(self.coeffs):
@@ -279,7 +287,7 @@ class IntSeries(Record):
         return self.__add__(other, sub)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.scale(other)
         if not isinstance(other, IntSeries):
             return NotImplemented
@@ -298,6 +306,7 @@ class IntSeries(Record):
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "IntSeries":
+        c = int_arg(c, "c")
         if c == 0:
             return IntSeries.make(0, (), self.order)
         return IntSeries(self.min_exp, tuple(c * x for x in self.coeffs), self.order)
@@ -305,6 +314,7 @@ class IntSeries(Record):
     def shift(self, k: int) -> "IntSeries":
         """Multiply by q**k (exponent translation); an exact zero stays the
         canonical zero."""
+        k = int_arg(k, "k")
         if self.order is None and not self.coeffs:
             return IntSeries.zero()
         return IntSeries(
@@ -315,6 +325,7 @@ class IntSeries(Record):
 
     def truncate(self, order: int | None) -> "IntSeries":
         """Narrow the window to ``order`` (never widens)."""
+        order = _order_arg(order)
         if order is None or (self.order is not None and order >= self.order):
             return self
         return IntSeries.make(self.min_exp, self.coeffs, order)
