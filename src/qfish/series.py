@@ -177,8 +177,9 @@ class IntSeries(Record):
                 cs = cs[:width]
             elif len(cs) < width:
                 cs.extend([0] * (width - len(cs)))
-        # strip leading zeros (bump min_exp)
-        lead = 0
+        # strip leading zeros (bump min_exp); an all-zero window, such as the
+        # difference of two equal sides, skips the scan
+        lead = 0 if any(cs) else len(cs)
         while lead < len(cs) and cs[lead] == 0:
             lead += 1
         if lead:
@@ -212,8 +213,9 @@ class IntSeries(Record):
         terms, cut below order (None = exact): repeated exponents are summed,
         and terms at or past the order are dropped."""
         order = _order_arg(order)
-        pairs = [(e, c) for e, c in ((int_arg(e, "exponent"), int_arg(c, "coefficient"))
-                                     for e, c in terms) if order is None or e < order]
+        pairs = [(int_arg(e, "exponent"), int_arg(c, "coefficient")) for e, c in terms]
+        if order is not None:
+            pairs = [(e, c) for e, c in pairs if e < order]
         if not pairs:
             return IntSeries.zero(order)
         lo = min(e for e, _ in pairs)

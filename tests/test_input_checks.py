@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qfish.cyclotomic import cyc_eval
+from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.fishburn import (
     S_set,
     binom_congruence,
@@ -156,6 +156,28 @@ INT_SLOTS = [
     ("check_bfile count", lambda v: check_bfile(BFILE, v), 1),
 ]
 
+# The scalar arguments of the value types take the same rule (an order may
+# still be None); IntSeries.make, the normaliser every builder calls, stays
+# unchecked.  Each is refused for True, 2.0 and 1.5.
+SCALAR_SLOTS = [
+    ("IntSeries.coeff exp", lambda v: POLY.coeff(v)),
+    ("IntSeries.scale c", lambda v: POLY.scale(v)),
+    ("IntSeries.shift k", lambda v: POLY.shift(v)),
+    ("IntSeries.truncate order", lambda v: POLY.truncate(v)),
+    ("IntSeries.zero order", lambda v: IntSeries.zero(v)),
+    ("IntSeries.one order", lambda v: IntSeries.one(v)),
+    ("IntSeries.monomial exp", lambda v: IntSeries.monomial(v)),
+    ("IntSeries.monomial coeff", lambda v: IntSeries.monomial(2, v)),
+    ("IntSeries.monomial order", lambda v: IntSeries.monomial(2, 1, v)),
+    ("IntSeries.from_terms exponent", lambda v: IntSeries.from_terms([(v, 1)])),
+    ("IntSeries.from_terms coefficient", lambda v: IntSeries.from_terms([(1, v)])),
+    ("IntSeries.from_terms order", lambda v: IntSeries.from_terms([(1, 1)], v)),
+    ("CycInt.integer value", lambda v: CycInt.integer(4, v)),
+    ("CycInt.root_power exp", lambda v: CycInt.root_power(4, v)),
+    ("CycInt.root_power coeff", lambda v: CycInt.root_power(4, 1, v)),
+    ("CycInt.mul_root_power exp", lambda v: CycInt.integer(4, 1).mul_root_power(v)),
+]
+
 
 def _slot_pattern(label: str) -> str:
     return re.escape(label.rsplit(" ", 1)[1])
@@ -246,12 +268,28 @@ TYPE_CASES = [
      "^step must be an int, not bool$"),
     ("progression_product start 1.0", lambda: progression_product([(1.0, 1)], 5),
      "^start must be an int: 'float' object cannot be interpreted as an integer$"),
+    # a bool operand of * answers NotImplemented, as a float or a str does
+    ("IntSeries * True", lambda: POLY * True,
+     r"^unsupported operand type\(s\) for \*: 'IntSeries' and 'bool'$"),
+    ("True * IntSeries", lambda: True * POLY,
+     r"^unsupported operand type\(s\) for \*: 'bool' and 'IntSeries'$"),
+    ("CycInt * True", lambda: CycInt.integer(4, 1) * True,
+     r"^unsupported operand type\(s\) for \*: 'CycInt' and 'bool'$"),
+    ("True * CycInt", lambda: True * CycInt.integer(4, 1),
+     r"^unsupported operand type\(s\) for \*: 'bool' and 'CycInt'$"),
 ] + [
     (f"{label} {value!r}", lambda call=call, value=value: call(value),
      f"^{_slot_pattern(label)} must be an int{tail}")
     for label, call, _ in INT_SLOTS
     for value, tail in ((True, ", not bool$"),
                         (2.0, ": 'float' object cannot be interpreted as an integer$"))
+] + [
+    (f"{label} {value!r}", lambda call=call, value=value: call(value),
+     f"^{_slot_pattern(label)} must be an int{tail}")
+    for label, call in SCALAR_SLOTS
+    for value, tail in ((True, ", not bool$"),
+                        (2.0, ": 'float' object cannot be interpreted as an integer$"),
+                        (1.5, ": 'float' object cannot be interpreted as an integer$"))
 ]
 
 

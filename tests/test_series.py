@@ -156,6 +156,46 @@ def _add_loop(self, other, sign):
     return IntSeries.make(lo, out, order)
 
 
+def _terms(s):
+    """The nonzero coefficients of s by exponent."""
+    return {s.min_exp + i: c for i, c in enumerate(s.coeffs) if c}
+
+
+# windows near q^0, far apart (up to q^(+-300)), empty, exact or cut
+wide_series = st.builds(
+    lambda lo, coeffs, cut: IntSeries.make(lo, coeffs, None if cut is None else lo + cut),
+    st.one_of(st.integers(-5, 5), st.integers(-300, 300)),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.one_of(st.none(), st.integers(-2, 8)),
+)
+
+
+def window_first_difference(a, b):
+    """Oracle: first_difference as it was, comparing two dense windows.
+
+    First exponent where a and b disagree on their common window.
+
+    Returns None when equal there, else (exponent, a_coeff, b_coeff).
+    """
+    order = series._min_order(a.order, b.order)
+    lo = min(a.min_exp, b.min_exp)
+    hi = max(a.min_exp + len(a.coeffs), b.min_exp + len(b.coeffs))
+    if order is not None:
+        hi = min(hi, order)
+    wa, wb = _window(a, lo, hi), _window(b, lo, hi)
+    if wa == wb:
+        return None
+    i = next(i for i, (ca, cb) in enumerate(zip(wa, wb)) if ca != cb)
+    return (lo + i, wa[i], wb[i])
+
+
+def _window(a, lo, hi):
+    """The coefficients of q^lo .. q^(hi - 1) in a, for lo <= a.min_exp."""
+    k = min(a.min_exp, hi) - lo
+    cs = a.coeffs[:hi - lo - k]
+    return [0] * k + list(cs) + [0] * (hi - lo - k - len(cs))
+
+
 class TestArith:
     def test_product_of_first_three_factors(self):
         # direct hand expansion of (1-q)(1-q^2)(1-q^3)
@@ -204,6 +244,31 @@ class TestArith:
         assert a + b == _add_loop(a, b, 1)
         assert a - b == _add_loop(a, b, -1)
         assert b - a == _add_loop(b, a, -1)
+
+    @given(wide_series, wide_series)
+    @example(poly(1, min_exp=10**9), poly(1, 2, order=2))  # a window far past the order
+    @example(poly(1, 2, order=2), poly(1, min_exp=10**9))
+    @example(IntSeries.zero(), poly(3, min_exp=-300))
+    @example(poly(3, min_exp=-300, order=-299), IntSeries.zero(4))
+    @settings(max_examples=300, deadline=None)
+    def test_add_sub_match_exponent_dict(self, a, b):
+        order = series._min_order(a.order, b.order)
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            want = _terms(a)
+            for e, c in _terms(b).items():
+                want[e] = want.get(e, 0) + sign * c
+            assert _terms(got) == {e: c for e, c in want.items()
+                                   if c and (order is None or e < order)}
+            assert got.order == order
+            # the normal form: a nonzero lead, and a cut window that ends at
+            # the order (an exact zero sits at q^0)
+            assert not got.coeffs or got.coeffs[0]
+            if order is not None:
+                assert got.min_exp + len(got.coeffs) == order
+            elif not got.coeffs:
+                assert got.min_exp == 0
+            else:
+                assert got.coeffs[-1]
 
     def test_orders_never_widen(self):
         a = poly(1, 1, order=3)
@@ -515,6 +580,36 @@ class TestPolyDivides:
         assert wit.divides
         recon = d * wit.quotient * IntSeries.monomial(wit.unit_exp)
         assert recon == p
+
+
+class TestFirstDifference:
+    @given(wide_series, st.one_of(st.none(), wide_series), st.integers(-6, 6),
+           st.integers(-2, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_window_comparison(self, a, other, e, c):
+        # b is a itself, a moved by one monomial, or an unrelated series
+        b = a + IntSeries.monomial(a.min_exp + e, c) if other is None else other
+        assert first_difference(a, b) == window_first_difference(a, b)
+        assert first_difference(b, a) == window_first_difference(b, a)
+
+    def test_reports_both_coefficients(self):
+        a, b = poly(1, 2, 3, order=5), poly(1, 2, 4, 9, min_exp=0)
+        assert first_difference(a, b) == (2, 3, 4)
+        assert first_difference(a, b.truncate(2)) is None
+
+
+class TestFromTerms:
+    @given(st.lists(st.tuples(st.integers(-5, 12), st.integers(-3, 3)), max_size=10),
+           st.one_of(st.none(), st.integers(-2, 10)))
+    @example([(2, 1), (2, -1)], None)  # cancelling
+    @example([(3, 2), (-1, 4), (3, 5)], 4)  # repeated
+    @example([(5, 1), (7, 2), (1, 1)], 5)  # at and past the order
+    @example([(5, 1)], 5)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_monomial_sum(self, terms, order):
+        want = sum((IntSeries.monomial(e, c, order) for e, c in terms), IntSeries.zero(order))
+        assert IntSeries.from_terms(terms, order) == want
+        assert IntSeries.from_terms(iter(terms), order) == want
 
 
 class TestWindowSemantics:
