@@ -15,7 +15,10 @@ graded summands, the key identity at t = 3 and 4 and the exact G_n at
 t = 2, xi at the session menu's t = 2 counts, cold, growing and falling
 (where the prefix store serves the later ones), cold runs of the
 difference equation at (3, 10, 24) and (4, 12, 30), the key identity at
-(2, 30) and the DP's factor rows at order 21 for n <= 21, last the
+(2, 30) and the DP's factor rows at order 21 for n <= 21, the theta
+product at (3, 60) and the difference equation at (3, 10, 24) warm (the
+series sums and comparisons; the first call refills the graded summands
+that the cold rows emptied, so the best of k is warm), last the
 dissection check and the root match at t = 2 and N = 60 cold (where a
 product (q)_n G_n would leave int64), and the xi_series oracle.  The cold rows empty each lru_cache they name, so the
 checkout under test must have them all.  Times are CPU
@@ -165,6 +168,7 @@ def engine_cases() -> list:
     from qfish.fishburn import divisibility_check, xi_coefficients
     from qfish.identities import (
         verify_difference_equation, verify_key_identity, verify_root_match, verify_slater,
+        verify_theta_product,
     )
     from qfish.series import euler_product
     from qfish.torus import (
@@ -262,6 +266,9 @@ def engine_cases() -> list:
         ("verify_difference_equation 4 12 30 cold", lambda: difference_equation_cold(4, 12, 30)),
         ("verify_key_identity t=2 q_order=30 cold", lambda: key_identity_cold(2, 30)),
         ("factor rows q_order=21 n<=21 cold", lambda: factor_rows_cold(21, 21)),
+        ("verify_theta_product t=3 q_order=60 warm", lambda: verify_theta_product(3, 60)),
+        ("verify_difference_equation 3 10 24 warm",
+         lambda: verify_difference_equation(3, 10, 24)),
         # last: at about 70 ms a call these two are over 5x any other row,
         # and a heavy row biases the rows timed after it in this process
         ("divisibility_check 2 7 60 cold", lambda: divisibility_cold(2, 7, 60)),
