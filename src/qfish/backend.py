@@ -35,6 +35,8 @@ _impl = _fast if _fast is not None else _pure
 mul_trunc = _impl.mul_trunc
 pool_dp = getattr(_impl, "pool_dp", None)
 
+__all__ = ["backend_name"]
+
 
 def backend_name() -> str:
     return "compiled" if _impl is _fast else "pure"

@@ -12,6 +12,8 @@ from .backend import mul_trunc
 from .series import (IntSeries, NotPolynomialError, Record, int_arg, over_one_minus_qk, require,
                      times_one_minus_qk)
 
+__all__ = ["CycInt", "cyc_eval"]
+
 
 def is_prime(n: int) -> bool:
     if n < 2:

@@ -49,6 +49,10 @@ from .series import (
 )
 from .torus import inner_sums_at_one_minus_q, kz_full_polynomial, torus_params
 
+__all__ = ["CongruenceReport", "Dissection", "DivisibilityReport", "S_set",
+           "binom_congruence", "dissection", "divisibility_check", "straub_order_bound",
+           "verify_congruence", "xi_coefficients", "xi_series"]
+
 
 # -- the multisum at q -> 1-q ----------------------------------------------
 

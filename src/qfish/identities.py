@@ -51,6 +51,9 @@ from .torus import (
     torus_params,
 )
 
+__all__ = ["IdentityReport", "verify_difference_equation", "verify_key_identity",
+           "verify_rewrite2", "verify_root_match", "verify_slater", "verify_theta_product"]
+
 
 class IdentityReport(Record):
     __slots__ = ("name", "window", "passed", "first_discrepancy", "details")

@@ -14,6 +14,9 @@ from .cyclotomic import cyc_eval
 from .series import (IntSeries, Record, int_arg, over_one_minus_qk, progression_product, require,
                      times_one_minus_qk)
 
+__all__ = ["PeriodicChar", "ThetaSpec", "chi_t", "mean_value_zero", "partial_theta",
+           "quintiple_sides", "theta_spec_t", "torus_product"]
+
 
 def binom_row_trunc(n: int, jmax: int, length: int) -> tuple:
     """[n, j] for j = 0..min(jmax, n), each cut below q^length (length >= 1).

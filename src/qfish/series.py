@@ -32,6 +32,9 @@ from operator import add, attrgetter, index, sub
 
 from .backend import mul_trunc
 
+__all__ = ["IntSeries", "NotPolynomialError", "SeriesError", "TruncationError",
+           "divisor_sum_series", "euler_product"]
+
 
 class SeriesError(ValueError):
     pass

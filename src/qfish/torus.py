@@ -31,6 +31,10 @@ from .qseries import binom_row_trunc, theta_spec_t
 from .series import (IntSeries, Record, exact_over_one_minus_qk, int_arg, pool_add, pool_cover,
                      require, times_one_minus_qk)
 
+__all__ = ["H_multisum", "H_theta", "M_series", "TorusParams", "a_n_t", "admissible_jvectors",
+           "b_n_t", "colored_jones", "kz_at_root_of_unity", "kz_full_polynomial",
+           "torus_params"]
+
 
 class TorusParams(Record):
     """Integer invariants of T(3, 2^t): m = 2^(t-1), h = 2^t - 2, and the

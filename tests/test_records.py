@@ -3,6 +3,7 @@ which private names one module may import from another, and which exported
 names the library itself uses."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -110,6 +111,23 @@ def test_every_export_has_a_caller_in_the_library():
     assert set(PENDING) <= exported
     assert sorted(exported - used - set(PENDING)) == []
     assert sorted(set(PENDING) & used) == []
+
+
+def test_each_module_states_its_exports():
+    # the modules __init__.py imports from, each naming its exports once
+    tree = ast.parse((SRC / "qfish" / "__init__.py").read_text())
+    names = [node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+    assert names
+    stated = []
+    for name in names:
+        module = importlib.import_module(f"qfish.{name}")
+        assert "__all__" in vars(module), name
+        for export in module.__all__:
+            assert not export.startswith("_"), (name, export)
+            assert getattr(module, export) is getattr(qfish, export), (name, export)
+        stated += module.__all__
+    assert len(stated) == len(set(stated))
+    assert sorted(stated) == qfish.__all__
 
 
 def test_cold_start_imports_no_heavy_stdlib():
