@@ -18,7 +18,8 @@ difference equation at (3, 10, 24) and (4, 12, 30), the key identity at
 (2, 30) and the DP's factor rows at order 21 for n <= 21, the theta
 product at (3, 60) and the difference equation at (3, 10, 24) warm (the
 series sums and comparisons; the first call refills the graded summands
-that the cold rows emptied, so the best of k is warm), last the
+that the cold rows emptied, so the best of k is warm), the (1 - x) M_t
+rewrite at (2, 12, 30) and (3, 8, 20), cold and warm, last the
 dissection check and the root match at t = 2 and N = 60 cold (where a
 product (q)_n G_n would leave int64), and the xi_series oracle.  The cold rows empty each lru_cache they name, so the
 checkout under test must have them all.  Times are CPU
@@ -167,8 +168,8 @@ def engine_cases() -> list:
     import qfish.torus as torus
     from qfish.fishburn import divisibility_check, xi_coefficients
     from qfish.identities import (
-        verify_difference_equation, verify_key_identity, verify_root_match, verify_slater,
-        verify_theta_product,
+        verify_difference_equation, verify_key_identity, verify_rewrite2, verify_root_match,
+        verify_slater, verify_theta_product,
     )
     from qfish.series import euler_product
     from qfish.torus import (
@@ -221,6 +222,10 @@ def engine_cases() -> list:
         clear("torus._m_graded", *rows)
         return verify_difference_equation(t, x_bound, q_order)
 
+    def rewrite_cold(t, x_bound, q_order):  # every a_{n,t}, graded summand and row rebuilt
+        clear(*a_windows, *rows)
+        return verify_rewrite2(t, x_bound, q_order)
+
     def factor_rows_cold(q_order, n_top):  # the DP's factors for n <= n_top, rebuilt
         clear(*rows)
         return [torus._q_setup(n, q_order) for n in range(n_top + 1)]
@@ -269,6 +274,10 @@ def engine_cases() -> list:
         ("verify_theta_product t=3 q_order=60 warm", lambda: verify_theta_product(3, 60)),
         ("verify_difference_equation 3 10 24 warm",
          lambda: verify_difference_equation(3, 10, 24)),
+        ("verify_rewrite2 2 12 30 cold", lambda: rewrite_cold(2, 12, 30)),
+        ("verify_rewrite2 2 12 30 warm", lambda: verify_rewrite2(2, 12, 30)),
+        ("verify_rewrite2 3 8 20 cold", lambda: rewrite_cold(3, 8, 20)),
+        ("verify_rewrite2 3 8 20 warm", lambda: verify_rewrite2(3, 8, 20)),
         # last: at about 70 ms a call these two are over 5x any other row,
         # and a heavy row biases the rows timed after it in this process
         ("divisibility_check 2 7 60 cold", lambda: divisibility_cold(2, 7, 60)),

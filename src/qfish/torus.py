@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, neg, sub
 
 from .backend import mul_trunc, pool_dp
@@ -180,12 +181,13 @@ def admissible_jvectors(
 # adds it.  A state's S + A, and the end S + A, is added into its S pool in
 # place (series.pool_add).  Every pool the DP writes is private to its run,
 # and the factors are only read, so the in-place adds are safe; so are the
-# adds into the fresh pools of M_series and H_theta and into a new row of
-# the a-window.  The G_n that callers ask for again are immutable
+# adds into the fresh pools of M_series and H_theta, of a_n_t and of the
+# a-window.  The G_n that callers ask for again are immutable
 # IntSeries kept in kz_inner_sum's bounded lru_cache, so a process builds
 # each once (kz_tail_sum reads the cut ones).  The graded summands of M_t
-# stay end pools, summed into a_{n,t} once per n by the a-window (_a_sums),
-# which b_sums reads, and convolved with (x)_{n+1} by H_multisum.
+# stay end pools, summed into a_{n,t} by a_n_t for its own n and, for every
+# n at once, into the a-window (_a_window) that b_sums reads, and convolved
+# with (x)_{n+1} by H_multisum.
 
 
 def _acc_mul(dst, src, f, lim):
@@ -611,44 +613,25 @@ def _a_stable(p: TorusParams, q_order: int) -> int:
 
 @lru_cache(maxsize=32, typed=True)
 def _a_window(p: TorusParams, q_order: int) -> tuple:
-    """(a, sums) of (p, q_order), grown by _a_sums: a_{n,t} and
-    sum_{i<n} a_{i,t} for every n built so far, as dense coefficient lists
-    over q^0 .. q^(q_order-1)."""
-    return [], []
-
-
-def _a_sums(p: TorusParams, q_order: int, count: int) -> tuple:
-    """(a, sums), with at least count entries each: a[n] = a_{n,t} and
-    sums[n] = sum_{i<n} a_{i,t}, cut below q^q_order (see a_n_t), as dense
-    coefficient lists over q^0 .. q^(q_order-1).  Both lists, and every
-    list in them, belong to the a-window and are only read.
-
-    An extension, to count or to twice the length built (at most
-    stable + m + 1), is one pass over the graded summands k <= n/m of the
-    new n: the end pool at x-degree d of summand k lands on a_{km+d}.
-    """
-    a, sums = _a_window(p, q_order)
-    if len(a) < count:
-        m, lo, stable = p.m, len(a), _a_stable(p, q_order)
-        hi = max(count, min(2 * lo, stable + m + 1))
-        slots = stable - (q_order - 1) * m  # S, the slots of one summand
-        new = [[0] * q_order for _ in range(hi - lo)]
-        # summand k fills n = km .. km + S - 1, so those before the first k
-        # here lie wholly below lo
-        for k in range(max(0, (lo - slots) // m + 1), (hi - 1) // m + 1):
-            base = k * m - lo
-            for d, pool in _m_graded(p, min(k, q_order), q_order).items():
-                if 0 <= base + d < hi - lo:
-                    pool_add([0, new[base + d]], pool)
-        for acc in new:
-            sums.append(list(map(add, sums[-1], a[-1])) if a else [0] * q_order)
-            a.append(acc)
+    """(a, sums): a[n] = a_{n,t} and sums[n] = sum_{i<n} a_{i,t} for every
+    n <= stable + m, cut below q^q_order (see a_n_t), as dense coefficient
+    lists over q^0 .. q^(q_order-1), built in one pass over the graded
+    summands: the end pool at x-degree d of summand k lands on a_{km+d}.
+    Both lists, and every list in them, are only read."""
+    m = p.m
+    count = _a_stable(p, q_order) + m + 1
+    a = [[0] * q_order for _ in range(count)]
+    for k in range((count - 1) // m + 1):
+        for d, pool in _m_graded(p, min(k, q_order), q_order).items():
+            if k * m + d < count:
+                pool_add([0, a[k * m + d]], pool)
+    sums = list(accumulate(a[:-1], lambda s, x: list(map(add, s, x)), initial=[0] * q_order))
     return a, sums
 
 
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     """a_{n,t}(q): the x^n coefficient of M_t, the sum of slot n - km of the
-    graded summands k <= n/m, read from the a-window of (p, q_order).
+    graded summands k <= n/m.
 
     Below q^L, L = q_order, the summands stop depending on k from K = L on:
     the DP reads the factor [k, j] only below q^(L - C(j,2)), and [k, j] is
@@ -663,9 +646,10 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     stable = _a_stable(p, q_order)
     if n >= stable + p.m:
         n = stable + (n - stable) % p.m
-    if n < 0:
-        return IntSeries.zero(q_order)
-    return IntSeries.make(0, _a_sums(p, q_order, n + 1)[0][n], q_order)
+    acc = [0, [0] * q_order]
+    for k in range(n // p.m + 1):
+        pool_add(acc, _m_graded(p, min(k, q_order), q_order).get(n - k * p.m))
+    return IntSeries.make(*acc, q_order)
 
 
 def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
@@ -691,12 +675,12 @@ def b_sums(p: TorusParams, work: int) -> tuple:
     stable, and the sums over every n are those to N = stable + 1.  They
     equal those of summing the b-terms one by one, which
     tests/test_identities.py keeps as the oracle.  The a_n and their prefix
-    sums are read from the a-window (_a_sums), so a warm call adds nothing
-    up again.
+    sums are read from the a-window (_a_window), so a warm call adds
+    nothing up again.
     """
     m = p.m
     stable = _a_stable(p, work)
-    a, sums = _a_sums(p, work, stable + m + 1)
+    a, sums = _a_window(p, work)
     if any(an != a[stable] for an in a[stable + 1:stable + m + 1]):
         raise ArithmeticError("b_{n,t} sum failed to stabilize")
     run = n = 0

@@ -243,7 +243,7 @@ class TestSensitivity:
         def moved(p_, n, q_order):
             return real(n) + delta if n == 0 else real(n) - delta if n == n_cut else real(n)
 
-        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(moved))
+        monkeypatch.setattr(torus_mod, "_a_window", _window_of(moved))
         assert b_sums(p, work)[2:] == (n_cut, False)
         rep = verify_key_identity(2, work)
         assert not rep.passed and rep.first_discrepancy is None
@@ -278,9 +278,11 @@ def _b_sums_two_pass(p, work, n_stop=None):
 
 
 def _window_of(a_fn):
-    """The a-window seam b_sums reads (torus._a_sums), taken from the per-n
-    function a_fn: a_n and sum_{i<n} a_i as dense coefficient lists."""
-    def seam(p, work, count):
+    """The a-window seam b_sums reads (torus._a_window), taken from the per-n
+    function a_fn: a_n and sum_{i<n} a_i for n <= stable + m as dense
+    coefficient lists."""
+    def seam(p, work):
+        count = torus_mod._a_stable(p, work) + p.m + 1
         a = [[a_fn(p, n, work).coeff(e) for e in range(work)] for n in range(count)]
         sums = [list(map(sum, zip([0] * work, *a[:n]))) for n in range(count)]
         return a, sums
@@ -289,9 +291,9 @@ def _window_of(a_fn):
 
 def _real_a(p, work):
     """a_n_t at (p, work), n -> a_{n,t}, read off the real a-window before a
-    test patches its seam (torus._a_sums), which a_n_t itself reads."""
+    test patches its seam (torus._a_window)."""
     stable = torus_mod._a_stable(p, work)
-    a = [IntSeries.make(0, cs, work) for cs in torus_mod._a_sums(p, work, stable + p.m)[0]]
+    a = [IntSeries.make(0, cs, work) for cs in torus_mod._a_window(p, work)[0]]
     return lambda n: IntSeries.zero(work) if n < 0 else a[min(n, stable + (n - stable) % p.m)]
 
 
@@ -318,7 +320,7 @@ class TestBSums:
             return a + IntSeries.monomial(0, 1, q_order) if n >= 0 and n % p_.m == 0 else a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(bumped))
+        monkeypatch.setattr(torus_mod, "_a_window", _window_of(bumped))
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             _b_sums_two_pass(p, work)
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
@@ -344,7 +346,7 @@ class TestBSums:
             return a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(bumped))
+        monkeypatch.setattr(torus_mod, "_a_window", _window_of(bumped))
         assert _b_sums_two_pass(p, work)[2] < stable
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             b_sums(p, work)
@@ -361,7 +363,7 @@ class TestBSums:
             return IntSeries.make(0, [1, 1 if n >= 20 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", stepped)
-        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(stepped))
+        monkeypatch.setattr(torus_mod, "_a_window", _window_of(stepped))
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert 2 * n_cut <= 20 < stable
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
@@ -378,7 +380,7 @@ class TestBSums:
             return IntSeries.make(0, [1 if n >= 6 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", late)
-        monkeypatch.setattr(torus_mod, "_a_sums", _window_of(late))
+        monkeypatch.setattr(torus_mod, "_a_window", _window_of(late))
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert n_cut == 4
         doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)

@@ -203,9 +203,9 @@ def test_record_takes_exactly_its_fields(args, kwargs):
 
 def test_torus_params_is_a_cache_key():
     a_n_t(torus_params(3), 2, 6)
-    hits = _a_window.cache_info().hits
+    hits = _m_graded.cache_info().hits
     a_n_t(torus_params(3), 2, 6)
-    assert _a_window.cache_info().hits == hits + 1
+    assert _m_graded.cache_info().hits == hits + 1
 
 
 def test_engine_caches_bounded():

@@ -13,7 +13,7 @@ import qfish.series as series_mod
 import qfish.torus as torus_mod
 from qfish.backend import mul_trunc, pool_dp
 from qfish.cyclotomic import CycInt, cyc_eval
-from qfish.identities import verify_key_identity, verify_root_match
+from qfish.identities import verify_key_identity, verify_rewrite2, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t
 from qfish.series import (IntSeries, exact_over_one_minus_qk, first_difference, int_arg,
                           one_minus_q_power, pool_add, times_one_minus_qk)
@@ -892,6 +892,24 @@ class TestStableSummand:
         torus_mod._m_graded.cache_clear()
         assert verify_key_identity(t, qo).passed
         assert torus_mod._m_graded.cache_info().misses <= most
+
+    @pytest.mark.parametrize("t,qo,n", [(2, 30, 11), (3, 20, 7), (4, 12, 5)])
+    def test_cold_a_n_t_builds_no_window(self, t, qo, n):
+        # a_{n,t} alone runs the DPs of its summands k <= n/m, and only the
+        # b-sums build the whole a-window
+        p = torus_params(t)
+        torus_mod._a_window.cache_clear()
+        torus_mod._m_graded.cache_clear()
+        a_n_t(p, n, qo)
+        assert torus_mod._m_graded.cache_info().misses <= n // p.m + 1
+        assert torus_mod._a_window.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 8, 20)])
+    def test_cold_rewrite_builds_no_window(self, t, xb, qo):
+        torus_mod._a_window.cache_clear()
+        torus_mod._m_graded.cache_clear()
+        assert verify_rewrite2(t, xb, qo).passed
+        assert torus_mod._a_window.cache_info().currsize == 0
 
     @pytest.mark.parametrize("t,xb,qo", [(2, 30, 3), (3, 20, 4), (3, 10, 24), (4, 12, 30)])
     def test_h_multisum_dp_count(self, t, xb, qo):
