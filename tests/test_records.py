@@ -247,7 +247,7 @@ def test_engine_caches_bounded():
 def test_float_argument_refused_cold_and_warm(call, warm):
     # the checked cold path raises; once the int entry is filled, the float
     # call must still take that path rather than read the int's entry
-    for cache in (_a_window, kz_inner_sum, _xi_cached, torus_mod._xq_rows):
+    for cache in (_m_graded, kz_inner_sum, _xi_cached, torus_mod._xq_rows):
         cache.cache_clear()
     with pytest.raises(TypeError):
         call()
