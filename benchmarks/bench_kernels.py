@@ -8,7 +8,8 @@ convolution shows, and many short int64 products added into one list,
 by a Python loop or by the kernel's accumulate form).  One layer up, it
 times the engines built on the kernel: the inner-sum DP behind exact G_n,
 the graded summands of M_t, J_N (also at t = 1), the key identity's
-b-sums, cold and warm, the root-of-unity match cold, the key identity
+b-sums, cold and warm (warm is a cache hit where a checkout caches the
+b-sums), the root-of-unity match cold, the key identity
 warm, the Slater identities cold, (q)_inf to order 400, the exact partial
 sum F_t(q; N) warm and the dissection check on it cold, cold runs of the
 graded summands, the key identity at t = 3 and 4 and the exact G_n at
@@ -181,7 +182,8 @@ def engine_cases() -> list:
     # the factor rows: the Gaussian-binomial rows (a cache in older
     # checkouts only) and the (x; q)_n tables
     rows = ("qseries.binom_row_trunc", "torus._xq_rows")
-    a_windows = ("torus._a_window", "torus._m_graded")
+    # the b-sums (cached in newer checkouts) or the a-window (in older ones)
+    a_windows = ("torus.b_sums", "torus._a_window", "torus._m_graded")
 
     def clear(*names):
         """Empty each named lru_cache.  A name that is not a cache is left

@@ -40,7 +40,7 @@ from .series import (
 )
 from .torus import (
     M_series,
-    b_n_t,
+    a_n_t,
     b_sums,
     colored_jones,
     H_multisum,
@@ -139,14 +139,19 @@ def verify_difference_equation(t: int, x_bound: int, q_order: int) -> IdentityRe
     return _merge("difference_equation", window, parts)
 
 
+def _one_minus_x(cols: tuple) -> tuple:
+    """The x-columns of (1 - x) f, for the x-columns f."""
+    return cols[:1] + tuple(c - prev for prev, c in zip(cols, cols[1:]))
+
+
 def verify_rewrite2(t: int, x_bound: int, q_order: int) -> IdentityReport:
-    """(1 - x) M_t(x, q) = sum_n b_{n,t}(q) x^n, both sides independently."""
+    """(1 - x) M_t(x, q) = sum_n b_{n,t}(q) x^n, both sides independently:
+    b_{n,t} = a_{n,t} - a_{n-1,t} (a_{-1,t} = 0), each a_{n,t} read once."""
     p = torus_params(t)
     x_bound, q_order = int_arg(x_bound, "x_bound", 1), int_arg(q_order, "q_order", 1)
     window = {"t": t, "x_bound": x_bound, "q_order": q_order}
-    m = M_series(p, x_bound, q_order)
-    lhs = m[:1] + tuple(c - prev for prev, c in zip(m, m[1:]))
-    rhs = [b_n_t(p, n, q_order) for n in range(x_bound)]
+    lhs = _one_minus_x(M_series(p, x_bound, q_order))
+    rhs = _one_minus_x(tuple(a_n_t(p, n, q_order) for n in range(x_bound)))
     return _bi_report("m_series_rewrite", window, lhs, rhs)
 
 
@@ -266,17 +271,13 @@ def verify_root_match(t: int, n_max: int) -> IdentityReport:
     p = torus_params(t)
     window = {"t": t, "N_max": n_max}
     results = {}
-    first = None
+    diff = None
     poly = kz_full_polynomial(p, n_max - 1)
     for big_n in range(1, n_max + 1):
         lhs = cyc_eval(poly, big_n).mul_root_power(2**t - 1)
         rhs = cyc_eval(colored_jones(p, big_n), big_n)
         same = (lhs - rhs).is_zero()
         results[f"N={big_n}"] = "pass" if same else "fail"
-        if not same and first is None:
-            first = {
-                "N": big_n,
-                "lhs": list(lhs.coeffs),
-                "rhs": list(rhs.coeffs),
-            }
-    return IdentityReport("root_of_unity_match", window, first is None, first, results)
+        if not same and diff is None:
+            diff = (big_n, list(lhs.coeffs), list(rhs.coeffs))
+    return _report("root_of_unity_match", window, diff, ("N", "lhs", "rhs"), results)

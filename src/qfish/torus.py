@@ -33,8 +33,7 @@ from .series import (IntSeries, Record, exact_over_one_minus_qk, int_arg, pool_a
                      require, times_one_minus_qk)
 
 __all__ = ["H_multisum", "H_theta", "M_series", "TorusParams", "a_n_t", "admissible_jvectors",
-           "b_n_t", "colored_jones", "kz_at_root_of_unity", "kz_full_polynomial",
-           "torus_params"]
+           "colored_jones", "kz_at_root_of_unity", "kz_full_polynomial", "torus_params"]
 
 
 class TorusParams(Record):
@@ -533,7 +532,7 @@ def _m_summand(p: TorusParams, n: int, x_stop: int, q_order: int) -> Iterator[tu
     with x-degree < x_stop and each pool [v, coeffs] cut below q^q_order.
     The k-sum reads prefix products over tops n+1 and suffix products over
     tops n.  Only M_series keeps this per-vector walk, on purpose: in
-    verify_rewrite2 it is the side independent of b_n_t, which reads the
+    verify_rewrite2 it is the side independent of a_n_t, which reads the
     graded DP (as H_multisum does, whose independent partner in the
     difference equation is the theta form).  A vector's products are cut
     below q^(q_order - v): past that nothing survives its q^v shift.  Every
@@ -611,13 +610,11 @@ def _a_stable(p: TorusParams, q_order: int) -> int:
     return (q_order - 1) * p.m + (p.m - 1) * (_jmax(q_order) + 1) + 1
 
 
-@lru_cache(maxsize=32, typed=True)
-def _a_window(p: TorusParams, q_order: int) -> tuple:
-    """(a, sums): a[n] = a_{n,t} and sums[n] = sum_{i<n} a_{i,t} for every
-    n <= stable + m, cut below q^q_order (see a_n_t), as dense coefficient
-    lists over q^0 .. q^(q_order-1), built in one pass over the graded
-    summands: the end pool at x-degree d of summand k lands on a_{km+d}.
-    Both lists, and every list in them, are only read."""
+def _a_window(p: TorusParams, q_order: int) -> list:
+    """a[n] = a_{n,t} for every n <= stable + m, cut below q^q_order (see
+    a_n_t), as dense coefficient lists over q^0 .. q^(q_order-1), built in
+    one pass over the graded summands: the end pool at x-degree d of
+    summand k lands on a_{km+d}."""
     m = p.m
     count = _a_stable(p, q_order) + m + 1
     a = [[0] * q_order for _ in range(count)]
@@ -625,8 +622,7 @@ def _a_window(p: TorusParams, q_order: int) -> tuple:
         for d, pool in _m_graded(p, min(k, q_order), q_order).items():
             if k * m + d < count:
                 pool_add([0, a[k * m + d]], pool)
-    sums = list(accumulate(a[:-1], lambda s, x: list(map(add, s, x)), initial=[0] * q_order))
-    return a, sums
+    return a
 
 
 def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
@@ -652,12 +648,7 @@ def a_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
     return IntSeries.make(*acc, q_order)
 
 
-def b_n_t(p: TorusParams, n: int, q_order: int) -> IntSeries:
-    """b_{n,t} = a_{n,t} - a_{n-1,t} with a_{-1,t} = 0."""
-    n = int_arg(n, "n", 0)
-    return a_n_t(p, n, q_order) - a_n_t(p, n - 1, q_order)
-
-
+@lru_cache(maxsize=32, typed=True)
 def b_sums(p: TorusParams, work: int) -> tuple:
     """(sum_n b_{n,t}, sum_n (n - h) b_{n,t}) over every n, truncated below
     work; the cutoff n_cut, the first n past h that ends 2m consecutive
@@ -674,13 +665,12 @@ def b_sums(p: TorusParams, work: int) -> tuple:
     period and the sums diverge (ArithmeticError).  Otherwise b_n = 0 past
     stable, and the sums over every n are those to N = stable + 1.  They
     equal those of summing the b-terms one by one, which
-    tests/test_identities.py keeps as the oracle.  The a_n and their prefix
-    sums are read from the a-window (_a_window), so a warm call adds
-    nothing up again.
+    tests/test_identities.py keeps as the oracle.  The answer is cached,
+    and each miss reads the a_n off a fresh a-window (_a_window).
     """
     m = p.m
     stable = _a_stable(p, work)
-    a, sums = _a_window(p, work)
+    a = _a_window(p, work)
     if any(an != a[stable] for an in a[stable + 1:stable + m + 1]):
         raise ArithmeticError("b_{n,t} sum failed to stabilize")
     run = n = 0
@@ -690,6 +680,7 @@ def b_sums(p: TorusParams, work: int) -> tuple:
         run = run + 1 if cur == prev else 0
         prev, n = cur, n + 1
     n_cut = n
+    sums = list(accumulate(a[:stable], lambda s, x: list(map(add, s, x)), initial=[0] * work))
     out = []
     for top in (n_cut - 1, 2 * n_cut - 1, stable):  # the sums to N = top + 1
         done, past = min(top, stable), max(top - stable, 0)

@@ -16,7 +16,7 @@ from qfish.identities import (
 )
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
-from qfish.torus import b_n_t, b_sums, kz_at_root_of_unity, torus_params
+from qfish.torus import a_n_t, b_sums, kz_at_root_of_unity, torus_params
 
 
 class TestPositive:
@@ -33,6 +33,25 @@ class TestPositive:
     @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 8, 20)])
     def test_rewrite2(self, t, xb, qo):
         assert verify_rewrite2(t, xb, qo).passed
+
+    @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 8, 20)])
+    def test_rewrite2_reads_each_a_n_once(self, t, xb, qo, monkeypatch):
+        # a warm check asks a_n_t for n = 0 .. x_bound - 1, each n once,
+        # wherever a module binds it
+        import qfish.identities as idm
+
+        verify_rewrite2(t, xb, qo)
+        real, calls = torus_mod.a_n_t, []
+
+        def counted(p, n, q_order):
+            calls.append(n)
+            return real(p, n, q_order)
+
+        for mod in (torus_mod, idm):
+            if getattr(mod, "a_n_t", None) is real:
+                monkeypatch.setattr(mod, "a_n_t", counted)
+        assert verify_rewrite2(t, xb, qo).passed
+        assert sorted(calls) == list(range(xb))
 
     @pytest.mark.parametrize("t,qo", [(2, 30), (3, 20), (5, 6)])
     def test_key_identity(self, t, qo):
@@ -178,16 +197,16 @@ class TestSensitivity:
         assert rep.details["theta_equals_multisum"] == "fail"
 
     def test_rewrite2_detects_perturbation(self, monkeypatch):
+        # a_2 + q moves b_2 first, so column 2 is the first to differ
         import qfish.identities as idm
-        from qfish.torus import b_n_t as real_b
 
         def perturbed(p, n, q_order):
-            out = real_b(p, n, q_order)
+            out = a_n_t(p, n, q_order)
             if n == 2:
                 out = out + IntSeries.monomial(1, 1, q_order)
             return out
 
-        monkeypatch.setattr(idm, "b_n_t", perturbed)
+        monkeypatch.setattr(idm, "a_n_t", perturbed)
         rep = verify_rewrite2(2, 6, 10)
         assert not rep.passed
         assert rep.first_discrepancy["x_exponent"] == 2
@@ -229,7 +248,7 @@ class TestSensitivity:
         assert not out["pass"]
         assert out["first_discrepancy"] == {"exponent": 3, "lhs": -8, "rhs": -10}
 
-    def test_key_identity_fails_on_unstable_cutoff(self, monkeypatch):
+    def test_key_identity_fails_on_unstable_cutoff(self, patch_window):
         # a_0 + q^15 and a_37 - q^15 at (2, 16), where the cutoff is 37 and
         # stable 38: the exact sums, and so the identity, do not change, but
         # the sums to the cutoff do, so the doubling check turns the pass
@@ -243,11 +262,18 @@ class TestSensitivity:
         def moved(p_, n, q_order):
             return real(n) + delta if n == 0 else real(n) - delta if n == n_cut else real(n)
 
-        monkeypatch.setattr(torus_mod, "_a_window", _window_of(moved))
+        patch_window(moved)
         assert b_sums(p, work)[2:] == (n_cut, False)
         rep = verify_key_identity(2, work)
         assert not rep.passed and rep.first_discrepancy is None
         assert rep.details == {"b_sum_cutoff": n_cut, "cutoff_doubling_stable": False}
+
+
+def _b_n(p, n, work):
+    """b_{n,t} = a_{n,t} - a_{n-1,t}, a_{-1,t} = 0, with a_{n,t} read
+    through torus.a_n_t, where a test may patch it."""
+    prev = torus_mod.a_n_t(p, n - 1, work) if n else IntSeries.zero(work)
+    return torus_mod.a_n_t(p, n, work) - prev
 
 
 def _b_sums_two_pass(p, work, n_stop=None):
@@ -266,7 +292,7 @@ def _b_sums_two_pass(p, work, n_stop=None):
             break
         elif n > hard_cap:
             raise ArithmeticError("b_{n,t} sum failed to stabilize")
-        bn = b_n_t(p, n, work)
+        bn = _b_n(p, n, work)
         if bn.is_zero():
             run += 1
         else:
@@ -279,21 +305,30 @@ def _b_sums_two_pass(p, work, n_stop=None):
 
 def _window_of(a_fn):
     """The a-window seam b_sums reads (torus._a_window), taken from the per-n
-    function a_fn: a_n and sum_{i<n} a_i for n <= stable + m as dense
-    coefficient lists."""
+    function a_fn: a_n for n <= stable + m as dense coefficient lists."""
     def seam(p, work):
         count = torus_mod._a_stable(p, work) + p.m + 1
-        a = [[a_fn(p, n, work).coeff(e) for e in range(work)] for n in range(count)]
-        sums = [list(map(sum, zip([0] * work, *a[:n]))) for n in range(count)]
-        return a, sums
+        return [[a_fn(p, n, work).coeff(e) for e in range(work)] for n in range(count)]
     return seam
+
+
+@pytest.fixture
+def patch_window(monkeypatch):
+    """patch_window(a_fn) puts _window_of(a_fn) in the seam.  b_sums is
+    emptied then and after the test, since its cached answers would hide
+    the patch and outlive it."""
+    def patch(a_fn):
+        monkeypatch.setattr(torus_mod, "_a_window", _window_of(a_fn))
+        b_sums.cache_clear()
+    yield patch
+    b_sums.cache_clear()
 
 
 def _real_a(p, work):
     """a_n_t at (p, work), n -> a_{n,t}, read off the real a-window before a
     test patches its seam (torus._a_window)."""
     stable = torus_mod._a_stable(p, work)
-    a = [IntSeries.make(0, cs, work) for cs in torus_mod._a_window(p, work)[0]]
+    a = [IntSeries.make(0, cs, work) for cs in torus_mod._a_window(p, work)]
     return lambda n: IntSeries.zero(work) if n < 0 else a[min(n, stable + (n - stable) % p.m)]
 
 
@@ -309,7 +344,7 @@ class TestBSums:
         doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)
         assert b_sums(p, work) == (tb, tw, n_cut, doubled)
 
-    def test_divergent_period_raises_like_oracle(self, monkeypatch):
+    def test_divergent_period_raises_like_oracle(self, monkeypatch, patch_window):
         # a_{n,t} + 1 on n = 0 (mod m) keeps a periodic past stable, but with
         # a nonzero b in every period, so no run of 2m vanishing terms comes
         p, work = torus_params(2), 12
@@ -320,7 +355,7 @@ class TestBSums:
             return a + IntSeries.monomial(0, 1, q_order) if n >= 0 and n % p_.m == 0 else a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(torus_mod, "_a_window", _window_of(bumped))
+        patch_window(bumped)
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             _b_sums_two_pass(p, work)
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
@@ -329,11 +364,11 @@ class TestBSums:
     def test_cold_reads_stop_at_the_period(self):
         # a_{n,t} is read for n <= stable + m only
         p, work = torus_params(2), 70
-        torus_mod._a_window.cache_clear()
+        b_sums.cache_clear()
         assert b_sums(p, work)[2] == 145
-        assert len(torus_mod._a_window(p, work)[0]) == torus_mod._a_stable(p, work) + p.m + 1
+        assert len(torus_mod._a_window(p, work)) == torus_mod._a_stable(p, work) + p.m + 1
 
-    def test_period_past_stable_checked_after_early_cutoff(self, monkeypatch):
+    def test_period_past_stable_checked_after_early_cutoff(self, monkeypatch, patch_window):
         # a_{n,t} + 1 on n = stable + 1 (mod m), n > stable: the cutoff (37)
         # comes before stable (38), but a nonzero b recurs in every period
         p, work = torus_params(2), 16
@@ -346,12 +381,12 @@ class TestBSums:
             return a
 
         monkeypatch.setattr(torus_mod, "a_n_t", bumped)
-        monkeypatch.setattr(torus_mod, "_a_window", _window_of(bumped))
+        patch_window(bumped)
         assert _b_sums_two_pass(p, work)[2] < stable
         with pytest.raises(ArithmeticError, match="failed to stabilize"):
             b_sums(p, work)
 
-    def test_step_past_doubled_cutoff_is_summed(self, monkeypatch):
+    def test_step_past_doubled_cutoff_is_summed(self, monkeypatch, patch_window):
         # a_n = 1 for n < 20 and 1 + q from n = 20 on: the cutoff is 5, the
         # sums to 5 and to 10 agree, and only the exact sums see the step
         p, work = torus_params(2), 12
@@ -363,14 +398,14 @@ class TestBSums:
             return IntSeries.make(0, [1, 1 if n >= 20 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", stepped)
-        monkeypatch.setattr(torus_mod, "_a_window", _window_of(stepped))
+        patch_window(stepped)
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert 2 * n_cut <= 20 < stable
         tb, tw, _ = _b_sums_two_pass(p, work, n_stop=stable + p.m + 1)
         assert (tb, tw) != (cut_b, cut_w)
         assert b_sums(p, work) == (tb, tw, n_cut, True)
 
-    def test_vanishing_a0_starts_the_run(self, monkeypatch):
+    def test_vanishing_a0_starts_the_run(self, monkeypatch, patch_window):
         # a_n = 0 for n < 6 and 1 from n = 6 on: b_0 = a_0 - a_{-1} = 0
         # already counts toward the run of vanishing terms, so the cutoff is 4
         p, work = torus_params(2), 12
@@ -380,7 +415,7 @@ class TestBSums:
             return IntSeries.make(0, [1 if n >= 6 else 0], q_order)
 
         monkeypatch.setattr(torus_mod, "a_n_t", late)
-        monkeypatch.setattr(torus_mod, "_a_window", _window_of(late))
+        patch_window(late)
         cut_b, cut_w, n_cut = _b_sums_two_pass(p, work)
         assert n_cut == 4
         doubled = _b_sums_two_pass(p, work, n_stop=2 * n_cut)[:2] == (cut_b, cut_w)

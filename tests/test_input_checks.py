@@ -50,7 +50,6 @@ from qfish.torus import (
     M_series,
     a_n_t,
     admissible_jvectors,
-    b_n_t,
     colored_jones,
     kz_at_root_of_unity,
     kz_full_polynomial,
@@ -113,8 +112,6 @@ INT_SLOTS = [
     ("M_series q_order", lambda v: M_series(T2, 4, v), 1),
     ("a_n_t n", lambda v: a_n_t(T2, v, 5), None),
     ("a_n_t q_order", lambda v: a_n_t(T2, 2, v), 1),
-    ("b_n_t n", lambda v: b_n_t(T2, v, 5), 0),
-    ("b_n_t q_order", lambda v: b_n_t(T2, 2, v), 1),
     ("xi_series N", lambda v: xi_series(2, v, 3), 0),
     ("xi_series count", lambda v: xi_series(2, 5, v), 1),
     ("xi_lvalues t", lambda v: xi_lvalues(v, 3), 1),
@@ -218,7 +215,6 @@ CASES = [
     ("H_multisum t 1", lambda: H_multisum(T1, 4, 4), "t >= 2"),
     ("M_series t 1", lambda: M_series(T1, 4, 4), "t >= 2"),
     ("a_n_t t 1", lambda: a_n_t(T1, 2, 5), "t >= 2"),
-    ("b_n_t n -1", lambda: b_n_t(T2, -1, 5), "n must be"),
 ] + [
     (f"{label} below {low}", lambda call=call, low=low: call(low - 1),
      f"^{_slot_pattern(label)} must be >= {low}$")
@@ -252,7 +248,6 @@ TYPE_CASES = [
     ("H_multisum p", lambda: H_multisum(3, 4, 4), PARAMS),
     ("M_series p", lambda: M_series(3, 4, 4), PARAMS),
     ("a_n_t p", lambda: a_n_t(3, 2, 5), PARAMS),
-    ("b_n_t p", lambda: b_n_t(3, 2, 5), PARAMS),
     ("verify_congruence r bool", lambda: verify_congruence(2, 5, True, 1), "r must be an int"),
     ("verify_congruence m_max bool", lambda: verify_congruence(2, 5, 1, True),
      "m_max must be an int"),

@@ -27,7 +27,7 @@ from qfish import (
 )
 from qfish.cyclotomic import _phi_coeffs
 from qfish.fishburn import _xi_cached, xi_coefficients
-from qfish.torus import _a_window, _m_graded, kz_inner_sum
+from qfish.torus import _m_graded, b_sums, kz_inner_sum
 from test_qseries import q_binomial
 from test_series import DivisionWitness
 
@@ -209,7 +209,7 @@ def test_torus_params_is_a_cache_key():
 
 
 def test_engine_caches_bounded():
-    assert _a_window.cache_info().maxsize == 32
+    assert b_sums.cache_info().maxsize == 32
     assert _xi_cached.cache_info().maxsize == 16
     assert torus_mod._xq_rows.cache_info().maxsize == 8
     assert _m_graded.cache_info().maxsize == 32
@@ -220,7 +220,7 @@ def test_engine_caches_bounded():
 
     engines = [mod for name, mod in sys.modules.items() if name.startswith("qfish.")]
     cached = [obj for mod in engines for obj in vars(mod).values() if hasattr(obj, "cache_info")]
-    six = (_a_window, _xi_cached, torus_mod._xq_rows, _m_graded, _phi_coeffs, kz_inner_sum)
+    six = (b_sums, _xi_cached, torus_mod._xq_rows, _m_graded, _phi_coeffs, kz_inner_sum)
     assert {id(obj) for obj in cached} == {id(obj) for obj in six}
     assert all(obj.cache_info().maxsize is not None for obj in cached)
     # and every one is typed: a float key equals its int key

@@ -29,7 +29,7 @@ from qfish.torus import (
     _series,
     a_n_t,
     admissible_jvectors,
-    b_n_t,
+    b_sums,
     colored_jones,
     kz_at_root_of_unity,
     kz_full_polynomial,
@@ -217,6 +217,15 @@ def count_rows(monkeypatch):
     real = torus_mod._row_step
     monkeypatch.setattr(torus_mod, "_row_step", lambda *args: built.append(1) or real(*args))
     return built
+
+
+def count_windows(monkeypatch):
+    """A list that gains the arguments of every a-window built (torus._a_window)
+    from here on."""
+    calls = []
+    real = torus_mod._a_window
+    monkeypatch.setattr(torus_mod, "_a_window", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def count_binom_rows(monkeypatch):
@@ -799,13 +808,18 @@ class TestHSeries:
             H_theta(torus_params(2), 4, 8)
 
 
+def b_n(p, n, q_order):
+    """b_{n,t} = a_{n,t} - a_{n-1,t}; a_n_t gives a_{-1,t} = 0."""
+    return a_n_t(p, n, q_order) - a_n_t(p, n - 1, q_order)
+
+
 class TestMSeries:
     @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 8, 20)])
     def test_one_minus_x_m_equals_b_sum(self, t, xb, qo):
         p = torus_params(t)
         m = M_series(p, xb, qo)
         lhs = (m[0],) + tuple(c - prev for prev, c in zip(m, m[1:]))
-        rhs = tuple(b_n_t(p, n, qo) for n in range(xb))
+        rhs = tuple(b_n(p, n, qo) for n in range(xb))
         assert column_difference(lhs, rhs) is None
 
     def test_x0_coefficient_is_a0(self):
@@ -823,7 +837,7 @@ class TestMSeries:
 
     def test_b0_equals_a0(self):
         p = torus_params(2)
-        assert b_n_t(p, 0, 12) == a_n_t(p, 0, 12)
+        assert b_n(p, 0, 12) == a_n_t(p, 0, 12)
 
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize("K", [3, 7, 12])
@@ -831,7 +845,7 @@ class TestMSeries:
         p = torus_params(t)
         total = IntSeries.zero(15)
         for n in range(K + 1):
-            total = total + b_n_t(p, n, 15)
+            total = total + b_n(p, n, 15)
         assert first_difference(total, a_n_t(p, K, 15)) is None
 
     # a_{n,t} at q_order 12 stops changing after n = 24 (t = 2) and n = 47 (t = 3)
@@ -888,28 +902,30 @@ class TestStableSummand:
         p = torus_params(t)
         top, _ = _stable_window(p, qo + p.h_d)
         assert top + 1 == most
-        torus_mod._a_window.cache_clear()
+        b_sums.cache_clear()
         torus_mod._m_graded.cache_clear()
         assert verify_key_identity(t, qo).passed
         assert torus_mod._m_graded.cache_info().misses <= most
 
     @pytest.mark.parametrize("t,qo,n", [(2, 30, 11), (3, 20, 7), (4, 12, 5)])
-    def test_cold_a_n_t_builds_no_window(self, t, qo, n):
+    def test_cold_a_n_t_builds_no_window(self, t, qo, n, monkeypatch):
         # a_{n,t} alone runs the DPs of its summands k <= n/m, and only the
         # b-sums build the whole a-window
         p = torus_params(t)
-        torus_mod._a_window.cache_clear()
+        windows = count_windows(monkeypatch)
+        b_sums.cache_clear()
         torus_mod._m_graded.cache_clear()
         a_n_t(p, n, qo)
         assert torus_mod._m_graded.cache_info().misses <= n // p.m + 1
-        assert torus_mod._a_window.cache_info().currsize == 0
+        assert windows == []
 
     @pytest.mark.parametrize("t,xb,qo", [(2, 12, 30), (3, 8, 20)])
-    def test_cold_rewrite_builds_no_window(self, t, xb, qo):
-        torus_mod._a_window.cache_clear()
+    def test_cold_rewrite_builds_no_window(self, t, xb, qo, monkeypatch):
+        windows = count_windows(monkeypatch)
+        b_sums.cache_clear()
         torus_mod._m_graded.cache_clear()
         assert verify_rewrite2(t, xb, qo).passed
-        assert torus_mod._a_window.cache_info().currsize == 0
+        assert windows == []
 
     @pytest.mark.parametrize("t,xb,qo", [(2, 30, 3), (3, 20, 4), (3, 10, 24), (4, 12, 30)])
     def test_h_multisum_dp_count(self, t, xb, qo):
@@ -1041,7 +1057,7 @@ class TestWindowValidation:
     @pytest.mark.parametrize("bad", [0, -1])
     @pytest.mark.parametrize("build,slot", [
         (lambda p, bad: a_n_t(p, 3, bad), "q_order"),
-        (lambda p, bad: b_n_t(p, 3, bad), "q_order"),
+        (lambda p, bad: b_n(p, 3, bad), "q_order"),
         (lambda p, bad: M_series(p, bad, 5), "x_bound"),
         (lambda p, bad: M_series(p, 5, bad), "q_order"),
         (lambda p, bad: H_theta(p, bad, 5), "x_bound"),
