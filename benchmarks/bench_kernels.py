@@ -182,8 +182,9 @@ def engine_cases() -> list:
     # the factor rows: the Gaussian-binomial rows (a cache in older
     # checkouts only) and the (x; q)_n tables
     rows = ("qseries.binom_row_trunc", "torus._xq_rows")
-    # the b-sums (cached in newer checkouts) or the a-window (in older ones)
-    a_windows = ("torus.b_sums", "torus._a_window", "torus._m_graded")
+    # the caches behind the b-sums: their own in newer checkouts, the
+    # a-window in older ones, and the graded summands
+    b_sum_caches = ("torus.b_sums", "torus._a_window", "torus._m_graded")
 
     def clear(*names):
         """Empty each named lru_cache.  A name that is not a cache is left
@@ -197,7 +198,7 @@ def engine_cases() -> list:
 
     def b_sums(p, q_order, cold):
         if cold:  # every a_{n,t} and graded summand rebuilt
-            clear(*a_windows)
+            clear(*b_sum_caches)
         return torus.b_sums(p, q_order + p.h_d)
 
     def root_match_cold(t, n_max):  # as the first call in a process
@@ -217,7 +218,7 @@ def engine_cases() -> list:
         return [_m_graded(p, k, q_order) for k in range(k_top + 1)]
 
     def key_identity_cold(t, q_order):  # as the first call in a process
-        clear("torus.kz_inner_sum", *a_windows, *rows)
+        clear("torus.kz_inner_sum", *b_sum_caches, *rows)
         return verify_key_identity(t, q_order)
 
     def difference_equation_cold(t, x_bound, q_order):  # every row and graded summand rebuilt
@@ -225,7 +226,7 @@ def engine_cases() -> list:
         return verify_difference_equation(t, x_bound, q_order)
 
     def rewrite_cold(t, x_bound, q_order):  # every a_{n,t}, graded summand and row rebuilt
-        clear(*a_windows, *rows)
+        clear(*b_sum_caches, *rows)
         return verify_rewrite2(t, x_bound, q_order)
 
     def factor_rows_cold(q_order, n_top):  # the DP's factors for n <= n_top, rebuilt

@@ -17,6 +17,7 @@ from qfish.identities import (
 from qfish.qseries import theta_spec_t
 from qfish.series import IntSeries
 from qfish.torus import a_n_t, b_sums, kz_at_root_of_unity, torus_params
+from test_torus import b_n
 
 
 class TestPositive:
@@ -269,13 +270,6 @@ class TestSensitivity:
         assert rep.details == {"b_sum_cutoff": n_cut, "cutoff_doubling_stable": False}
 
 
-def _b_n(p, n, work):
-    """b_{n,t} = a_{n,t} - a_{n-1,t}, a_{-1,t} = 0, with a_{n,t} read
-    through torus.a_n_t, where a test may patch it."""
-    prev = torus_mod.a_n_t(p, n - 1, work) if n else IntSeries.zero(work)
-    return torus_mod.a_n_t(p, n, work) - prev
-
-
 def _b_sums_two_pass(p, work, n_stop=None):
     """Oracle: the b-sums as they were, one pass to the cutoff and, with
     n_stop, a second one from n = 0 to n_stop."""
@@ -292,7 +286,7 @@ def _b_sums_two_pass(p, work, n_stop=None):
             break
         elif n > hard_cap:
             raise ArithmeticError("b_{n,t} sum failed to stabilize")
-        bn = _b_n(p, n, work)
+        bn = b_n(p, n, work)
         if bn.is_zero():
             run += 1
         else:

@@ -809,8 +809,9 @@ class TestHSeries:
 
 
 def b_n(p, n, q_order):
-    """b_{n,t} = a_{n,t} - a_{n-1,t}; a_n_t gives a_{-1,t} = 0."""
-    return a_n_t(p, n, q_order) - a_n_t(p, n - 1, q_order)
+    """b_{n,t} = a_{n,t} - a_{n-1,t}, read through torus.a_n_t, where a test
+    may patch it; a_n_t gives a_{-1,t} = 0."""
+    return torus_mod.a_n_t(p, n, q_order) - torus_mod.a_n_t(p, n - 1, q_order)
 
 
 class TestMSeries:
