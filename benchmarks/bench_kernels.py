@@ -24,17 +24,21 @@ rewrite at (2, 12, 30) and (3, 8, 20), cold and warm, last the
 dissection check and the root match at t = 2 and N = 60 cold (where a
 product (q)_n G_n would leave int64), and the xi_series oracle.  The cold rows empty each lru_cache they name, so the
 checkout under test must have them all.  Times are CPU
-seconds of this process, best of k.  Running the script against two
-checkouts' src/, alternately, gives the engine layer's speedup between
-them: benchmarks/pair.py does that and writes the paired BENCH_<n>.json
-entry.  End-to-end numbers come
+seconds of this process, best of k.  Last, the CLI layer: three requests,
+each a fresh ``python -m qfish <request> --format json`` that imports the
+qfish under --src, with every PYTHON* and QFISH_* variable removed; a row
+is the child's CPU seconds (user + system, read from wait4), best of k, so
+interpreter start-up, the imports and the flag parsing count.  Running the
+script against two checkouts' src/, alternately, gives the engine and CLI
+layers' speedups between them: benchmarks/pair.py does that and writes the
+paired BENCH_<n>.json entry.  End-to-end numbers come
 from perfbench/run.py.
 
 Usage: python benchmarks/bench_kernels.py [--quick] [--json FILE] [--src DIR]
 
 --src DIR times the qfish package under DIR (default: this checkout's src/).
---json FILE times the engine layer only and writes its rows (all 5 samples)
-to FILE with the backend, the Python version, the git rev of DIR's checkout,
+--json FILE times the engine and CLI layers and writes their rows (all 5
+samples) to FILE with the backend, the Python version, the git rev of DIR's checkout,
 a digest of its src/qfish sources and a digest of this script.
 """
 
@@ -51,7 +55,7 @@ import time
 parser = argparse.ArgumentParser()
 parser.add_argument("--quick", action="store_true", help="smaller cases only")
 parser.add_argument("--json", metavar="FILE",
-                    help="time the engine layer only and write its rows to FILE")
+                    help="time the engine and CLI layers and write their rows to FILE")
 parser.add_argument("--src", metavar="DIR",
                     default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
                     help="the src/ directory whose qfish is timed")
@@ -300,6 +304,44 @@ def engine_bench(quick: bool) -> None:
         print(f"{'xi_series t=3 count 60':<42}{time_call(xi_series, 3, 61, 60, repeat=2):>10.4f}")
 
 
+# the CLI rows: a dissection and the largest key identity of the perfbench
+# menus, and an xi table, whose compute is a few ms against the start-up
+CLI_REQUESTS = (
+    "xi --t 2 --count 35",
+    "dissect --t 3 --s 3 --n 12",
+    "verify --identity key --t 2 --order 70",
+)
+
+
+def cli_samples(request: str, repeat=5) -> list:
+    """Child CPU seconds of each of ``repeat`` fresh ``python -m qfish
+    <request> --format json`` processes, run in SRC so that they import its
+    qfish, with no PYTHON* or QFISH_* variable set."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "QFISH_"))}
+    argv = [sys.executable, "-m", "qfish", *request.split(), "--format", "json"]
+    out = []
+    for _ in range(repeat):
+        proc = subprocess.Popen(argv, cwd=SRC, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise SystemExit(f"qfish {request} exited with {proc.returncode}")
+        out.append(usage.ru_utime + usage.ru_stime)
+    return out
+
+
+def cli_rows() -> dict:
+    return {f"cli {request}": cli_samples(request) for request in CLI_REQUESTS}
+
+
+def cli_bench() -> None:
+    """The CLI layer, best of k fresh processes."""
+    print()
+    print(f"{'CLI request (child CPU)':<42}{'best (s)':>10}")
+    for name, times in cli_rows().items():
+        print(f"{name:<42}{min(times):>10.4f}")
+
+
 def provenance() -> dict:
     """Backend, Python version, the git rev of SRC's checkout (None outside
     a git work tree), whether its src/ differs from it, a sha256 over the
@@ -331,6 +373,7 @@ def provenance() -> dict:
 
 def write_json(path: str) -> None:
     rows = {name: samples(fn) for name, fn in engine_cases()}
+    rows.update(cli_rows())
     with open(path, "w") as fh:
         json.dump({**provenance(), "unit": "cpu_s", "rows": rows}, fh, indent=1)
         fh.write("\n")
@@ -342,6 +385,7 @@ def main() -> None:
         return
     kernel_bench(ARGS.quick)
     engine_bench(ARGS.quick)
+    cli_bench()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Pair the engine layer of two checkouts: one BENCH_<n>.json entry.
+"""Pair the engine and CLI layers of two checkouts: one BENCH_<n>.json entry.
 
 Runs this checkout's ``benchmarks/bench_kernels.py --json`` against the
 parent checkout's src/ and against the change's, alternately (parent first

@@ -1,6 +1,11 @@
 """The command-line surface: formats, exit codes, determinism, b-files."""
 
+import argparse
+import contextlib
+import importlib.util
+import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -9,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from qfish.cli import _run_identity, main
+from qfish import cli
+from qfish.cli import _IDENTITIES, _run_identity, main
+from qfish.fishburn import is_prime
 from qfish.series import IntSeries
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
 
@@ -126,6 +134,18 @@ class TestVerify:
         assert proc.returncode == 2
         assert f"{flag} must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # a window flag that the one identity asked for does not read is refused,
+    # rather than dropped for the default window
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name, spec in _IDENTITIES.items()
+        for flag in ("--order", "--x-bound", "--n-max") if flag[2:].replace("-", "_") not in spec[1]])
+    def test_window_flag_not_read_usage_error(self, name, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--identity", name, "--t", "2", flag, "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"qfish: error: identity {name!r} does not read {flag}")
 
     def test_given_window_is_never_replaced_by_default(self):
         # a zero window reaches the library, which refuses it, instead of
@@ -281,9 +301,9 @@ class TestBFile:
         assert "Traceback" not in proc.stderr
 
 
-# A rule on one flag is that flag's argparse type: the subcommand's parser
-# reports it against the flag, with exit status 2 and no traceback.
-@pytest.mark.parametrize("args,message", [
+# A rule on one flag is that flag's converter: the subcommand reports it
+# against the flag, with exit status 2 and no traceback.
+FLAG_BOUND_ERRORS = [
     (("xi", "--t", "0", "--count", "3"), "xi: error: argument --t: --t must be >= 1"),
     (("congruence", "--t", "0", "--p", "5"),
      "congruence: error: argument --t: --t must be >= 1"),
@@ -303,13 +323,165 @@ class TestBFile:
      "bfile-check: error: argument --count: --count must be >= 1"),
     (("verify", "--identity", "all", "--t", "x"),
      "verify: error: argument --t: invalid int value: 'x'"),
-], ids=["xi-t", "congruence-t", "dissect-t", "verify-t", "r", "m-max", "p", "s",
-        "bfile-count", "t-not-int"])
+]
+
+
+@pytest.mark.parametrize("args,message", FLAG_BOUND_ERRORS, ids=[
+    "xi-t", "congruence-t", "dissect-t", "verify-t", "r", "m-max", "p", "s", "bfile-count",
+    "t-not-int"])
 def test_flag_bound_usage_error(args, message):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert f"qfish {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# The argparse parser that read the flags before the command table, kept
+# verbatim as the oracle of cli.parse_args.
+def _oracle_int_where(holds, rule: str):
+    """An argparse type: an int for which ``holds`` is true, else the usage
+    error ``rule``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _oracle_at_least(low: int, flag: str):
+    return _oracle_int_where(lambda v: v >= low, f"{flag} must be >= {low}")
+
+
+def oracle_parser():
+    _int_where, _at_least = _oracle_int_where, _oracle_at_least
+    parser = argparse.ArgumentParser(
+        prog="qfish",
+        description="Exact computations around the Kontsevich-Zagier series "
+        "for torus knots T(3, 2^t) and generalized Fishburn numbers.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    knot = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands with --t
+    knot.add_argument("--deep", action="store_true", help="allow the heavy t=4 workloads")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_xi = sub.add_parser("xi", parents=[knot],
+                          help="table of generalized Fishburn numbers")
+    p_xi.add_argument("--t", type=_at_least(1, "--t"), required=True)
+    p_xi.add_argument("--count", type=_at_least(1, "--count"), required=True)
+
+    p_cong = sub.add_parser("congruence", parents=[knot],
+                            help="verify xi_t(p^r m - j) = 0 mod p^r")
+    p_cong.add_argument("--t", type=_at_least(1, "--t"), required=True)
+    p_cong.add_argument("--p", required=True, type=_int_where(
+        lambda v: v >= 5 and is_prime(v), "--p must be a prime >= 5"))
+    p_cong.add_argument("--r", type=_at_least(1, "--r"), default=1)
+    p_cong.add_argument("--m-max", type=_at_least(1, "--m-max"), default=1)
+    p_cong.add_argument("--scan-j", action="store_true",
+                        help="also record residues for j beyond the claimed range "
+                        "(experimental, no expectation attached)")
+
+    p_dis = sub.add_parser("dissect", parents=[knot],
+                           help="dissection divisibility of a partial sum")
+    p_dis.add_argument("--t", type=_at_least(1, "--t"), required=True)
+    p_dis.add_argument("--s", type=_at_least(2, "--s"), required=True)
+    p_dis.add_argument("--n", type=_at_least(0, "--n"), required=True,
+                       help="partial-sum index N")
+
+    p_ver = sub.add_parser("verify", parents=[knot], help="identity checks")
+    p_ver.add_argument("--identity", required=True, choices=(*_IDENTITIES, "all"))
+    p_ver.add_argument("--t", type=_at_least(1, "--t"), default=2)
+    for flag in ("--order", "--x-bound", "--n-max"):
+        p_ver.add_argument(flag, type=_at_least(1, flag))
+
+    p_bf = sub.add_parser("bfile-check", parents=[common],
+                          help="cross-check classical Fishburn numbers against "
+                          "a local OEIS b-file (A022493)")
+    p_bf.add_argument("--path", required=True)
+    p_bf.add_argument("--count", type=_at_least(1, "--count"), required=True)
+    return parser
+
+
+def _readme_argvs():
+    """The qfish lines of the README's CLI block, as CI runs them."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("## CLI")
+    fences = [i for i in range(start, len(lines)) if lines[i].startswith("```")]
+    return [line.split("#")[0].split()[1:] for line in lines[fences[0] + 1:fences[1]]]
+
+
+def _menu_argvs():
+    """Every CLI request of the perfbench menus, as the harness sends it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [instance.split() + ["--format", "json"]
+            for kind, _, menu in workloads.WORKLOADS.values() if kind == "cli"
+            for instance in menu]
+
+
+DIFFERENTIAL = [
+    *_menu_argvs(),
+    *_readme_argvs(),
+    # the = and unique-prefix forms
+    ["xi", "--t=2", "--count=35", "--format=json"],
+    ["xi", "--cou", "3", "--t", "2", "--form", "csv"],
+    ["congruence", "--t", "2", "--p=5", "--m", "2", "--sc", "--de", "--t", "3"],
+    ["congruence", "--t", "1", "--p", "7", "--r=2", "--m-max=3", "--scan-j"],
+    ["dissect", "--t", "2", "--s", "5", "--n=9", "--f=text"],
+    ["verify", "--iden=key", "--ord", "30"],
+    ["verify", "--identity", "root", "--t", "4", "--deep", "--n-m=3"],
+    ["verify", "--identity", "all", "--x-b", "6", "--order", "12", "--n-max", "2"],
+    ["bfile-check", "--pa=b.txt", "--c", "3"],
+    ["bfile-check", "--path", "-", "--count", "3"],
+    # the argv of test_flag_bound_usage_error
+    *([*args] for args, _ in FLAG_BOUND_ERRORS),
+    # more usage errors
+    [], ["nosuch"], ["--t", "2", "xi"],
+    ["xi", "--t", "2"],
+    ["verify", "--t", "2"],
+    ["bfile-check", "--count", "3"],
+    ["xi", "--t", "2", "--count", "3", "--bogus"],
+    ["xi", "--t", "2", "--bogus", "4", "--count", "3"],
+    ["--bogus", "xi", "--t", "2", "--count", "3"],
+    ["xi", "--t", "2", "--count", "3", "extra"],
+    ["xi", "--t", "2", "--count", "3", "-5"],
+    ["xi", "--t", "--count", "3"],
+    ["xi", "--count", "3", "--t"],
+    ["xi", "--t", "-x", "--count", "3"],
+    ["dissect", "--t", "2", "--s", "5", "--n", "-1"],
+    ["verify", "--identity", "key", "--order=-3"],
+    ["verify", "--identity", "nosuch"],
+    ["xi", "--t", "2", "--count", "3", "--format", "yaml"],
+    ["xi", "--t", "2", "--t", "3", "--count", "3"],
+    ["xi", "--t=", "--count", "3"],
+    ["xi", "--t", "2", "--count", "3", "--deep=yes"],
+    ["xi", "--t", "0", "--count", "0"],
+    ["bfile-check", "--deep", "--path", "b.txt", "--count", "10"],
+    # help, at the top level and per command
+    ["-h"], ["--help"], ["--he", "xi"], ["xi", "-h"], ["verify", "--t", "2", "--he"],
+]
+
+
+def _outcome(parse, argv):
+    """(0, the parsed flags) for a valid argv, else (exit status, the last
+    line of stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return 0, parse(argv)
+        except SystemExit as exc:
+            return exc.code, (err.getvalue().splitlines() or [""])[-1]
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL, ids=" ".join)
+def test_parse_matches_argparse_oracle(argv):
+    want = _outcome(lambda a: vars(oracle_parser().parse_args(a)), argv)
+    assert _outcome(cli.parse_args, argv) == want
+    assert want[0] in (0, 2)
 
 
 @pytest.mark.parametrize("command", ["xi", "congruence", "dissect", "verify", "bfile-check"])
@@ -318,6 +490,23 @@ def test_subcommand_help(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"usage: qfish {command}" in capsys.readouterr().out
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfish", "verify", "--identity", "slater", "--t", "2",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 class TestDeterminism:
