@@ -139,7 +139,8 @@ class TestVerify:
     # rather than dropped for the default window
     @pytest.mark.parametrize("name,flag", [
         (name, flag) for name, spec in _IDENTITIES.items()
-        for flag in ("--order", "--x-bound", "--n-max") if flag[2:].replace("-", "_") not in spec[1]])
+        for flag in ("--order", "--x-bound", "--n-max")
+        if flag[2:].replace("-", "_") not in spec[1]])
     def test_window_flag_not_read_usage_error(self, name, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", name, "--t", "2", flag, "5"])
