@@ -22,8 +22,8 @@ series sums and comparisons; the first call refills the graded summands
 that the cold rows emptied, so the best of k is warm), the (1 - x) M_t
 rewrite at (2, 12, 30) and (3, 8, 20), cold and warm, last the
 dissection check and the root match at t = 2 and N = 60 cold (where a
-product (q)_n G_n would leave int64), and the xi_series oracle.  The cold rows empty each lru_cache they name, so the
-checkout under test must have them all.  Times are CPU
+product (q)_n G_n would leave int64).  The cold rows empty each lru_cache
+they name, so the checkout under test must have them all.  Times are CPU
 seconds of this process, best of k.  Last, the CLI layer: three requests,
 each a fresh ``python -m qfish <request> --format json`` that imports the
 qfish under --src, with every PYTHON* and QFISH_* variable removed; a row
@@ -119,8 +119,8 @@ def kernel_bench(quick: bool) -> None:
         row(name, {label: time_call(backends[label].mul_trunc, a, b, full, repeat=3)
                    for label in LABELS})
 
-    # the call profile of the xi_series oracle: 2000 products of length 20
-    # with 500-bit coefficients
+    # many short big-integer products: 2000 of length 20 with 500-bit
+    # coefficients
     short = [([rng.getrandbits(500) - 2**499 for _ in range(20)],
               [rng.getrandbits(500) - 2**499 for _ in range(20)]) for _ in range(2000)]
 
@@ -292,16 +292,12 @@ def engine_cases() -> list:
     ]
 
 
-def engine_bench(quick: bool) -> None:
+def engine_bench() -> None:
     """The engine layer on the active backend, best of k."""
-    from qfish.fishburn import xi_series
-
     print()
     print(f"{'engine case (' + backend_name() + ')':<42}{'best (s)':>10}")
     for name, fn in engine_cases():
         print(f"{name:<42}{time_call(fn):>10.4f}")
-    if not quick:  # a second or more a call
-        print(f"{'xi_series t=3 count 60':<42}{time_call(xi_series, 3, 61, 60, repeat=2):>10.4f}")
 
 
 # the CLI rows: a dissection and the largest key identity of the perfbench
@@ -384,7 +380,7 @@ def main() -> None:
         write_json(ARGS.json)
         return
     kernel_bench(ARGS.quick)
-    engine_bench(ARGS.quick)
+    engine_bench()
     cli_bench()
 
 

@@ -1,28 +1,14 @@
 """Generalized Fishburn numbers and their arithmetic.
 
-xi_t(n) are the coefficients of F_t(1-q).  There are two independent
-routes to them, and `xi_coefficients` uses the first:
-
-* `xi_lvalues` reads them off the strange identity
-  F_t(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi_t) (-s/b)^k / k!
-  (Zagier; Lawrence-Zagier) at s = -log(1-q), in O(count^2) big +- big *
-  small integer steps: the odd L-values of chi_t come from a tangent-number
-  triangle and the Appell triangles of the Bernoulli polynomials, the
-  s-coefficients from a binomial triangle, and the q-coefficients from a
-  Stirling triangle.
-* `xi_series` expands the multisum itself and is kept as the oracle.
-
-In `xi_series`, substituting q -> 1-q into a *truncation* of the partial
-sum would scramble every coefficient (each dropped monomial (1-q)^e has
-nonzero constant term), so it substitutes into the exact partial-sum
-polynomial instead, factor by factor: the image of
-the n-th summand is divisible by q^n because 1 - (1-q)^k = kq + O(q^2),
-which both truncates the computation at `count` coefficients and makes the
-result independent of the summation bound once it reaches count - 1.
-The inner sums G_n(1-q) come from qfish.torus (`inner_sums_at_one_minus_q`),
-which runs its one inner-sum dynamic program on the factor rows of
-(x; q)_n at q -> 1-q; here are the (q)_n factor, the sum over n and the
-(1-q)^(-h') prefactor.
+xi_t(n) are the coefficients of F_t(1-q).  `xi_coefficients` reads them
+off the strange identity, through `xi_lvalues`:
+F_t(e^(-s)) = -1/2 e^(as/b) sum_k L(-2k-1, chi_t) (-s/b)^k / k!
+(Zagier; Lawrence-Zagier) at s = -log(1-q), in O(count^2) big +- big *
+small integer steps: the odd L-values of chi_t come from a tangent-number
+triangle and the Appell triangles of the Bernoulli polynomials, the
+s-coefficients from a binomial triangle, and the q-coefficients from a
+Stirling triangle.  That is the one route in the library; the multisum
+expanded at q -> 1-q, the independent route, is the oracle in the tests.
 
 Also here: s-dissections, the S-sets of exponent residues, the
 (q)_lambda-divisibility checker for dissection pieces, the prime-power
@@ -34,7 +20,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .backend import mul_trunc
 from .cyclotomic import is_prime
 from .qseries import ThetaSpec, theta_spec_t
 from .series import (
@@ -44,43 +29,13 @@ from .series import (
     exact_over_one_minus_qk,
     int_arg,
     one_minus_q_power,
-    over_one_minus_qk,
     require,
 )
-from .torus import inner_sums_at_one_minus_q, kz_full_polynomial, torus_params
+from .torus import kz_full_polynomial, torus_params
 
 __all__ = ["CongruenceReport", "Dissection", "DivisibilityReport", "S_set",
            "binom_congruence", "dissection", "divisibility_check", "straub_order_bound",
-           "verify_congruence", "xi_coefficients", "xi_series"]
-
-
-# -- the multisum at q -> 1-q ----------------------------------------------
-
-
-def xi_series(t: int, n_top: int, count: int) -> list:
-    """First ``count`` coefficients of F_t(1-q; N) with N = n_top.
-
-    Exactly the substitution image of the full partial-sum polynomial;
-    summands with n >= count are invisible below q^count and are skipped,
-    which is also why the result stabilizes in N.
-    """
-    n_top, count = int_arg(n_top, "N", 0), int_arg(count, "count", 1)
-    p = torus_params(t)
-    n_last = min(n_top, count - 1)
-    # (1-q)^e cut below q^count: the inner sums read e <= n_last + 1
-    pw = [list(one_minus_q_power(e, min(e + 1, count)).coeffs) for e in range(n_last + 2)]
-    total = [0] * count
-    poch_tail = [1]  # (q)_n at q -> 1-q equals q^n * poch_tail
-    for n, inner in zip(range(n_last + 1), inner_sums_at_one_minus_q(p, pw, count)):
-        if n:
-            # (1 - (1-q)^n)/q
-            u = [-c for c in pw[n][1:]]
-            poch_tail = mul_trunc(poch_tail, u, count - n)
-        mul_trunc(poch_tail, inner, count - n, total, n)
-    # the prefactor q^(-h') and the inner sums' q^(-(a div m)), which cancel at t = 1
-    for _ in range(p.h_d + p.a // p.m):
-        over_one_minus_qk(total, 1)
-    return [-c for c in total] if p.sign < 0 else total
+           "verify_congruence", "xi_coefficients"]
 
 
 # -- the strange identity: xi_t from L-values ----------------------------------

@@ -141,17 +141,12 @@ def admissible_jvectors(
 # through the residue class that lands on r = a mod m, so the end is the one
 # state there, S + A.  The aggregation is valid because both pools are
 # linear in the summands.  Pools and factors are lists [lo, coeffs] carrying
-# their own low exponent, and the factors arrive as data, with `lift`
-# applying the step's power of q; each lifted pair (f_n[j], f_np1[j]) is
-# built once per (j, shift) within one DP run:
+# their own low exponent, and the factors arrive as data.  A step's q^s is
+# an offset of the product's low exponent (_acc_mul), so no shifted factor
+# is built:
 #   - q-series (kz_inner_sum, a_n_t): f[j] = (-1)^j q^C(j,2) [n(+1), j]_q,
 #     the coefficient of x^j in (x; q)_n (resp. (x; q)_{n+1}) by the
-#     q-binomial theorem, read off the rows of _XqRows (below); lifted by
-#     moving its low exponent.
-#   - the image of q -> 1-q (inner_sums_at_one_minus_q, for the oracle
-#     qfish.fishburn.xi_series): the same f[j] at q -> 1-q, built by the
-#     step of _XqRows (_row_step) with the DP's own lift, a product with
-#     (1-q)^shift; every low exponent is 0.
+#     q-binomial theorem, read off the rows of _XqRows (below).
 #   - the generalized Slater sum: f_n all None (A pools only), f_np1[j] =
 #     (-1)^j q^C(j,2) / (q)_j, the x^j coefficient of (x; q)_inf (Euler),
 #     which below q^order is row `order` of the same table, read off one
@@ -161,17 +156,16 @@ def admissible_jvectors(
 # k is fixed (on the A -> S step at level l = k + 1, or at the end for
 # k = m - 1); the end pools come back keyed by d.  Every product is cut below
 # one q^order (None = exact), which is honest because exponents never fall
-# along a path: lifts and factor lows are >= 0.
+# along a path: shifts and factor lows are >= 0.
 #
-# For the q-series lift the whole DP is one call to backend.pool_dp where the
-# compiled extension is built: the same steps on int64 arrays, whose q-lift
-# moves a low exponent.  Most of its products are tiny (8.5 coefficients on
-# average over the 22 graded summands at t = 3, order 21), so one C call
-# replaces thousands of kernel calls and their Python glue.  It returns
-# NotImplemented where a coefficient, a product (the mul_trunc bound
-# max|a| max|b| overlap < 2^62) or a checked add leaves int64, and the Python
-# loop below then runs.  The loop is the DP on the pure lane, for the
-# (1-q)-power lift and for big integers, and the tests' reference.
+# The whole DP is one call to backend.pool_dp where the compiled extension
+# is built: the same steps on int64 arrays.  Most of its products are tiny
+# (8.5 coefficients on average over the 22 graded summands at t = 3, order
+# 21), so one C call replaces thousands of kernel calls and their Python
+# glue.  It returns NotImplemented where a coefficient, a product (the
+# mul_trunc bound max|a| max|b| overlap < 2^62) or a checked add leaves
+# int64, and the Python loop below then runs.  The loop is the DP on the
+# pure lane and for big integers, and the tests' reference.
 #
 # In the loop, a step's product goes straight into its destination pool:
 # _acc_mul grows the pool's list once to cover the product's exponents
@@ -189,11 +183,11 @@ def admissible_jvectors(
 # with (x)_{n+1} by H_multisum.
 
 
-def _acc_mul(dst, src, f, lim):
-    """dst + src * f for pools [lo, coeffs] (None is zero), the product cut
-    below q^lim (None = exact).  dst is updated in place: it grows to cover
-    the product, which the kernel then adds into it."""
-    lo = src[0] + f[0]
+def _acc_mul(dst, src, f, lim, shift=0):
+    """dst + q^shift src * f for pools [lo, coeffs] (None is zero), the
+    product cut below q^lim (None = exact).  dst is updated in place: it
+    grows to cover the product, which the kernel then adds into it."""
+    lo = src[0] + f[0] + shift
     a, b = src[1], f[1]
     n = len(a) + len(b) - 1 if a and b else 0
     if lim is not None and lim - lo < n:
@@ -207,25 +201,19 @@ def _acc_mul(dst, src, f, lim):
     return dst
 
 
-def _q_lift(f, s):
-    """The q-series factor pool f times q^s."""
-    return [f[0] + s, f[1]]
-
-
-def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = False,
-             lift=_q_lift):
+def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = False):
     """The end pool (None is zero) of the (S, A)-pool DP described above, or
     with graded, {d: end pool} by x-degree.
 
     fac_np1[j] is the factor pool for [n+1, j], j = 0..jmax; fac_n[j] is the
-    one for [n, j] or None where [n, j] vanishes.  lift(f, s) is the factor
-    f times q^s in the factors' domain.  Every product is cut below q^order
-    (None = exact); the lifted factor low exponents must then not decrease
-    in j, as one at or past the order ends the j-loop.  The factors are
-    only read; every pool the DP writes into is its own.  With the q-lift
-    the compiled pool_dp answers when it can (see above).
+    one for [n, j] or None where [n, j] vanishes.  Every product is cut
+    below q^order (None = exact); the factor low exponents must then not
+    decrease in j, as a shifted one at or past the order ends the j-loop.
+    The factors are only read; every pool the DP writes into is its own.
+    The compiled pool_dp answers when it is built and its values fit int64
+    (see above).
     """
-    if lift is _q_lift and pool_dp is not None:
+    if pool_dp is not None:
         ends = pool_dp(p.m, p.a, fac_n, fac_np1, order, graded)
         if ends is not NotImplemented:
             return ends
@@ -233,7 +221,6 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
     inv = pow(m - 1, -1, m)  # m - 1 is odd, hence invertible mod m = 2^(t-1)
     dm = m if graded else 0
     states = {0: [None, [-(p.a // m), [1]]]}
-    lifted: dict = {}
     for level in range(1, m):
         nxt: dict = {}
         for key, (s_pool, a_pool) in states.items():
@@ -243,20 +230,16 @@ def _pool_dp(p: TorusParams, fac_n: list, fac_np1: list, order, graded: bool = F
             j0, jstep = (((p.a - r) * inv) % m, m) if level == m - 1 else (0, 1)
             for j in range(j0, len(fac_np1), jstep):
                 s, r2 = divmod(r + level * j, m)
-                fs = lifted.get((j, s)) if s else (fac_n[j], fac_np1[j])
-                if fs is None:
-                    fn = fac_n[j]
-                    fs = lifted[j, s] = (fn and lift(fn, s), lift(fac_np1[j], s))
-                fn, fp = fs
-                if order is not None and fp[0] >= order:
-                    break  # lifted factor lows rise with j
+                fn, fp = fac_n[j], fac_np1[j]
+                if order is not None and fp[0] + s >= order:
+                    break  # shifted factor lows rise with j
                 k2 = key - r + r2 + dm * j
                 if sa is not None and fn is not None:
                     ent = nxt.get(k2) or nxt.setdefault(k2, [None, None])
-                    ent[0] = _acc_mul(ent[0], sa, fn, order)
+                    ent[0] = _acc_mul(ent[0], sa, fn, order, s)
                 if a_pool is not None:
                     ent = nxt.get(k2 + dm) or nxt.setdefault(k2 + dm, [None, None])
-                    ent[1] = _acc_mul(ent[1], a_pool, fp, order)
+                    ent[1] = _acc_mul(ent[1], a_pool, fp, order, s)
         states = nxt
     ends = {key // m: pool_add(*pools) for key, pools in states.items()}
     return ends if graded else ends.get(0)
@@ -271,16 +254,15 @@ def _jmax(q_order: int) -> int:
     return j
 
 
-def _row_step(prev: list, n: int, cut, lift) -> list:
-    """Row n + 1 of (x; X)_n = sum_j F_n[j] x^j from row n, prev:
-    F_{n+1}[j] = F_n[j] - X^n F_n[j-1] for j = 1..len(prev), F_n[n+1] = 0,
-    where lift(f, n) is X^n f, the lift _pool_dp takes.  Every entry is cut
-    below q^cut (None = exact): one whose X^n term starts at or past the cut
-    is shared with prev, and a new top entry past the cut is dropped.  The
-    entries of prev are only read."""
+def _row_step(prev: list, n: int, cut) -> list:
+    """Row n + 1 of (x; q)_n = sum_j F_n[j] x^j from row n, prev:
+    F_{n+1}[j] = F_n[j] - q^n F_n[j-1] for j = 1..len(prev), F_n[n+1] = 0.
+    Every entry is cut below q^cut (None = exact): one whose q^n term starts
+    at or past the cut is shared with prev, and a new top entry past the cut
+    is dropped.  The entries of prev are only read."""
     row = [prev[0]]
-    for j, f in enumerate(prev, 1):
-        lo, cs = lift(f, n)
+    for j, (lo, cs) in enumerate(prev, 1):
+        lo += n
         if cut is not None:
             if lo >= cut:  # F_{n+1}[j] = F_n[j] below the cut; no new top entry
                 row += prev[j:j + 1]
@@ -295,7 +277,7 @@ class _XqRows:
     """The rows of (x; q)_n = sum_j F_n[j] x^j, F_n[j] = (-1)^j q^C(j,2)
     [n, j]_q, for one order: row n holds the factor pools [C(j, 2), coeffs]
     for the j with C(j, 2) below the order, each cut below q^order (None =
-    exact, every j <= n), built by _row_step with the q-lift.
+    exact, every j <= n), built by _row_step.
 
     A cut table keeps rows 0..order: from n = order on the q^n term lies
     past the cut, so every later row is row order.  An exact table keeps
@@ -316,7 +298,7 @@ class _XqRows:
         if n < self.n0:
             self.n0, self.rows = 0, [[[0, [1]]]]
         while (top := self.n0 + len(self.rows) - 1) < n:
-            self.rows.append(_row_step(self.rows[-1], top, self.order, _q_lift))
+            self.rows.append(_row_step(self.rows[-1], top, self.order))
             if self.order is None and len(self.rows) > 2:
                 del self.rows[0]
                 self.n0 += 1
@@ -375,26 +357,6 @@ def kz_inner_sum(p: TorusParams, n: int, order) -> IntSeries:
     no levels, so the DP returns its start pool q^(-1) and no factor row is
     built."""
     return _series(_pool_dp(p, *(_q_setup(n, order) if p.m > 1 else ((), ())), order), order)
-
-
-def inner_sums_at_one_minus_q(p: TorusParams, pw: list, count: int) -> Iterator[list]:
-    """q^(a div m) G_n(q) at q -> 1-q for n = 0 .. count - 1, each a list
-    from q^0 cut below q^(count - n).  For t >= 2 (a < m) that is G_n(1-q),
-    the DP on the rows of (x; 1-q)_n, whose step and whose DP lift each q^s
-    to (1-q)^s through one lift; t = 1 has no levels, and its G_n = q^(-1)
-    gives 1.  pw[e] is (1-q)^e cut no lower than q^count, for e <= n + 1 at
-    the n-th sum."""
-    row = [[0, [1]]]  # F[0]
-    for n in range(count):
-        if p.m == 1:
-            yield [1]
-            continue
-        order = count - n
-        lift = lambda f, s: [0, mul_trunc(pw[s], f[1], order)]  # (1-q)^s f
-        row_next = _row_step(row, n, order, lift)
-        pool = _pool_dp(p, row + [None], row_next, order, lift=lift)
-        yield pool[1] if pool else []
-        row = row_next
 
 
 def kz_full_polynomial(p: TorusParams, n_top: int) -> IntSeries:

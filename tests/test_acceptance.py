@@ -24,7 +24,6 @@ from qfish.fishburn import (
     straub_order_bound,
     verify_congruence,
     xi_coefficients,
-    xi_series,
 )
 from qfish.identities import (
     _series_report,
@@ -38,7 +37,7 @@ from qfish.identities import (
 from qfish.qseries import mean_value_zero, theta_spec_t
 from qfish.series import IntSeries, first_difference
 from qfish.torus import admissible_jvectors, colored_jones, torus_params
-from test_fishburn import reconstruct
+from test_fishburn import reconstruct, xi_series
 from test_series import substitute_one_minus_q
 
 COMPILED = backend_name() == "compiled"

@@ -17,6 +17,7 @@ import sys
 import sysconfig
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -323,9 +324,10 @@ class TestAccumulate:
 
 # -- the compiled (S, A)-pool DP ------------------------------------------------
 
-def _loop(f, s):
-    """A q-lift that is not torus._q_lift, so _pool_dp runs its Python loop."""
-    return [f[0] + s, f[1]]
+def _loop(p, *args):
+    """torus._pool_dp with the compiled DP switched off: its Python loop."""
+    with patch.object(torus_mod, "pool_dp", None):
+        return torus_mod._pool_dp(p, *args)
 
 
 def _normalized(ends, order, graded):
@@ -349,7 +351,7 @@ def dp_inputs(draw):
 
 
 class TestCompiledPoolDP:
-    """pool_dp runs torus._pool_dp's DP for the q-lift on int64: equal to the
+    """pool_dp runs torus._pool_dp's DP on int64: equal to the
     Python loop after _series, NotImplemented wherever a value leaves int64
     (and _pool_dp then answers by its loop), factors only read."""
 
@@ -361,7 +363,7 @@ class TestCompiledPoolDP:
         got = compiled.pool_dp(m, a, fac_n, fac_np1, order, graded)
         assert got is not NotImplemented
         assert (fac_n, fac_np1) == before
-        want = torus_mod._pool_dp(SimpleNamespace(m=m, a=a), fac_n, fac_np1, order, graded, lift=_loop)
+        want = _loop(SimpleNamespace(m=m, a=a), fac_n, fac_np1, order, graded)
         assert _normalized(got, order, graded) == _normalized(want, order, graded)
         via = torus_mod._pool_dp(SimpleNamespace(m=m, a=a), fac_n, fac_np1, order, graded)
         assert _normalized(via, order, graded) == _normalized(want, order, graded)
@@ -380,7 +382,7 @@ class TestCompiledPoolDP:
         p = SimpleNamespace(m=2, a=1)  # t = 2: one level, odd j only
         fac_n = [None] * len(fac_np1)
         assert compiled.pool_dp(p.m, p.a, fac_n, fac_np1, None, graded) is NotImplemented
-        want = torus_mod._pool_dp(p, fac_n, fac_np1, None, graded, lift=_loop)
+        want = _loop(p, fac_n, fac_np1, None, graded)
         got = torus_mod._pool_dp(p, fac_n, fac_np1, None, graded)
         assert _normalized(got, None, graded) == _normalized(want, None, graded)
         pools = want.values() if graded else [want]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -25,12 +26,12 @@ from qfish.fishburn import (
     verify_congruence,
     xi_coefficients,
     xi_lvalues,
-    xi_series,
 )
 from qfish.oeis import parse_bfile
 from qfish.qseries import theta_spec_t
-from qfish.series import IntSeries, NotPolynomialError, one_minus_q_power
-from qfish.torus import _acc_mul, _row_step, torus_params
+from qfish.series import (IntSeries, NotPolynomialError, int_arg, one_minus_q_power,
+                          over_one_minus_qk, pool_add)
+from qfish.torus import _acc_mul, torus_params
 from test_qseries import pochhammer, q_binomial
 from test_series import poly_divides, substitute_one_minus_q
 from test_torus import kz_partial_polynomials
@@ -39,8 +40,104 @@ DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+# The multisum at q -> 1-q, the oracle of xi_lvalues.  Substituting q -> 1-q
+# into a *truncation* of the partial sum would scramble every coefficient
+# (each dropped monomial (1-q)^e has nonzero constant term), so xi_series
+# substitutes into the exact partial-sum polynomial instead, factor by
+# factor: the image of the n-th summand is divisible by q^n because
+# 1 - (1-q)^k = kq + O(q^2), which both truncates the computation at `count`
+# coefficients and makes the result independent of the summation bound once
+# it reaches count - 1.  Its engine is a copy of the library's inner-sum DP
+# (torus._pool_dp) and factor-row step (torus._row_step) in which lift(f, s)
+# applies the step's q^s in the factors' domain, here (1-q)^s; ungraded, and
+# always cut.
+
+
+def _lift_pool_dp(p, fac_n, fac_np1, order, lift):
+    """The end pool (None is zero) of torus._pool_dp's DP, every product cut
+    below q^order, where lift(f, s) is the factor f times q^s in the
+    factors' domain.  The factors are only read."""
+    m = p.m
+    inv = pow(m - 1, -1, m)
+    states = {0: [None, [-(p.a // m), [1]]]}
+    for level in range(1, m):
+        nxt: dict = {}
+        for r, (s_pool, a_pool) in states.items():
+            sa = pool_add(s_pool, a_pool)
+            j0, jstep = (((p.a - r) * inv) % m, m) if level == m - 1 else (0, 1)
+            for j in range(j0, len(fac_np1), jstep):
+                s, r2 = divmod(r + level * j, m)
+                ent = nxt.setdefault(r2, [None, None])
+                if sa is not None and fac_n[j] is not None:
+                    ent[0] = _acc_mul(ent[0], sa, lift(fac_n[j], s), order)
+                if a_pool is not None:
+                    ent[1] = _acc_mul(ent[1], a_pool, lift(fac_np1[j], s), order)
+        states = nxt
+    end = states.get(p.a % m)
+    return end and pool_add(*end)
+
+
+def _lift_row_step(prev, n, cut, lift):
+    """Row n + 1 of (x; X)_n = sum_j F_n[j] x^j from row n, prev:
+    F_{n+1}[j] = F_n[j] - X^n F_n[j-1] for j = 1..len(prev), F_n[n+1] = 0,
+    where lift(f, n) is X^n f, starting below q^cut.  Every entry is cut
+    below q^cut; the entries of prev are only read."""
+    row = [prev[0]]
+    for j, f in enumerate(prev, 1):
+        lo, cs = lift(f, n)
+        ent = [prev[j][0], prev[j][1][:cut - prev[j][0]]] if j < len(prev) else [lo, []]
+        row.append(pool_add(ent, [lo, cs[:cut - lo]], sub))
+    return row
+
+
+def inner_sums_at_one_minus_q(p, pw: list, count: int):
+    """q^(a div m) G_n(q) at q -> 1-q for n = 0 .. count - 1, each a list
+    from q^0 cut below q^(count - n).  For t >= 2 (a < m) that is G_n(1-q),
+    the DP on the rows of (x; 1-q)_n, whose step and whose DP lift each q^s
+    to (1-q)^s through one lift; t = 1 has no levels, and its G_n = q^(-1)
+    gives 1.  pw[e] is (1-q)^e cut no lower than q^count, for e <= n + 1 at
+    the n-th sum."""
+    row = [[0, [1]]]  # F[0]
+    for n in range(count):
+        if p.m == 1:
+            yield [1]
+            continue
+        order = count - n
+        lift = lambda f, s: [0, mul_trunc(pw[s], f[1], order)]  # (1-q)^s f
+        row_next = _lift_row_step(row, n, order, lift)
+        pool = _lift_pool_dp(p, row + [None], row_next, order, lift=lift)
+        yield pool[1] if pool else []
+        row = row_next
+
+
+def xi_series(t: int, n_top: int, count: int) -> list:
+    """First ``count`` coefficients of F_t(1-q; N) with N = n_top.
+
+    Exactly the substitution image of the full partial-sum polynomial;
+    summands with n >= count are invisible below q^count and are skipped,
+    which is also why the result stabilizes in N.
+    """
+    n_top, count = int_arg(n_top, "N", 0), int_arg(count, "count", 1)
+    p = torus_params(t)
+    n_last = min(n_top, count - 1)
+    # (1-q)^e cut below q^count: the inner sums read e <= n_last + 1
+    pw = [list(one_minus_q_power(e, min(e + 1, count)).coeffs) for e in range(n_last + 2)]
+    total = [0] * count
+    poch_tail = [1]  # (q)_n at q -> 1-q equals q^n * poch_tail
+    for n, inner in zip(range(n_last + 1), inner_sums_at_one_minus_q(p, pw, count)):
+        if n:
+            # (1 - (1-q)^n)/q
+            u = [-c for c in pw[n][1:]]
+            poch_tail = mul_trunc(poch_tail, u, count - n)
+        mul_trunc(poch_tail, inner, count - n, total, n)
+    # the prefactor q^(-h') and the inner sums' q^(-(a div m)), which cancel at t = 1
+    for _ in range(p.h_d + p.a // p.m):
+        over_one_minus_qk(total, 1)
+    return [-c for c in total] if p.sign < 0 else total
+
+
 # The retired two-pass builder, kept as an oracle for the substituted rows of
-# _row_step: first the Gaussian binomial row at q -> 1-q by the Pascal rule,
+# _lift_row_step: first the Gaussian binomial row at q -> 1-q by the Pascal rule,
 # then the factors.
 def _powers(top, count):
     """(1-q)^e cut below q^count for e = 0 .. top - 1, as lists."""
@@ -311,11 +408,12 @@ class TestXiLvalues:
 
     def test_xi_coefficients_reads_the_lvalue_engine(self, monkeypatch):
         import qfish.fishburn as fb
+        import qfish.torus as torus_mod
 
-        def boom(*args):
-            raise AssertionError("xi_coefficients reached the DP")
+        def boom(*args, **kwargs):
+            raise AssertionError("xi_coefficients ran an inner-sum DP")
 
-        monkeypatch.setattr(fb, "xi_series", boom)
+        monkeypatch.setattr(torus_mod, "_pool_dp", boom)
         fb._xi_cached.cache_clear()
         try:
             assert xi_coefficients(2, 9) == xi_lvalues(2, 9)
@@ -389,7 +487,7 @@ class TestSubRow:
         pw = _powers(92, self.COUNT)  # e <= C(14, 2) for _sub_factors
         rows = [[[0, [1]]]]
         for n in range(14):
-            rows.append(_row_step(rows[-1], n, length, _sub_lift(pw, length)))
+            rows.append(_lift_row_step(rows[-1], n, length, _sub_lift(pw, length)))
         return pw, rows
 
     def test_matches_retired_builder(self):
@@ -400,8 +498,8 @@ class TestSubRow:
             if n:
                 pascal = _sub_pascal_row(pascal, n, pw, self.COUNT)
             for length in sorted({1, 2, 5, min(self.COUNT - n + 1, self.COUNT)}):
-                row = full[0] if n == 0 else _row_step(full[n - 1], n - 1, length,
-                                                       _sub_lift(pw, length))
+                row = full[0] if n == 0 else _lift_row_step(full[n - 1], n - 1, length,
+                                                            _sub_lift(pw, length))
                 want = _sub_factors(pascal, length, pw)
                 assert len(row) == n + 1
                 for j, (lo, cs) in enumerate(row):

@@ -18,7 +18,6 @@ from qfish.fishburn import (
     verify_congruence,
     xi_coefficients,
     xi_lvalues,
-    xi_series,
 )
 from qfish.identities import (
     verify_difference_equation,
@@ -56,6 +55,7 @@ from qfish.torus import (
     torus_params,
 )
 from test_cyclotomic import cyclotomic_poly
+from test_fishburn import xi_series
 from test_qseries import pochhammer, q_binomial
 from test_series import substitute_one_minus_q
 from test_torus import v_exponent
@@ -71,8 +71,9 @@ BFILE = Path(__file__).parent / "data" / "b022493_sample.txt"
 # int", and a value below the lowest ValueError "<name> must be >= <low>";
 # the cases are generated into CASES and TYPE_CASES below.  The oracles that
 # moved from the library into the tests (substitute_one_minus_q,
-# cyclotomic_poly, pochhammer, q_binomial, v_exponent) kept their checks
-# verbatim, and their rows keep an oracle from reading True or 2.0 as an int.
+# cyclotomic_poly, pochhammer, q_binomial, v_exponent, xi_series) kept their
+# checks verbatim, and their rows keep an oracle from reading True or 2.0 as
+# an int.
 INT_SLOTS = [
     ("substitute_one_minus_q out_order", lambda v: substitute_one_minus_q(POLY, v), 1),
     ("one_minus_q_power e", lambda v: one_minus_q_power(v, 5), 0),

@@ -89,7 +89,6 @@ def test_no_private_name_crosses_a_module_boundary():
 PENDING = {
     "straub_order_bound": 14,
     "binom_congruence": 14,
-    "xi_series": 11,
     "kz_at_root_of_unity": 11,
     "mean_value_zero": 11,
 }
@@ -111,6 +110,22 @@ def test_every_export_has_a_caller_in_the_library():
     assert set(PENDING) <= exported
     assert sorted(exported - used - set(PENDING)) == []
     assert sorted(set(PENDING) & used) == []
+
+
+def test_no_float_in_the_library():
+    # tolerance zero: the library computes on exact integers only, so it has
+    # no float literal, no true division (/ or /=) and no float() or round()
+    found = []
+    for path in sorted((SRC / "qfish").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((path.name, node.lineno, repr(node.value)))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append((path.name, node.lineno, "/"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "round")):
+                found.append((path.name, node.lineno, node.func.id))
+    assert found == []
 
 
 def test_each_module_states_its_exports():

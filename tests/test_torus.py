@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qfish.qseries as qseries_mod
 import qfish.series as series_mod
 import qfish.torus as torus_mod
-from qfish.backend import mul_trunc, pool_dp
+from qfish.backend import pool_dp
 from qfish.cyclotomic import CycInt, cyc_eval
 from qfish.identities import verify_key_identity, verify_rewrite2, verify_root_match
 from qfish.qseries import binom_row_trunc, chi_t
@@ -423,20 +423,6 @@ class TestInnerSum:
             total = total + torus_mod._series(pool, order)
         assert total == torus_mod._series(torus_mod._pool_dp(p, *fac, order), order)
 
-    @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_each_factor_lifted_once_per_shift(self, t):
-        p = torus_params(t)
-        seen = []
-
-        def lift(f, s):
-            seen.append((id(f), s))
-            return torus_mod._q_lift(f, s)
-
-        fac = torus_mod._q_setup(6, None)
-        got = torus_mod._pool_dp(p, *fac, None, lift=lift)
-        assert len(seen) == len(set(seen))
-        assert torus_mod._series(got, None) == kz_inner_sum(p, 6, None)
-
 
 class TestPoolAdd:
     """Pool sums are plain adds: no kernel call and no aliasing."""
@@ -482,33 +468,33 @@ class TestFactorsAreOnlyRead:
     @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("order", [None, 9])
     @pytest.mark.parametrize("graded", [False, True])
-    def test_q_factors_python_loop(self, t, order, graded):
-        # any other lift runs the Python loop
+    def test_q_factors_python_loop(self, t, order, graded, monkeypatch):
+        # without the compiled DP, _pool_dp runs its Python loop
+        monkeypatch.setattr(torus_mod, "pool_dp", None)
         fac = torus_mod._q_setup(5, order)
         before = copy.deepcopy(fac)
-        lift = lambda f, s: [f[0] + s, f[1]]  # noqa: E731
-        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded, lift=lift)
+        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded)
         assert fac == before
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("order", [None, 9])
     @pytest.mark.parametrize("graded", [False, True])
     def test_substituted_factors(self, t, order, graded):
-        # the substituted rows of inner_sums_at_one_minus_q, lifted as it
-        # lifts them
+        # the substituted rows of the xi oracle's inner sums, built and
+        # lifted as it builds and lifts them, read by its ungraded DP copy
+        # (cut at order, or at the rows' cut 12) and, as plain factor data
+        # with every low exponent 0, by the library DP
+        from test_fishburn import _lift_pool_dp, _lift_row_step, _sub_lift
+
         pw = [list(one_minus_q_power(e, min(e + 1, 12)).coeffs) for e in range(6)]
-        sub = lambda f, s: [0, mul_trunc(pw[s], f[1], 12)]  # noqa: E731
         row = [[0, [1]]]
         for n in range(3):
-            row = torus_mod._row_step(row, n, 12, sub)
-        fac = row + [None], torus_mod._row_step(row, 3, 12, sub)
+            row = _lift_row_step(row, n, 12, _sub_lift(pw, 12))
+        fac = row + [None], _lift_row_step(row, 3, 12, _sub_lift(pw, 12))
         before = copy.deepcopy(fac)
-
-        def lift(f, s):
-            a = pw[s]
-            return [0, mul_trunc(a, f[1], order or len(a) + len(f[1]) - 1)]
-
-        assert torus_mod._pool_dp(torus_params(t), *fac, order, graded=graded, lift=lift)
+        p = torus_params(t)
+        assert _lift_pool_dp(p, *fac, order or 12, _sub_lift(pw, order or 12))
+        assert torus_mod._pool_dp(p, *fac, order, graded=graded)
         assert fac == before
 
 
